@@ -60,6 +60,8 @@ if [ "${RATTRAP_BENCH_SMOKE:-0}" != "0" ]; then
     cargo run --release --offline -p rattrap-bench --bin exp_drift >/dev/null
     echo "==> exec serve probe (offload API end to end)"
     cargo run --release --offline -p rattrap-bench --bin exec_serve -- --probe >/dev/null
+    echo "==> repo benchmark smoke (benchmark/check.sh: pinned simulator digests, serve checksums)"
+    benchmark/check.sh >/dev/null
     if [ -n "${RATTRAP_TRACE:-}" ]; then
         echo "==> validate trace ($RATTRAP_TRACE)"
         cargo run --release --offline -p rattrap-bench --bin validate_trace -- "$RATTRAP_TRACE"

@@ -62,21 +62,21 @@ impl Autoscaler {
         self.monitor.load_of(InstanceId(host as u32))
     }
 
-    /// Hottest and coldest of `active` by smoothed busy-fraction
-    /// (`load / slots(host)`), with the gap — the rebalancer's input.
+    /// Hottest and coldest of `hosts` — each paired with the autoscaler
+    /// that observes it — by smoothed busy-fraction
+    /// (`load / slots(host)`), with the gap: the rebalancer's input.
     /// Ties break toward the lowest index. `None` below two hosts.
-    pub fn hot_cold(
-        &self,
-        active: &BTreeSet<usize>,
+    pub fn hot_cold<'a>(
+        hosts: impl IntoIterator<Item = (&'a Autoscaler, usize)>,
         slots: impl Fn(usize) -> f64,
     ) -> Option<(usize, usize, f64)> {
-        if active.len() < 2 {
+        let frac: Vec<(usize, f64)> = hosts
+            .into_iter()
+            .map(|(scaler, h)| (h, scaler.load_of(h) / slots(h).max(1.0)))
+            .collect();
+        if frac.len() < 2 {
             return None;
         }
-        let frac: Vec<(usize, f64)> = active
-            .iter()
-            .map(|&h| (h, self.load_of(h) / slots(h).max(1.0)))
-            .collect();
         let &(hot, hi) = frac
             .iter()
             .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(b.0.cmp(&a.0)))
@@ -212,14 +212,13 @@ mod tests {
             a.observe(0, 8);
             a.observe(1, 4);
         }
+        let two = [(&a, 0), (&a, 1)];
         // Equal slots: host 0 is hot.
-        let (hot, cold, gap) = a.hot_cold(&active(2), |_| 8.0).unwrap();
+        let (hot, cold, gap) = Autoscaler::hot_cold(two, |_| 8.0).unwrap();
         assert_eq!((hot, cold), (0, 1));
         assert!(gap > 0.3);
         // Host 0 twice the slots: busy fractions even out exactly, so
         // there is no hot/cold pair to report.
-        assert!(a
-            .hot_cold(&active(2), |h| if h == 0 { 16.0 } else { 8.0 })
-            .is_none());
+        assert!(Autoscaler::hot_cold(two, |h| if h == 0 { 16.0 } else { 8.0 }).is_none());
     }
 }

@@ -3,40 +3,40 @@
 //! the Autoscaler, and the migration-based Rebalancer.
 //!
 //! The simulation is decomposed into logical processes for
-//! [`simkit::shard`]: **LP 0 is the control plane** (router, admission,
-//! autoscaler, rebalancer, the device access network, and the shared
-//! interconnect fabric), and **LP `h + 1` is host `h`** — a real
-//! `virt::CloudHost` (provisioning runs the full §IV-B pipeline
-//! against the simulated kernel) paired with a fair-share CPU
-//! executor, an App Warehouse for CID hints, and the host-local
-//! instance pool. Each LP owns a private event queue and advances
-//! freely inside one conservative sync window
+//! [`simkit::shard`]: **LP 0 is the control plane**
+//! ([`crate::control`] — router, admission, autoscaler, rebalancer,
+//! the device access network, and the shared interconnect fabric), and
+//! **LP `h + 1` is host `h`** — a real `virt::CloudHost` (provisioning
+//! runs the full §IV-B pipeline against the simulated kernel) paired
+//! with a fair-share CPU executor, an App Warehouse for CID hints, and
+//! the host-local instance pool. Each LP owns a private event queue
+//! and advances freely inside one conservative sync window
 //! ([`FleetConfig::sync_window`], the floor of any cross-host
 //! interaction); everything cross-shard — request hand-off, completion
 //! notices, crash/drain control, migration state — travels as ordered
 //! messages delivered at the next window boundary.
 //!
+//! This module holds the host shard, the wire protocol, and the fleet
+//! front-end: [`run_fleet`] and friends describe a [`FleetConfig`] to
+//! the shared control plane as its flat layout — one region, one cell,
+//! one zero-RTT fabric — and map what comes back to a [`FleetReport`].
+//!
 //! Both [`EngineMode::Serial`] and [`EngineMode::Sharded`] execute the
 //! *same* windowed algorithm; threads change wall-clock time only, so
 //! every report digest is bit-identical across modes and thread
-//! counts. Every random draw comes from a stream derived from the
-//! master seed (control-plane streams draw in event order; network
-//! streams are derived per request), so the same [`FleetConfig`]
-//! reproduces the same [`FleetReport`] bit for bit.
+//! counts, and the same [`FleetConfig`] reproduces the same
+//! [`FleetReport`] bit for bit.
 
-use crate::admission::AdmissionCtl;
-use crate::autoscaler::{Autoscaler, FleetAction};
 use crate::config::FleetConfig;
-use crate::rebalance::Rebalancer;
-use crate::report::{ControlStats, FleetReport, FleetRequestRecord, HostReport, ScenarioStats};
-use crate::router::{RouteReason, Router};
-use netsim::{Direction, Link, SharedLink};
+use crate::control::{
+    CellDecision, CellLayout, ControlLayout, FabricLayout, RegionLayout, STREAM_TRAFFIC,
+};
+use crate::report::{FleetReport, HostReport};
+use netsim::{Direction, Link};
 use obsv::{attrs, AttrValue, Recorder, SpanId, Subsystem, TraceSnapshot};
 use rattrap::warehouse::{aid_of, Aid};
-use rattrap::{AppWarehouse, Phase};
-use scenario::ScenarioDriver;
-use simkit::faults::{FaultPlan, TransferOutcome};
-use simkit::shard::{run_sharded, Lp, Outbox, ShardMode};
+use rattrap::AppWarehouse;
+use simkit::shard::Outbox;
 use simkit::{derive_seed, EventQueue, FairShareExecutor, JobId, SimDuration, SimRng, SimTime};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
@@ -44,20 +44,8 @@ use virt::migrate::{checkpoint, restore, Checkpoint};
 use virt::{CloudHost, InstanceId};
 use workloads::{TaskRequest, WorkloadKind};
 
-/// Virtual nodes per host on the router's consistent-hash ring.
-const RING_VNODES: usize = 64;
-
-/// Derived-stream tags (master seed × tag → independent stream).
-const STREAM_TRAFFIC: u64 = 1;
-const STREAM_APPS: u64 = 2;
-const STREAM_NET: u64 = 3;
-const STREAM_SVC: u64 = 4;
-const STREAM_RETRY: u64 = 5;
-const STREAM_FAULTS: u64 = 6;
-const STREAM_SCENARIO: u64 = 7;
-
 /// The LP index of the control plane.
-const CTL: usize = 0;
+pub(crate) const CTL: usize = 0;
 
 /// Which runtime drives the windowed LP engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,27 +57,12 @@ pub enum EngineMode {
     Sharded(usize),
 }
 
-/// Where a host sits in its lifecycle (control-plane view).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum HostStatus {
-    /// Routable and serving.
-    Active,
-    /// Powering on (autoscaler activation); not routable yet.
-    Booting,
-    /// Finishing its admitted work; not routable.
-    Draining,
-    /// Crashed; rebooting.
-    Down,
-    /// Powered-off spare capacity.
-    Standby,
-}
-
 /// Cross-shard messages. Control → host messages carry the request
 /// hand-off and lifecycle commands; host → control messages carry
 /// completion notices and state the router needs (warm-hint flips).
 ///
-/// Public (but doc-hidden) because the `geo` crate drives the same
-/// host shards under its own multi-region control plane.
+/// Spoken only between [`crate::control`] and [`HostLp`]; public (but
+/// doc-hidden) because `HostLp`'s public methods name it.
 #[doc(hidden)]
 #[derive(Debug)]
 pub enum Wire {
@@ -167,872 +140,16 @@ pub enum Wire {
     },
 }
 
-// ====================================================================
-// Control plane (LP 0)
-// ====================================================================
-
-/// Control-plane events.
-#[derive(Debug)]
-enum CtlEvent {
-    /// One trace arrival from `user`.
-    Arrive { user: u32, kind: WorkloadKind },
-    /// Request payload finished uploading.
-    UploadDone { req: usize, rgen: u32 },
-    /// Result reached the device.
-    DownloadDone { req: usize, rgen: u32 },
-    /// Backoff elapsed; re-route the request.
-    RetryFire { req: usize, rgen: u32 },
-    /// On-device (fallback) execution finished.
-    LocalDone { req: usize },
-    /// Fault plan: take a whole host down.
-    HostCrash { selector: u64 },
-    /// A crashed or activated host becomes routable.
-    HostUp { host: usize, hgen: u64 },
-    /// Interconnect fabric schedule point.
-    FabricPoll { epoch: u64 },
-    /// Control-loop tick: observe, scale, rebalance.
-    Scan,
-    /// A host message crossed the window boundary.
-    Deliver { src: usize, msg: Wire },
-}
-
-/// One request's control-plane state.
-#[derive(Debug)]
-struct ReqState {
-    user: u32,
-    kind: WorkloadKind,
-    task: TaskRequest,
-    arrival: SimTime,
-    finished: SimTime,
-    phase: Phase,
-    fell_back: bool,
-    host: Option<usize>,
-    attempts: u32,
-    rerouted: u32,
-    reason: Option<RouteReason>,
-    /// Bumped on crash re-route; stale in-flight events and messages
-    /// are dropped.
-    gen: u32,
-}
-
-/// Per-host control-plane state (the host's own pool lives in its LP).
-struct HostSlot {
-    status: HostStatus,
-    /// Bumped on crash; stale `HostUp` events and fabric deliveries
-    /// are dropped.
-    gen: u64,
-    crashes: u64,
-    migrations_out: u64,
-    migrations_in: u64,
-    /// Open `fleet.scale_up` span while booting (activation).
-    scale_span: SpanId,
-}
-
-/// An in-flight migration (control side).
-struct MigSlot {
-    from: usize,
-    to: usize,
-    state_bytes: u64,
-    /// Taken when the fabric delivers and the state is forwarded.
-    ckpt: Option<Box<Checkpoint>>,
-    /// Destination host generation at transfer start; a crash there
-    /// orphans the move.
-    gen_to: u64,
-}
-
-struct ControlLp {
-    cfg: Arc<FleetConfig>,
-    rec: Recorder,
-    queue: EventQueue<CtlEvent>,
-    hosts: Vec<HostSlot>,
-    router: Router,
-    admission: AdmissionCtl,
-    autoscaler: Autoscaler,
-    rebalancer: Rebalancer,
-    fabric: SharedLink<usize>,
-    link: Link,
-    reqs: Vec<ReqState>,
-    migs: Vec<MigSlot>,
-    control: ControlStats,
-    /// Hosts believed warm per workload ([`WorkloadKind::ALL`] order),
-    /// maintained from [`Wire::WarmInfo`] flips. At most one window
-    /// stale — an acceptable hint-propagation delay.
-    warm_map: Vec<BTreeSet<usize>>,
-    aids: Vec<Aid>,
-    rng_svc: SimRng,
-    rng_retry: SimRng,
-    /// Root of the per-request network streams.
-    net_root: u64,
-    horizon: SimTime,
-    outstanding: usize,
-    /// Compiled scenario plan, when the config carries one. Compiled
-    /// once at LP construction from its own derived stream
-    /// ([`STREAM_SCENARIO`]), then read-only: injected arrivals enter
-    /// through the ordinary event queue and cohort radio windows price
-    /// uploads per event, so serial and sharded runs stay
-    /// bit-identical under every scenario.
-    driver: Option<ScenarioDriver>,
-    /// Scenario conservation counters:
-    /// (injected, submitted, suppressed, deferred).
-    scn: (u64, u64, u64, u64),
-}
-
 /// Map an app id back to its workload (for code bytes on migration).
 fn kind_of_app(app_id: &str) -> Option<WorkloadKind> {
     WorkloadKind::ALL.into_iter().find(|k| k.app_id() == app_id)
 }
 
-fn kind_ix(kind: WorkloadKind) -> usize {
+pub(crate) fn kind_ix(kind: WorkloadKind) -> usize {
     WorkloadKind::ALL
         .into_iter()
         .position(|k| k == kind)
         .expect("kind is one of ALL")
-}
-
-impl ControlLp {
-    fn new(cfg: Arc<FleetConfig>, rec: Recorder) -> Self {
-        let mut master = SimRng::new(cfg.seed);
-        let net_root = derive_seed(cfg.seed, STREAM_NET);
-        let rng_svc = master.fork(STREAM_SVC);
-        let rng_retry = master.fork(STREAM_RETRY);
-
-        let hosts: Vec<HostSlot> = (0..cfg.host_specs.len())
-            .map(|i| HostSlot {
-                status: if i < cfg.initial_active {
-                    HostStatus::Active
-                } else {
-                    HostStatus::Standby
-                },
-                gen: 0,
-                crashes: 0,
-                migrations_out: 0,
-                migrations_in: 0,
-                scale_span: SpanId::NONE,
-            })
-            .collect();
-
-        let mut router = Router::new(RING_VNODES);
-        router.rebuild(&(0..cfg.initial_active).collect());
-
-        let admission = AdmissionCtl::new(cfg.host_specs.len(), cfg.admission_capacity);
-        let autoscaler = Autoscaler::new(cfg.autoscale);
-        let rebalancer = Rebalancer::new(cfg.rebalance);
-        let mut fabric = SharedLink::new(cfg.interconnect_bps, cfg.interconnect_bps);
-        // Digest-neutral for the fleet (no per-pop sampling); see
-        // FairShareExecutor::eager_check_cancel.
-        fabric.eager_check_cancel();
-        let link = Link::new(cfg.scenario);
-        let horizon = SimTime::ZERO.saturating_add(cfg.traffic.duration);
-        let aids: Vec<Aid> = WorkloadKind::ALL
-            .iter()
-            .map(|k| aid_of(k.app_id()))
-            .collect();
-        let warm_map = vec![BTreeSet::new(); WorkloadKind::ALL.len()];
-        let driver = cfg.scenario_plan.as_ref().map(|spec| {
-            ScenarioDriver::compile(
-                spec,
-                cfg.traffic.users,
-                derive_seed(cfg.seed, STREAM_SCENARIO),
-            )
-        });
-
-        let mut lp = ControlLp {
-            cfg,
-            rec,
-            queue: EventQueue::new(),
-            hosts,
-            router,
-            admission,
-            autoscaler,
-            rebalancer,
-            fabric,
-            link,
-            reqs: Vec::new(),
-            migs: Vec::new(),
-            control: ControlStats::default(),
-            warm_map,
-            aids,
-            rng_svc,
-            rng_retry,
-            net_root,
-            horizon,
-            outstanding: 0,
-            driver,
-            scn: (0, 0, 0, 0),
-        };
-        lp.seed_events();
-        lp
-    }
-
-    fn seed_events(&mut self) {
-        // Per-user home app under the configured Zipf skew: skewed
-        // popularity is what makes code-cache-affinity routing pay.
-        let mut rng_apps = SimRng::new(derive_seed(self.cfg.seed, STREAM_APPS));
-        let weights = self.cfg.app_weights();
-        let mut user_app: Vec<WorkloadKind> = (0..self.cfg.traffic.users)
-            .map(|_| WorkloadKind::ALL[rng_apps.weighted_index(&weights)])
-            .collect();
-        // Explicit tenancy re-partitions the base population: each
-        // base user's app comes from its tenant's mix instead of the
-        // global Zipf draw.
-        if let Some(d) = &self.driver {
-            for (u, app) in user_app.iter_mut().enumerate() {
-                if let Some(k) = d.base_kind_override(u as u32) {
-                    *app = k;
-                }
-            }
-        }
-
-        let mut traffic = self.cfg.traffic.clone();
-        traffic.seed = derive_seed(self.cfg.seed, STREAM_TRAFFIC);
-        for (user, times) in traces::livelab::generate(&traffic).into_iter().enumerate() {
-            for t in times {
-                self.queue.schedule(
-                    t,
-                    CtlEvent::Arrive {
-                        user: user as u32,
-                        kind: user_app[user],
-                    },
-                );
-            }
-        }
-
-        let plan = FaultPlan::generate(&self.cfg.faults, derive_seed(self.cfg.seed, STREAM_FAULTS));
-        for (at, selector) in plan.crashes() {
-            self.queue.schedule(at, CtlEvent::HostCrash { selector });
-        }
-
-        // Scenario arrival script: offload events enter the platform
-        // as ordinary arrivals; device-local scripted interactions
-        // (touches that never offload) are counted suppressed. The
-        // conservation contract: injected == submitted + suppressed.
-        if let Some(d) = &self.driver {
-            self.scn.0 = d.injected();
-            for a in d.arrivals() {
-                if a.offload {
-                    self.scn.1 += 1;
-                    self.queue.schedule(
-                        a.at,
-                        CtlEvent::Arrive {
-                            user: a.user,
-                            kind: a.kind,
-                        },
-                    );
-                } else {
-                    self.scn.2 += 1;
-                }
-            }
-        }
-
-        self.queue
-            .schedule_in(self.cfg.autoscale.scan_interval, CtlEvent::Scan);
-    }
-
-    /// Independent network stream for one request. Tags keep the
-    /// upload attempts, the download, and the host-side code push on
-    /// disjoint streams of the request's own seed, so host shards
-    /// never contend with control for a shared generator.
-    fn req_rng(&self, req: usize, tag: u64) -> SimRng {
-        SimRng::new(derive_seed(derive_seed(self.net_root, req as u64), tag))
-    }
-
-    fn dispatch(&mut self, now: SimTime, ev: CtlEvent, out: &mut Outbox<Wire>) {
-        match ev {
-            CtlEvent::Arrive { user, kind } => self.on_arrive(now, user, kind),
-            CtlEvent::UploadDone { req, rgen } => self.on_upload_done(now, req, rgen, out),
-            CtlEvent::DownloadDone { req, rgen } => self.on_download_done(now, req, rgen),
-            CtlEvent::RetryFire { req, rgen } => self.on_retry_fire(now, req, rgen),
-            CtlEvent::LocalDone { req } => self.finish(now, req, Phase::Done),
-            CtlEvent::HostCrash { selector } => self.on_host_crash(now, selector, out),
-            CtlEvent::HostUp { host, hgen } => self.on_host_up(now, host, hgen, out),
-            CtlEvent::FabricPoll { epoch } => self.on_fabric_poll(now, epoch, out),
-            CtlEvent::Scan => self.on_scan(now, out),
-            CtlEvent::Deliver { src, msg } => self.on_msg(now, src, msg, out),
-        }
-    }
-
-    fn on_msg(&mut self, now: SimTime, src: usize, msg: Wire, out: &mut Outbox<Wire>) {
-        let h = src - 1;
-        match msg {
-            Wire::Done { req, rgen } => self.on_done(now, req, rgen),
-            Wire::WarmInfo { kind_ix, warm } => {
-                if warm {
-                    self.warm_map[kind_ix].insert(h);
-                } else {
-                    self.warm_map[kind_ix].remove(&h);
-                }
-            }
-            Wire::DrainEmpty => {
-                if self.hosts[h].status == HostStatus::Draining && self.admission.depth(h) == 0 {
-                    self.hosts[h].status = HostStatus::Standby;
-                    out.send(now, src, Wire::FinishDrain);
-                }
-            }
-            Wire::MigState { dst, ckpt } => self.on_mig_state(now, h, dst, ckpt),
-            Wire::MigLanded { mig, .. } => self.on_mig_landed(now, mig),
-            _ => unreachable!("control-bound message"),
-        }
-    }
-
-    // ----------------------------------------------------- request intake
-
-    fn on_arrive(&mut self, now: SimTime, user: u32, kind: WorkloadKind) {
-        let task = kind.profile().sample(&mut self.rng_svc);
-        let req = self.reqs.len();
-        self.reqs.push(ReqState {
-            user,
-            kind,
-            task,
-            arrival: now,
-            finished: now,
-            phase: Phase::Dispatch,
-            fell_back: false,
-            host: None,
-            attempts: 1,
-            rerouted: 0,
-            reason: None,
-            gen: 0,
-        });
-        self.outstanding += 1;
-        self.rec.set_current_request(Some(req as u64));
-        self.route_request(now, req);
-    }
-
-    /// Route (or re-route) `req`: admit onto a host and start the
-    /// upload, or shed to the resilience layer.
-    fn route_request(&mut self, now: SimTime, req: usize) {
-        let kix = kind_ix(self.reqs[req].kind);
-        let aid = self.aids[kix].clone();
-        let warm: Vec<usize> = self.warm_map[kix]
-            .iter()
-            .copied()
-            .filter(|&h| self.hosts[h].status == HostStatus::Active)
-            .collect();
-        let hosts = &self.hosts;
-        let admission = &self.admission;
-        let decision = self.router.route(&aid, &warm, |h| {
-            hosts[h].status == HostStatus::Active && admission.has_room(h)
-        });
-        match decision {
-            Some(d) => {
-                assert!(self.admission.admit(d.host), "router picked a full host");
-                match d.reason {
-                    RouteReason::Affinity => self.control.affinity_routes += 1,
-                    RouteReason::Hash => self.control.hash_routes += 1,
-                    RouteReason::Spill => self.control.spill_routes += 1,
-                }
-                self.reqs[req].host = Some(d.host);
-                self.reqs[req].reason = Some(d.reason);
-                if self.rec.is_enabled() {
-                    self.rec.instant(
-                        Subsystem::Fleet,
-                        "route",
-                        attrs![
-                            ("host", AttrValue::U64(d.host as u64)),
-                            ("reason", AttrValue::Str(d.reason.label())),
-                            ("aid", AttrValue::Text(aid.0.clone())),
-                            ("depth", AttrValue::U64(self.admission.depth(d.host) as u64)),
-                        ],
-                    );
-                }
-                self.begin_upload(now, req);
-            }
-            None => self.shed(now, req),
-        }
-    }
-
-    fn begin_upload(&mut self, now: SimTime, req: usize) {
-        self.reqs[req].phase = Phase::DataTransferUp;
-        let bytes = self.reqs[req].task.control_bytes + self.reqs[req].task.payload_bytes;
-        let mut rng = self.req_rng(req, 10 + self.reqs[req].attempts as u64);
-        let t = self.link.connect_time(&mut rng)
-            + self.link.transfer_time(bytes, Direction::Upload, &mut rng);
-        let rgen = self.reqs[req].gen;
-        // Scenario cohort radio windows price the uplink: degradation
-        // stretches the transfer, an outage cuts it and defers the
-        // attempt to the window edge — where the whole cohort
-        // re-offloads at once (the thundering herd).
-        let outcome = match &self.driver {
-            Some(d) => d.price_transfer(self.reqs[req].user, now, t),
-            None => TransferOutcome::Completes {
-                at: now.saturating_add(t),
-            },
-        };
-        match outcome {
-            TransferOutcome::Completes { at } => {
-                self.queue.schedule(at, CtlEvent::UploadDone { req, rgen });
-            }
-            TransferOutcome::Interrupted { .. } => {
-                let release = self
-                    .driver
-                    .as_ref()
-                    .expect("an interrupted transfer implies a driver")
-                    .release_time(self.reqs[req].user, now);
-                self.defer_upload(now, req, release);
-            }
-        }
-    }
-
-    /// A cohort outage cut this upload: release the admitted slot and
-    /// re-route when the radio returns (or degrade when the retry
-    /// budget is spent). Every deferred request re-fires at the same
-    /// window edge, so the restore instant is a genuine herd.
-    fn defer_upload(&mut self, now: SimTime, req: usize, release: SimTime) {
-        self.scn.3 += 1;
-        if let Some(h) = self.reqs[req].host.take() {
-            self.admission.release(h);
-        }
-        self.reqs[req].gen += 1;
-        self.reqs[req].attempts += 1;
-        if self.rec.is_enabled() {
-            self.rec.instant(
-                Subsystem::Fleet,
-                "radio_defer",
-                attrs![
-                    ("release_us", AttrValue::U64(release.as_micros())),
-                    ("attempt", AttrValue::U64(self.reqs[req].attempts as u64)),
-                ],
-            );
-        }
-        if self.reqs[req].attempts <= self.cfg.resilience.max_retries + 1 {
-            self.reqs[req].phase = Phase::Retrying;
-            let rgen = self.reqs[req].gen;
-            self.queue
-                .schedule(release.max(now), CtlEvent::RetryFire { req, rgen });
-        } else {
-            self.degrade(now, req);
-        }
-    }
-
-    /// No host admitted the request: degrade per the resilience policy.
-    fn shed(&mut self, now: SimTime, req: usize) {
-        self.control.shed += 1;
-        self.admission.count_shed();
-        self.reqs[req].host = None;
-        if self.rec.is_enabled() {
-            self.rec.instant(
-                Subsystem::Fleet,
-                "shed",
-                attrs![(
-                    "fallback",
-                    AttrValue::U64(self.cfg.resilience.fallback_local as u64),
-                )],
-            );
-        }
-        self.degrade(now, req);
-    }
-
-    /// Finish on-device or abandon, per policy.
-    fn degrade(&mut self, now: SimTime, req: usize) {
-        if self.cfg.resilience.fallback_local {
-            self.reqs[req].fell_back = true;
-            self.reqs[req].phase = Phase::FallbackLocal;
-            let t = self
-                .cfg
-                .device
-                .local_execution_time(self.reqs[req].task.compute);
-            self.queue
-                .schedule(now.saturating_add(t), CtlEvent::LocalDone { req });
-        } else {
-            self.finish(now, req, Phase::Abandoned);
-        }
-    }
-
-    fn stale(&self, req: usize, rgen: u32) -> bool {
-        self.reqs[req].gen != rgen || self.reqs[req].phase.is_terminal()
-    }
-
-    // ------------------------------------------------- service hand-off
-
-    fn on_upload_done(&mut self, now: SimTime, req: usize, rgen: u32, out: &mut Outbox<Wire>) {
-        if self.stale(req, rgen) {
-            return;
-        }
-        self.rec.set_current_request(Some(req as u64));
-        self.reqs[req].phase = Phase::RuntimePrep;
-        let h = self.reqs[req].host.expect("routed");
-        let req_seed = derive_seed(self.net_root, req as u64);
-        out.send(
-            now,
-            h + 1,
-            Wire::Start {
-                req,
-                rgen,
-                task: self.reqs[req].task,
-                xfer_seed: derive_seed(req_seed, 1000 + self.reqs[req].attempts as u64),
-            },
-        );
-    }
-
-    /// The host reported the result ready: release admission and start
-    /// the download. Arrives one window after the host-side completion
-    /// — the control plane's notification latency.
-    fn on_done(&mut self, now: SimTime, req: usize, rgen: u32) {
-        if self.stale(req, rgen) {
-            return;
-        }
-        self.rec.set_current_request(Some(req as u64));
-        let h = self.reqs[req].host.expect("routed");
-        self.admission.release(h);
-        self.reqs[req].phase = Phase::DataTransferDown;
-        let mut rng = self.req_rng(req, 1);
-        let t = self.link.transfer_time(
-            self.reqs[req].task.result_bytes,
-            Direction::Download,
-            &mut rng,
-        );
-        self.queue
-            .schedule(now.saturating_add(t), CtlEvent::DownloadDone { req, rgen });
-    }
-
-    fn on_download_done(&mut self, now: SimTime, req: usize, rgen: u32) {
-        if self.stale(req, rgen) {
-            return;
-        }
-        self.finish(now, req, Phase::Done);
-    }
-
-    fn finish(&mut self, now: SimTime, req: usize, phase: Phase) {
-        debug_assert!(phase.is_terminal());
-        self.rec.set_current_request(Some(req as u64));
-        self.reqs[req].phase = phase;
-        self.reqs[req].finished = now;
-        self.outstanding -= 1;
-        self.rec.set_current_request(None);
-    }
-
-    // ------------------------------------------------------------ failures
-
-    fn on_retry_fire(&mut self, now: SimTime, req: usize, rgen: u32) {
-        if self.stale(req, rgen) {
-            return;
-        }
-        self.rec.set_current_request(Some(req as u64));
-        self.route_request(now, req);
-    }
-
-    fn on_host_crash(&mut self, now: SimTime, selector: u64, out: &mut Outbox<Wire>) {
-        self.rec.set_current_request(None);
-        let live: Vec<usize> = (0..self.hosts.len())
-            .filter(|&h| {
-                matches!(
-                    self.hosts[h].status,
-                    HostStatus::Active | HostStatus::Draining
-                )
-            })
-            .collect();
-        if live.is_empty() {
-            return;
-        }
-        let victim = live[(selector % live.len() as u64) as usize];
-        self.control.host_crashes += 1;
-        self.hosts[victim].crashes += 1;
-        self.hosts[victim].gen += 1;
-        self.hosts[victim].status = HostStatus::Down;
-        self.admission.reset_host(victim);
-        self.autoscaler.forget(victim);
-        for warm in &mut self.warm_map {
-            warm.remove(&victim);
-        }
-        self.rebuild_ring();
-        out.send(now, victim + 1, Wire::Crash);
-
-        // Every stranded request consumes one attempt and re-routes
-        // after backoff (or degrades when the budget is gone). The
-        // host learns of its own death one window later; any `Done` it
-        // sent in the meantime carries a stale generation and is
-        // dropped.
-        let affected: Vec<usize> = (0..self.reqs.len())
-            .filter(|&r| self.reqs[r].host == Some(victim) && !self.reqs[r].phase.is_terminal())
-            .collect();
-        if self.rec.is_enabled() {
-            self.rec.instant(
-                Subsystem::Fleet,
-                "host_crash",
-                attrs![
-                    ("host", AttrValue::U64(victim as u64)),
-                    ("stranded", AttrValue::U64(affected.len() as u64)),
-                ],
-            );
-        }
-        for req in affected {
-            self.rec.set_current_request(Some(req as u64));
-            self.reqs[req].gen += 1;
-            self.reqs[req].host = None;
-            self.reqs[req].attempts += 1;
-            self.reqs[req].rerouted += 1;
-            self.control.crash_reroutes += 1;
-            if self.rec.is_enabled() {
-                self.rec.instant(
-                    Subsystem::Fleet,
-                    "reroute",
-                    attrs![
-                        ("from_host", AttrValue::U64(victim as u64)),
-                        ("attempt", AttrValue::U64(self.reqs[req].attempts as u64)),
-                    ],
-                );
-            }
-            if self.reqs[req].attempts <= self.cfg.resilience.max_retries + 1 {
-                self.reqs[req].phase = Phase::Retrying;
-                let backoff = self
-                    .cfg
-                    .resilience
-                    .backoff_delay(self.reqs[req].attempts - 1, &mut self.rng_retry);
-                let rgen = self.reqs[req].gen;
-                self.queue.schedule(
-                    now.saturating_add(backoff),
-                    CtlEvent::RetryFire { req, rgen },
-                );
-            } else {
-                self.degrade(now, req);
-            }
-        }
-        self.rec.set_current_request(None);
-
-        let hgen = self.hosts[victim].gen;
-        self.queue.schedule(
-            now.saturating_add(self.cfg.crash_reboot),
-            CtlEvent::HostUp { host: victim, hgen },
-        );
-    }
-
-    fn on_host_up(&mut self, now: SimTime, host: usize, hgen: u64, out: &mut Outbox<Wire>) {
-        if self.hosts[host].gen != hgen {
-            return;
-        }
-        if !matches!(
-            self.hosts[host].status,
-            HostStatus::Down | HostStatus::Booting
-        ) {
-            return;
-        }
-        self.hosts[host].status = HostStatus::Active;
-        if self.hosts[host].scale_span != SpanId::NONE {
-            self.rec.span_end_at(
-                self.hosts[host].scale_span,
-                now.as_micros(),
-                attrs![("host", AttrValue::U64(host as u64))],
-            );
-            self.hosts[host].scale_span = SpanId::NONE;
-        }
-        self.rebuild_ring();
-        out.send(now, host + 1, Wire::Online);
-    }
-
-    // ----------------------------------------------------------- migration
-
-    /// A source host serialized a container: charge the state through
-    /// the shared fabric toward `dst`.
-    fn on_mig_state(&mut self, now: SimTime, from: usize, dst: usize, ckpt: Box<Checkpoint>) {
-        if self.hosts[dst].status != HostStatus::Active {
-            return; // destination left the fleet while the state froze
-        }
-        let state_bytes = ckpt.state_bytes();
-        let mig = self.migs.len();
-        self.migs.push(MigSlot {
-            from,
-            to: dst,
-            state_bytes,
-            ckpt: Some(ckpt),
-            gen_to: self.hosts[dst].gen,
-        });
-        self.control.migrations_started += 1;
-        self.rebalancer.committed(now);
-        self.fabric.begin_transfer(now, state_bytes, mig);
-        self.fabric
-            .reschedule(now, &mut self.queue, |epoch| CtlEvent::FabricPoll { epoch });
-    }
-
-    fn on_fabric_poll(&mut self, now: SimTime, epoch: u64, out: &mut Outbox<Wire>) {
-        let Some(finished) = self.fabric.poll(now, epoch) else {
-            return;
-        };
-        for (_, mig) in finished {
-            let to = self.migs[mig].to;
-            if self.hosts[to].gen != self.migs[mig].gen_to
-                || self.hosts[to].status != HostStatus::Active
-            {
-                continue; // destination crashed or drained mid-move
-            }
-            let ckpt = self.migs[mig].ckpt.take().expect("delivered once");
-            out.send(now, to + 1, Wire::MigIn { mig, ckpt });
-        }
-        self.fabric
-            .reschedule(now, &mut self.queue, |epoch| CtlEvent::FabricPoll { epoch });
-    }
-
-    /// The destination restored the container and it is serving.
-    fn on_mig_landed(&mut self, now: SimTime, mig: usize) {
-        let _ = now;
-        let MigSlot {
-            from,
-            to,
-            state_bytes,
-            ..
-        } = self.migs[mig];
-        self.hosts[from].migrations_out += 1;
-        self.hosts[to].migrations_in += 1;
-        self.control.migrations_completed += 1;
-        self.control.migration_bytes += state_bytes;
-        if self.rec.is_enabled() {
-            self.rec.instant(
-                Subsystem::Fleet,
-                "migration_done",
-                attrs![
-                    ("from", AttrValue::U64(from as u64)),
-                    ("to", AttrValue::U64(to as u64)),
-                    ("state_bytes", AttrValue::U64(state_bytes)),
-                ],
-            );
-        }
-    }
-
-    // -------------------------------------------------------- control loop
-
-    fn on_scan(&mut self, now: SimTime, out: &mut Outbox<Wire>) {
-        self.rec.set_current_request(None);
-        let active = self.active_set();
-
-        // Observe per-host pressure into the fleet EWMA monitor.
-        for &h in &active {
-            self.autoscaler.observe(h, self.admission.depth(h) as u32);
-        }
-
-        // Scale.
-        let saturation = if active.is_empty() {
-            0.0
-        } else {
-            active
-                .iter()
-                .map(|&h| self.admission.utilization(h))
-                .sum::<f64>()
-                / active.len() as f64
-        };
-        let standby = self.hosts.iter().any(|h| h.status == HostStatus::Standby);
-        match self.autoscaler.plan(now, saturation, &active, standby) {
-            Some(FleetAction::Activate) => self.activate_standby(now),
-            Some(FleetAction::Drain(victim)) => self.drain(now, victim, out),
-            None => {}
-        }
-
-        // Rebalance: ask the hottest host to ship one warm container
-        // to the coldest when the gap warrants it. The source commits
-        // the move (or silently declines if it has nothing warm).
-        let capacity = self.admission.capacity() as f64;
-        let hot_cold = self.autoscaler.hot_cold(&self.active_set(), |_| capacity);
-        if let Some(mv) = self.rebalancer.plan(now, hot_cold) {
-            if self.hosts[mv.to].status == HostStatus::Active {
-                out.send(now, mv.from + 1, Wire::MigOut { dst: mv.to });
-            }
-        }
-
-        if now < self.horizon || self.outstanding > 0 {
-            self.queue
-                .schedule_in(self.cfg.autoscale.scan_interval, CtlEvent::Scan);
-        } else {
-            // Horizon passed with nothing in flight: stop every host's
-            // maintenance loop so the simulation drains.
-            for h in 0..self.hosts.len() {
-                out.send(now, h + 1, Wire::Shutdown);
-            }
-        }
-    }
-
-    fn activate_standby(&mut self, now: SimTime) {
-        let Some(host) =
-            (0..self.hosts.len()).find(|&h| self.hosts[h].status == HostStatus::Standby)
-        else {
-            return;
-        };
-        self.hosts[host].status = HostStatus::Booting;
-        self.control.scale_ups += 1;
-        if self.rec.is_enabled() {
-            self.hosts[host].scale_span = self.rec.span_start_at(
-                Subsystem::Fleet,
-                "scale_up",
-                SpanId::NONE,
-                now.as_micros(),
-                attrs![("host", AttrValue::U64(host as u64))],
-            );
-        }
-        let hgen = self.hosts[host].gen;
-        self.queue.schedule(
-            now.saturating_add(self.cfg.autoscale.host_boot),
-            CtlEvent::HostUp { host, hgen },
-        );
-    }
-
-    fn drain(&mut self, now: SimTime, victim: usize, out: &mut Outbox<Wire>) {
-        if self.hosts[victim].status != HostStatus::Active || self.active_set().len() < 2 {
-            return;
-        }
-        self.hosts[victim].status = HostStatus::Draining;
-        self.control.drains += 1;
-        self.autoscaler.forget(victim);
-        if self.rec.is_enabled() {
-            self.rec.instant(
-                Subsystem::Fleet,
-                "drain",
-                attrs![("host", AttrValue::U64(victim as u64))],
-            );
-        }
-        self.rebuild_ring();
-        out.send(now, victim + 1, Wire::Drain);
-    }
-
-    // ------------------------------------------------------------- helpers
-
-    fn active_set(&self) -> BTreeSet<usize> {
-        (0..self.hosts.len())
-            .filter(|&h| self.hosts[h].status == HostStatus::Active)
-            .collect()
-    }
-
-    fn rebuild_ring(&mut self) {
-        self.router.rebuild(&self.active_set());
-    }
-
-    fn finish_lp(self) -> CtlOut {
-        self.rec.set_current_request(None);
-        let records: Vec<FleetRequestRecord> = self
-            .reqs
-            .iter()
-            .enumerate()
-            .map(|(i, r)| FleetRequestRecord {
-                id: i as u64,
-                user: r.user,
-                kind: r.kind,
-                arrival: r.arrival,
-                finished: r.finished,
-                phase: r.phase,
-                fell_back: r.fell_back,
-                host: r.host,
-                attempts: r.attempts,
-                rerouted: r.rerouted,
-                reason: r.reason,
-            })
-            .collect();
-        let scenario = self.driver.as_ref().map(|d| {
-            ScenarioStats::build(
-                d.name(),
-                self.scn,
-                d.tenant_names(),
-                |user| d.tenant_of(user),
-                &records,
-            )
-        });
-        CtlOut {
-            records,
-            control: self.control,
-            hosts: self
-                .hosts
-                .iter()
-                .map(|h| (h.crashes, h.migrations_out, h.migrations_in))
-                .collect(),
-            scenario,
-            snapshot: self.rec.snapshot(),
-        }
-    }
 }
 
 // ====================================================================
@@ -1084,9 +201,9 @@ struct Pending {
 }
 
 /// A single cloud host as a logical process: instance pool, CPU
-/// executor, code warehouse, and device-side link. Public (but
-/// doc-hidden) so the `geo` crate can embed fleet host shards in a
-/// multi-region topology; everything else should go through
+/// executor, code warehouse, and device-side link. Built and driven
+/// only by [`ControlLayout::run`], for flat fleets and
+/// multi-region topologies alike; everything else should go through
 /// [`run_fleet`].
 #[doc(hidden)]
 pub struct HostLp {
@@ -1723,63 +840,8 @@ impl HostLp {
     }
 }
 
-// ====================================================================
-// LP plumbing
-// ====================================================================
-
-enum FleetLp {
-    Ctl(Box<ControlLp>),
-    Host(Box<HostLp>),
-}
-
-impl Lp for FleetLp {
-    type Msg = Wire;
-
-    fn next_time(&mut self) -> Option<SimTime> {
-        match self {
-            FleetLp::Ctl(lp) => lp.queue.peek_time(),
-            FleetLp::Host(lp) => lp.next_time(),
-        }
-    }
-
-    fn run_window(&mut self, bound: SimTime, out: &mut Outbox<Wire>) {
-        match self {
-            FleetLp::Ctl(lp) => {
-                while lp.queue.peek_time().is_some_and(|t| t < bound) {
-                    let (now, ev) = lp.queue.pop().expect("peeked");
-                    lp.rec.set_now(now.as_micros());
-                    lp.dispatch(now, ev, out);
-                }
-            }
-            FleetLp::Host(lp) => lp.run_window(bound, out),
-        }
-    }
-
-    fn accept(&mut self, at: SimTime, src: usize, msg: Wire) {
-        match self {
-            FleetLp::Ctl(lp) => {
-                lp.queue.schedule(at, CtlEvent::Deliver { src, msg });
-            }
-            FleetLp::Host(lp) => {
-                let _ = src; // hosts only hear from control
-                lp.accept(at, msg);
-            }
-        }
-    }
-}
-
-struct CtlOut {
-    records: Vec<FleetRequestRecord>,
-    control: ControlStats,
-    /// Per host: (crashes, migrations_out, migrations_in).
-    hosts: Vec<(u64, u64, u64)>,
-    /// Scenario-plane accounting, when the run carried a plan.
-    scenario: Option<ScenarioStats>,
-    snapshot: TraceSnapshot,
-}
-
 /// What a host shard reports when its run ends. Doc-hidden, public
-/// for the `geo` crate (see [`HostLp`]).
+/// because [`ControlLayout::run`] hands it to both front-ends.
 #[doc(hidden)]
 pub struct HostOut {
     /// Requests this host completed.
@@ -1790,11 +852,6 @@ pub struct HostOut {
     pub peak_memory: u64,
     /// The host's trace buffer, for merging in LP order.
     pub snapshot: TraceSnapshot,
-}
-
-enum LpOut {
-    Ctl(CtlOut),
-    Host(HostOut),
 }
 
 // ====================================================================
@@ -1833,105 +890,94 @@ pub fn run_fleet_backend(
     run_fleet_inner(cfg, rec, mode, Some(backend))
 }
 
+/// The flat layout: every host in one cell behind one ring, every
+/// device in one region on the config's access network, one
+/// interconnect fabric with no propagation leg, and no WAN.
+fn flat_layout(cfg: &FleetConfig) -> ControlLayout {
+    assert!(
+        cfg.initial_active >= 1 && cfg.initial_active <= cfg.host_specs.len(),
+        "initial_active must name a non-empty prefix of host_specs"
+    );
+    ControlLayout {
+        seed: cfg.seed,
+        subsystem: Subsystem::Fleet,
+        cells: vec![CellLayout {
+            hosts: 0..cfg.host_specs.len(),
+            initial_active: cfg.initial_active,
+            autoscale: cfg.autoscale,
+            burst_to: None,
+            rebalances: true,
+            host_cfg: Arc::new(cfg.clone()),
+            host_class: exec::HostClass::PAPER_SERVER,
+        }],
+        regions: vec![RegionLayout {
+            first_user: 0,
+            users: cfg.traffic.users,
+            trace_seed: derive_seed(cfg.seed, STREAM_TRAFFIC),
+            start_hour: 8.0,
+            access: cfg.scenario,
+            device: cfg.device,
+        }],
+        fabrics: vec![FabricLayout {
+            bps: cfg.interconnect_bps,
+            rtt: SimDuration::ZERO,
+        }],
+        fabric_of: vec![0],
+        legs: vec![None],
+        route: Box::new(|_, aid, rings, warm, admissible| {
+            rings[0]
+                .route(aid, &warm(0), admissible)
+                .map(|d| CellDecision {
+                    cell: 0,
+                    host: d.host,
+                    reason: d.reason,
+                    cross_region: false,
+                })
+        }),
+        traffic: cfg.traffic.clone(),
+        app_weights: cfg.app_weights(),
+        admission_capacity: cfg.admission_capacity,
+        rebalance: cfg.rebalance,
+        resilience: cfg.resilience.clone(),
+        faults: cfg.faults.clone(),
+        crash_reboot: cfg.crash_reboot,
+        scan_interval: cfg.autoscale.scan_interval,
+        sync_window: cfg.sync_window,
+        scenario_plan: cfg.scenario_plan.clone(),
+    }
+}
+
 fn run_fleet_inner(
     cfg: &FleetConfig,
     rec: Recorder,
     mode: EngineMode,
     backend: Option<exec::BackendHandle>,
 ) -> FleetReport {
-    assert!(
-        cfg.initial_active >= 1 && cfg.initial_active <= cfg.host_specs.len(),
-        "initial_active must name a non-empty prefix of host_specs"
-    );
-    let shard_mode = match mode {
-        EngineMode::Serial => ShardMode::Serial,
-        EngineMode::Sharded(n) => ShardMode::Threads(n),
-    };
-    let cfg = Arc::new(cfg.clone());
-    let n_lps = cfg.host_specs.len() + 1;
-    let rec_cfg = rec.config();
-
-    let build = {
-        let cfg = Arc::clone(&cfg);
-        move |i: usize| {
-            // Each LP records into its own single-threaded recorder;
-            // the snapshots merge below in LP order, so traced and
-            // untraced runs pop identical event sequences.
-            let lp_rec = match &rec_cfg {
-                Some(c) => Recorder::enabled(c.clone()),
-                None => Recorder::disabled(),
-            };
-            if i == CTL {
-                FleetLp::Ctl(Box::new(ControlLp::new(Arc::clone(&cfg), lp_rec)))
-            } else {
-                let mut host = HostLp::new(Arc::clone(&cfg), i - 1, lp_rec);
-                if let Some(b) = &backend {
-                    host.set_backend(Arc::clone(b));
-                }
-                FleetLp::Host(Box::new(host))
-            }
-        }
-    };
-    let finish = |_: usize, lp: FleetLp| match lp {
-        FleetLp::Ctl(c) => LpOut::Ctl(c.finish_lp()),
-        FleetLp::Host(h) => LpOut::Host(h.finish_lp()),
-    };
-
-    let outs = run_sharded(n_lps, cfg.sync_window, shard_mode, build, finish);
-
-    let mut records = Vec::new();
-    let mut control = ControlStats::default();
-    let mut scenario = None;
-    let mut hosts: Vec<HostReport> = cfg
+    let (ctl, host_outs) = Arc::new(flat_layout(cfg)).run(&rec, mode, backend);
+    // The crash re-route and radio-deferral paths give slots back by
+    // hand; the plane counts any request admitted while still holding
+    // one.
+    debug_assert_eq!(ctl.wide.double_admissions, 0, "single admission");
+    let hosts = cfg
         .host_specs
         .iter()
-        .map(|s| HostReport {
-            served: 0,
-            peak_instances: 0,
-            peak_memory: 0,
-            memory_bytes: s.memory_bytes,
-            migrations_out: 0,
-            migrations_in: 0,
-            crashes: 0,
-        })
+        .zip(host_outs)
+        .zip(&ctl.hosts)
+        .map(
+            |((spec, o), &(crashes, migrations_out, migrations_in))| HostReport {
+                served: o.served,
+                peak_instances: o.peak_instances,
+                peak_memory: o.peak_memory,
+                memory_bytes: spec.memory_bytes,
+                migrations_out,
+                migrations_in,
+                crashes,
+            },
+        )
         .collect();
-    for (i, lp_out) in outs.into_iter().enumerate() {
-        match lp_out {
-            LpOut::Ctl(c) => {
-                records = c.records;
-                control = c.control;
-                scenario = c.scenario;
-                for (h, (crashes, out, inn)) in c.hosts.into_iter().enumerate() {
-                    hosts[h].crashes = crashes;
-                    hosts[h].migrations_out = out;
-                    hosts[h].migrations_in = inn;
-                }
-                rec.import(&c.snapshot);
-            }
-            LpOut::Host(o) => {
-                let h = i - 1;
-                hosts[h].served = o.served;
-                hosts[h].peak_instances = o.peak_instances;
-                hosts[h].peak_memory = o.peak_memory;
-                rec.import(&o.snapshot);
-            }
-        }
-    }
-    let mut report = FleetReport::summarize(records, control, hosts, cfg.traffic.duration);
-    report.scenario = scenario;
+    let mut report = FleetReport::summarize(ctl.records, ctl.control, hosts, cfg.traffic.duration);
+    report.scenario = ctl.scenario;
     report
-}
-
-/// Collect the AIDs currently warm (live container hints) on a host —
-/// exposed for tests.
-#[doc(hidden)]
-pub fn warm_hosts_for(aid: &Aid, warehouses: &mut [AppWarehouse]) -> Vec<usize> {
-    warehouses
-        .iter_mut()
-        .enumerate()
-        .filter(|(_, w)| !w.containers_with(aid).is_empty())
-        .map(|(i, _)| i)
-        .collect()
 }
 
 #[cfg(test)]
@@ -2041,14 +1087,5 @@ mod tests {
         let inn: u64 = rep.hosts.iter().map(|h| h.migrations_in).sum();
         assert_eq!(out, inn);
         assert!(rep.control.migrations_completed <= rep.control.migrations_started);
-    }
-
-    #[test]
-    fn warehouse_helper_reports_warm_hosts() {
-        let mut ws = vec![AppWarehouse::new(1 << 20), AppWarehouse::new(1 << 20)];
-        let aid = aid_of("com.bench.ocr");
-        ws[1].insert(aid.clone(), "com.bench.ocr", 1024);
-        ws[1].note_loaded(&aid, InstanceId(3));
-        assert_eq!(warm_hosts_for(&aid, &mut ws), vec![1]);
     }
 }

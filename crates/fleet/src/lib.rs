@@ -27,6 +27,10 @@
 //! host's instances and re-routes its stranded requests), and
 //! instrumented with `obsv` spans under [`obsv::Subsystem::Fleet`].
 //!
+//! The control plane itself ([`control`]) is layout-driven and shared:
+//! [`run_fleet`] hands it the flat one-cell layout, and the `geo`
+//! crate hands it a multi-region one.
+//!
 //! [`Monitor`]: rattrap::Monitor
 
 #![warn(missing_docs)]
@@ -35,6 +39,7 @@
 pub mod admission;
 pub mod autoscaler;
 pub mod config;
+pub mod control;
 pub mod engine;
 pub mod rebalance;
 pub mod report;

@@ -75,6 +75,45 @@ pub struct ControlStats {
     pub drains: u64,
 }
 
+/// Counters only a multi-cell layout can move, plus the
+/// single-admission violation count every layout must keep at zero.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WideStats {
+    /// Requests served outside their home region.
+    pub cross_region_routes: u64,
+    /// Cloud-burst activations on behalf of a saturated cell.
+    pub bursts: u64,
+    /// Request payload bytes that crossed a WAN leg.
+    pub wan_request_bytes: u64,
+    /// Times a request was admitted while already holding a slot.
+    pub double_admissions: u64,
+}
+
+/// One migration, with the state-conservation evidence the simcheck
+/// invariant audits: the bytes the source serialized, the bytes the
+/// fabric carried, and the bytes the destination measured while
+/// restoring must all agree.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MigrationRecord {
+    /// Source host (global index).
+    pub from_host: usize,
+    /// Destination host (global index).
+    pub to_host: usize,
+    /// Source cell.
+    pub from_cell: usize,
+    /// Destination cell.
+    pub to_cell: usize,
+    /// Checkpoint bytes the source serialized.
+    pub bytes_src: u64,
+    /// Bytes charged through the fabric.
+    pub bytes_wire: u64,
+    /// Bytes the destination measured while restoring (zero until the
+    /// container lands).
+    pub bytes_dst: u64,
+    /// Whether the destination container went live.
+    pub completed: bool,
+}
+
 /// Per-host accounting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HostReport {
@@ -218,6 +257,25 @@ impl ScenarioStats {
             tenants,
         }
     }
+
+    /// Fold every field into a report digest.
+    pub fn hash_into(&self, h: &mut ReportHasher) {
+        h.write(self.name.as_bytes());
+        h.write_u64(self.injected);
+        h.write_u64(self.submitted);
+        h.write_u64(self.suppressed);
+        h.write_u64(self.deferred);
+        h.write_u64(self.tenants.len() as u64);
+        for t in &self.tenants {
+            h.write(t.name.as_bytes());
+            h.write_u64(t.submitted);
+            h.write_u64(t.completed_remote);
+            h.write_u64(t.fallback_local);
+            h.write_u64(t.abandoned);
+            h.write_f64(t.mean_response_s);
+            h.write_f64(t.p99_response_s);
+        }
+    }
 }
 
 /// Everything a fleet run produces.
@@ -345,21 +403,7 @@ impl FleetReport {
         h.write_f64(s.p50_response_s);
         h.write_f64(s.p95_response_s);
         if let Some(sc) = &self.scenario {
-            h.write(sc.name.as_bytes());
-            h.write_u64(sc.injected);
-            h.write_u64(sc.submitted);
-            h.write_u64(sc.suppressed);
-            h.write_u64(sc.deferred);
-            h.write_u64(sc.tenants.len() as u64);
-            for t in &sc.tenants {
-                h.write(t.name.as_bytes());
-                h.write_u64(t.submitted);
-                h.write_u64(t.completed_remote);
-                h.write_u64(t.fallback_local);
-                h.write_u64(t.abandoned);
-                h.write_f64(t.mean_response_s);
-                h.write_f64(t.p99_response_s);
-            }
+            sc.hash_into(&mut h);
         }
         h.finish()
     }

@@ -6,9 +6,14 @@
 //! moves this number — bump it ONLY for an intentional behavioural
 //! change, and say so in the commit message.
 
-use fleet::{run_fleet, run_fleet_traced, run_fleet_with, EngineMode, FleetConfig};
-use obsv::{Recorder, RecorderConfig};
+use fleet::{
+    run_fleet, run_fleet_traced, run_fleet_with, AutoscalePolicy, EngineMode, FleetConfig,
+};
+use obsv::{Recorder, RecorderConfig, Subsystem, TraceEvent};
+use scenario::ScenarioSpec;
 use simkit::faults::FaultConfig;
+use simkit::{SimDuration, SimTime};
+use std::collections::BTreeMap;
 
 /// Same seed the rattrap goldens pin (2017-05-29, Rattrap's IPDPS
 /// submission year/date motif).
@@ -93,5 +98,82 @@ fn neighbouring_seed_diverges() {
         rep.digest(),
         GOLDEN_FLEET_DIGEST,
         "digest must be seed-sensitive"
+    );
+}
+
+/// The canonical run plus everything it leaves cold: an elastic fleet
+/// (standby capacity, tight admission) under heavier faults and a
+/// cohort radio outage, so scaling, shedding and radio deferral are on
+/// the traced path too.
+fn stressed() -> FleetConfig {
+    let mut cfg = canonical();
+    cfg.initial_active = 2;
+    cfg.autoscale = AutoscalePolicy::standard();
+    cfg.admission_capacity = 2;
+    cfg.faults = FaultConfig::scaled(1.5);
+    cfg.scenario_plan = Some(ScenarioSpec::correlated_failure(
+        50,
+        SimTime::from_secs(900),
+        SimDuration::from_secs(600),
+    ));
+    cfg
+}
+
+/// Count the control plane's own trace events per name. Every other
+/// subsystem is sampled off so the ring holds the whole run.
+fn control_vocabulary(cfg: &FleetConfig) -> BTreeMap<&'static str, u64> {
+    let mut sample = [0; Subsystem::ALL.len()];
+    sample[Subsystem::Fleet.index()] = 1;
+    let rc = RecorderConfig {
+        sample,
+        ..RecorderConfig::default()
+    };
+    let rec = Recorder::enabled(rc);
+    run_fleet_traced(cfg, rec.clone());
+    let snap = rec.snapshot();
+    assert_eq!(snap.dropped, 0, "ring too small: counts are not exact");
+    let mut counts = BTreeMap::new();
+    for ev in &snap.events {
+        match ev {
+            TraceEvent::Begin {
+                subsystem, name, ..
+            }
+            | TraceEvent::Instant {
+                subsystem, name, ..
+            } => {
+                assert_eq!(*subsystem, Subsystem::Fleet, "fleet runs label Fleet");
+                *counts.entry(*name).or_insert(0) += 1;
+            }
+            TraceEvent::End { .. } => {}
+        }
+    }
+    counts
+}
+
+#[test]
+fn control_plane_trace_vocabulary_is_pinned() {
+    // What the control plane records, by name — so a refactor cannot
+    // silently relabel, drop or double an event. Recorded at the
+    // commit before the fleet/geo control planes were merged.
+    let canonical: Vec<_> = control_vocabulary(&canonical()).into_iter().collect();
+    assert_eq!(
+        canonical,
+        [("host_crash", 5), ("migration_done", 10), ("route", 13003)],
+        "canonical run"
+    );
+    let stressed: Vec<_> = control_vocabulary(&stressed()).into_iter().collect();
+    assert_eq!(
+        stressed,
+        [
+            ("drain", 1),
+            ("host_crash", 23),
+            ("migration_done", 16),
+            ("radio_defer", 985),
+            ("reroute", 18),
+            ("route", 9740),
+            ("scale_up", 3),
+            ("shed", 4266),
+        ],
+        "stressed run"
     );
 }

@@ -152,12 +152,12 @@ pub struct GeoConfig {
     /// Conservative synchronization window of the sharded engine.
     pub sync_window: SimDuration,
     /// Optional adversarial-traffic scenario injected on top of the
-    /// diurnal base traffic. The compiled arrival script is folded
-    /// onto the existing population (synthetic burst users map onto
-    /// region-local device indices); cohort radio windows and tenant
-    /// accounting are fleet-level concerns (see `fleet::ScenarioStats`)
-    /// — the geo plane injects arrivals. `None` (default) leaves the
-    /// event stream bit-identical to the pre-scenario engine.
+    /// diurnal base traffic, exactly as in the fleet: arrivals are
+    /// injected, cohort radio windows price uploads, and the report
+    /// carries `fleet::ScenarioStats`. Synthetic burst users are homed
+    /// by folding their id onto the existing population. `None`
+    /// (default) leaves the event stream bit-identical to the
+    /// pre-scenario engine.
     pub scenario_plan: Option<scenario::ScenarioSpec>,
     /// Master seed; every stream in the run is derived from it.
     pub seed: u64,
@@ -269,7 +269,7 @@ impl GeoConfig {
             warehouse_capacity: self.warehouse_capacity,
             device: self.regions[cell / 2].device,
             sync_window: self.sync_window,
-            // The geo control plane owns arrival injection; the cell's
+            // The control plane owns arrival injection; the cell's
             // host shards never compile their own scenario.
             scenario_plan: None,
             seed: self.seed,

@@ -7,7 +7,9 @@
 //! budget, standby capacity that edge PoPs can borrow — cloud
 //! burst). Every tier is an independent fleet cell whose hosts run as
 //! logical processes under the same conservative-window sharded
-//! engine the fleet uses, speaking the fleet's own wire protocol.
+//! engine the fleet uses, speaking the fleet's own wire protocol to
+//! the fleet's own control plane (`fleet::control`), which this crate
+//! drives with a multi-region cell layout.
 //!
 //! On top of the cells sit the geo-wide mechanisms:
 //!
@@ -39,6 +41,6 @@ pub use config::{GeoConfig, RegionSpec, TierSpec, Topology, WanConfig};
 pub use engine::{run_geo, run_geo_backend, run_geo_traced, run_geo_with, EngineMode};
 pub use report::{
     GeoControlStats, GeoHostReport, GeoMigrationRecord, GeoRegionSummary, GeoReport,
-    GeoRequestRecord, GeoScenarioStats, GeoSummary,
+    GeoRequestRecord, GeoSummary,
 };
 pub use router::{GeoDecision, GeoRouter};

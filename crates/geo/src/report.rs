@@ -2,7 +2,7 @@
 //! control-plane counters, per-host and per-migration accounting, and
 //! the canonical digest the geo determinism suite pins.
 
-use fleet::RouteReason;
+use fleet::{RouteReason, ScenarioStats};
 use rattrap::{Phase, ReportHasher};
 use simkit::{Cdf, SimDuration, SimTime};
 use workloads::WorkloadKind;
@@ -85,30 +85,9 @@ pub struct GeoControlStats {
     pub double_admissions: u64,
 }
 
-/// One cross-cell migration, with the state-conservation evidence the
-/// simcheck invariant audits: the bytes the source serialized, the
-/// bytes the WAN fabric carried, and the bytes the destination
-/// measured while restoring must all agree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GeoMigrationRecord {
-    /// Source host (global index).
-    pub from_host: usize,
-    /// Destination host (global index).
-    pub to_host: usize,
-    /// Source cell.
-    pub from_cell: usize,
-    /// Destination cell.
-    pub to_cell: usize,
-    /// Checkpoint bytes the source serialized.
-    pub bytes_src: u64,
-    /// Bytes charged through the WAN fabric.
-    pub bytes_wire: u64,
-    /// Bytes the destination measured while restoring (zero until the
-    /// container lands).
-    pub bytes_dst: u64,
-    /// Whether the destination container went live.
-    pub completed: bool,
-}
+/// One cross-cell migration with its state-conservation evidence —
+/// the control plane's own record.
+pub use fleet::report::MigrationRecord as GeoMigrationRecord;
 
 /// Per-host accounting (global index order).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -185,23 +164,8 @@ pub struct GeoReport {
     /// Aggregates.
     pub summary: GeoSummary,
     /// Scenario-plane accounting (`None` unless the config carried a
-    /// scenario plan). Geo wiring injects arrivals; cohort windows and
-    /// tenant splits are fleet-level (see `fleet::ScenarioStats`).
-    pub scenario: Option<GeoScenarioStats>,
-}
-
-/// Geo-level scenario conservation counters: every scripted event is
-/// submitted or suppressed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GeoScenarioStats {
-    /// The spec's display name.
-    pub name: String,
-    /// Scripted events compiled into the run.
-    pub injected: u64,
-    /// Scripted events submitted as platform requests.
-    pub submitted: u64,
-    /// Scripted events handled device-locally.
-    pub suppressed: u64,
+    /// scenario plan).
+    pub scenario: Option<ScenarioStats>,
 }
 
 fn response_cdf(records: &[GeoRequestRecord], keep: impl Fn(&GeoRequestRecord) -> bool) -> Cdf {
@@ -368,10 +332,7 @@ impl GeoReport {
         // Hashed only when present, so scenario-free runs keep the
         // digests pinned before the scenario plane existed.
         if let Some(sc) = &self.scenario {
-            h.write(sc.name.as_bytes());
-            h.write_u64(sc.injected);
-            h.write_u64(sc.submitted);
-            h.write_u64(sc.suppressed);
+            sc.hash_into(&mut h);
         }
         h.finish()
     }

@@ -11,22 +11,13 @@
 //! hash-home / clockwise-spill walk over the cell's own ring.
 
 use crate::config::Topology;
-use fleet::{RouteReason, Router};
+use fleet::Router;
 use rattrap::warehouse::Aid;
 use simkit::SimDuration;
 
-/// Where the geo router decided to send a request, and why.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GeoDecision {
-    /// The chosen cell.
-    pub cell: usize,
-    /// The chosen host (global index).
-    pub host: usize,
-    /// The in-cell router's reason (affinity / hash / spill).
-    pub reason: RouteReason,
-    /// Whether the cell sits outside the device's home region.
-    pub cross_region: bool,
-}
+/// Where the geo router decided to send a request, and why — the
+/// control plane's own decision type.
+pub use fleet::control::CellDecision as GeoDecision;
 
 /// Latency-aware router over cells.
 #[derive(Debug)]
@@ -77,10 +68,12 @@ impl GeoRouter {
         cell_warm: impl Fn(usize) -> Vec<usize>,
         mut admissible: impl FnMut(usize) -> bool,
     ) -> Option<GeoDecision> {
-        let order = self.cell_order(topo, region, |cell| !cell_warm(cell).is_empty());
+        // Each cell's warm list is built once and serves both the
+        // ordering and the in-cell placement.
+        let warm: Vec<Vec<usize>> = (0..topo.n_cells()).map(cell_warm).collect();
+        let order = self.cell_order(topo, region, |cell| !warm[cell].is_empty());
         for cell in order {
-            let warm = cell_warm(cell);
-            if let Some(d) = cell_routers[cell].route(aid, &warm, &mut admissible) {
+            if let Some(d) = cell_routers[cell].route(aid, &warm[cell], &mut admissible) {
                 return Some(GeoDecision {
                     cell,
                     host: d.host,
@@ -97,6 +90,7 @@ impl GeoRouter {
 mod tests {
     use super::*;
     use crate::config::GeoConfig;
+    use fleet::RouteReason;
     use rattrap::warehouse::aid_of;
 
     fn topo3() -> Topology {

@@ -9,9 +9,10 @@
 
 use fleet::{run_fleet, AutoscalePolicy, FleetConfig};
 use geo::{run_geo, run_geo_traced, run_geo_with, EngineMode, GeoConfig, TierSpec};
-use obsv::{Recorder, RecorderConfig};
+use obsv::{Recorder, RecorderConfig, Subsystem, TraceEvent};
 use simkit::faults::FaultConfig;
 use simkit::SimDuration;
+use std::collections::BTreeMap;
 
 /// Same seed the rattrap and fleet goldens pin.
 const GOLDEN_SEED: u64 = 0x2017_0529;
@@ -72,11 +73,8 @@ fn neighbouring_seed_diverges() {
     assert_ne!(run_geo(&cfg).digest(), baseline, "digest is seed-blind");
 }
 
-#[test]
-fn saturated_edge_spills_cross_region_and_bursts_to_the_core() {
-    // One hot region with a single-host edge PoP and no edge standby:
-    // overflow must spill around the ring and the edge must borrow
-    // core capacity.
+/// One hot region with a single-host edge PoP and no edge standby.
+fn saturated_geo() -> GeoConfig {
     let mut cfg = GeoConfig::paper_default(3, GOLDEN_SEED);
     cfg.admission_capacity = 2;
     cfg.regions[0].users = 48;
@@ -85,7 +83,14 @@ fn saturated_edge_spills_cross_region_and_bursts_to_the_core() {
     cfg.regions[1].users = 4;
     cfg.regions[2].users = 4;
     cfg.traffic.duration = SimDuration::from_secs(1800);
-    let rep = run_geo(&cfg);
+    cfg
+}
+
+#[test]
+fn saturated_edge_spills_cross_region_and_bursts_to_the_core() {
+    // Overflow must spill around the ring and the edge must borrow
+    // core capacity.
+    let rep = run_geo(&saturated_geo());
     assert!(
         rep.control.cross_region_routes > 0,
         "no request left its home region under saturation"
@@ -117,5 +122,60 @@ fn edge_boot_default_reproduces_the_fleet_golden_digest() {
         run_fleet(&cfg).digest(),
         GOLDEN_FLEET_DIGEST,
         "routing host_boot through the tier spec moved the fleet golden"
+    );
+}
+
+/// Count the control plane's own trace events per name. Every other
+/// subsystem is sampled off so the ring holds the whole run.
+fn control_vocabulary(cfg: &GeoConfig) -> BTreeMap<&'static str, u64> {
+    let mut sample = [0; Subsystem::ALL.len()];
+    sample[Subsystem::Geo.index()] = 1;
+    sample[Subsystem::Fleet.index()] = 1;
+    let rc = RecorderConfig {
+        sample,
+        ..RecorderConfig::default()
+    };
+    let rec = Recorder::enabled(rc);
+    run_geo_traced(cfg, rec.clone());
+    let snap = rec.snapshot();
+    assert_eq!(snap.dropped, 0, "ring too small: counts are not exact");
+    let mut counts = BTreeMap::new();
+    for ev in &snap.events {
+        match ev {
+            TraceEvent::Begin {
+                subsystem, name, ..
+            }
+            | TraceEvent::Instant {
+                subsystem, name, ..
+            } => {
+                assert_eq!(*subsystem, Subsystem::Geo, "geo runs label Geo");
+                *counts.entry(*name).or_insert(0) += 1;
+            }
+            TraceEvent::End { .. } => {}
+        }
+    }
+    counts
+}
+
+#[test]
+fn control_plane_trace_vocabulary_is_pinned() {
+    // What the control plane records, by name — so a refactor cannot
+    // silently relabel geo spans as fleet's, or drop or double an
+    // event. Recorded at the commit before the fleet/geo control
+    // planes were merged.
+    let canonical: Vec<_> = control_vocabulary(&canonical_geo()).into_iter().collect();
+    assert_eq!(canonical, [("route", 1131)], "canonical run");
+    let saturated: Vec<_> = control_vocabulary(&saturated_geo()).into_iter().collect();
+    assert_eq!(
+        saturated,
+        [
+            ("burst", 5),
+            ("drain", 9),
+            ("migration_done", 31),
+            ("route", 2019),
+            ("scale_up", 10),
+            ("shed", 2),
+        ],
+        "saturated run"
     );
 }
