@@ -397,11 +397,13 @@ pub fn run_mega_with(seed: u64, smoke: bool, engine: EngineMode) -> ExperimentOu
         rep.summary.completed_remote + rep.summary.fallback_local + rep.summary.abandoned
             == rep.summary.submitted,
     );
+    // Full runs on the 2-core box: serial 1.9 s, sharded 3–12 s (thread
+    // wake-ups per window); 229.6 s when every shed route walked the ring.
     sc.expect(
-        "the engine completes in minutes, not hours",
-        "wall < 600 s",
+        "the engine completes in seconds, not minutes",
+        "wall < 30 s",
         &format!("{wall:.1} s"),
-        wall < 600.0,
+        wall < 30.0,
     );
 
     ExperimentOutput {

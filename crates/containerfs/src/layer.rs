@@ -12,6 +12,7 @@
 use crate::entry::FileEntry;
 use crate::image::FsImage;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// Identifier of a read-only layer in a [`LayerStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -20,7 +21,10 @@ pub struct LayerId(u32);
 #[derive(Debug)]
 struct StoredLayer {
     name: String,
-    files: FsImage,
+    /// Immutable once published, so stores may share one allocation
+    /// and `bytes`, its total, is summed once rather than per query.
+    files: Arc<FsImage>,
+    bytes: u64,
     refs: u32,
 }
 
@@ -37,14 +41,17 @@ impl LayerStore {
         Self::default()
     }
 
-    /// Publish an image as a shared read-only layer.
-    pub fn publish(&mut self, name: &str, files: FsImage) -> LayerId {
+    /// Publish an image as a shared read-only layer, accounted as this
+    /// store's own bytes even when other stores share the allocation.
+    pub fn publish(&mut self, name: &str, files: impl Into<Arc<FsImage>>) -> LayerId {
         let id = self.next_id;
         self.next_id += 1;
+        let files = files.into();
         self.layers.insert(
             id,
             StoredLayer {
                 name: name.to_string(),
+                bytes: files.total_bytes(),
                 files,
                 refs: 0,
             },
@@ -75,7 +82,7 @@ impl LayerStore {
 
     /// Bytes of one layer.
     pub fn layer_bytes(&self, id: LayerId) -> Option<u64> {
-        self.get(id).map(|l| l.files.total_bytes())
+        self.get(id).map(|l| l.bytes)
     }
 
     /// Mount reference count of a layer.
@@ -86,7 +93,7 @@ impl LayerStore {
     /// Total bytes on disk: every stored layer counted once, regardless
     /// of how many mounts reference it.
     pub fn total_shared_bytes(&self) -> u64 {
-        self.layers.values().map(|l| l.files.total_bytes()).sum()
+        self.layers.values().map(|l| l.bytes).sum()
     }
 
     fn incref(&mut self, id: LayerId) {

@@ -10,7 +10,7 @@
 //! fleet keeps its code caches warm.
 
 use rattrap::warehouse::Aid;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Why the router picked the host it picked.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -43,19 +43,32 @@ pub struct RouteDecision {
     pub reason: RouteReason,
 }
 
+/// One vnode on the ring.
+#[derive(Debug, Clone, Copy)]
+struct RingPoint {
+    at: u64,
+    host: usize,
+    /// Ring positions back (cyclically) to the same host's previous
+    /// point. A walk `k` steps in meets a host for the first time
+    /// exactly where `gap > k`, so routes need no set of hosts seen.
+    gap: usize,
+}
+
 /// Consistent-hash ring over the currently routable hosts.
 #[derive(Debug)]
 pub struct Router {
-    /// (ring point, host), sorted by point.
-    points: Vec<(u64, usize)>,
+    /// Sorted by `(at, host)`.
+    points: Vec<RingPoint>,
     vnodes: usize,
+    /// Distinct hosts on the ring, counted at `rebuild`.
+    hosts: usize,
 }
 
 /// FNV-1a over a byte string, with a final avalanche so vnode points
 /// spread even for short keys.
-fn hash_bytes(bytes: &[u8], salt: u64) -> u64 {
+fn hash_bytes(bytes: impl IntoIterator<Item = u8>, salt: u64) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ salt;
-    for &b in bytes {
+    for b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
@@ -73,6 +86,7 @@ impl Router {
         Router {
             points: Vec::new(),
             vnodes,
+            hosts: 0,
         }
     }
 
@@ -81,40 +95,29 @@ impl Router {
     /// AID whose arc owner survived is unchanged.
     pub fn rebuild(&mut self, routable: &BTreeSet<usize>) {
         self.points.clear();
-        for &h in routable {
+        self.hosts = routable.len();
+        for &host in routable {
             for v in 0..self.vnodes {
-                let key = [h.to_le_bytes(), v.to_le_bytes()].concat();
-                self.points.push((hash_bytes(&key, 0x9e37_79b9), h));
+                let key = host.to_le_bytes().into_iter().chain(v.to_le_bytes());
+                let at = hash_bytes(key, 0x9e37_79b9);
+                self.points.push(RingPoint { at, host, gap: 0 });
             }
         }
-        self.points.sort_unstable();
+        self.points.sort_unstable_by_key(|p| (p.at, p.host));
+        // Two laps, so that a host's first point sees its last one.
+        let n = self.points.len();
+        let mut last = BTreeMap::new();
+        for i in 0..2 * n {
+            let p = &mut self.points[i % n];
+            if let Some(prev) = last.insert(p.host, i) {
+                p.gap = i - prev;
+            }
+        }
     }
 
     /// Number of distinct hosts on the ring.
     pub fn host_count(&self) -> usize {
-        self.points
-            .iter()
-            .map(|&(_, h)| h)
-            .collect::<BTreeSet<_>>()
-            .len()
-    }
-
-    /// Hosts in ring order starting at `key`'s arc, deduplicated —
-    /// the spillover order.
-    fn ring_walk(&self, key: u64) -> Vec<usize> {
-        if self.points.is_empty() {
-            return Vec::new();
-        }
-        let start = self.points.partition_point(|&(p, _)| p < key);
-        let mut seen = BTreeSet::new();
-        let mut order = Vec::new();
-        for i in 0..self.points.len() {
-            let (_, h) = self.points[(start + i) % self.points.len()];
-            if seen.insert(h) {
-                order.push(h);
-            }
-        }
-        order
+        self.hosts
     }
 
     /// Route one request.
@@ -127,6 +130,11 @@ impl Router {
     /// Preference: warm hosts (first admissible), then the hash home,
     /// then clockwise spillover. `None` means every routable host
     /// refused admission — the caller sheds.
+    ///
+    /// The ring is walked lazily: `admissible` is asked once per
+    /// distinct host, in ring order (callers' closures read admission
+    /// state, so that order is part of the contract), until one accepts
+    /// or every host has refused — ~`H·ln H` points, not `H × vnodes`.
     pub fn route(
         &self,
         aid: &Aid,
@@ -139,26 +147,33 @@ impl Router {
                 reason: RouteReason::Affinity,
             });
         }
-        let order = self.ring_walk(hash_bytes(aid.0.as_bytes(), 0));
-        for (i, h) in order.into_iter().enumerate() {
-            if admissible(h) {
-                return Some(RouteDecision {
-                    host: h,
-                    reason: if i == 0 {
-                        RouteReason::Hash
-                    } else {
-                        RouteReason::Spill
-                    },
-                });
-            }
-        }
-        None
+        let key = hash_bytes(aid.0.bytes(), 0);
+        let (before, from) = self
+            .points
+            .split_at(self.points.partition_point(|p| p.at < key));
+        from.iter()
+            .chain(before)
+            .enumerate()
+            .filter(|&(k, p)| p.gap > k) // else the walk already met this host
+            .map(|(_, p)| p.host)
+            .take(self.hosts)
+            .enumerate()
+            .find(|&(_, host)| admissible(host))
+            .map(|(refused, host)| RouteDecision {
+                host,
+                reason: if refused == 0 {
+                    RouteReason::Hash
+                } else {
+                    RouteReason::Spill
+                },
+            })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rattrap::warehouse::aid_of;
 
     fn ring(hosts: &[usize]) -> Router {
@@ -230,5 +245,106 @@ mod tests {
             hit.insert(r.route(&aid, &[], |_| true).unwrap().host);
         }
         assert!(hit.len() >= 6, "only {} hosts hit", hit.len());
+    }
+
+    #[test]
+    fn empty_ring_sheds_without_asking() {
+        let r = Router::new(64);
+        assert_eq!(r.host_count(), 0);
+        let d = r.route(&aid_of("com.bench.ocr"), &[], |_| -> bool {
+            panic!("no host to ask")
+        });
+        assert!(d.is_none());
+    }
+
+    /// Hosts in ring order starting at `key`'s arc, deduplicated — the
+    /// spillover order, materialised (what `route` did per call before
+    /// the walk became lazy).
+    fn ring_walk(r: &Router, key: u64) -> Vec<usize> {
+        if r.points.is_empty() {
+            return Vec::new();
+        }
+        let start = r.points.partition_point(|p| p.at < key);
+        let mut seen = BTreeSet::new();
+        let mut order = Vec::new();
+        for i in 0..r.points.len() {
+            let h = r.points[(start + i) % r.points.len()].host;
+            if seen.insert(h) {
+                order.push(h);
+            }
+        }
+        order
+    }
+
+    /// `route` over the materialised order: the reference for both the
+    /// decision and the sequence of hosts asked.
+    fn route_over_full_walk(
+        r: &Router,
+        aid: &Aid,
+        warm: &[usize],
+        mut admissible: impl FnMut(usize) -> bool,
+    ) -> Option<RouteDecision> {
+        if let Some(&h) = warm.iter().find(|&&h| admissible(h)) {
+            return Some(RouteDecision {
+                host: h,
+                reason: RouteReason::Affinity,
+            });
+        }
+        let order = ring_walk(r, hash_bytes(aid.0.bytes(), 0));
+        for (i, h) in order.into_iter().enumerate() {
+            if admissible(h) {
+                return Some(RouteDecision {
+                    host: h,
+                    reason: if i == 0 {
+                        RouteReason::Hash
+                    } else {
+                        RouteReason::Spill
+                    },
+                });
+            }
+        }
+        None
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        /// The lazy walk decides what the full walk decided and asks
+        /// `admissible` about the same hosts in the same order (control
+        /// plane closures read admission state, so order is behaviour).
+        #[test]
+        fn lazy_route_matches_full_ring_walk(
+            hosts in prop::collection::btree_set(0usize..1000, 1..201),
+            vnodes in prop_oneof![Just(1usize), Just(8usize), Just(64usize)],
+            warm in prop::collection::vec(0usize..1000, 0..4),
+            app in 0u32..64,
+            policy in 0u8..5,
+            salt in any::<u64>(),
+        ) {
+            let mut r = Router::new(vnodes);
+            r.rebuild(&hosts);
+            prop_assert_eq!(r.host_count(), hosts.len());
+            let survivor = *hosts.iter().nth(salt as usize % hosts.len()).expect("in range");
+            let accepts = |h: usize| match policy {
+                0 => false,
+                1 => h == survivor,
+                2 => true,
+                // A tenth, then a half, of the hosts accept.
+                3 => hash_bytes(h.to_le_bytes(), salt).is_multiple_of(10),
+                _ => hash_bytes(h.to_le_bytes(), salt).is_multiple_of(2),
+            };
+            let aid = aid_of(&format!("app{app}"));
+            let (mut asked, mut asked_ref) = (Vec::new(), Vec::new());
+            let got = r.route(&aid, &warm, |h| {
+                asked.push(h);
+                accepts(h)
+            });
+            let want = route_over_full_walk(&r, &aid, &warm, |h| {
+                asked_ref.push(h);
+                accepts(h)
+            });
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(asked, asked_ref);
+        }
     }
 }

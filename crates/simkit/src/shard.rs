@@ -71,10 +71,6 @@ impl<M> Outbox<M> {
             msg,
         });
     }
-
-    fn drain(&mut self) -> Vec<Envelope<M>> {
-        std::mem::take(&mut self.out)
-    }
 }
 
 /// One logical process of a sharded simulation.
@@ -83,6 +79,12 @@ impl<M> Outbox<M> {
 /// or kernel state); the runner therefore *constructs* each LP inside
 /// the worker thread that owns it, via a `Send + Sync` builder, and
 /// converts it to a `Send` output there too.
+///
+/// Contract: an LP's pending events change only inside its own
+/// `run_window` and `accept` — nothing else can move `next_time`. The
+/// runner caches `next_time` on that basis and does not call
+/// `run_window` for a window in which the LP has no event before the
+/// bound, so `run_window` must do nothing but process such events.
 pub trait Lp {
     /// Cross-LP message type.
     type Msg;
@@ -160,37 +162,76 @@ where
     }
 }
 
+/// The LPs one thread owns (all of them in a serial run), their
+/// outboxes and their cached `next_time`s. Both runners drive their LPs
+/// through this, so there is one skip rule.
+struct Shard<L: Lp> {
+    /// Index of the first owned LP.
+    lo: usize,
+    lps: Vec<L>,
+    outboxes: Vec<Outbox<L::Msg>>,
+    /// `next_time` per LP, refreshed after its `run_window` or `accept`.
+    next: Vec<Option<SimTime>>,
+}
+
+impl<L: Lp> Shard<L> {
+    fn new(lo: usize, hi: usize, window: SimDuration, build: impl Fn(usize) -> L) -> Self {
+        let mut lps: Vec<L> = (lo..hi).map(build).collect();
+        Shard {
+            lo,
+            outboxes: (lo..hi).map(|i| Outbox::new(i, window)).collect(),
+            next: lps.iter_mut().map(|l| l.next_time()).collect(),
+            lps,
+        }
+    }
+
+    /// Deliver envelopes (already in canonical order) and return the
+    /// minimum next-event time over the owned LPs.
+    fn deliver(&mut self, batch: impl IntoIterator<Item = Envelope<L::Msg>>) -> Option<SimTime> {
+        for env in batch {
+            let i = env.dst - self.lo;
+            self.lps[i].accept(env.at, env.src, env.msg);
+            self.next[i] = self.lps[i].next_time();
+        }
+        self.next.iter().flatten().min().copied()
+    }
+
+    /// Run every owned LP that has an event before `bound`, moving what
+    /// it sent into `sent`; an LP with nothing due is not entered.
+    fn run_window(&mut self, bound: SimTime, sent: &mut Vec<Envelope<L::Msg>>) {
+        for (i, lp) in self.lps.iter_mut().enumerate() {
+            if self.next[i].is_some_and(|t| t < bound) {
+                lp.run_window(bound, &mut self.outboxes[i]);
+                self.next[i] = lp.next_time();
+                sent.append(&mut self.outboxes[i].out);
+            }
+        }
+    }
+
+    fn finish<O>(self, finish: impl Fn(usize, L) -> O) -> Vec<O> {
+        let indexed = (self.lo..).zip(self.lps);
+        indexed.map(|(i, lp)| finish(i, lp)).collect()
+    }
+}
+
 fn run_serial<L, O, B, F>(n_lps: usize, window: SimDuration, build: B, finish: F) -> Vec<O>
 where
     L: Lp,
     B: Fn(usize) -> L,
     F: Fn(usize, L) -> O,
 {
-    let mut lps: Vec<L> = (0..n_lps).map(&build).collect();
-    let mut outboxes: Vec<Outbox<L::Msg>> = (0..n_lps).map(|i| Outbox::new(i, window)).collect();
+    let mut shard = Shard::new(0, n_lps, window, build);
     let mut pending: Vec<Envelope<L::Msg>> = Vec::new();
     loop {
-        // Deliver last window's envelopes in canonical order.
+        // Deliver last window's envelopes in canonical order; the next
+        // boundary follows from the global minimum next-event time.
         sort_for_delivery(&mut pending);
-        for env in pending.drain(..) {
-            lps[env.dst].accept(env.at, env.src, env.msg);
-        }
-        // Next boundary from the global minimum next-event time.
-        let Some(t_min) = lps.iter_mut().filter_map(|l| l.next_time()).min() else {
+        let Some(t_min) = shard.deliver(pending.drain(..)) else {
             break;
         };
-        let bound = next_boundary(t_min, window);
-        for (i, lp) in lps.iter_mut().enumerate() {
-            lp.run_window(bound, &mut outboxes[i]);
-        }
-        for ob in &mut outboxes {
-            pending.append(&mut ob.drain());
-        }
+        shard.run_window(next_boundary(t_min, window), &mut pending);
     }
-    lps.into_iter()
-        .enumerate()
-        .map(|(i, lp)| finish(i, lp))
-        .collect()
+    shard.finish(finish)
 }
 
 /// Coordinator → worker commands.
@@ -248,35 +289,20 @@ where
             let reply_tx = reply_tx.clone();
             let (lo, hi) = (starts[w], starts[w + 1]);
             scope.spawn(move || {
-                let mut lps: Vec<L> = (lo..hi).map(build).collect();
-                let mut outboxes: Vec<Outbox<L::Msg>> =
-                    (lo..hi).map(|i| Outbox::new(i, window)).collect();
+                let mut shard = Shard::new(lo, hi, window, build);
                 for cmd in rx {
                     match cmd {
                         Cmd::Deliver(batch) => {
-                            for env in batch {
-                                lps[env.dst - lo].accept(env.at, env.src, env.msg);
-                            }
-                            let min = lps.iter_mut().filter_map(|l| l.next_time()).min();
+                            let min = shard.deliver(batch);
                             let _ = reply_tx.send((w, Reply::Min(min)));
                         }
                         Cmd::Run(bound) => {
-                            for (i, lp) in lps.iter_mut().enumerate() {
-                                lp.run_window(bound, &mut outboxes[i]);
-                            }
                             let mut out = Vec::new();
-                            for ob in &mut outboxes {
-                                out.append(&mut ob.drain());
-                            }
+                            shard.run_window(bound, &mut out);
                             let _ = reply_tx.send((w, Reply::Ran(out)));
                         }
                         Cmd::Stop => {
-                            let outs: Vec<O> = lps
-                                .drain(..)
-                                .enumerate()
-                                .map(|(i, lp)| finish(lo + i, lp))
-                                .collect();
-                            let _ = reply_tx.send((w, Reply::Done(outs)));
+                            let _ = reply_tx.send((w, Reply::Done(shard.finish(finish))));
                             break;
                         }
                     }
@@ -447,10 +473,122 @@ mod tests {
         // boundary: at = now + W and now >= bound - W.
         let mut ob = Outbox::new(0, SimDuration::from_millis(1));
         ob.send(SimTime::from_micros(1_999), 1, 7u64);
-        let env = ob.drain().pop().unwrap();
-        assert!(env.at >= SimTime::from_micros(2_000));
-        assert_eq!(env.seq, 0);
+        assert!(ob.out[0].at >= SimTime::from_micros(2_000));
+        assert_eq!(ob.out[0].seq, 0);
         ob.send(SimTime::from_micros(1_999), 1, 8u64);
-        assert_eq!(ob.drain().pop().unwrap().seq, 1, "per-src seq is monotone");
+        assert_eq!(ob.out[1].seq, 1, "per-src seq is monotone");
+    }
+
+    /// Sparse-fleet LP: LP 0 ticks once per window, exactly on the
+    /// boundaries, and on chosen ticks messages a neighbour; everyone
+    /// else sleeps until spoken to. Counts how often the runner enters
+    /// `run_window`.
+    struct SparseLp {
+        idx: usize,
+        q: EventQueue<u64>,
+        /// LP 9 only: its one scheduled event, cancelled on `accept`.
+        doomed: Option<crate::event::EventId>,
+        ticks: u64,
+        digest: u64,
+        entered: u64,
+    }
+
+    const WAKE_TICK: u64 = 5;
+    const CANCEL_TICK: u64 = 10;
+    const SLEEPER: usize = 7;
+    const CANCELLED: usize = 9;
+
+    fn sparse_lp(i: usize, ticks: u64) -> SparseLp {
+        let mut q = EventQueue::new();
+        let mut doomed = None;
+        if i == 0 {
+            q.schedule(SimTime::ZERO, 0);
+        } else if i == CANCELLED {
+            doomed = Some(q.schedule(SimTime::from_micros(50_000), u64::MAX));
+        }
+        SparseLp {
+            idx: i,
+            q,
+            doomed,
+            ticks,
+            digest: 0,
+            entered: 0,
+        }
+    }
+
+    impl Lp for SparseLp {
+        type Msg = u64;
+        fn next_time(&mut self) -> Option<SimTime> {
+            self.q.peek_time()
+        }
+        fn run_window(&mut self, bound: SimTime, out: &mut Outbox<u64>) {
+            self.entered += 1;
+            while self.q.peek_time().is_some_and(|t| t < bound) {
+                let (now, v) = self.q.pop().unwrap();
+                self.digest = self.digest.rotate_left(7).wrapping_add(v ^ now.as_micros());
+                if self.idx != 0 {
+                    continue;
+                }
+                // `now` is a multiple of the window, so these land
+                // exactly on a boundary.
+                match v {
+                    WAKE_TICK => out.send(now, SLEEPER, v),
+                    CANCEL_TICK => out.send(now, CANCELLED, v),
+                    _ => {}
+                }
+                if v + 1 < self.ticks {
+                    self.q.schedule(now + SimDuration::from_millis(1), v + 1);
+                }
+            }
+        }
+        fn accept(&mut self, at: SimTime, _src: usize, msg: u64) {
+            match self.doomed.take() {
+                Some(id) => assert!(self.q.cancel(id), "still pending"),
+                None => {
+                    self.q.schedule(at, msg);
+                }
+            }
+        }
+    }
+
+    /// `(digest, times run_window was entered)` per LP.
+    fn run_sparse(n: usize, ticks: u64, mode: ShardMode) -> Vec<(u64, u64)> {
+        run_sharded(
+            n,
+            SimDuration::from_millis(1),
+            mode,
+            |i| sparse_lp(i, ticks),
+            |_, lp| (lp.digest, lp.entered),
+        )
+    }
+
+    #[test]
+    fn idle_lps_are_not_entered_while_a_neighbour_ticks() {
+        let out = run_sparse(12, 10_000, ShardMode::Serial);
+        assert_eq!(out[0].1, 10_000, "the ticker runs once per window");
+        assert_eq!(
+            out[SLEEPER].1, 1,
+            "entered only for the window it was woken in"
+        );
+        assert_eq!(out[SLEEPER].0, WAKE_TICK ^ ((WAKE_TICK + 1) * 1000));
+        assert_eq!(out[CANCELLED], (0, 0), "its only event was cancelled");
+        for (i, &(digest, entered)) in out.iter().enumerate() {
+            if ![0, SLEEPER, CANCELLED].contains(&i) {
+                assert_eq!((digest, entered), (0, 0), "LP {i} has nothing to do");
+            }
+        }
+    }
+
+    #[test]
+    fn sparse_run_is_identical_across_modes() {
+        let serial = run_sparse(64, 200, ShardMode::Serial);
+        assert_eq!(serial.iter().filter(|o| o.1 > 0).count(), 2);
+        for threads in [1usize, 3] {
+            assert_eq!(
+                serial,
+                run_sparse(64, 200, ShardMode::Threads(threads)),
+                "threads={threads} diverged from serial"
+            );
+        }
     }
 }

@@ -13,14 +13,15 @@
 use crate::boot::BootSequence;
 use crate::spec::{RuntimeClass, RuntimeSpec, TMPFS_BANDWIDTH};
 use containerfs::{
-    android_x86_44_image, customize, instance_private_files, FsImage, LayerId, LayerStore, Tmpfs,
-    UnionMount,
+    android::container_rootfs_unoptimized, android_x86_44_image, customize, instance_private_files,
+    FsImage, LayerId, LayerStore, Tmpfs, UnionMount,
 };
 use hostkernel::{CgroupId, DeviceKind, HostSpec, Kernel, KernelError, Syscall, SyscallRet};
 use obsv::{attrs, AttrValue, Recorder, SpanId, Subsystem};
 use simkit::resource::OutOfMemory;
 use simkit::{MemoryPool, SimDuration};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::{Arc, OnceLock};
 
 /// Identifier of a provisioned runtime instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -91,6 +92,14 @@ pub struct RuntimeInstance {
 /// Fixed dex-opt / verification cost when loading an app into a runtime.
 const CLASSLOAD_FIXED: SimDuration = SimDuration::from_millis(150);
 
+/// Built once per process: the customised Android image (the Shared
+/// Resource Layer's content, §IV-C) and two totals of the full one.
+struct AndroidImage {
+    shared_layer: Arc<FsImage>,
+    full_image_bytes: u64,
+    container_rootfs_bytes: u64,
+}
+
 /// The cloud server hosting runtime environments.
 #[derive(Debug)]
 pub struct CloudHost {
@@ -110,28 +119,30 @@ pub struct CloudHost {
 }
 
 impl CloudHost {
-    /// Bring up a host on `spec`, publishing the customized Android
-    /// image as the Shared Resource Layer.
+    /// Bring up a host on `spec`, publishing the customized Android image
+    /// as the Shared Resource Layer: one allocation for every host of the
+    /// process, accounted by each host's store as its own disk.
     pub fn new(spec: HostSpec) -> Self {
-        let kernel = Kernel::new(spec);
-        let full = android_x86_44_image();
-        let (custom, _) = customize(&full);
-        let container_rootfs_bytes = full
-            .partition(|_, f| f.category.required_in_container())
-            .0
-            .total_bytes();
-        let full_image_bytes = full.total_bytes();
+        static IMAGE: OnceLock<AndroidImage> = OnceLock::new();
+        let image = IMAGE.get_or_init(|| {
+            let full = android_x86_44_image();
+            AndroidImage {
+                shared_layer: Arc::new(customize(&full).0),
+                full_image_bytes: full.total_bytes(),
+                container_rootfs_bytes: container_rootfs_unoptimized(&full).total_bytes(),
+            }
+        });
         let mut layers = LayerStore::new();
-        let shared_layer = layers.publish("shared-resource-layer", custom);
+        let shared_layer = layers.publish("shared-resource-layer", Arc::clone(&image.shared_layer));
         CloudHost {
-            kernel,
+            kernel: Kernel::new(spec),
             layers,
             shared_layer,
             // Cap the offloading I/O layer at 2 GiB of the 16 GiB DRAM.
             tmpfs: Tmpfs::new(2 * 1024 * 1024 * 1024),
             memory: MemoryPool::new(spec.memory_bytes),
-            full_image_bytes,
-            container_rootfs_bytes,
+            full_image_bytes: image.full_image_bytes,
+            container_rootfs_bytes: image.container_rootfs_bytes,
             instances: BTreeMap::new(),
             next_id: 0,
             rec: Recorder::disabled(),
@@ -635,6 +646,36 @@ mod tests {
         // nowhere near 10 full images.
         assert!(total < shared + mib(80), "total {total}");
         assert!(total >= shared + 10 * mib(6));
+    }
+
+    /// Where `h` resolves a shared-layer file: the address of the entry
+    /// inside the published image.
+    fn shared_file_addr(h: &mut CloudHost) -> usize {
+        let (id, _) = h.provision(RuntimeClass::CacOptimized).unwrap();
+        let mount = h.instance(id).unwrap().mount.as_ref().unwrap();
+        let entry = mount
+            .lookup(&h.layers, "/system/framework/framework00.jar")
+            .expect("the shared layer carries the framework");
+        entry as *const _ as usize
+    }
+
+    #[test]
+    fn hosts_share_one_image_but_each_accounts_it() {
+        let (mut a, mut b) = (host(), host());
+        assert_eq!(shared_file_addr(&mut a), shared_file_addr(&mut b));
+        // Hosts built on other threads (the sharded engine builds them
+        // inside its workers) get the same allocation.
+        let there = std::thread::spawn(|| shared_file_addr(&mut host()))
+            .join()
+            .unwrap();
+        assert_eq!(there, shared_file_addr(&mut a));
+        // Sharing the allocation does not share the disk: every host
+        // pays for its own copy of the layer.
+        let fresh = host();
+        assert_eq!(fresh.total_disk_usage(), fresh.shared_layer_bytes());
+        assert_eq!(fresh.shared_layer_bytes(), a.shared_layer_bytes());
+        assert_eq!(a.layers.refs(a.shared_layer), Some(2));
+        assert_eq!(b.layers.refs(b.shared_layer), Some(1));
     }
 
     #[test]
