@@ -41,17 +41,15 @@ cargo test -q --offline
 # Optional bench smoke: set RATTRAP_BENCH_SMOKE=1 to run the Fig. 9
 # harness at reduced size; set RATTRAP_TRACE=<path> to additionally
 # capture one instrumented replication as Chrome trace-event JSON and
-# validate it (the CI bench-smoke job wires both). The fleet harnesses
-# honour RATTRAP_ENGINE=serial|sharded[:N] (default serial); both
-# engines are bit-identical, so the choice affects wall clock only.
+# validate it (the CI bench-smoke job wires both).
 if [ "${RATTRAP_BENCH_SMOKE:-0}" != "0" ]; then
     echo "==> bench smoke (exp_fig9)"
     cargo run --release --offline -p rattrap-bench --bin exp_fig9 >/dev/null
-    echo "==> bench smoke (exp_cluster, engine=${RATTRAP_ENGINE:-serial})"
+    echo "==> bench smoke (exp_cluster)"
     cargo run --release --offline -p rattrap-bench --bin exp_cluster >/dev/null
-    echo "==> bench smoke (exp_mega, engine=${RATTRAP_ENGINE:-serial})"
+    echo "==> bench smoke (exp_mega)"
     cargo run --release --offline -p rattrap-bench --bin exp_mega >/dev/null
-    echo "==> bench smoke (exp_storm: scenario plane, engine=${RATTRAP_ENGINE:-serial})"
+    echo "==> bench smoke (exp_storm: scenario plane)"
     # exp_storm exits non-zero when its scorecard misses, so the smoke
     # run doubles as the scenario-plane conformance gate.
     BENCH_STORM_OUT=target/perf_storm.json \
@@ -66,21 +64,17 @@ if [ "${RATTRAP_BENCH_SMOKE:-0}" != "0" ]; then
         echo "==> validate trace ($RATTRAP_TRACE)"
         cargo run --release --offline -p rattrap-bench --bin validate_trace -- "$RATTRAP_TRACE"
     fi
-    # Perf-regression gate: rerun the two perf-sensitive benches in
-    # smoke mode and diff against the committed full-mode baselines.
+    # Perf-regression gate: rerun the perf-sensitive benches in smoke
+    # mode and diff against the committed full-mode baselines.
     # perf_gate gates machine-independent ratios (loosened for the
     # smoke/full horizon mismatch) and reports absolute rates as
     # informational; see crates/bench/src/bin/perf_gate.rs for the
     # tolerance policy and the baseline-regeneration procedure.
-    echo "==> perf gate (engine_throughput + obsv_overhead vs results/BENCH_*.json)"
-    BENCH_ENGINE_OUT=target/perf_engine.json \
-        cargo bench --offline -p rattrap-bench --bench engine_throughput >/dev/null
+    echo "==> perf gate (obsv_overhead + exec_drift + exp_storm vs results/BENCH_*.json)"
     BENCH_OBSV_OUT=target/perf_obsv.json \
         cargo bench --offline -p rattrap-bench --bench obsv_overhead >/dev/null
     BENCH_EXEC_OUT=target/perf_exec.json \
         cargo bench --offline -p rattrap-bench --bench exec_drift >/dev/null
-    cargo run --release --offline -p rattrap-bench --bin perf_gate -- \
-        engine results/BENCH_engine.json target/perf_engine.json
     cargo run --release --offline -p rattrap-bench --bin perf_gate -- \
         obsv results/BENCH_obsv.json target/perf_obsv.json
     cargo run --release --offline -p rattrap-bench --bin perf_gate -- \

@@ -12,10 +12,8 @@
 //! The vendored Criterion stub has no machine-readable output, so this
 //! bench is a plain `harness = false` main with its own timing loop.
 
-use fleet::run_fleet_with;
-use obsv::Recorder;
+use fleet::run_fleet;
 use rattrap_bench::experiments::cluster::{scaling_cfg, HOST_COUNTS};
-use rattrap_bench::experiments::{engine_from_env, engine_label};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -38,8 +36,6 @@ fn main() {
 
     let smoke = rattrap_bench::experiments::smoke();
     let timing_runs = if smoke { 1 } else { 5 };
-    let engine = engine_from_env();
-    let run_fleet = |cfg: &fleet::FleetConfig| run_fleet_with(cfg, Recorder::disabled(), engine);
 
     let mut cells = Vec::new();
     for &hosts in &HOST_COUNTS {
@@ -69,13 +65,13 @@ fn main() {
         .collect();
     let json = format!(
         "{{\n  \"bench\": \"cluster_scaling\",\n  \"seed\": {},\n  \"toolchain\": \"{}\",\n  \
-         \"git_sha\": \"{}\",\n  \"smoke\": {},\n  \"engine\": \"{}\",\n  \
+         \"git_sha\": \"{}\",\n  \"smoke\": {},\n  \"cores\": {},\n  \
          \"speedup_1_to_4\": {:.3},\n  \"cells\": [\n{}\n  ]\n}}\n",
         meta.seed,
         meta.toolchain,
         meta.git_sha,
         meta.smoke,
-        engine_label(engine),
+        meta.cores,
         speedup,
         rows.join(",\n")
     );

@@ -13,10 +13,8 @@
 //! The vendored Criterion stub has no machine-readable output, so this
 //! bench is a plain `harness = false` main with its own timing loop.
 
-use geo::run_geo_with;
-use obsv::Recorder;
+use geo::run_geo;
 use rattrap_bench::experiments::geo::{geo_cfg, single_region_cfg, REGIONS};
-use rattrap_bench::experiments::{engine_from_env, engine_label};
 use std::time::Instant;
 
 fn main() {
@@ -24,16 +22,15 @@ fn main() {
     println!("{}", meta.header());
 
     let smoke = rattrap_bench::experiments::smoke();
-    let engine = engine_from_env();
 
     let gcfg = geo_cfg(meta.seed, smoke);
     let bcfg = single_region_cfg(meta.seed, smoke);
 
     let t = Instant::now();
-    let grep = run_geo_with(&gcfg, Recorder::disabled(), engine);
+    let grep = run_geo(&gcfg);
     let geo_wall = t.elapsed().as_secs_f64();
     let t = Instant::now();
-    let brep = run_geo_with(&bcfg, Recorder::disabled(), engine);
+    let brep = run_geo(&bcfg);
     let central_wall = t.elapsed().as_secs_f64();
 
     let mut advantage = f64::INFINITY;
@@ -55,14 +52,14 @@ fn main() {
     let out = rattrap_bench::meta::baseline_out("BENCH_GEO_OUT", "BENCH_geo.json");
     let json = format!(
         "{{\n  \"bench\": \"geo_hierarchy\",\n  \"seed\": {},\n  \"toolchain\": \"{}\",\n  \
-         \"git_sha\": \"{}\",\n  \"smoke\": {},\n  \"engine\": \"{}\",\n  \
+         \"git_sha\": \"{}\",\n  \"smoke\": {},\n  \"cores\": {},\n  \
          \"p99_edge_advantage\": {:.4},\n  \"geo_wall_secs\": {:.4},\n  \
          \"central_wall_secs\": {:.4},\n  \"regions\": [\n{}\n  ]\n}}\n",
         meta.seed,
         meta.toolchain,
         meta.git_sha,
         meta.smoke,
-        engine_label(engine),
+        meta.cores,
         advantage,
         geo_wall,
         central_wall,

@@ -1,23 +1,8 @@
 //! Multi-region edge hierarchy study: latency at the edge, cloud-burst,
-//! follow-the-sun. Usage: `exp_geo [seed] [--engine serial|sharded[:N]]`
-//! (the `RATTRAP_ENGINE` env var sets the default engine).
+//! follow-the-sun. Usage: `exp_geo [seed]`
 fn main() {
     let seed = rattrap_bench::experiments::seed_from_args();
-    let engine = std::env::args()
-        .skip_while(|a| a != "--engine")
-        .nth(1)
-        .map(|s| {
-            rattrap_bench::experiments::parse_engine(&s)
-                .unwrap_or_else(|| panic!("bad --engine value `{s}` (serial|sharded[:N])"))
-        })
-        .unwrap_or_else(rattrap_bench::experiments::engine_from_env);
-    let mut meta = rattrap_bench::RunMeta::capture(seed);
-    meta.engine = rattrap_bench::experiments::engine_label(engine);
-    println!("{}", meta.header());
-    let out = rattrap_bench::experiments::geo::run_scaled_with(
-        seed,
-        rattrap_bench::experiments::smoke(),
-        engine,
-    );
+    rattrap_bench::meta::print_header(seed);
+    let out = rattrap_bench::experiments::geo::run(seed);
     println!("{}", out.render());
 }

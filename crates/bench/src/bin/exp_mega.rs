@@ -1,23 +1,9 @@
 //! Mega stress study: one million users against a 256-host fleet
-//! (32 hosts / 20k users in smoke mode). Usage:
-//! `exp_mega [seed] [--engine serial|sharded[:N]]`.
+//! (32 hosts / 20k users in smoke mode). Usage: `exp_mega [seed]`
 fn main() {
     let seed = rattrap_bench::experiments::seed_from_args();
-    let engine = std::env::args()
-        .skip_while(|a| a != "--engine")
-        .nth(1)
-        .map(|s| {
-            rattrap_bench::experiments::parse_engine(&s)
-                .unwrap_or_else(|| panic!("bad --engine value `{s}` (serial|sharded[:N])"))
-        })
-        .unwrap_or_else(rattrap_bench::experiments::engine_from_env);
-    let mut meta = rattrap_bench::RunMeta::capture(seed);
-    meta.engine = rattrap_bench::experiments::engine_label(engine);
-    println!("{}", meta.header());
-    let out = rattrap_bench::experiments::cluster::run_mega_with(
-        seed,
-        rattrap_bench::experiments::smoke(),
-        engine,
-    );
+    rattrap_bench::meta::print_header(seed);
+    let out =
+        rattrap_bench::experiments::cluster::run_mega(seed, rattrap_bench::experiments::smoke());
     println!("{}", out.render());
 }

@@ -1,8 +1,6 @@
 //! Scenario-plane storm study: flash crowds, correlated outages, noisy
 //! neighbors and Android interaction storms against the fleet, each
-//! run serial + sharded and scored. Usage:
-//! `exp_storm [seed] [--engine serial|sharded[:N]]` (the
-//! `RATTRAP_ENGINE` env var sets the default engine).
+//! run twice from its seed and scored. Usage: `exp_storm [seed]`
 //!
 //! Besides the report, writes the `BENCH_storm.json` perf baseline
 //! (path overridable via `BENCH_STORM_OUT`) with per-family wall
@@ -14,25 +12,12 @@ use scenario::ScenarioFamily;
 
 fn main() {
     let seed = experiments::seed_from_args();
-    let engine = std::env::args()
-        .skip_while(|a| a != "--engine")
-        .nth(1)
-        .map(|s| {
-            experiments::parse_engine(&s)
-                .unwrap_or_else(|| panic!("bad --engine value `{s}` (serial|sharded[:N])"))
-        })
-        .unwrap_or_else(experiments::engine_from_env);
-    let mut meta = rattrap_bench::RunMeta::capture(seed);
-    meta.engine = experiments::engine_label(engine);
+    let meta = rattrap_bench::RunMeta::capture(seed);
     println!("{}", meta.header());
 
     let smoke = experiments::smoke();
-    let quiet = fleet::run_fleet_with(
-        &storm::quiet_cfg(seed, smoke),
-        obsv::Recorder::disabled(),
-        engine,
-    );
-    let cells = storm::run_cells(seed, smoke, engine);
+    let quiet = fleet::run_fleet(&storm::quiet_cfg(seed, smoke));
+    let cells = storm::run_cells(seed, smoke);
     let out = storm::build_output(&quiet, &cells, smoke);
     println!("{}", out.render());
 
@@ -67,14 +52,14 @@ fn main() {
 
     let json = format!(
         "{{\n  \"bench\": \"scenario_storm\",\n  \"seed\": {},\n  \"toolchain\": \"{}\",\n  \
-         \"git_sha\": \"{}\",\n  \"smoke\": {},\n  \"engine\": \"{}\",\n  \
+         \"git_sha\": \"{}\",\n  \"smoke\": {},\n  \"cores\": {},\n  \
          \"p95_degradation\": {:.4},\n  \"storm_offload_fraction\": {:.4},\n  \
          \"families\": [\n{}\n  ]\n}}\n",
         meta.seed,
         meta.toolchain,
         meta.git_sha,
         smoke,
-        experiments::engine_label(engine),
+        meta.cores,
         p95_degradation,
         offload_fraction,
         rows.join(",\n")

@@ -2,7 +2,6 @@
 //! committed baseline under `results/` with explicit tolerances.
 //!
 //! ```text
-//! perf_gate engine  results/BENCH_engine.json  candidate_engine.json
 //! perf_gate obsv    results/BENCH_obsv.json    candidate_obsv.json
 //! perf_gate cluster results/BENCH_cluster.json candidate_cluster.json
 //! perf_gate geo     results/BENCH_geo.json     candidate_geo.json
@@ -18,15 +17,15 @@
 //!
 //! Two metric classes, gated differently:
 //!
-//! * **Machine-independent ratios** (`speedup_vs_global`,
-//!   `wheel_over_heap`, `enabled_over_disabled`) — same-run
+//! * **Machine-independent ratios** (`enabled_over_disabled`,
+//!   `speedup_1_to_4`, `p99_edge_advantage`) — same-run
 //!   numerator/denominator, so hardware largely cancels. Gated
 //!   *tight*: FAIL on >25 % drift in the bad direction.
-//! * **Absolute rates** (`events_per_sec` columns,
-//!   `recorder_events_per_sec`) — depend on the machine that wrote the
-//!   baseline. Gated *loose*: WARN on >20 % regression (the drift a
-//!   same-hardware rerun should stay inside), FAIL only past 50 %
-//!   (an algorithmic regression, not runner jitter). When the baseline
+//! * **Absolute rates** (`recorder_events_per_sec`, `wall_secs`
+//!   columns) — depend on the machine that wrote the baseline. Gated
+//!   *loose*: WARN on >20 % regression (the drift a same-hardware
+//!   rerun should stay inside), FAIL only past 50 % (an algorithmic
+//!   regression, not runner jitter). When the baseline
 //!   and candidate disagree on the `smoke` flag the absolute rows are
 //!   reported but not gated at all — smoke horizons are too short for
 //!   the rates to be comparable.
@@ -38,12 +37,10 @@
 //!
 //! ## Regenerating baselines
 //!
-//! After an intentional perf change, rerun both benches in full mode
+//! After an intentional perf change, rerun the benches in full mode
 //! on one machine and commit the outputs:
 //!
 //! ```text
-//! BENCH_ENGINE_OUT=results/BENCH_engine.json \
-//!   cargo bench --offline -p rattrap-bench --bench engine_throughput
 //! BENCH_OBSV_OUT=results/BENCH_obsv.json \
 //!   cargo bench --offline -p rattrap-bench --bench obsv_overhead
 //! BENCH_CLUSTER_OUT=results/BENCH_cluster.json \
@@ -97,7 +94,7 @@ struct Row {
     verdict: Verdict,
 }
 
-/// Walk a dotted path (`queue_bound.wheel_over_heap`, `cells.0.x`)
+/// Walk a dotted path (`p99_edge_advantage`, `cells.0.wall_secs`)
 /// into a parsed JSON document; numeric segments index arrays.
 fn lookup(v: &Value, path: &str) -> Option<f64> {
     let mut cur = v;
@@ -181,75 +178,6 @@ fn fmt_num(v: Option<f64>) -> String {
         Some(v) if v.abs() >= 1000.0 => format!("{v:.0}"),
         Some(v) => format!("{v:.3}"),
     }
-}
-
-fn compare_engine(base: &Value, cand: &Value, same_mode: bool) -> Vec<Row> {
-    let mut rows = Vec::new();
-    check(
-        &mut rows,
-        base,
-        cand,
-        "global_events_per_sec",
-        "global events/s",
-        true,
-        false,
-        same_mode,
-    );
-    check(
-        &mut rows,
-        base,
-        cand,
-        "queue_bound.wheel_events_per_sec",
-        "queue-bound wheel events/s",
-        true,
-        false,
-        same_mode,
-    );
-    check(
-        &mut rows,
-        base,
-        cand,
-        "queue_bound.wheel_over_heap",
-        "queue-bound wheel/heap speedup",
-        true,
-        true,
-        same_mode,
-    );
-    // Per-thread sharded cells: absolute rates loose, speedup ratios
-    // tight. Cell order is the thread ladder and is stable across runs.
-    let empty: [Value; 0] = [];
-    let cells = base
-        .get("cells")
-        .and_then(|c| c.as_array())
-        .unwrap_or(&empty);
-    for (i, cell) in cells.iter().enumerate() {
-        let threads = cell
-            .get("threads")
-            .and_then(|t| t.as_f64())
-            .map(|t| t as u64)
-            .unwrap_or(i as u64);
-        check(
-            &mut rows,
-            base,
-            cand,
-            &format!("cells.{i}.events_per_sec"),
-            &format!("sharded x{threads} events/s"),
-            true,
-            false,
-            same_mode,
-        );
-        check(
-            &mut rows,
-            base,
-            cand,
-            &format!("cells.{i}.speedup_vs_global"),
-            &format!("sharded x{threads} speedup"),
-            true,
-            true,
-            same_mode,
-        );
-    }
-    rows
 }
 
 fn compare_obsv(base: &Value, cand: &Value, same_mode: bool) -> Vec<Row> {
@@ -473,7 +401,7 @@ fn compare_storm(base: &Value, cand: &Value, same_mode: bool) -> Vec<Row> {
             .unwrap_or_else(|| i.to_string());
         // Fleet load under each storm is seed-deterministic but
         // horizon-dependent — gate like a ratio only when the modes
-        // match.
+        // match; a smoke horizon submits a tenth of a full one.
         check(
             &mut rows,
             base,
@@ -481,7 +409,7 @@ fn compare_storm(base: &Value, cand: &Value, same_mode: bool) -> Vec<Row> {
             &format!("families.{i}.fleet_submitted"),
             &format!("{name} fleet submitted"),
             true,
-            true,
+            same_mode,
             same_mode,
         );
         check(
@@ -502,7 +430,7 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().collect();
     let [_, kind, base_path, cand_path] = &args[..] else {
         eprintln!(
-            "usage: perf_gate <engine|obsv|cluster|geo|exec|storm> <baseline.json> <candidate.json>"
+            "usage: perf_gate <obsv|cluster|geo|exec|storm> <baseline.json> <candidate.json>"
         );
         return ExitCode::from(2);
     };
@@ -522,14 +450,13 @@ fn main() -> ExitCode {
     let same_mode = matches!((flag(&base), flag(&cand)), (Some(b), Some(c)) if b == c);
 
     let rows = match kind.as_str() {
-        "engine" => compare_engine(&base, &cand, same_mode),
         "obsv" => compare_obsv(&base, &cand, same_mode),
         "cluster" => compare_cluster(&base, &cand, same_mode),
         "geo" => compare_geo(&base, &cand, same_mode),
         "exec" => compare_exec(&base, &cand, same_mode),
         "storm" => compare_storm(&base, &cand, same_mode),
         other => {
-            eprintln!("unknown bench kind {other:?} (expected engine|obsv|cluster|geo|exec|storm)");
+            eprintln!("unknown bench kind {other:?} (expected obsv|cluster|geo|exec|storm)");
             return ExitCode::from(2);
         }
     };

@@ -21,7 +21,7 @@
 
 use super::ExperimentOutput;
 use analysis::{fnum, Scorecard, Table};
-use fleet::{run_fleet_with, EngineMode, FleetConfig, FleetReport};
+use fleet::{run_fleet, run_fleet_traced, FleetConfig, FleetReport};
 use obsv::{Recorder, RecorderConfig, Subsystem, TraceEvent};
 use rayon::prelude::*;
 use simkit::faults::FaultConfig;
@@ -98,16 +98,6 @@ fn trace_evidence(events: &[TraceEvent]) -> (u64, u64) {
 /// Run the cluster study with an explicit smoke flag (tests use this
 /// to stay fast regardless of the environment).
 pub fn run_scaled(seed: u64, smoke: bool) -> ExperimentOutput {
-    run_scaled_with(seed, smoke, super::engine_from_env())
-}
-
-/// Run the cluster study under an explicit engine. Every number in
-/// the output is identical across engines (the digests are pinned to
-/// it); the engine changes wall-clock only.
-pub fn run_scaled_with(seed: u64, smoke: bool, engine: EngineMode) -> ExperimentOutput {
-    let run_fleet = |cfg: &FleetConfig| run_fleet_with(cfg, Recorder::disabled(), engine);
-    let run_fleet_traced = |cfg: &FleetConfig, rec: Recorder| run_fleet_with(cfg, rec, engine);
-
     // ---- scaling sweep: independent cells, run in parallel. -------------
     let reports: Vec<FleetReport> = HOST_COUNTS
         .par_iter()
@@ -340,20 +330,19 @@ pub fn mega_cfg(seed: u64, smoke: bool) -> FleetConfig {
     cfg
 }
 
-/// Run the mega stress study under an explicit engine.
-pub fn run_mega_with(seed: u64, smoke: bool, engine: EngineMode) -> ExperimentOutput {
+/// Run the mega stress study with an explicit smoke flag.
+pub fn run_mega(seed: u64, smoke: bool) -> ExperimentOutput {
     let cfg = mega_cfg(seed, smoke);
     let t = std::time::Instant::now();
-    let rep = run_fleet_with(&cfg, Recorder::disabled(), engine);
+    let rep = run_fleet(&cfg);
     let wall = t.elapsed().as_secs_f64();
 
     let mut table = Table::new(
         &format!(
-            "mega stress — {} users, {} hosts, {}s horizon ({} engine)",
+            "mega stress — {} users, {} hosts, {}s horizon",
             cfg.traffic.users,
             cfg.host_specs.len(),
             cfg.traffic.duration.as_secs_f64(),
-            super::engine_label(engine),
         ),
         &["Metric", "Value"],
     );
@@ -397,8 +386,8 @@ pub fn run_mega_with(seed: u64, smoke: bool, engine: EngineMode) -> ExperimentOu
         rep.summary.completed_remote + rep.summary.fallback_local + rep.summary.abandoned
             == rep.summary.submitted,
     );
-    // Full runs on the 2-core box: serial 1.9 s, sharded 3–12 s (thread
-    // wake-ups per window); 229.6 s when every shed route walked the ring.
+    // Full runs on the 2-core box: 1.9–2.9 s; 229.6 s when every shed
+    // route walked the ring.
     sc.expect(
         "the engine completes in seconds, not minutes",
         "wall < 30 s",

@@ -26,14 +26,12 @@
 //! bulk transfers striped across parallel streams, so they keep the
 //! provisioned `inter_bps` backbone rate.
 //!
-//! Every number is engine-independent; the headline geo run doubles as
-//! a cross-engine determinism check (serial vs sharded replay).
+//! The headline geo run doubles as a determinism check: it is replayed
+//! from the same seed and the two reports must digest identically.
 
 use super::ExperimentOutput;
 use analysis::{fnum, Scorecard, Table};
-use fleet::EngineMode;
-use geo::{run_geo_with, GeoConfig, GeoReport, TierSpec};
-use obsv::Recorder;
+use geo::{run_geo, GeoConfig, GeoReport, TierSpec};
 use simkit::SimDuration;
 
 /// Regions on the WAN ring.
@@ -122,34 +120,21 @@ fn terminal_ok(rep: &GeoReport) -> bool {
         == rep.summary.submitted
 }
 
-/// Run the geo study with an explicit smoke flag.
+/// Run the geo study with an explicit smoke flag. The headline run is
+/// replayed from the same seed and the digests must match bit for bit.
 pub fn run_scaled(seed: u64, smoke: bool) -> ExperimentOutput {
-    run_scaled_with(seed, smoke, super::engine_from_env())
-}
-
-/// Run the geo study under an explicit engine. The headline run is
-/// replayed under the *other* engine family (serial ↔ sharded) and the
-/// digests must match bit for bit.
-pub fn run_scaled_with(seed: u64, smoke: bool, engine: EngineMode) -> ExperimentOutput {
     let gcfg = geo_cfg(seed, smoke);
     let bcfg = single_region_cfg(seed, smoke);
 
-    let grep = run_geo_with(&gcfg, Recorder::disabled(), engine);
-    let brep = run_geo_with(&bcfg, Recorder::disabled(), engine);
-
-    // Cross-engine determinism on the headline run.
-    let other = match engine {
-        EngineMode::Serial => EngineMode::Sharded(2),
-        EngineMode::Sharded(_) => EngineMode::Serial,
-    };
-    let replay = run_geo_with(&gcfg, Recorder::disabled(), other);
+    let grep = run_geo(&gcfg);
+    let brep = run_geo(&bcfg);
+    let replay = run_geo(&gcfg);
 
     let total_users: u32 = gcfg.regions.iter().map(|r| r.users).sum();
     let mut table = Table::new(
         &format!(
             "latency at the edge — {total_users} users, {REGIONS} regions, diurnal offsets, \
-             geo vs centralized ({} engine)",
-            super::engine_label(engine),
+             geo vs centralized"
         ),
         &[
             "Region",
@@ -308,7 +293,7 @@ pub fn run_scaled_with(seed: u64, smoke: bool, engine: EngineMode) -> Experiment
         terminal_ok(&grep) && terminal_ok(&brep),
     );
     sc.expect(
-        "same seed, either engine, bit-identical report",
+        "same seed, replayed, bit-identical report",
         &format!("{:#018x}", grep.digest()),
         &format!("{:#018x}", replay.digest()),
         grep.digest() == replay.digest(),

@@ -99,40 +99,3 @@ pub fn seed_from_args() -> u64 {
         .and_then(|s| s.parse().ok())
         .unwrap_or(DEFAULT_SEED)
 }
-
-/// Parse an engine selector: `serial`, `sharded` (one thread per
-/// core), or `sharded:N`.
-pub fn parse_engine(s: &str) -> Option<fleet::EngineMode> {
-    match s {
-        "serial" => Some(fleet::EngineMode::Serial),
-        "sharded" => Some(fleet::EngineMode::Sharded(
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-        )),
-        _ => s
-            .strip_prefix("sharded:")
-            .and_then(|n| n.parse().ok())
-            .map(fleet::EngineMode::Sharded),
-    }
-}
-
-/// The engine the `RATTRAP_ENGINE` env var selects (fleet experiments
-/// and ci.sh smoke honour it); unset or unparsable means serial. Both
-/// engines produce bit-identical reports — the knob trades memory for
-/// wall-clock only, so every scorecard holds either way.
-pub fn engine_from_env() -> fleet::EngineMode {
-    std::env::var("RATTRAP_ENGINE")
-        .ok()
-        .as_deref()
-        .and_then(parse_engine)
-        .unwrap_or(fleet::EngineMode::Serial)
-}
-
-/// Human-readable label for an engine mode (run-meta, JSON reports).
-pub fn engine_label(mode: fleet::EngineMode) -> String {
-    match mode {
-        fleet::EngineMode::Serial => "serial".to_owned(),
-        fleet::EngineMode::Sharded(n) => format!("sharded:{n}"),
-    }
-}

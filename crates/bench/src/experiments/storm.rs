@@ -17,7 +17,7 @@
 //!    replay scripted touch/offload events; only the offloading
 //!    fraction may reach the cloud.
 //!
-//! Every family runs serial *and* sharded and must digest identically
+//! Every family runs twice from its seed and must digest identically
 //! — adversarial traffic may not open a determinism seam. The
 //! scorecard encodes the ISSUE's acceptance bars: p99 degradation
 //! bounds, zero lost requests, shed accounting, herd evidence and
@@ -25,8 +25,7 @@
 
 use super::ExperimentOutput;
 use analysis::{fnum, Scorecard, Table};
-use fleet::{run_fleet_with, EngineMode, FleetConfig, FleetReport};
-use obsv::Recorder;
+use fleet::{run_fleet, FleetConfig, FleetReport};
 use rayon::prelude::*;
 use scenario::{ScenarioFamily, ScenarioSpec};
 use simkit::faults::FaultConfig;
@@ -88,11 +87,11 @@ pub fn family_cfg(family: ScenarioFamily, seed: u64, smoke: bool) -> FleetConfig
 pub struct FamilyCell {
     /// Family under storm.
     pub family: ScenarioFamily,
-    /// The serial run's report.
+    /// The run's report.
     pub report: FleetReport,
-    /// Serial engine wall seconds.
+    /// Engine wall seconds of that run.
     pub wall_secs: f64,
-    /// Whether serial ≡ sharded held bit for bit.
+    /// Whether a same-seed replay digested identically.
     pub deterministic: bool,
 }
 
@@ -102,25 +101,20 @@ fn conserved(r: &FleetReport) -> bool {
         == r.summary.submitted
 }
 
-/// Run every family serial + sharded and collect the cells.
-pub fn run_cells(seed: u64, smoke: bool, engine: EngineMode) -> Vec<FamilyCell> {
+/// Run every family, replay it from the same seed, and collect the
+/// cells.
+pub fn run_cells(seed: u64, smoke: bool) -> Vec<FamilyCell> {
     ScenarioFamily::ALL
         .par_iter()
         .map(|&family| {
             let cfg = family_cfg(family, seed, smoke);
             let t = std::time::Instant::now();
-            let report = run_fleet_with(&cfg, Recorder::disabled(), engine);
+            let report = run_fleet(&cfg);
             let wall_secs = t.elapsed().as_secs_f64();
-            // The cross-engine oracle: whatever `engine` ran above, the
-            // other mode must reproduce the digest bit for bit.
-            let other = match engine {
-                EngineMode::Serial => EngineMode::Sharded(4),
-                EngineMode::Sharded(_) => EngineMode::Serial,
-            };
-            let peer = run_fleet_with(&cfg, Recorder::disabled(), other);
+            let replay = run_fleet(&cfg);
             FamilyCell {
                 family,
-                deterministic: report.digest() == peer.digest(),
+                deterministic: report.digest() == replay.digest(),
                 report,
                 wall_secs,
             }
@@ -128,10 +122,10 @@ pub fn run_cells(seed: u64, smoke: bool, engine: EngineMode) -> Vec<FamilyCell> 
         .collect()
 }
 
-/// Run the storm study under an explicit smoke flag and engine.
-pub fn run_scaled_with(seed: u64, smoke: bool, engine: EngineMode) -> ExperimentOutput {
-    let quiet = run_fleet_with(&quiet_cfg(seed, smoke), Recorder::disabled(), engine);
-    let cells = run_cells(seed, smoke, engine);
+/// Run the storm study under an explicit smoke flag.
+pub fn run_scaled(seed: u64, smoke: bool) -> ExperimentOutput {
+    let quiet = run_fleet(&quiet_cfg(seed, smoke));
+    let cells = run_cells(seed, smoke);
     build_output(&quiet, &cells, smoke)
 }
 
@@ -213,7 +207,7 @@ pub fn build_output(quiet: &FleetReport, cells: &[FamilyCell], smoke: bool) -> E
 
     let mut sc = Scorecard::new();
     sc.expect(
-        "every family is serial ≡ sharded bit-identical",
+        "every family replays bit-identically from its seed",
         "4 / 4 families",
         &format!(
             "{} / 4 families",
@@ -328,7 +322,7 @@ pub fn build_output(quiet: &FleetReport, cells: &[FamilyCell], smoke: bool) -> E
 
 /// Run the storm study (smoke mode via `RATTRAP_BENCH_SMOKE`).
 pub fn run(seed: u64) -> ExperimentOutput {
-    run_scaled_with(seed, super::smoke(), super::engine_from_env())
+    run_scaled(seed, super::smoke())
 }
 
 #[cfg(test)]
@@ -337,7 +331,7 @@ mod tests {
 
     #[test]
     fn storm_scorecard_passes_in_smoke_scale() {
-        let out = run_scaled_with(super::super::DEFAULT_SEED, true, EngineMode::Serial);
+        let out = run_scaled(super::super::DEFAULT_SEED, true);
         assert!(out.scorecard.all_ok(), "\n{}", out.scorecard.render());
     }
 }

@@ -1,6 +1,6 @@
-//! Run metadata — seed, toolchain pin, git SHA, smoke flag — stamped
-//! into every bench report header and every exported trace so CI
-//! artifacts are self-describing.
+//! Run metadata — seed, toolchain pin, git SHA, smoke flag, core count
+//! — stamped into every bench report header and every exported trace
+//! so CI artifacts are self-describing.
 
 use obsv::Recorder;
 
@@ -19,10 +19,9 @@ pub struct RunMeta {
     pub git_sha: String,
     /// Whether `RATTRAP_BENCH_SMOKE` shrank the run.
     pub smoke: bool,
-    /// Fleet engine variant (`RATTRAP_ENGINE` / `--engine`): `serial`
-    /// or `sharded:N`. Reports are bit-identical across variants, so
-    /// this is provenance, not a result axis.
-    pub engine: String,
+    /// Cores the machine offers (`available_parallelism`): the
+    /// denominator of every wall-clock number the run prints.
+    pub cores: usize,
 }
 
 /// Parse the pinned channel out of the committed toolchain file.
@@ -73,15 +72,15 @@ impl RunMeta {
             toolchain: pinned_channel(),
             git_sha: git_sha(),
             smoke: crate::experiments::smoke(),
-            engine: crate::experiments::engine_label(crate::experiments::engine_from_env()),
+            cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
         }
     }
 
     /// One-line report header, printed before every experiment body.
     pub fn header(&self) -> String {
         format!(
-            "# run-meta: seed={} toolchain={} git={} smoke={} engine={}",
-            self.seed, self.toolchain, self.git_sha, self.smoke, self.engine
+            "# run-meta: seed={} toolchain={} git={} smoke={} cores={}",
+            self.seed, self.toolchain, self.git_sha, self.smoke, self.cores
         )
     }
 
@@ -92,7 +91,7 @@ impl RunMeta {
         rec.set_meta("toolchain", self.toolchain.clone());
         rec.set_meta("git_sha", self.git_sha.clone());
         rec.set_meta("smoke", self.smoke.to_string());
-        rec.set_meta("engine", self.engine.clone());
+        rec.set_meta("cores", self.cores.to_string());
     }
 }
 
@@ -106,7 +105,7 @@ pub fn print_header(seed: u64) {
 /// root*, not the process working directory — `cargo bench` runs
 /// bench executables with the package dir (`crates/bench`) as cwd, so
 /// a raw relative path would land baselines (and CI gate candidates
-/// like `perf-engine.json`) two levels below where every consumer
+/// like `perf-obsv.json`) two levels below where every consumer
 /// looks for them.
 pub fn baseline_out(env_var: &str, default: &str) -> std::path::PathBuf {
     let raw = std::env::var(env_var).unwrap_or_else(|_| default.to_owned());
@@ -130,6 +129,8 @@ mod tests {
         assert_eq!(meta.toolchain, "stable");
         assert!(meta.header().contains("seed=7"));
         assert!(meta.header().contains("toolchain=stable"));
+        assert!(meta.cores >= 1);
+        assert!(meta.header().ends_with(&format!("cores={}", meta.cores)));
     }
 
     #[test]
@@ -139,6 +140,7 @@ mod tests {
         let snap = rec.snapshot();
         assert_eq!(snap.meta.get("seed").map(String::as_str), Some("42"));
         assert!(snap.meta.contains_key("git_sha"));
+        assert!(snap.meta.contains_key("cores"));
         let trace = snap.chrome_trace();
         assert!(trace.contains("\"toolchain\""));
         obsv::json::parse(&trace).expect("trace with metadata parses");

@@ -58,9 +58,10 @@ pub struct ComputeCtx {
 
 /// A compute backend prices (or performs) one request's compute phase.
 ///
-/// Implementations must be shareable across the sharded engine's host
-/// threads (`Send + Sync`); deterministic backends must return a value
-/// that is a pure function of `(ctx, task)`.
+/// Implementations must be `Send + Sync`, so one handle can serve
+/// simulations on different threads (the benches run replications and
+/// fleet cells in parallel); deterministic backends must return a
+/// value that is a pure function of `(ctx, task)`.
 pub trait ComputeBackend: fmt::Debug + Send + Sync {
     /// Stable backend label for reports and run metadata.
     fn name(&self) -> &'static str;

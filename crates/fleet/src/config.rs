@@ -142,13 +142,12 @@ pub struct FleetConfig {
     pub warehouse_capacity: u64,
     /// The handset model used for shed-to-local fallback execution.
     pub device: DeviceSpec,
-    /// Conservative synchronization window of the sharded engine: the
-    /// minimum latency of any cross-host interaction (control-plane
-    /// hop or fabric transfer start). Events inside one window never
-    /// leave their host shard, so shards may run the window in
-    /// parallel; everything cross-shard is exchanged at window
-    /// boundaries. Both engine modes use the same window, which is
-    /// why serial and sharded runs are bit-identical.
+    /// Window of the LP runner, and a model constant: the latency of
+    /// one control ↔ host message (control-plane hop or fabric
+    /// transfer start). Events inside one window never leave their
+    /// host shard; everything cross-shard is exchanged at window
+    /// boundaries and arrives exactly one window after it was sent,
+    /// so changing it changes every digest.
     pub sync_window: SimDuration,
     /// Optional adversarial-traffic scenario (flash crowds, correlated
     /// radio outages, tenant mixes, interaction storms) compiled onto

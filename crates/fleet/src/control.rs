@@ -21,12 +21,12 @@
 //! Every random draw comes from a stream derived from the layout's
 //! master seed (control streams draw in event order; network streams
 //! are derived per request), so one layout reproduces one outcome bit
-//! for bit, serial or sharded.
+//! for bit.
 
 use crate::admission::AdmissionCtl;
 use crate::autoscaler::{Autoscaler, FleetAction};
 use crate::config::{AutoscalePolicy, FleetConfig, RebalancePolicy};
-use crate::engine::{kind_ix, EngineMode, HostLp, HostOut, Wire, CTL};
+use crate::engine::{kind_ix, HostLp, HostOut, Wire, CTL};
 use crate::rebalance::Rebalancer;
 use crate::report::{ControlStats, FleetRequestRecord, MigrationRecord, ScenarioStats, WideStats};
 use crate::router::{RouteReason, Router};
@@ -185,7 +185,8 @@ pub struct ControlLayout {
     pub crash_reboot: SimDuration,
     /// Control-loop cadence.
     pub scan_interval: SimDuration,
-    /// Conservative synchronization window of the sharded engine.
+    /// Window of the LP runner: the latency of one control ↔ host
+    /// message.
     pub sync_window: SimDuration,
     /// Optional adversarial-traffic scenario.
     pub scenario_plan: Option<ScenarioSpec>,
@@ -364,8 +365,7 @@ struct ControlLp {
     /// once at LP construction from its own derived stream, then
     /// read-only: injected arrivals enter through the ordinary event
     /// queue and cohort radio windows price uploads per event, so
-    /// serial and sharded runs stay bit-identical under every
-    /// scenario.
+    /// a scenario run replays bit for bit from its seed.
     driver: Option<ScenarioDriver>,
     /// Scenario conservation counters:
     /// (injected, submitted, suppressed, deferred).
@@ -1336,13 +1336,8 @@ impl ControlLayout {
     pub fn run(
         self: &Arc<Self>,
         rec: &Recorder,
-        mode: EngineMode,
         backend: Option<exec::BackendHandle>,
     ) -> (ControlOut, Vec<HostOut>) {
-        let shard_mode = match mode {
-            EngineMode::Serial => ShardMode::Serial,
-            EngineMode::Sharded(n) => ShardMode::Threads(n),
-        };
         let n_hosts = self.cells.last().map_or(0, |c| c.hosts.end);
         let rec_cfg = rec.config();
 
@@ -1379,8 +1374,14 @@ impl ControlLayout {
             PlaneLp::Host(h) => LpOut::Host(h.finish_lp()),
         };
 
-        let mut outs =
-            run_sharded(n_hosts + 1, self.sync_window, shard_mode, build, finish).into_iter();
+        let mut outs = run_sharded(
+            n_hosts + 1,
+            self.sync_window,
+            ShardMode::Serial,
+            build,
+            finish,
+        )
+        .into_iter();
         let Some(LpOut::Ctl(ctl)) = outs.next() else {
             unreachable!("LP 0 is the control plane");
         };

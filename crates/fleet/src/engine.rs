@@ -1,4 +1,4 @@
-//! The fleet engine: N rattrap hosts under a sharded discrete-event
+//! The fleet engine: N rattrap hosts under a windowed discrete-event
 //! runtime, fronted by the Router and governed by admission control,
 //! the Autoscaler, and the migration-based Rebalancer.
 //!
@@ -21,11 +21,9 @@
 //! the shared control plane as its flat layout — one region, one cell,
 //! one zero-RTT fabric — and map what comes back to a [`FleetReport`].
 //!
-//! Both [`EngineMode::Serial`] and [`EngineMode::Sharded`] execute the
-//! *same* windowed algorithm; threads change wall-clock time only, so
-//! every report digest is bit-identical across modes and thread
-//! counts, and the same [`FleetConfig`] reproduces the same
-//! [`FleetReport`] bit for bit.
+//! One windowed runner drives every LP on the caller's thread, so the
+//! same [`FleetConfig`] reproduces the same [`FleetReport`] bit for
+//! bit.
 
 use crate::config::FleetConfig;
 use crate::control::{
@@ -46,16 +44,6 @@ use workloads::{TaskRequest, WorkloadKind};
 
 /// The LP index of the control plane.
 pub(crate) const CTL: usize = 0;
-
-/// Which runtime drives the windowed LP engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineMode {
-    /// Every LP on the caller thread — the reference execution.
-    Serial,
-    /// LPs spread over `n` worker threads (clamped to the LP count).
-    /// Bit-identical to [`EngineMode::Serial`] at any `n`.
-    Sharded(usize),
-}
 
 /// Cross-shard messages. Control → host messages carry the request
 /// hand-off and lifecycle commands; host → control messages carry
@@ -858,36 +846,29 @@ pub struct HostOut {
 // Entry points
 // ====================================================================
 
-/// Run a fleet scenario to completion (untraced, serial).
+/// Run a fleet scenario to completion (untraced).
 pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
-    run_fleet_with(cfg, Recorder::disabled(), EngineMode::Serial)
+    run_fleet_inner(cfg, Recorder::disabled(), None)
 }
 
 /// Run a fleet scenario with an observability recorder attached.
 /// Recording must not perturb the simulation: the report digest is
 /// identical with a disabled recorder.
 pub fn run_fleet_traced(cfg: &FleetConfig, rec: Recorder) -> FleetReport {
-    run_fleet_with(cfg, rec, EngineMode::Serial)
-}
-
-/// Run a fleet scenario under an explicit [`EngineMode`]. All modes
-/// and thread counts produce bit-identical reports; `Sharded` trades
-/// memory for wall-clock time on large fleets.
-pub fn run_fleet_with(cfg: &FleetConfig, rec: Recorder, mode: EngineMode) -> FleetReport {
-    run_fleet_inner(cfg, rec, mode, None)
+    run_fleet_inner(cfg, rec, None)
 }
 
 /// Run a fleet scenario with every host shard charging compute through
 /// `backend` ([`exec::RealBackend`] executes the kernels for real;
 /// [`exec::ReplayBackend`] replays a committed calibration
-/// deterministically). `run_fleet_with` is the `Modeled` special case.
+/// deterministically). `run_fleet_traced` is the `Modeled` special
+/// case.
 pub fn run_fleet_backend(
     cfg: &FleetConfig,
     rec: Recorder,
-    mode: EngineMode,
     backend: exec::BackendHandle,
 ) -> FleetReport {
-    run_fleet_inner(cfg, rec, mode, Some(backend))
+    run_fleet_inner(cfg, rec, Some(backend))
 }
 
 /// The flat layout: every host in one cell behind one ring, every
@@ -950,10 +931,9 @@ fn flat_layout(cfg: &FleetConfig) -> ControlLayout {
 fn run_fleet_inner(
     cfg: &FleetConfig,
     rec: Recorder,
-    mode: EngineMode,
     backend: Option<exec::BackendHandle>,
 ) -> FleetReport {
-    let (ctl, host_outs) = Arc::new(flat_layout(cfg)).run(&rec, mode, backend);
+    let (ctl, host_outs) = Arc::new(flat_layout(cfg)).run(&rec, backend);
     // The crash re-route and radio-deferral paths give slots back by
     // hand; the plane counts any request admitted while still holding
     // one.
@@ -1057,21 +1037,6 @@ mod tests {
             assert_eq!(
                 rep.summary.completed_remote + rep.summary.fallback_local + rep.summary.abandoned,
                 rep.summary.submitted
-            );
-        }
-    }
-
-    #[test]
-    fn sharded_engine_matches_serial_bit_for_bit() {
-        let mut cfg = small(3, 21);
-        cfg.faults = FaultConfig::scaled(1.0);
-        let serial = run_fleet(&cfg);
-        for threads in [1, 2, 4] {
-            let sharded = run_fleet_with(&cfg, Recorder::disabled(), EngineMode::Sharded(threads));
-            assert_eq!(
-                serial.digest(),
-                sharded.digest(),
-                "Sharded({threads}) diverged from Serial"
             );
         }
     }

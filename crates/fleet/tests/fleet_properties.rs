@@ -5,13 +5,10 @@
 //! 2. The router/admission path never oversubscribes any host's DRAM.
 //! 3. Every request reaches a terminal lifecycle phase under arbitrary
 //!    fault plans, including whole-host crashes.
-//! 4. The sharded engine is bit-identical to the serial engine across
-//!    seeds × fault intensities × thread counts.
 
 use containerfs::{FileCategory, FileEntry, LayerStore};
-use fleet::{run_fleet, run_fleet_with, EngineMode, FleetConfig};
+use fleet::{run_fleet, FleetConfig};
 use hostkernel::HostSpec;
-use obsv::Recorder;
 use proptest::prelude::*;
 use simkit::faults::FaultConfig;
 use simkit::{SimDuration, SimTime};
@@ -156,41 +153,5 @@ proptest! {
         // Crash re-routes show up in the records they touched.
         let rerouted: u64 = rep.records.iter().map(|r| r.rerouted as u64).sum();
         prop_assert_eq!(rerouted, rep.control.crash_reroutes);
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
-
-    /// Conservative-window parallelism may never leak into results:
-    /// whatever the seed, fleet size, and fault intensity, the sharded
-    /// engine at 1, 2, and ncores threads reproduces the serial digest
-    /// bit for bit.
-    #[test]
-    fn sharded_engine_is_bit_identical_to_serial(
-        seed in any::<u64>(),
-        hosts in 1usize..5,
-        users in 4u32..24,
-        intensity in 0.0f64..2.0,
-    ) {
-        let mut cfg = FleetConfig::paper_default(hosts, seed);
-        cfg.traffic.users = users;
-        cfg.traffic.duration = SimDuration::from_secs(900);
-        cfg.faults = FaultConfig::scaled(intensity);
-        let serial = run_fleet(&cfg);
-        let ncores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        for threads in [1, 2, ncores] {
-            let sharded =
-                run_fleet_with(&cfg, Recorder::disabled(), EngineMode::Sharded(threads));
-            prop_assert_eq!(
-                serial.digest(),
-                sharded.digest(),
-                "Sharded({}) diverged from Serial at seed {:#x}",
-                threads,
-                seed
-            );
-        }
     }
 }

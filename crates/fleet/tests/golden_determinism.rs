@@ -6,9 +6,7 @@
 //! moves this number — bump it ONLY for an intentional behavioural
 //! change, and say so in the commit message.
 
-use fleet::{
-    run_fleet, run_fleet_traced, run_fleet_with, AutoscalePolicy, EngineMode, FleetConfig,
-};
+use fleet::{run_fleet, run_fleet_traced, AutoscalePolicy, FleetConfig};
 use obsv::{Recorder, RecorderConfig, Subsystem, TraceEvent};
 use scenario::ScenarioSpec;
 use simkit::faults::FaultConfig;
@@ -20,7 +18,7 @@ use std::collections::BTreeMap;
 const GOLDEN_SEED: u64 = 0x2017_0529;
 
 /// Digest of the canonical 4-host run. Regenerated once for the
-/// sharded LP engine: cross-host interactions (completion notices,
+/// windowed LP engine: cross-host interactions (completion notices,
 /// crash/drain control, migration hand-off) now cross a one-window
 /// message boundary, which legitimately shifts their timing.
 const GOLDEN_FLEET_DIGEST: u64 = 0xc722_c512_a546_9f68;
@@ -62,31 +60,6 @@ fn traced_run_reproduces_the_golden_digest() {
     assert_eq!(rep.digest(), GOLDEN_FLEET_DIGEST);
     let snap = rec.snapshot();
     assert!(!snap.events.is_empty(), "traced run recorded events");
-}
-
-#[test]
-fn sharded_engine_reproduces_the_golden_digest() {
-    // The parallel engine is not allowed to be "close": every thread
-    // count must land on the exact pinned digest, traced or not.
-    let ncores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    for threads in [1, 2, ncores] {
-        let rep = run_fleet_with(
-            &canonical(),
-            Recorder::disabled(),
-            EngineMode::Sharded(threads),
-        );
-        assert_eq!(
-            rep.digest(),
-            GOLDEN_FLEET_DIGEST,
-            "Sharded({threads}) diverged from the pinned digest"
-        );
-    }
-    let rec = Recorder::enabled(RecorderConfig::default());
-    let rep = run_fleet_with(&canonical(), rec.clone(), EngineMode::Sharded(2));
-    assert_eq!(rep.digest(), GOLDEN_FLEET_DIGEST);
-    assert!(!rec.snapshot().events.is_empty(), "sharded run traced");
 }
 
 #[test]

@@ -12,8 +12,7 @@
 //!
 //! and update the constant the failure message prints.
 
-use fleet::{run_fleet, run_fleet_with, EngineMode, FleetConfig, FleetReport};
-use obsv::Recorder;
+use fleet::{run_fleet, FleetConfig, FleetReport};
 use proptest::prelude::*;
 use rattrap::Phase;
 use scenario::{PhaseAction, PhaseSpec, ScenarioFamily, ScenarioSpec, TenantSpec};
@@ -128,23 +127,6 @@ fn family_digests_are_pinned() {
 }
 
 #[test]
-fn every_family_is_serial_sharded_bit_identical() {
-    for (family, _) in FAMILY_GOLDEN {
-        let cfg = family_cfg(family);
-        let serial = run_fleet(&cfg);
-        for n in [2usize, 4] {
-            let sharded = run_fleet_with(&cfg, Recorder::disabled(), EngineMode::Sharded(n));
-            assert_eq!(
-                serial.digest(),
-                sharded.digest(),
-                "{}: Sharded({n}) diverged from serial",
-                family.label()
-            );
-        }
-    }
-}
-
-#[test]
 fn flash_crowd_actually_ramps_and_correlated_failure_actually_herds() {
     let quiet = run_fleet(&base(GOLDEN_SEED));
     let crowd = run_fleet(&family_cfg(ScenarioFamily::FlashCrowd));
@@ -256,7 +238,7 @@ proptest! {
 
     /// Any scenario composed with any fault intensity terminates every
     /// request and conserves both the fleet's and the scenario's
-    /// accounting — and stays serial ≡ sharded bit-identical.
+    /// accounting.
     #[test]
     fn arbitrary_scenarios_conserve_accounting_under_faults(
         seed in 0u64..1_000_000,
@@ -270,8 +252,6 @@ proptest! {
         cfg.scenario_plan = Some(spec);
         let rep = run_fleet(&cfg);
         assert_conserved(&rep);
-        let sharded = run_fleet_with(&cfg, Recorder::disabled(), EngineMode::Sharded(2));
-        prop_assert_eq!(rep.digest(), sharded.digest(), "serial ≡ sharded");
         // Abandonment is only reachable when the policy abandons.
         if rep.summary.abandoned > 0 {
             prop_assert!(

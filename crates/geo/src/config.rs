@@ -149,7 +149,8 @@ pub struct GeoConfig {
     /// [`crate::GeoRouter`]: a cell holding a warm container for the
     /// app beats a colder cell up to this much closer.
     pub affinity_bonus: SimDuration,
-    /// Conservative synchronization window of the sharded engine.
+    /// Window of the LP runner: the latency of one control ↔ host
+    /// message (see [`fleet::FleetConfig::sync_window`]).
     pub sync_window: SimDuration,
     /// Optional adversarial-traffic scenario injected on top of the
     /// diurnal base traffic, exactly as in the fleet: arrivals are

@@ -1,5 +1,5 @@
 //! The geo engine: a multi-region topology of fleet cells under one
-//! sharded discrete-event runtime.
+//! windowed discrete-event runtime.
 //!
 //! There is one control plane, and it is the fleet's
 //! ([`fleet::control`]): this module describes a [`GeoConfig`] to it
@@ -19,8 +19,8 @@
 //! from their home edge add the WAN round trip plus a bandwidth term
 //! to their upload and download, and migration state is charged
 //! through the shared per-pair fabric before the propagation delay.
-//! Everything is seeded-deterministic: serial and sharded runs of the
-//! same [`GeoConfig`] produce bit-identical [`GeoReport`]s.
+//! Everything is seeded-deterministic: two runs of the same
+//! [`GeoConfig`] produce bit-identical [`GeoReport`]s.
 
 use crate::config::{GeoConfig, Topology};
 use crate::report::{GeoControlStats, GeoHostReport, GeoReport, GeoRequestRecord};
@@ -34,37 +34,24 @@ use simkit::faults::FaultConfig;
 use simkit::SimDuration;
 use std::sync::Arc;
 
-pub use fleet::EngineMode;
-
-/// Run a geo scenario to completion (untraced, serial).
+/// Run a geo scenario to completion (untraced).
 pub fn run_geo(cfg: &GeoConfig) -> GeoReport {
-    run_geo_with(cfg, Recorder::disabled(), EngineMode::Serial)
+    run_geo_inner(cfg, Recorder::disabled(), None)
 }
 
 /// Run a geo scenario with an observability recorder attached.
 /// Recording must not perturb the simulation: the report digest is
 /// identical with a disabled recorder.
 pub fn run_geo_traced(cfg: &GeoConfig, rec: Recorder) -> GeoReport {
-    run_geo_with(cfg, rec, EngineMode::Serial)
-}
-
-/// Run a geo scenario under an explicit [`EngineMode`]. All modes and
-/// thread counts produce bit-identical reports.
-pub fn run_geo_with(cfg: &GeoConfig, rec: Recorder, mode: EngineMode) -> GeoReport {
-    run_geo_inner(cfg, rec, mode, None)
+    run_geo_inner(cfg, rec, None)
 }
 
 /// Run a geo scenario with every host shard charging compute through
 /// `backend`. Executions are attributed to
 /// [`exec::HostClass::EDGE_POP`] or [`exec::HostClass::REGIONAL_CORE`]
 /// per tier, so one calibration map can price the two tiers apart.
-pub fn run_geo_backend(
-    cfg: &GeoConfig,
-    rec: Recorder,
-    mode: EngineMode,
-    backend: exec::BackendHandle,
-) -> GeoReport {
-    run_geo_inner(cfg, rec, mode, Some(backend))
+pub fn run_geo_backend(cfg: &GeoConfig, rec: Recorder, backend: exec::BackendHandle) -> GeoReport {
+    run_geo_inner(cfg, rec, Some(backend))
 }
 
 /// Describe `cfg` over `topo` to the control plane.
@@ -168,12 +155,11 @@ fn geo_layout(cfg: &GeoConfig, topo: &Topology) -> ControlLayout {
 fn run_geo_inner(
     cfg: &GeoConfig,
     rec: Recorder,
-    mode: EngineMode,
     backend: Option<exec::BackendHandle>,
 ) -> GeoReport {
     let topo = Topology::new(cfg);
     let layout = Arc::new(geo_layout(cfg, &topo));
-    let (ctl, host_outs) = layout.run(&rec, mode, backend);
+    let (ctl, host_outs) = layout.run(&rec, backend);
 
     let records = ctl
         .records
@@ -331,9 +317,8 @@ mod tests {
             assert!(r.phase.is_terminal(), "request {} stuck", r.id);
         }
         // Injection rides the ordinary control-queue event stream, so
-        // the sharded engine replays it bit-identically.
-        let sharded = run_geo_with(&cfg, Recorder::disabled(), EngineMode::Sharded(3));
-        assert_eq!(rep.digest(), sharded.digest());
+        // a replay reproduces it bit for bit.
+        assert_eq!(rep.digest(), run_geo(&cfg).digest());
         // And the quiet config still digests identically to a build
         // without the scenario plane compiled in: `None` is the default.
         assert_eq!(quiet.digest(), run_geo(&small(2, 7)).digest());
@@ -358,8 +343,7 @@ mod tests {
             assert!(r.phase.is_terminal(), "request {} stuck", r.id);
         }
         assert_eq!(rep.control.double_admissions, 0);
-        let sharded = run_geo_with(&cfg, Recorder::disabled(), EngineMode::Sharded(3));
-        assert_eq!(rep.digest(), sharded.digest());
+        assert_eq!(rep.digest(), run_geo(&cfg).digest());
     }
 
     #[test]

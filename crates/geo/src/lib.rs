@@ -6,8 +6,8 @@
 //! hosts) and a **regional core** (behind a metro link, bigger boot
 //! budget, standby capacity that edge PoPs can borrow — cloud
 //! burst). Every tier is an independent fleet cell whose hosts run as
-//! logical processes under the same conservative-window sharded
-//! engine the fleet uses, speaking the fleet's own wire protocol to
+//! logical processes under the same windowed LP runner the fleet
+//! uses, speaking the fleet's own wire protocol to
 //! the fleet's own control plane (`fleet::control`), which this crate
 //! drives with a multi-region cell layout.
 //!
@@ -24,8 +24,8 @@
 //! - cloud-burst scaling: a saturated edge PoP with no standby of its
 //!   own powers on a host in its region's core.
 //!
-//! Determinism is contractual: serial and sharded runs of the same
-//! [`GeoConfig`] produce bit-identical [`GeoReport`] digests, and the
+//! Determinism is contractual: two runs of the same [`GeoConfig`]
+//! produce bit-identical [`GeoReport`] digests, and the
 //! tier knobs default to the fleet's own so the fleet golden digest
 //! pins them.
 
@@ -38,7 +38,7 @@ pub mod report;
 pub mod router;
 
 pub use config::{GeoConfig, RegionSpec, TierSpec, Topology, WanConfig};
-pub use engine::{run_geo, run_geo_backend, run_geo_traced, run_geo_with, EngineMode};
+pub use engine::{run_geo, run_geo_backend, run_geo_traced};
 pub use report::{
     GeoControlStats, GeoHostReport, GeoMigrationRecord, GeoRegionSummary, GeoReport,
     GeoRequestRecord, GeoSummary,

@@ -366,10 +366,9 @@ impl Recorder {
     /// them; [`SpanId::NONE`] stays none). Events append through the
     /// ring — evicting and counting drops as usual — counters add,
     /// gauges overwrite, histograms merge bucket-wise, metadata
-    /// inserts, and the source's drop count carries over. The sharded
-    /// fleet engine folds per-shard recorders into the caller's
-    /// recorder in shard index order, which keeps the merged trace
-    /// deterministic regardless of thread count.
+    /// inserts, and the source's drop count carries over. The fleet
+    /// engine folds per-LP recorders into the caller's recorder in LP
+    /// index order, which keeps the merged trace deterministic.
     pub fn import(&self, snap: &TraceSnapshot) {
         let Some(inner) = &self.inner else {
             return;

@@ -9,9 +9,8 @@ use workloads::WorkloadKind;
 
 /// Drives a compiled scenario through an engine. The driver is
 /// immutable after compilation — engines read the arrival script at
-/// seed time and price cohort transfers per event — so one driver can
-/// serve every LP of the sharded engine without synchronization, and
-/// serial ≡ sharded bit-identity holds for every scenario.
+/// seed time and price cohort transfers per event — so a scenario adds
+/// no state that could make two runs of one seed differ.
 #[derive(Debug, Clone)]
 pub struct ScenarioDriver {
     spec_name: String,

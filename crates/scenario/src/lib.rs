@@ -8,8 +8,8 @@
 //! plane's [`LinkWindow`] algebra so outage pricing composes with PR
 //! 2's FaultPlan), and a user → tenant map. The engines then inject
 //! the script through their ordinary event queues — injected arrivals
-//! are just more `Arrive` events, so the serial ≡ sharded bit-identity
-//! of the windowed LP engine holds for every scenario by construction.
+//! are just more `Arrive` events, so the windowed LP engine replays
+//! every scenario bit for bit from its seed by construction.
 //!
 //! Four scenario families ship ([`ScenarioFamily`]):
 //!

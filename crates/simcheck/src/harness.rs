@@ -119,15 +119,13 @@ fn run_fleet_sample(sample: &Sample) -> RunOutcome {
         None
     };
 
-    // Three-way metamorphic oracle: traced serial, untraced serial
-    // replay, and the sharded engine at two threads must all agree
-    // bit for bit — parallel window execution may never leak into
-    // results, under any fault intensity the swarm draws.
+    // Two-way metamorphic oracle: the (possibly traced) run and an
+    // untraced replay of the same seed must agree bit for bit, under
+    // any fault intensity the swarm draws.
     let replay = fleet::run_fleet(&cfg);
-    let sharded = fleet::run_fleet_with(&cfg, Recorder::disabled(), fleet::EngineMode::Sharded(2));
     audit_digest_stability(
-        &format!("fleet sample {} (serial ≡ replay ≡ sharded)", sample.index),
-        &[report.digest(), replay.digest(), sharded.digest()],
+        &format!("fleet sample {} (run ≡ replay)", sample.index),
+        &[report.digest(), replay.digest()],
         &mut audit,
     );
 
@@ -136,7 +134,6 @@ fn run_fleet_sample(sample: &Sample) -> RunOutcome {
     let with_backend = fleet::run_fleet_backend(
         &cfg,
         Recorder::disabled(),
-        fleet::EngineMode::Serial,
         std::sync::Arc::new(exec::ReplayBackend::identity()),
     );
     audit_backend_inertness(
@@ -156,7 +153,7 @@ fn run_fleet_sample(sample: &Sample) -> RunOutcome {
 /// The scenario stripe: a fleet run under an adversarial scenario
 /// plan. Rides the fleet auditors (which pick up the scenario block's
 /// arrival-conservation and tenant-isolation invariants when present)
-/// plus the serial ≡ sharded metamorphic oracle — adversarial traffic
+/// plus the run ≡ replay metamorphic oracle — adversarial traffic
 /// must not open a determinism seam.
 fn run_scenario_sample(sample: &Sample) -> RunOutcome {
     let cfg = sample.scenario_fleet_config();
@@ -175,14 +172,13 @@ fn run_scenario_sample(sample: &Sample) -> RunOutcome {
     };
 
     let replay = fleet::run_fleet(&cfg);
-    let sharded = fleet::run_fleet_with(&cfg, Recorder::disabled(), fleet::EngineMode::Sharded(2));
     audit_digest_stability(
         &format!(
-            "scenario sample {} ({}; serial ≡ replay ≡ sharded)",
+            "scenario sample {} ({}; run ≡ replay)",
             sample.index,
             sample.scenario_family().label()
         ),
-        &[report.digest(), replay.digest(), sharded.digest()],
+        &[report.digest(), replay.digest()],
         &mut audit,
     );
 
@@ -209,14 +205,13 @@ fn run_geo_sample(sample: &Sample) -> RunOutcome {
         None
     };
 
-    // Same three-way metamorphic oracle as the fleet stripe, one layer
-    // up: traced serial, untraced serial replay, and the sharded
-    // engine must agree bit for bit across the whole topology.
+    // Same two-way metamorphic oracle as the fleet stripe, one layer
+    // up: the run and its untraced replay must agree bit for bit
+    // across the whole topology.
     let replay = geo::run_geo(&cfg);
-    let sharded = geo::run_geo_with(&cfg, Recorder::disabled(), geo::EngineMode::Sharded(2));
     audit_digest_stability(
-        &format!("geo sample {} (serial ≡ replay ≡ sharded)", sample.index),
-        &[report.digest(), replay.digest(), sharded.digest()],
+        &format!("geo sample {} (run ≡ replay)", sample.index),
+        &[report.digest(), replay.digest()],
         &mut audit,
     );
 
@@ -225,7 +220,6 @@ fn run_geo_sample(sample: &Sample) -> RunOutcome {
     let with_backend = geo::run_geo_backend(
         &cfg,
         Recorder::disabled(),
-        geo::EngineMode::Serial,
         std::sync::Arc::new(exec::ReplayBackend::identity()),
     );
     audit_backend_inertness(

@@ -7,8 +7,8 @@
 //! from an event loop ([`executor`]),
 //! seeded randomness with the distributions the experiments need
 //! ([`random`]), a deterministic fault-injection plan ([`faults`]),
-//! a sharded runtime with conservative time-window synchronization
-//! for multi-queue parallel simulation ([`shard`]),
+//! a windowed runner for simulations split into message-passing
+//! logical processes, one event queue each ([`shard`]),
 //! online statistics and empirical CDFs ([`stats`]),
 //! one-second timeline sampling for server-load figures ([`sampler`]),
 //! and the unit conventions shared by every crate ([`units`]).

@@ -1,27 +1,23 @@
-//! Sharded discrete-event execution with conservative time-window
-//! synchronization.
+//! Windowed discrete-event execution over logical processes.
 //!
 //! A simulation is decomposed into *logical processes* (LPs), each
 //! owning a private [`EventQueue`](crate::EventQueue) and advancing
 //! freely inside a global time window. Cross-LP interaction happens
-//! only through messages carried by [`Envelope`]s with a fixed minimum
-//! latency — the *sync window* `W`, derived by the caller from the
-//! slowest physical path between shards (e.g. the cross-host fabric
-//! hop). Because every message sent inside window `[B−W, B)` is
-//! delivered at or after the boundary `B`, LPs can never receive an
-//! event in their own past: the classic conservative-lookahead
-//! argument of parallel discrete-event simulation.
+//! only through messages carried by [`Envelope`]s with a fixed
+//! latency — the *sync window* `W`, the modelled cost of one hop
+//! between LPs (e.g. the control ↔ host message). Because every
+//! message sent inside window `[B−W, B)` is delivered at or after the
+//! boundary `B`, an LP can never receive an event in its own past, and
+//! LPs meet only at window boundaries — which is what lets each one be
+//! built, driven and tested on its own.
 //!
-//! Determinism contract: for a fixed LP decomposition and window, the
-//! serial runner and the threaded runner (worker threads each owning a
-//! contiguous LP range) produce **bit-identical** executions. Both
-//! process windows in the same sequence, each LP touches only its own
-//! queue inside a window, and envelopes are delivered sorted by the
-//! total key `(deliver_at, src, seq)`. No step depends on thread
-//! scheduling; threads change wall-clock time only.
+//! Determinism contract: one runner, on the caller's thread. It visits
+//! LPs in index order inside a window, each LP touches only its own
+//! queue there, and envelopes are delivered at the boundary sorted by
+//! the total key `(deliver_at, src, seq)` — so what an LP receives
+//! never depends on the order LPs were visited in.
 
 use crate::time::{SimDuration, SimTime};
-use std::sync::mpsc;
 
 /// A cross-LP message in flight.
 #[derive(Debug)]
@@ -73,12 +69,10 @@ impl<M> Outbox<M> {
     }
 }
 
-/// One logical process of a sharded simulation.
+/// One logical process of a windowed simulation.
 ///
-/// Implementations are usually `!Send` (they hold `Rc`-based recorders
-/// or kernel state); the runner therefore *constructs* each LP inside
-/// the worker thread that owns it, via a `Send + Sync` builder, and
-/// converts it to a `Send` output there too.
+/// The runner builds LP `i` with `build(i)`, owns it for the whole
+/// run, and hands it to `finish(i, lp)` once nothing is pending.
 ///
 /// Contract: an LP's pending events change only inside its own
 /// `run_window` and `accept` — nothing else can move `next_time`. The
@@ -105,15 +99,13 @@ pub trait Lp {
     fn accept(&mut self, at: SimTime, src: usize, msg: Self::Msg);
 }
 
-/// How many worker threads drive the LPs.
+/// The runner [`run_sharded`] uses. There is one; the argument is kept
+/// for the repo benchmark's probe (`benchmark/src/probe.rs`), which
+/// names it — a benchmark-archetype PR drops the argument.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardMode {
-    /// Single-threaded reference execution on the caller thread.
+    /// Every LP on the caller thread.
     Serial,
-    /// `n` worker threads, each owning a contiguous range of LPs.
-    /// Clamped to `[1, n_lps]`; `Threads(1)` still spawns one worker
-    /// (useful for exercising the exchange plumbing).
-    Threads(usize),
 }
 
 /// Smallest multiple of `window` strictly greater than `t` — the next
@@ -125,245 +117,58 @@ fn next_boundary(t: SimTime, window: SimDuration) -> SimTime {
     SimTime::from_micros(b)
 }
 
-/// Sort envelopes destined for one LP into their canonical delivery
-/// order. `(at, src, seq)` is a total order: `seq` is unique per
-/// `src`.
-fn sort_for_delivery<M>(batch: &mut [Envelope<M>]) {
-    batch.sort_by_key(|e| (e.at, e.src, e.seq));
-}
-
-/// Run `n_lps` logical processes to completion under conservative
-/// window synchronization and return each LP's output, in LP index
-/// order.
+/// Run `n_lps` logical processes to completion, window by window, and
+/// return each LP's output in LP index order.
 ///
-/// `build(i)` constructs LP `i` (called once, inside the owning
-/// thread); `finish(i, lp)` converts a drained LP into its `Send`
-/// output. The run terminates when every queue is empty and no
-/// envelope is in flight.
+/// `build(i)` constructs LP `i` (called once, in index order);
+/// `finish(i, lp)` converts a drained LP into its output. The run
+/// terminates when every queue is empty and no envelope is in flight.
 pub fn run_sharded<L, O, B, F>(
     n_lps: usize,
     window: SimDuration,
-    mode: ShardMode,
+    _mode: ShardMode,
     build: B,
     finish: F,
 ) -> Vec<O>
-where
-    L: Lp,
-    L::Msg: Send,
-    O: Send,
-    B: Fn(usize) -> L + Send + Sync,
-    F: Fn(usize, L) -> O + Send + Sync,
-{
-    assert!(n_lps > 0, "a sharded run needs at least one LP");
-    assert!(!window.is_zero(), "the sync window must be positive");
-    match mode {
-        ShardMode::Serial => run_serial(n_lps, window, build, finish),
-        ShardMode::Threads(t) => run_threaded(n_lps, window, t.clamp(1, n_lps), build, finish),
-    }
-}
-
-/// The LPs one thread owns (all of them in a serial run), their
-/// outboxes and their cached `next_time`s. Both runners drive their LPs
-/// through this, so there is one skip rule.
-struct Shard<L: Lp> {
-    /// Index of the first owned LP.
-    lo: usize,
-    lps: Vec<L>,
-    outboxes: Vec<Outbox<L::Msg>>,
-    /// `next_time` per LP, refreshed after its `run_window` or `accept`.
-    next: Vec<Option<SimTime>>,
-}
-
-impl<L: Lp> Shard<L> {
-    fn new(lo: usize, hi: usize, window: SimDuration, build: impl Fn(usize) -> L) -> Self {
-        let mut lps: Vec<L> = (lo..hi).map(build).collect();
-        Shard {
-            lo,
-            outboxes: (lo..hi).map(|i| Outbox::new(i, window)).collect(),
-            next: lps.iter_mut().map(|l| l.next_time()).collect(),
-            lps,
-        }
-    }
-
-    /// Deliver envelopes (already in canonical order) and return the
-    /// minimum next-event time over the owned LPs.
-    fn deliver(&mut self, batch: impl IntoIterator<Item = Envelope<L::Msg>>) -> Option<SimTime> {
-        for env in batch {
-            let i = env.dst - self.lo;
-            self.lps[i].accept(env.at, env.src, env.msg);
-            self.next[i] = self.lps[i].next_time();
-        }
-        self.next.iter().flatten().min().copied()
-    }
-
-    /// Run every owned LP that has an event before `bound`, moving what
-    /// it sent into `sent`; an LP with nothing due is not entered.
-    fn run_window(&mut self, bound: SimTime, sent: &mut Vec<Envelope<L::Msg>>) {
-        for (i, lp) in self.lps.iter_mut().enumerate() {
-            if self.next[i].is_some_and(|t| t < bound) {
-                lp.run_window(bound, &mut self.outboxes[i]);
-                self.next[i] = lp.next_time();
-                sent.append(&mut self.outboxes[i].out);
-            }
-        }
-    }
-
-    fn finish<O>(self, finish: impl Fn(usize, L) -> O) -> Vec<O> {
-        let indexed = (self.lo..).zip(self.lps);
-        indexed.map(|(i, lp)| finish(i, lp)).collect()
-    }
-}
-
-fn run_serial<L, O, B, F>(n_lps: usize, window: SimDuration, build: B, finish: F) -> Vec<O>
 where
     L: Lp,
     B: Fn(usize) -> L,
     F: Fn(usize, L) -> O,
 {
-    let mut shard = Shard::new(0, n_lps, window, build);
+    assert!(n_lps > 0, "a run needs at least one LP");
+    assert!(!window.is_zero(), "the sync window must be positive");
+    let mut lps: Vec<L> = (0..n_lps).map(build).collect();
+    let mut outboxes: Vec<Outbox<L::Msg>> = (0..n_lps).map(|i| Outbox::new(i, window)).collect();
+    // `next_time` per LP, refreshed after its `run_window` or `accept`.
+    let mut next: Vec<Option<SimTime>> = lps.iter_mut().map(|l| l.next_time()).collect();
     let mut pending: Vec<Envelope<L::Msg>> = Vec::new();
     loop {
-        // Deliver last window's envelopes in canonical order; the next
-        // boundary follows from the global minimum next-event time.
-        sort_for_delivery(&mut pending);
-        let Some(t_min) = shard.deliver(pending.drain(..)) else {
+        // Deliver last window's envelopes in canonical order.
+        // `(at, src, seq)` is a total order: `seq` is unique per `src`.
+        pending.sort_by_key(|e| (e.at, e.src, e.seq));
+        for env in pending.drain(..) {
+            let lp = &mut lps[env.dst];
+            lp.accept(env.at, env.src, env.msg);
+            next[env.dst] = lp.next_time();
+        }
+        // The next boundary follows from the global minimum next-event
+        // time.
+        let Some(t_min) = next.iter().flatten().min().copied() else {
             break;
         };
-        shard.run_window(next_boundary(t_min, window), &mut pending);
+        let bound = next_boundary(t_min, window);
+        // Run every LP that has an event before `bound`; an LP with
+        // nothing due is not entered.
+        for (i, lp) in lps.iter_mut().enumerate() {
+            if next[i].is_some_and(|t| t < bound) {
+                lp.run_window(bound, &mut outboxes[i]);
+                next[i] = lp.next_time();
+                pending.append(&mut outboxes[i].out);
+            }
+        }
     }
-    shard.finish(finish)
-}
-
-/// Coordinator → worker commands.
-enum Cmd<M> {
-    /// Deliver these envelopes (already in canonical order), then
-    /// report the minimum next-event time over the worker's LPs.
-    Deliver(Vec<Envelope<M>>),
-    /// Run every owned LP up to `bound`, then report outbound
-    /// envelopes.
-    Run(SimTime),
-    /// Drain the LPs into outputs and exit.
-    Stop,
-}
-
-/// Worker → coordinator replies.
-enum Reply<M, O> {
-    Min(Option<SimTime>),
-    Ran(Vec<Envelope<M>>),
-    Done(Vec<O>),
-}
-
-fn run_threaded<L, O, B, F>(
-    n_lps: usize,
-    window: SimDuration,
-    threads: usize,
-    build: B,
-    finish: F,
-) -> Vec<O>
-where
-    L: Lp,
-    L::Msg: Send,
-    O: Send,
-    B: Fn(usize) -> L + Send + Sync,
-    F: Fn(usize, L) -> O + Send + Sync,
-{
-    // Contiguous LP ranges: worker w owns [starts[w], starts[w+1]).
-    let base = n_lps / threads;
-    let extra = n_lps % threads;
-    let mut starts = Vec::with_capacity(threads + 1);
-    let mut acc = 0;
-    for w in 0..threads {
-        starts.push(acc);
-        acc += base + usize::from(w < extra);
-    }
-    starts.push(acc);
-
-    let build = &build;
-    let finish = &finish;
-    std::thread::scope(|scope| {
-        let mut cmd_txs = Vec::with_capacity(threads);
-        let (reply_tx, reply_rx) = mpsc::channel::<(usize, Reply<L::Msg, O>)>();
-        for w in 0..threads {
-            let (tx, rx) = mpsc::channel::<Cmd<L::Msg>>();
-            cmd_txs.push(tx);
-            let reply_tx = reply_tx.clone();
-            let (lo, hi) = (starts[w], starts[w + 1]);
-            scope.spawn(move || {
-                let mut shard = Shard::new(lo, hi, window, build);
-                for cmd in rx {
-                    match cmd {
-                        Cmd::Deliver(batch) => {
-                            let min = shard.deliver(batch);
-                            let _ = reply_tx.send((w, Reply::Min(min)));
-                        }
-                        Cmd::Run(bound) => {
-                            let mut out = Vec::new();
-                            shard.run_window(bound, &mut out);
-                            let _ = reply_tx.send((w, Reply::Ran(out)));
-                        }
-                        Cmd::Stop => {
-                            let _ = reply_tx.send((w, Reply::Done(shard.finish(finish))));
-                            break;
-                        }
-                    }
-                }
-            });
-        }
-        drop(reply_tx);
-
-        let owner = |lp: usize| starts.partition_point(|&s| s <= lp) - 1;
-        let mut pending: Vec<Envelope<L::Msg>> = Vec::new();
-        loop {
-            // Exchange: canonical order globally, partitioned by owner
-            // (partitioning a sorted list keeps each batch sorted).
-            sort_for_delivery(&mut pending);
-            let mut batches: Vec<Vec<Envelope<L::Msg>>> =
-                (0..threads).map(|_| Vec::new()).collect();
-            for env in pending.drain(..) {
-                batches[owner(env.dst)].push(env);
-            }
-            for (w, batch) in batches.into_iter().enumerate() {
-                cmd_txs[w].send(Cmd::Deliver(batch)).expect("worker alive");
-            }
-            let mut t_min: Option<SimTime> = None;
-            for _ in 0..threads {
-                let (_, reply) = reply_rx.recv().expect("worker alive");
-                let Reply::Min(m) = reply else {
-                    unreachable!("deliver replies with Min")
-                };
-                t_min = match (t_min, m) {
-                    (Some(a), Some(b)) => Some(a.min(b)),
-                    (a, b) => a.or(b),
-                };
-            }
-            let Some(t_min) = t_min else { break };
-            let bound = next_boundary(t_min, window);
-            for tx in &cmd_txs {
-                tx.send(Cmd::Run(bound)).expect("worker alive");
-            }
-            for _ in 0..threads {
-                let (_, reply) = reply_rx.recv().expect("worker alive");
-                let Reply::Ran(out) = reply else {
-                    unreachable!("run replies with Ran")
-                };
-                pending.extend(out);
-            }
-        }
-        for tx in &cmd_txs {
-            tx.send(Cmd::Stop).expect("worker alive");
-        }
-        let mut outs: Vec<Option<Vec<O>>> = (0..threads).map(|_| None).collect();
-        for _ in 0..threads {
-            let (w, reply) = reply_rx.recv().expect("worker alive");
-            let Reply::Done(o) = reply else {
-                unreachable!("stop replies with Done")
-            };
-            outs[w] = Some(o);
-        }
-        outs.into_iter()
-            .flat_map(|o| o.expect("all replied"))
-            .collect()
-    })
+    let outs = lps.into_iter().enumerate();
+    outs.map(|(i, lp)| finish(i, lp)).collect()
 }
 
 #[cfg(test)]
@@ -415,26 +220,28 @@ mod tests {
         }
     }
 
-    fn run_ring(n: usize, hops: u64, mode: ShardMode) -> Vec<u64> {
+    fn run_ring(n: usize, hops: u64) -> Vec<u64> {
         run_sharded(
             n,
             SimDuration::from_millis(1),
-            mode,
+            ShardMode::Serial,
             |i| ring_lp(i, n, hops),
             |_, lp| lp.digest,
         )
     }
 
     #[test]
-    fn serial_and_threaded_rings_agree() {
-        let serial = run_ring(5, 400, ShardMode::Serial);
-        for threads in [1usize, 2, 3, 5, 8] {
-            assert_eq!(
-                serial,
-                run_ring(5, 400, ShardMode::Threads(threads)),
-                "threads={threads} diverged from serial"
-            );
+    fn ring_token_pays_one_window_per_hop() {
+        // Between hops every queue is empty and the token is in flight,
+        // so the run must not stop early; hop `v` lands on LP `v % n`
+        // exactly `v` windows after the first.
+        let (n, hops) = (5usize, 400u64);
+        let mut want = vec![0x9e37_79b9_7f4a_7c15u64; n];
+        for v in 0..=hops {
+            let d = &mut want[v as usize % n];
+            *d = d.rotate_left(7).wrapping_add(v ^ (1 + 1000 * v));
         }
+        assert_eq!(run_ring(n, hops), want);
     }
 
     #[test]
@@ -442,7 +249,7 @@ mod tests {
         let out = run_sharded(
             3,
             SimDuration::from_millis(1),
-            ShardMode::Threads(2),
+            ShardMode::Serial,
             |i| ring_lp(i, 3, 0),
             |i, _| i,
         );
@@ -552,11 +359,11 @@ mod tests {
     }
 
     /// `(digest, times run_window was entered)` per LP.
-    fn run_sparse(n: usize, ticks: u64, mode: ShardMode) -> Vec<(u64, u64)> {
+    fn run_sparse(n: usize, ticks: u64) -> Vec<(u64, u64)> {
         run_sharded(
             n,
             SimDuration::from_millis(1),
-            mode,
+            ShardMode::Serial,
             |i| sparse_lp(i, ticks),
             |_, lp| (lp.digest, lp.entered),
         )
@@ -564,7 +371,7 @@ mod tests {
 
     #[test]
     fn idle_lps_are_not_entered_while_a_neighbour_ticks() {
-        let out = run_sparse(12, 10_000, ShardMode::Serial);
+        let out = run_sparse(12, 10_000);
         assert_eq!(out[0].1, 10_000, "the ticker runs once per window");
         assert_eq!(
             out[SLEEPER].1, 1,
@@ -580,15 +387,92 @@ mod tests {
     }
 
     #[test]
-    fn sparse_run_is_identical_across_modes() {
-        let serial = run_sparse(64, 200, ShardMode::Serial);
-        assert_eq!(serial.iter().filter(|o| o.1 > 0).count(), 2);
-        for threads in [1usize, 3] {
-            assert_eq!(
-                serial,
-                run_sparse(64, 200, ShardMode::Threads(threads)),
-                "threads={threads} diverged from serial"
-            );
+    fn sparse_run_digests_match_the_closed_form() {
+        let ticks = 200u64;
+        let out = run_sparse(64, ticks);
+        let ticker = (0..ticks).fold(0u64, |d, v| d.rotate_left(7).wrapping_add(v ^ (v * 1000)));
+        assert_eq!(out[0], (ticker, ticks));
+        assert_eq!(out[SLEEPER], (WAKE_TICK ^ ((WAKE_TICK + 1) * 1000), 1));
+        assert_eq!(out.iter().filter(|o| o.1 > 0).count(), 2);
+    }
+
+    /// Scripted LP: sends what its script says, when it says, and logs
+    /// what the runner hands it.
+    #[derive(Default)]
+    struct ScriptLp {
+        /// `Some(dst)`: a scripted send; `None`: a delivered message.
+        q: EventQueue<(Option<usize>, u64)>,
+        /// `(at, src, payload)` in `accept` order.
+        accepted: Vec<(u64, usize, u64)>,
+        /// `(payload, bound of the window it was processed in)`.
+        processed: Vec<(u64, u64)>,
+    }
+
+    impl Lp for ScriptLp {
+        type Msg = u64;
+        fn next_time(&mut self) -> Option<SimTime> {
+            self.q.peek_time()
         }
+        fn run_window(&mut self, bound: SimTime, out: &mut Outbox<u64>) {
+            while self.q.peek_time().is_some_and(|t| t < bound) {
+                match self.q.pop().unwrap() {
+                    (now, (Some(dst), v)) => out.send(now, dst, v),
+                    (_, (None, v)) => self.processed.push((v, bound.as_micros())),
+                }
+            }
+        }
+        fn accept(&mut self, at: SimTime, src: usize, msg: u64) {
+            self.accepted.push((at.as_micros(), src, msg));
+            self.q.schedule(at, (None, msg));
+        }
+    }
+
+    /// Run one `(at µs, dst, payload)` script per LP under a 1 ms window.
+    fn run_scripts(scripts: &[&[(u64, usize, u64)]]) -> Vec<ScriptLp> {
+        run_sharded(
+            scripts.len(),
+            SimDuration::from_millis(1),
+            ShardMode::Serial,
+            |i| {
+                let mut lp = ScriptLp::default();
+                for &(at, dst, v) in scripts[i] {
+                    lp.q.schedule(SimTime::from_micros(at), (Some(dst), v));
+                }
+                lp
+            },
+            |_, lp| lp,
+        )
+    }
+
+    #[test]
+    fn delivery_order_is_at_then_src_then_seq_not_visiting_order() {
+        // One window. LP 1 is visited before LP 2 and sends 11, 12, 10;
+        // LP 2 then sends 20, 21 — all to LP 0.
+        let out = run_scripts(&[
+            &[],
+            &[(700, 0, 10), (300, 0, 11), (300, 0, 12)],
+            &[(200, 0, 20), (300, 0, 21)],
+        ]);
+        assert_eq!(
+            out[0].accepted,
+            [
+                (1200, 2, 20), // earliest `at`, though sent by the later visit
+                (1300, 1, 11), // equal `at`: lower `src` first,
+                (1300, 1, 12), // then `seq` within one source
+                (1300, 2, 21),
+                (1700, 1, 10),
+            ]
+        );
+    }
+
+    #[test]
+    fn a_send_just_inside_the_bound_is_processed_in_the_next_window() {
+        // LP 2 is visited after the sender in the window `[0, 1000)`
+        // and is entered there (it has an event of its own), yet must
+        // not see the message until the window after.
+        let out = run_scripts(&[&[], &[(999, 2, 7)], &[(500, 0, 99)]]);
+        assert_eq!(out[2].accepted, [(1999, 1, 7)], "at = now + W ≥ bound");
+        assert_eq!(out[2].processed, [(7, 2000)]);
+        assert_eq!(out[0].processed, [(99, 2000)]);
     }
 }

@@ -663,8 +663,8 @@ mod tests {
     fn hosts_share_one_image_but_each_accounts_it() {
         let (mut a, mut b) = (host(), host());
         assert_eq!(shared_file_addr(&mut a), shared_file_addr(&mut b));
-        // Hosts built on other threads (the sharded engine builds them
-        // inside its workers) get the same allocation.
+        // Hosts built on other threads (the benches run independent
+        // fleets in parallel) get the same allocation.
         let there = std::thread::spawn(|| shared_file_addr(&mut host()))
             .join()
             .unwrap();

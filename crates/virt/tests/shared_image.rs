@@ -15,7 +15,7 @@ fn timed_host() -> (Duration, CloudHost) {
 
 #[test]
 fn first_use_builds_the_image_once_even_from_two_threads() {
-    // The sharded engine builds hosts inside its worker threads, so the
+    // The benches run independent fleets on parallel threads, so the
     // first two constructions may race. Each racer reports how long its
     // construction took and what its host accounts.
     let gate = Barrier::new(2);
