@@ -36,8 +36,8 @@ fn main() {
     let mut advantage = f64::INFINITY;
     let mut rows = Vec::new();
     for r in 1..REGIONS {
-        let g = grep.summary.regions[r].p99_response_s;
-        let c = brep.summary.regions[r].p99_response_s;
+        let g = grep.regions[r].p99_response_s;
+        let c = brep.regions[r].p99_response_s;
         advantage = advantage.min(c / g.max(1e-9));
         println!("region {r}: geo p99 {g:.2}s vs centralized {c:.2}s");
         rows.push(format!(

@@ -2,7 +2,6 @@
 //! committed baseline under `results/` with explicit tolerances.
 //!
 //! ```text
-//! perf_gate obsv    results/BENCH_obsv.json    candidate_obsv.json
 //! perf_gate cluster results/BENCH_cluster.json candidate_cluster.json
 //! perf_gate geo     results/BENCH_geo.json     candidate_geo.json
 //! perf_gate exec    results/BENCH_exec.json    candidate_exec.json
@@ -17,15 +16,15 @@
 //!
 //! Two metric classes, gated differently:
 //!
-//! * **Machine-independent ratios** (`enabled_over_disabled`,
-//!   `speedup_1_to_4`, `p99_edge_advantage`) — same-run
-//!   numerator/denominator, so hardware largely cancels. Gated
-//!   *tight*: FAIL on >25 % drift in the bad direction.
-//! * **Absolute rates** (`recorder_events_per_sec`, `wall_secs`
-//!   columns) — depend on the machine that wrote the baseline. Gated
-//!   *loose*: WARN on >20 % regression (the drift a same-hardware
-//!   rerun should stay inside), FAIL only past 50 % (an algorithmic
-//!   regression, not runner jitter). When the baseline
+//! * **Machine-independent ratios** (`speedup_1_to_4`,
+//!   `p99_edge_advantage`) — same-run numerator/denominator, so
+//!   hardware largely cancels. Gated *tight*: FAIL on >25 % drift in
+//!   the bad direction.
+//! * **Absolute rates** (`wall_secs` columns) — depend on the machine
+//!   that wrote the baseline. Gated *loose*: WARN on >20 % regression
+//!   (the drift a same-hardware rerun should stay inside), FAIL only
+//!   past 50 % (an algorithmic regression, not runner jitter). When
+//!   the baseline
 //!   and candidate disagree on the `smoke` flag the absolute rows are
 //!   reported but not gated at all — smoke horizons are too short for
 //!   the rates to be comparable.
@@ -41,8 +40,6 @@
 //! on one machine and commit the outputs:
 //!
 //! ```text
-//! BENCH_OBSV_OUT=results/BENCH_obsv.json \
-//!   cargo bench --offline -p rattrap-bench --bench obsv_overhead
 //! BENCH_CLUSTER_OUT=results/BENCH_cluster.json \
 //!   cargo bench --offline -p rattrap-bench --bench cluster_scaling
 //! BENCH_GEO_OUT=results/BENCH_geo.json \
@@ -178,31 +175,6 @@ fn fmt_num(v: Option<f64>) -> String {
         Some(v) if v.abs() >= 1000.0 => format!("{v:.0}"),
         Some(v) => format!("{v:.3}"),
     }
-}
-
-fn compare_obsv(base: &Value, cand: &Value, same_mode: bool) -> Vec<Row> {
-    let mut rows = Vec::new();
-    check(
-        &mut rows,
-        base,
-        cand,
-        "recorder_events_per_sec",
-        "recorder events/s",
-        true,
-        false,
-        same_mode,
-    );
-    check(
-        &mut rows,
-        base,
-        cand,
-        "enabled_over_disabled",
-        "tracing enabled/disabled ratio",
-        false,
-        true,
-        same_mode,
-    );
-    rows
 }
 
 fn compare_cluster(base: &Value, cand: &Value, same_mode: bool) -> Vec<Row> {
@@ -429,9 +401,7 @@ fn compare_storm(base: &Value, cand: &Value, same_mode: bool) -> Vec<Row> {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().collect();
     let [_, kind, base_path, cand_path] = &args[..] else {
-        eprintln!(
-            "usage: perf_gate <obsv|cluster|geo|exec|storm> <baseline.json> <candidate.json>"
-        );
+        eprintln!("usage: perf_gate <cluster|geo|exec|storm> <baseline.json> <candidate.json>");
         return ExitCode::from(2);
     };
     let load = |p: &str| -> Value {
@@ -450,13 +420,12 @@ fn main() -> ExitCode {
     let same_mode = matches!((flag(&base), flag(&cand)), (Some(b), Some(c)) if b == c);
 
     let rows = match kind.as_str() {
-        "obsv" => compare_obsv(&base, &cand, same_mode),
         "cluster" => compare_cluster(&base, &cand, same_mode),
         "geo" => compare_geo(&base, &cand, same_mode),
         "exec" => compare_exec(&base, &cand, same_mode),
         "storm" => compare_storm(&base, &cand, same_mode),
         other => {
-            eprintln!("unknown bench kind {other:?} (expected obsv|cluster|geo|exec|storm)");
+            eprintln!("unknown bench kind {other:?} (expected cluster|geo|exec|storm)");
             return ExitCode::from(2);
         }
     };

@@ -147,13 +147,7 @@ pub fn run_scaled(seed: u64, smoke: bool) -> ExperimentOutput {
             "p99 delta",
         ],
     );
-    for (i, (g, b)) in grep
-        .summary
-        .regions
-        .iter()
-        .zip(&brep.summary.regions)
-        .enumerate()
-    {
+    for (i, (g, b)) in grep.regions.iter().zip(&brep.regions).enumerate() {
         table.row(&[
             i.to_string(),
             g.submitted.to_string(),
@@ -233,8 +227,8 @@ pub fn run_scaled(seed: u64, smoke: bool) -> ExperimentOutput {
     ]);
 
     let mut sc = Scorecard::new();
-    let remote_win = (1..REGIONS)
-        .all(|r| grep.summary.regions[r].p99_response_s < brep.summary.regions[r].p99_response_s);
+    let remote_win =
+        (1..REGIONS).all(|r| grep.regions[r].p99_response_s < brep.regions[r].p99_response_s);
     sc.expect(
         "geo wins p99 in every remote region",
         "geo p99 < centralized p99 for regions 1..",
@@ -242,7 +236,7 @@ pub fn run_scaled(seed: u64, smoke: bool) -> ExperimentOutput {
             .map(|r| {
                 format!(
                     "r{r}: {:.2} vs {:.2}",
-                    grep.summary.regions[r].p99_response_s, brep.summary.regions[r].p99_response_s
+                    grep.regions[r].p99_response_s, brep.regions[r].p99_response_s
                 )
             })
             .collect::<Vec<_>>()

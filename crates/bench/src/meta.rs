@@ -105,7 +105,7 @@ pub fn print_header(seed: u64) {
 /// root*, not the process working directory — `cargo bench` runs
 /// bench executables with the package dir (`crates/bench`) as cwd, so
 /// a raw relative path would land baselines (and CI gate candidates
-/// like `perf-obsv.json`) two levels below where every consumer
+/// like `perf-geo.json`) two levels below where every consumer
 /// looks for them.
 pub fn baseline_out(env_var: &str, default: &str) -> std::path::PathBuf {
     let raw = std::env::var(env_var).unwrap_or_else(|_| default.to_owned());

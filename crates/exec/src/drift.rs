@@ -6,7 +6,7 @@
 //! for a task of that nominal size. The ratio `real / modeled` is the
 //! calibration signal: 1.0 means the cycle profile prices the kernel
 //! perfectly on this host; the committed
-//! [`CalibrationMap`](crate::replay::CalibrationMap) is exactly these
+//! [`CalibrationMap`] is exactly these
 //! ratios, recorded on the reference machine.
 
 use crate::backend::HostClass;

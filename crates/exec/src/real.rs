@@ -6,7 +6,7 @@
 //! measured wall time becomes the sim-time charge (scaled from the
 //! measuring host's clock to the simulated host's). Every execution is
 //! logged as a [`Measurement`]; [`RealBackend::calibration`] folds the
-//! log into a [`CalibrationMap`](crate::replay::CalibrationMap) for
+//! log into a [`CalibrationMap`] for
 //! deterministic replay.
 //!
 //! Wall clocks are not reproducible, so this backend reports

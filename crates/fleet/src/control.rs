@@ -12,11 +12,12 @@
 //!
 //! The plane owns the router, admission control, autoscaling
 //! (including cloud-burst loans), the rebalancer, the device access
-//! networks and the fabrics. It speaks [`Wire`] to unmodified
-//! [`HostLp`] shards (LP `g + 1` is global host `g`), and reports in
-//! the fleet's own record and counter types plus what only a
-//! multi-cell layout can move ([`WideStats`], [`MigrationRecord`]);
-//! each front-end maps that to its report.
+//! networks and the fabrics. It speaks the engine's wire protocol to
+//! unmodified host shards (LP `g + 1` is global host `g`), and
+//! [`ControlLayout::run`] returns the finished [`FleetReport`] —
+//! counters only a multi-cell layout can move and every
+//! [`MigrationRecord`] included, so a front-end adds only what its
+//! geography knows.
 //!
 //! Every random draw comes from a stream derived from the layout's
 //! master seed (control streams draw in event order; network streams
@@ -28,7 +29,9 @@ use crate::autoscaler::{Autoscaler, FleetAction};
 use crate::config::{AutoscalePolicy, FleetConfig, RebalancePolicy};
 use crate::engine::{kind_ix, HostLp, HostOut, Wire, CTL};
 use crate::rebalance::Rebalancer;
-use crate::report::{ControlStats, FleetRequestRecord, MigrationRecord, ScenarioStats, WideStats};
+use crate::report::{
+    ControlStats, FleetReport, FleetRequestRecord, HostReport, MigrationRecord, ScenarioStats,
+};
 use crate::router::{RouteReason, Router};
 use netsim::{Direction, Link, NetworkScenario, SharedLink};
 use obsv::{attrs, AttrValue, Recorder, SpanId, Subsystem, TraceSnapshot};
@@ -207,30 +210,6 @@ impl ControlLayout {
 }
 
 // ====================================================================
-// Output
-// ====================================================================
-
-/// What the control plane reports when its run ends.
-pub struct ControlOut {
-    /// Per-request outcomes, arrival order. What a multi-cell report
-    /// adds per request follows from the layout: the home region is
-    /// [`ControlLayout::region_of_user`], the serving cell is the
-    /// host's.
-    pub records: Vec<FleetRequestRecord>,
-    /// Control-plane activity.
-    pub control: ControlStats,
-    /// Multi-cell activity and the single-admission count.
-    pub wide: WideStats,
-    /// Per host: (crashes, migrations_out, migrations_in).
-    pub hosts: Vec<(u64, u64, u64)>,
-    /// Every migration started, slot order.
-    pub migrations: Vec<MigrationRecord>,
-    /// Scenario-plane accounting, when the run carried a plan.
-    pub scenario: Option<ScenarioStats>,
-    snapshot: TraceSnapshot,
-}
-
-// ====================================================================
 // State
 // ====================================================================
 
@@ -353,7 +332,6 @@ struct ControlLp {
     reqs: Vec<ReqState>,
     migs: Vec<MigSlot>,
     control: ControlStats,
-    wide: WideStats,
     aids: Vec<Aid>,
     rng_svc: SimRng,
     rng_retry: SimRng,
@@ -440,7 +418,6 @@ impl ControlLp {
             reqs: Vec::new(),
             migs: Vec::new(),
             control: ControlStats::default(),
-            wide: WideStats::default(),
             aids: WorkloadKind::ALL
                 .iter()
                 .map(|k| aid_of(k.app_id()))
@@ -652,7 +629,7 @@ impl ControlLp {
         // A request must never hold two slots at once, however it
         // spilled, re-routed or deferred.
         if self.reqs[req].holding {
-            self.wide.double_admissions += 1;
+            self.control.double_admissions += 1;
         }
         assert!(self.admission.admit(d.host), "router picked a full host");
         match d.reason {
@@ -661,7 +638,7 @@ impl ControlLp {
             RouteReason::Spill => self.control.spill_routes += 1,
         }
         if d.cross_region {
-            self.wide.cross_region_routes += 1;
+            self.control.cross_region_routes += 1;
         }
         let r = &mut self.reqs[req];
         r.holding = true;
@@ -728,7 +705,7 @@ impl ControlLp {
         match self.layout.legs[self.reqs[req].region * self.cells.len() + cell] {
             None => SimDuration::ZERO,
             Some(leg) => {
-                self.wide.wan_request_bytes += bytes;
+                self.control.wan_request_bytes += bytes;
                 leg.rtt + SimDuration::from_secs_f64(bytes as f64 / leg.bps)
             }
         }
@@ -1120,7 +1097,7 @@ impl ControlLp {
                 }
                 (Some(FleetAction::Activate), None, Some((core, host))) => {
                     self.activate(now, host);
-                    self.wide.bursts += 1;
+                    self.control.bursts += 1;
                     if self.rec.is_enabled() {
                         self.rec.instant(
                             self.layout.subsystem,
@@ -1234,11 +1211,17 @@ impl ControlLp {
         self.routers[cell].rebuild(&active);
     }
 
-    fn finish_lp(self) -> ControlOut {
+    /// The finished report, less what only the host shards know
+    /// (`served` and the two peaks, filled in by [`ControlLayout::run`]),
+    /// plus the plane's trace buffer.
+    fn finish_lp(self) -> (FleetReport, TraceSnapshot) {
         self.rec.set_current_request(None);
+        // Consumed, not borrowed: the request table is the run's
+        // largest allocation and is gone before the summary's samples
+        // are.
         let records: Vec<FleetRequestRecord> = self
             .reqs
-            .iter()
+            .into_iter()
             .enumerate()
             .map(|(i, r)| FleetRequestRecord {
                 id: i as u64,
@@ -1263,19 +1246,27 @@ impl ControlLp {
                 &records,
             )
         });
-        ControlOut {
-            records,
-            control: self.control,
-            wide: self.wide,
-            hosts: self
-                .hosts
-                .iter()
-                .map(|h| (h.crashes, h.migrations_out, h.migrations_in))
-                .collect(),
-            migrations: self.migs.into_iter().map(|m| m.rec).collect(),
-            scenario,
-            snapshot: self.rec.snapshot(),
-        }
+        let hosts = self
+            .hosts
+            .iter()
+            .enumerate()
+            .map(|(g, h)| {
+                let cell = &self.layout.cells[h.cell];
+                HostReport {
+                    cell: h.cell,
+                    memory_bytes: cell.host_cfg.host_specs[g - cell.hosts.start].memory_bytes,
+                    migrations_out: h.migrations_out,
+                    migrations_in: h.migrations_in,
+                    crashes: h.crashes,
+                    ..HostReport::default()
+                }
+            })
+            .collect();
+        let mut report =
+            FleetReport::summarize(records, self.control, hosts, self.layout.traffic.duration);
+        report.migrations = self.migs.into_iter().map(|m| m.rec).collect();
+        report.scenario = scenario;
+        (report, self.rec.snapshot())
     }
 }
 
@@ -1323,21 +1314,21 @@ impl Lp for PlaneLp {
 }
 
 enum LpOut {
-    Ctl(Box<ControlOut>),
+    Ctl(Box<(FleetReport, TraceSnapshot)>),
     Host(HostOut),
 }
 
 impl ControlLayout {
     /// Run the layout to completion: the control plane as LP 0, one
-    /// [`HostLp`] per host (charging compute through `backend` when
+    /// host shard per host (charging compute through `backend` when
     /// given), every LP's trace merged into `rec` in LP order. Returns
-    /// the plane's output and the hosts', global index order. The one
-    /// LP build/merge path behind every `run_fleet*` and `run_geo*`.
+    /// the run's report, hosts in global index order. The one LP
+    /// build/merge path behind every `run_fleet*` and `run_geo*`.
     pub fn run(
         self: &Arc<Self>,
         rec: &Recorder,
         backend: Option<exec::BackendHandle>,
-    ) -> (ControlOut, Vec<HostOut>) {
+    ) -> FleetReport {
         let n_hosts = self.cells.last().map_or(0, |c| c.hosts.end);
         let rec_cfg = rec.config();
 
@@ -1385,16 +1376,17 @@ impl ControlLayout {
         let Some(LpOut::Ctl(ctl)) = outs.next() else {
             unreachable!("LP 0 is the control plane");
         };
-        rec.import(&ctl.snapshot);
-        let hosts = outs
-            .map(|o| match o {
-                LpOut::Host(h) => {
-                    rec.import(&h.snapshot);
-                    h
-                }
-                LpOut::Ctl(_) => unreachable!("one control plane"),
-            })
-            .collect();
-        (*ctl, hosts)
+        let (mut report, snapshot) = *ctl;
+        rec.import(&snapshot);
+        for (host, o) in report.hosts.iter_mut().zip(outs) {
+            let LpOut::Host(o) = o else {
+                unreachable!("one control plane");
+            };
+            rec.import(&o.snapshot);
+            host.served = o.served;
+            host.peak_instances = o.peak_instances;
+            host.peak_memory = o.peak_memory;
+        }
+        report
     }
 }

@@ -19,7 +19,7 @@
 //! This module holds the host shard, the wire protocol, and the fleet
 //! front-end: [`run_fleet`] and friends describe a [`FleetConfig`] to
 //! the shared control plane as its flat layout — one region, one cell,
-//! one zero-RTT fabric — and map what comes back to a [`FleetReport`].
+//! one zero-RTT fabric — and hand back the [`FleetReport`] it returns.
 //!
 //! One windowed runner drives every LP on the caller's thread, so the
 //! same [`FleetConfig`] reproduces the same [`FleetReport`] bit for
@@ -29,7 +29,7 @@ use crate::config::FleetConfig;
 use crate::control::{
     CellDecision, CellLayout, ControlLayout, FabricLayout, RegionLayout, STREAM_TRAFFIC,
 };
-use crate::report::{FleetReport, HostReport};
+use crate::report::FleetReport;
 use netsim::{Direction, Link};
 use obsv::{attrs, AttrValue, Recorder, SpanId, Subsystem, TraceSnapshot};
 use rattrap::warehouse::{aid_of, Aid};
@@ -49,11 +49,9 @@ pub(crate) const CTL: usize = 0;
 /// hand-off and lifecycle commands; host → control messages carry
 /// completion notices and state the router needs (warm-hint flips).
 ///
-/// Spoken only between [`crate::control`] and [`HostLp`]; public (but
-/// doc-hidden) because `HostLp`'s public methods name it.
-#[doc(hidden)]
+/// Spoken only between [`crate::control`] and [`HostLp`].
 #[derive(Debug)]
-pub enum Wire {
+pub(crate) enum Wire {
     // ------------------------------------------------- control → host
     /// Serve `req`: the uploaded payload has arrived at the host.
     Start {
@@ -193,8 +191,7 @@ struct Pending {
 /// only by [`ControlLayout::run`], for flat fleets and
 /// multi-region topologies alike; everything else should go through
 /// [`run_fleet`].
-#[doc(hidden)]
-pub struct HostLp {
+pub(crate) struct HostLp {
     h: usize,
     cfg: Arc<FleetConfig>,
     rec: Recorder,
@@ -828,10 +825,9 @@ impl HostLp {
     }
 }
 
-/// What a host shard reports when its run ends. Doc-hidden, public
-/// because [`ControlLayout::run`] hands it to both front-ends.
-#[doc(hidden)]
-pub struct HostOut {
+/// What a host shard reports when its run ends; [`ControlLayout::run`]
+/// folds it into the host's [`crate::HostReport`].
+pub(crate) struct HostOut {
     /// Requests this host completed.
     pub served: u64,
     /// High-water mark of concurrently provisioned instances.
@@ -933,30 +929,11 @@ fn run_fleet_inner(
     rec: Recorder,
     backend: Option<exec::BackendHandle>,
 ) -> FleetReport {
-    let (ctl, host_outs) = Arc::new(flat_layout(cfg)).run(&rec, backend);
+    let report = Arc::new(flat_layout(cfg)).run(&rec, backend);
     // The crash re-route and radio-deferral paths give slots back by
     // hand; the plane counts any request admitted while still holding
     // one.
-    debug_assert_eq!(ctl.wide.double_admissions, 0, "single admission");
-    let hosts = cfg
-        .host_specs
-        .iter()
-        .zip(host_outs)
-        .zip(&ctl.hosts)
-        .map(
-            |((spec, o), &(crashes, migrations_out, migrations_in))| HostReport {
-                served: o.served,
-                peak_instances: o.peak_instances,
-                peak_memory: o.peak_memory,
-                memory_bytes: spec.memory_bytes,
-                migrations_out,
-                migrations_in,
-                crashes,
-            },
-        )
-        .collect();
-    let mut report = FleetReport::summarize(ctl.records, ctl.control, hosts, cfg.traffic.duration);
-    report.scenario = ctl.scenario;
+    debug_assert_eq!(report.control.double_admissions, 0, "single admission");
     report
 }
 

@@ -52,8 +52,8 @@ pub use config::{AutoscalePolicy, FleetConfig, RebalancePolicy};
 pub use engine::{run_fleet, run_fleet_backend, run_fleet_traced};
 pub use rebalance::{RebalanceMove, Rebalancer};
 pub use report::{
-    ControlStats, FleetReport, FleetRequestRecord, FleetSummary, HostReport, ScenarioStats,
-    TenantStats,
+    ControlStats, FleetReport, FleetRequestRecord, FleetSummary, HostReport, MigrationRecord,
+    ScenarioStats, TenantStats,
 };
 pub use router::{RouteDecision, RouteReason, Router};
 pub use serve::FleetHandler;

@@ -73,19 +73,15 @@ pub struct ControlStats {
     pub scale_ups: u64,
     /// Active hosts drained by the autoscaler.
     pub drains: u64,
-}
-
-/// Counters only a multi-cell layout can move, plus the
-/// single-admission violation count every layout must keep at zero.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WideStats {
-    /// Requests served outside their home region.
+    /// Requests served outside their home region (zero on a one-region
+    /// layout, like the next two).
     pub cross_region_routes: u64,
     /// Cloud-burst activations on behalf of a saturated cell.
     pub bursts: u64,
     /// Request payload bytes that crossed a WAN leg.
     pub wan_request_bytes: u64,
-    /// Times a request was admitted while already holding a slot.
+    /// Times a request was admitted while already holding a slot —
+    /// every layout must keep this at zero.
     pub double_admissions: u64,
 }
 
@@ -117,6 +113,8 @@ pub struct MigrationRecord {
 /// Per-host accounting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HostReport {
+    /// The cell the host belongs to (zero on a one-cell layout).
+    pub cell: usize,
     /// Requests this host completed.
     pub served: u64,
     /// Peak concurrently provisioned instances.
@@ -152,8 +150,76 @@ pub struct FleetSummary {
     pub p50_response_s: f64,
     /// 95th-percentile response time of remote completions, seconds.
     pub p95_response_s: f64,
+    /// 99th-percentile response time of remote completions, seconds.
+    pub p99_response_s: f64,
     /// Trace duration, seconds.
     pub duration_s: f64,
+}
+
+/// Disposition counts and the remote response-time distribution of a
+/// set of records: the one pass every summary (fleet, per-tenant,
+/// per-region) is built from. Samples are taken in iteration order, so
+/// the mean's summation order — and with it every float bit — is the
+/// caller's record order.
+struct Tally {
+    submitted: u64,
+    completed_remote: u64,
+    fallback_local: u64,
+    abandoned: u64,
+    mean_response_s: f64,
+    remote: Cdf,
+}
+
+impl Tally {
+    fn of<'a>(records: impl Iterator<Item = &'a FleetRequestRecord>) -> Self {
+        let (mut submitted, mut fallback_local, mut abandoned) = (0, 0, 0);
+        let mut remote = Vec::new();
+        for r in records {
+            submitted += 1;
+            if r.remote() {
+                remote.push(r.response().as_secs_f64());
+            }
+            if r.fell_back && r.phase == Phase::Done {
+                fallback_local += 1;
+            }
+            if matches!(r.phase, Phase::Abandoned | Phase::Failed) {
+                abandoned += 1;
+            }
+        }
+        Tally {
+            submitted,
+            completed_remote: remote.len() as u64,
+            fallback_local,
+            abandoned,
+            mean_response_s: if remote.is_empty() {
+                0.0
+            } else {
+                remote.iter().sum::<f64>() / remote.len() as f64
+            },
+            remote: Cdf::from_samples(remote),
+        }
+    }
+
+    fn quantile(&self, q: f64) -> f64 {
+        self.remote.quantile(q).unwrap_or(0.0)
+    }
+}
+
+impl FleetSummary {
+    fn new(t: &Tally, duration_s: f64) -> Self {
+        FleetSummary {
+            submitted: t.submitted,
+            completed_remote: t.completed_remote,
+            fallback_local: t.fallback_local,
+            abandoned: t.abandoned,
+            throughput_rps: t.completed_remote as f64 / duration_s,
+            mean_response_s: t.mean_response_s,
+            p50_response_s: t.remote.median().unwrap_or(0.0),
+            p95_response_s: t.quantile(0.95),
+            p99_response_s: t.quantile(0.99),
+            duration_s,
+        }
+    }
 }
 
 /// Per-tenant accounting when a scenario declares explicit tenants
@@ -215,36 +281,15 @@ impl ScenarioStats {
             .iter()
             .enumerate()
             .map(|(t, name)| {
-                let mine: Vec<&FleetRequestRecord> = records
-                    .iter()
-                    .filter(|r| tenant_of(r.user) == t as u32)
-                    .collect();
-                let remote: Vec<f64> = mine
-                    .iter()
-                    .filter(|r| r.remote())
-                    .map(|r| r.response().as_secs_f64())
-                    .collect();
-                let mean = if remote.is_empty() {
-                    0.0
-                } else {
-                    remote.iter().sum::<f64>() / remote.len() as f64
-                };
-                let completed_remote = remote.len() as u64;
-                let cdf = Cdf::from_samples(remote);
+                let mine = Tally::of(records.iter().filter(|r| tenant_of(r.user) == t as u32));
                 TenantStats {
                     name: name.clone(),
-                    submitted: mine.len() as u64,
-                    completed_remote,
-                    fallback_local: mine
-                        .iter()
-                        .filter(|r| r.fell_back && r.phase == Phase::Done)
-                        .count() as u64,
-                    abandoned: mine
-                        .iter()
-                        .filter(|r| matches!(r.phase, Phase::Abandoned | Phase::Failed))
-                        .count() as u64,
-                    mean_response_s: mean,
-                    p99_response_s: cdf.quantile(0.99).unwrap_or(0.0),
+                    submitted: mine.submitted,
+                    completed_remote: mine.completed_remote,
+                    fallback_local: mine.fallback_local,
+                    abandoned: mine.abandoned,
+                    mean_response_s: mine.mean_response_s,
+                    p99_response_s: mine.quantile(0.99),
                 }
             })
             .collect();
@@ -287,6 +332,8 @@ pub struct FleetReport {
     pub control: ControlStats,
     /// Per-host accounting, index order.
     pub hosts: Vec<HostReport>,
+    /// Every migration the control plane started, slot order.
+    pub migrations: Vec<MigrationRecord>,
     /// Aggregates.
     pub summary: FleetSummary,
     /// Scenario-plane accounting (`None` unless the config carried a
@@ -302,53 +349,35 @@ impl FleetReport {
         hosts: Vec<HostReport>,
         duration: SimDuration,
     ) -> Self {
-        let submitted = records.len() as u64;
-        let completed_remote = records.iter().filter(|r| r.remote()).count() as u64;
-        let fallback_local = records
-            .iter()
-            .filter(|r| r.fell_back && r.phase == Phase::Done)
-            .count() as u64;
-        let abandoned = records
-            .iter()
-            .filter(|r| matches!(r.phase, Phase::Abandoned | Phase::Failed))
-            .count() as u64;
-        let remote: Vec<f64> = records
-            .iter()
-            .filter(|r| r.remote())
-            .map(|r| r.response().as_secs_f64())
-            .collect();
-        let mean = if remote.is_empty() {
-            0.0
-        } else {
-            remote.iter().sum::<f64>() / remote.len() as f64
-        };
-        let cdf = Cdf::from_samples(remote);
-        let duration_s = duration.as_secs_f64();
-        let summary = FleetSummary {
-            submitted,
-            completed_remote,
-            fallback_local,
-            abandoned,
-            throughput_rps: completed_remote as f64 / duration_s,
-            mean_response_s: mean,
-            p50_response_s: cdf.median().unwrap_or(0.0),
-            p95_response_s: cdf.quantile(0.95).unwrap_or(0.0),
-            duration_s,
-        };
+        let summary = FleetSummary::new(&Tally::of(records.iter()), duration.as_secs_f64());
         FleetReport {
             records,
             control,
             hosts,
+            migrations: Vec::new(),
             summary,
             scenario: None,
         }
     }
 
-    /// Canonical digest over every observable field — the golden
-    /// determinism contract. Any microsecond, byte, or float bit that
-    /// moves in the report moves this. The scenario block is hashed
-    /// only when present, so scenario-free runs keep the digests
-    /// pinned before the scenario plane existed.
+    /// The summary of the records `keep` selects (one region's, say)
+    /// over the same trace.
+    pub fn summary_of(&self, keep: impl Fn(&FleetRequestRecord) -> bool) -> FleetSummary {
+        let mine = self.records.iter().filter(|r| keep(r));
+        FleetSummary::new(&Tally::of(mine), self.summary.duration_s)
+    }
+
+    /// Canonical digest — the golden determinism contract. Any
+    /// microsecond, byte, or float bit that moves in a hashed field
+    /// moves this. The scenario block is hashed only when present, so
+    /// scenario-free runs keep the digests pinned before the scenario
+    /// plane existed. The field lists are explicit and deliberately
+    /// stop short of the four multi-cell counters and `hosts[..].cell`
+    /// (zero on a flat layout), `migrations` (its totals are hashed
+    /// through `control` and `hosts`) and `summary.p99_response_s`
+    /// (one more quantile of hashed samples): naming them would move
+    /// every pinned fleet digest for no new evidence. A multi-cell
+    /// front-end folds them in on top (`geo::GeoReport::digest`).
     pub fn digest(&self) -> u64 {
         let mut h = ReportHasher::new();
         h.write_u64(self.records.len() as u64);
@@ -451,6 +480,37 @@ mod tests {
         assert_eq!(rep.summary.abandoned, 1);
         assert!((rep.summary.throughput_rps - 0.2).abs() < 1e-12);
         assert!((rep.summary.mean_response_s - 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_flat_run_leaves_the_multi_cell_fields_at_rest() {
+        let mut cfg = crate::FleetConfig::paper_default(3, 21);
+        cfg.traffic.users = 24;
+        cfg.traffic.duration = SimDuration::from_secs(600);
+        cfg.rebalance.imbalance_threshold = 0.05;
+        cfg.rebalance.min_interval = SimDuration::from_secs(10);
+        let rep = crate::run_fleet(&cfg);
+        let c = &rep.control;
+        assert_eq!(
+            (
+                c.cross_region_routes,
+                c.bursts,
+                c.wan_request_bytes,
+                c.double_admissions
+            ),
+            (0, 0, 0, 0)
+        );
+        assert!(rep.hosts.iter().all(|h| h.cell == 0));
+        assert!(!rep.migrations.is_empty(), "the eager rebalancer moved");
+        assert_eq!(rep.migrations.len() as u64, c.migrations_started);
+        assert!(rep.summary.p99_response_s >= rep.summary.p95_response_s);
+        // None of them is in the fleet digest's byte stream.
+        let mut wide = rep.clone();
+        wide.control.bursts = 1;
+        wide.hosts[0].cell = 1;
+        wide.migrations.clear();
+        wide.summary.p99_response_s += 1.0;
+        assert_eq!(rep.digest(), wide.digest());
     }
 
     #[test]

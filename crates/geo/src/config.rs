@@ -286,7 +286,7 @@ impl GeoConfig {
 #[derive(Debug, Clone)]
 pub struct Topology {
     host_base: Vec<usize>,
-    cell_of_host: Vec<usize>,
+    n_hosts: usize,
     n_regions: usize,
     wan: WanConfig,
 }
@@ -295,24 +295,14 @@ impl Topology {
     /// Build the map for `cfg`.
     pub fn new(cfg: &GeoConfig) -> Self {
         let mut host_base = Vec::new();
-        let mut cell_of_host = Vec::new();
         let mut base = 0;
-        for (cell, _) in cfg
-            .regions
-            .iter()
-            .flat_map(|r| [&r.edge, &r.core])
-            .enumerate()
-        {
-            let tier = cfg.tier(cell);
+        for tier in cfg.regions.iter().flat_map(|r| [&r.edge, &r.core]) {
             host_base.push(base);
-            for _ in 0..tier.hosts {
-                cell_of_host.push(cell);
-            }
             base += tier.hosts;
         }
         Topology {
             host_base,
-            cell_of_host,
+            n_hosts: base,
             n_regions: cfg.regions.len(),
             wan: cfg.wan,
         }
@@ -330,7 +320,7 @@ impl Topology {
 
     /// Total hosts across every cell.
     pub fn n_hosts(&self) -> usize {
-        self.cell_of_host.len()
+        self.n_hosts
     }
 
     /// Region `r`'s edge-PoP cell.
@@ -353,11 +343,6 @@ impl Topology {
         cell.is_multiple_of(2)
     }
 
-    /// The cell a global host index belongs to.
-    pub fn cell_of_host(&self, host: usize) -> usize {
-        self.cell_of_host[host]
-    }
-
     /// Global indices of `cell`'s hosts.
     pub fn hosts_in(&self, cell: usize) -> std::ops::Range<usize> {
         let base = self.host_base[cell];
@@ -365,13 +350,8 @@ impl Topology {
             .host_base
             .get(cell + 1)
             .copied()
-            .unwrap_or(self.cell_of_host.len());
+            .unwrap_or(self.n_hosts);
         base..end
-    }
-
-    /// A global host index as its cell-local index.
-    pub fn local_index(&self, host: usize) -> usize {
-        host - self.host_base[self.cell_of_host[host]]
     }
 
     /// Ring distance between two regions (shorter way around).
@@ -481,7 +461,6 @@ mod tests {
         let mut seen = 0;
         for cell in 0..topo.n_cells() {
             for g in topo.hosts_in(cell) {
-                assert_eq!(topo.cell_of_host(g), cell);
                 assert_eq!(g, seen);
                 seen += 1;
             }
@@ -490,7 +469,6 @@ mod tests {
         assert_eq!(topo.edge_cell(1), 2);
         assert_eq!(topo.core_cell(1), 3);
         assert!(topo.is_edge(2) && !topo.is_edge(3));
-        assert_eq!(topo.local_index(5), 5 - topo.hosts_in(2).start);
     }
 
     #[test]

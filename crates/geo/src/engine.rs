@@ -3,7 +3,7 @@
 //!
 //! There is one control plane, and it is the fleet's
 //! ([`fleet::control`]): this module describes a [`GeoConfig`] to it
-//! as a cell layout and maps what comes back to a [`GeoReport`]. Every
+//! as a cell layout and wraps what comes back in a [`GeoReport`]. Every
 //! tier is a cell with its own ring, autoscaler and host config; every
 //! region is a device population on its edge tier's radio, with its
 //! own derived trace stream phase-shifted by its timezone; every cell
@@ -23,7 +23,7 @@
 //! [`GeoConfig`] produce bit-identical [`GeoReport`]s.
 
 use crate::config::{GeoConfig, Topology};
-use crate::report::{GeoControlStats, GeoHostReport, GeoReport, GeoRequestRecord};
+use crate::report::GeoReport;
 use crate::router::GeoRouter;
 use fleet::control::{
     CellLayout, ControlLayout, FabricLayout, RegionLayout, WanLeg, STREAM_TRAFFIC,
@@ -159,73 +159,10 @@ fn run_geo_inner(
 ) -> GeoReport {
     let topo = Topology::new(cfg);
     let layout = Arc::new(geo_layout(cfg, &topo));
-    let (ctl, host_outs) = layout.run(&rec, backend);
-
-    let records = ctl
-        .records
-        .into_iter()
-        .map(|r| {
-            let region = layout.region_of_user(r.user);
-            let cell = r.host.map(|g| topo.cell_of_host(g));
-            GeoRequestRecord {
-                id: r.id,
-                user: r.user,
-                region,
-                kind: r.kind,
-                arrival: r.arrival,
-                finished: r.finished,
-                phase: r.phase,
-                fell_back: r.fell_back,
-                cell,
-                host: r.host,
-                cross_region: cell.is_some_and(|c| topo.region_of_cell(c) != region),
-                attempts: r.attempts,
-                reason: r.reason,
-            }
-        })
-        .collect();
-    let control = GeoControlStats {
-        affinity_routes: ctl.control.affinity_routes,
-        hash_routes: ctl.control.hash_routes,
-        spill_routes: ctl.control.spill_routes,
-        cross_region_routes: ctl.wide.cross_region_routes,
-        shed: ctl.control.shed,
-        scale_ups: ctl.control.scale_ups,
-        bursts: ctl.wide.bursts,
-        drains: ctl.control.drains,
-        migrations_started: ctl.control.migrations_started,
-        migrations_completed: ctl.control.migrations_completed,
-        migration_bytes: ctl.control.migration_bytes,
-        wan_request_bytes: ctl.wide.wan_request_bytes,
-        double_admissions: ctl.wide.double_admissions,
-    };
-    let hosts = host_outs
-        .into_iter()
-        .zip(&ctl.hosts)
-        .enumerate()
-        .map(|(g, (o, &(_, migrations_out, migrations_in)))| {
-            let cell = topo.cell_of_host(g);
-            GeoHostReport {
-                cell,
-                served: o.served,
-                peak_instances: o.peak_instances,
-                peak_memory: o.peak_memory,
-                memory_bytes: cfg.tier(cell).spec.memory_bytes,
-                migrations_out,
-                migrations_in,
-            }
-        })
-        .collect();
-    let mut report = GeoReport::summarize(
-        records,
-        control,
-        hosts,
-        ctl.migrations,
-        topo.n_regions(),
-        cfg.traffic.duration,
-    );
-    report.scenario = ctl.scenario;
-    report
+    GeoReport::new(
+        layout.run(&rec, backend),
+        cfg.regions.iter().map(|r| r.users),
+    )
 }
 
 #[cfg(test)]
@@ -254,8 +191,8 @@ mod tests {
                 r.id,
                 r.phase
             );
-            assert!(r.region < 2);
-            if let (Some(cell), Some(host)) = (r.cell, r.host) {
+            assert!(rep.region_of(r) < 2);
+            if let (Some(cell), Some(host)) = (rep.cell_of(r), r.host) {
                 assert!(cell < 4);
                 assert!(host < 8);
             }
@@ -265,6 +202,11 @@ mod tests {
             rep.summary.submitted
         );
         assert_eq!(rep.control.double_admissions, 0);
+        // The report's host → cell map is the topology's.
+        let topo = Topology::new(&cfg);
+        for cell in 0..topo.n_cells() {
+            assert!(topo.hosts_in(cell).all(|g| rep.hosts[g].cell == cell));
+        }
     }
 
     #[test]
@@ -280,7 +222,7 @@ mod tests {
         assert!(!remote.is_empty());
         let home_edge = remote
             .iter()
-            .filter(|r| !r.cross_region && r.cell.is_some_and(|c| c % 2 == 0))
+            .filter(|r| !rep.cross_region(r) && rep.cell_of(r).is_some_and(|c| c % 2 == 0))
             .count();
         assert!(
             home_edge * 2 > remote.len(),

@@ -39,8 +39,5 @@ pub mod router;
 
 pub use config::{GeoConfig, RegionSpec, TierSpec, Topology, WanConfig};
 pub use engine::{run_geo, run_geo_backend, run_geo_traced};
-pub use report::{
-    GeoControlStats, GeoHostReport, GeoMigrationRecord, GeoRegionSummary, GeoReport,
-    GeoRequestRecord, GeoSummary,
-};
+pub use report::{GeoRegionSummary, GeoReport};
 pub use router::{GeoDecision, GeoRouter};

@@ -5,11 +5,12 @@
 //! multi-tenant population map. Compilation is a pure function of
 //! `(spec, base_users, seed)`: the [`ScenarioDriver`] materializes a
 //! sorted arrival script, per-cohort radio windows (reusing the fault
-//! plane's [`LinkWindow`] algebra so outage pricing composes with PR
-//! 2's FaultPlan), and a user → tenant map. The engines then inject
-//! the script through their ordinary event queues — injected arrivals
-//! are just more `Arrive` events, so the windowed LP engine replays
-//! every scenario bit for bit from its seed by construction.
+//! plane's [`simkit::faults::LinkWindow`] algebra so outage pricing
+//! composes with PR 2's FaultPlan), and a user → tenant map. The
+//! engines then inject the script through their ordinary event queues
+//! — injected arrivals are just more `Arrive` events, so the windowed
+//! LP engine replays every scenario bit for bit from its seed by
+//! construction.
 //!
 //! Four scenario families ship ([`ScenarioFamily`]):
 //!

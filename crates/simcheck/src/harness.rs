@@ -3,16 +3,18 @@
 
 use crate::audit::Audit;
 use crate::invariants::{
-    audit_backend_inertness, audit_digest_stability, audit_fleet_report, audit_geo_report,
-    audit_simulation_report, audit_trace, LifecycleAuditor,
+    audit_backend_inertness, audit_digest_stability, audit_fleet_report, audit_simulation_report,
+    audit_trace, LifecycleAuditor,
 };
 use crate::models::{
     audit_code_cache, audit_device_gate, audit_medium, audit_timeline, EngineTimeline, FairLink,
     KernelGate,
 };
 use crate::sample::{Sample, SampleKind};
+use fleet::FleetReport;
 use obsv::{Recorder, RecorderConfig, TraceSnapshot};
 use rattrap::{AppWarehouse, Simulation};
+use std::sync::Arc;
 
 /// Everything observed about one audited run.
 #[derive(Debug)]
@@ -36,11 +38,48 @@ impl RunOutcome {
 /// same seed must reproduce the same report bit for bit) under the
 /// live lifecycle auditor and the post-run report auditors.
 pub fn run_sample(sample: &Sample) -> RunOutcome {
+    let fleet = |cfg: fleet::FleetConfig| {
+        move |rec, backend| {
+            let report = match backend {
+                Some(b) => fleet::run_fleet_backend(&cfg, rec, b),
+                None => fleet::run_fleet_traced(&cfg, rec),
+            };
+            (report.digest(), report)
+        }
+    };
     match sample.kind {
         SampleKind::Rattrap => run_rattrap(sample),
-        SampleKind::Fleet => run_fleet_sample(sample),
-        SampleKind::Geo => run_geo_sample(sample),
-        SampleKind::Scenario => run_scenario_sample(sample),
+        SampleKind::Fleet => run_plane_sample(
+            sample,
+            format!("fleet sample {}", sample.index),
+            fleet(sample.fleet_config()),
+        ),
+        // A fleet run under an adversarial scenario plan: the report
+        // carries the scenario block, so the arrival-conservation and
+        // tenant-isolation invariants join the plane's own.
+        SampleKind::Scenario => run_plane_sample(
+            sample,
+            format!(
+                "scenario sample {} ({})",
+                sample.index,
+                sample.scenario_family().label()
+            ),
+            fleet(sample.scenario_fleet_config()),
+        ),
+        SampleKind::Geo => {
+            let cfg = sample.geo_config();
+            run_plane_sample(
+                sample,
+                format!("geo sample {}", sample.index),
+                move |rec, backend| {
+                    let report = match backend {
+                        Some(b) => geo::run_geo_backend(&cfg, rec, b),
+                        None => geo::run_geo_traced(&cfg, rec),
+                    };
+                    (report.digest(), report.plane)
+                },
+            )
+        }
     }
 }
 
@@ -50,6 +89,15 @@ fn recorder_for(sample: &Sample) -> Recorder {
     } else {
         Recorder::disabled()
     }
+}
+
+/// The run's trace, span-tree audited, when it was recorded.
+fn audited_trace(rec: &Recorder, audit: &mut Audit) -> Option<TraceSnapshot> {
+    rec.is_enabled().then(|| {
+        let snap = rec.snapshot();
+        audit_trace(&snap, audit);
+        snap
+    })
 }
 
 fn run_rattrap(sample: &Sample) -> RunOutcome {
@@ -67,13 +115,7 @@ fn run_rattrap(sample: &Sample) -> RunOutcome {
     let dram = hostkernel::HostSpec::paper_server().memory_bytes;
     audit_simulation_report(&report, dram, &mut audit);
 
-    let trace = if rec.is_enabled() {
-        let snap = rec.snapshot();
-        audit_trace(&snap, &mut audit);
-        Some(snap)
-    } else {
-        None
-    };
+    let trace = audited_trace(&rec, &mut audit);
 
     // Same seed, fresh engine: the report must be bit-identical.
     let replay = Simulation::new(cfg.clone()).run();
@@ -85,7 +127,7 @@ fn run_rattrap(sample: &Sample) -> RunOutcome {
 
     // Backend seam: the identity Replay backend must be inert.
     let mut with_backend = Simulation::new(cfg);
-    with_backend.set_backend(std::sync::Arc::new(exec::ReplayBackend::identity()));
+    with_backend.set_backend(Arc::new(exec::ReplayBackend::identity()));
     audit_backend_inertness(
         &format!(
             "rattrap sample {} (modeled ≡ replay-identity)",
@@ -103,134 +145,44 @@ fn run_rattrap(sample: &Sample) -> RunOutcome {
     }
 }
 
-fn run_fleet_sample(sample: &Sample) -> RunOutcome {
-    let cfg = sample.fleet_config();
+/// One control-plane sample — fleet, scenario-striped fleet or geo.
+/// `run(recorder, backend)` runs the sample's config and returns the
+/// front-end's digest with the plane's report.
+fn run_plane_sample(
+    sample: &Sample,
+    what: String,
+    run: impl Fn(Recorder, Option<exec::BackendHandle>) -> (u64, FleetReport),
+) -> RunOutcome {
     let mut audit = Audit::new();
 
     let rec = recorder_for(sample);
-    let report = fleet::run_fleet_traced(&cfg, rec.clone());
+    let (digest, report) = run(rec.clone(), None);
     audit_fleet_report(&report, &mut audit);
-
-    let trace = if rec.is_enabled() {
-        let snap = rec.snapshot();
-        audit_trace(&snap, &mut audit);
-        Some(snap)
-    } else {
-        None
-    };
+    let trace = audited_trace(&rec, &mut audit);
 
     // Two-way metamorphic oracle: the (possibly traced) run and an
     // untraced replay of the same seed must agree bit for bit, under
-    // any fault intensity the swarm draws.
-    let replay = fleet::run_fleet(&cfg);
+    // any fault intensity or adversarial traffic the swarm draws.
+    let (replay, _) = run(Recorder::disabled(), None);
     audit_digest_stability(
-        &format!("fleet sample {} (run ≡ replay)", sample.index),
-        &[report.digest(), replay.digest()],
+        &format!("{what} (run ≡ replay)"),
+        &[digest, replay],
         &mut audit,
     );
 
-    // Backend seam, one layer up: identity Replay through every host
-    // LP must be inert.
-    let with_backend = fleet::run_fleet_backend(
-        &cfg,
-        Recorder::disabled(),
-        std::sync::Arc::new(exec::ReplayBackend::identity()),
-    );
+    // Backend seam: identity Replay through every host LP (every edge
+    // and core host of a topology) must be inert.
+    let identity = Arc::new(exec::ReplayBackend::identity());
+    let (with_backend, _) = run(Recorder::disabled(), Some(identity));
     audit_backend_inertness(
-        &format!("fleet sample {} (modeled ≡ replay-identity)", sample.index),
-        report.digest(),
-        with_backend.digest(),
+        &format!("{what} (modeled ≡ replay-identity)"),
+        digest,
+        with_backend,
         &mut audit,
     );
 
     RunOutcome {
-        digest: report.digest(),
-        audit,
-        trace,
-    }
-}
-
-/// The scenario stripe: a fleet run under an adversarial scenario
-/// plan. Rides the fleet auditors (which pick up the scenario block's
-/// arrival-conservation and tenant-isolation invariants when present)
-/// plus the run ≡ replay metamorphic oracle — adversarial traffic
-/// must not open a determinism seam.
-fn run_scenario_sample(sample: &Sample) -> RunOutcome {
-    let cfg = sample.scenario_fleet_config();
-    let mut audit = Audit::new();
-
-    let rec = recorder_for(sample);
-    let report = fleet::run_fleet_traced(&cfg, rec.clone());
-    audit_fleet_report(&report, &mut audit);
-
-    let trace = if rec.is_enabled() {
-        let snap = rec.snapshot();
-        audit_trace(&snap, &mut audit);
-        Some(snap)
-    } else {
-        None
-    };
-
-    let replay = fleet::run_fleet(&cfg);
-    audit_digest_stability(
-        &format!(
-            "scenario sample {} ({}; run ≡ replay)",
-            sample.index,
-            sample.scenario_family().label()
-        ),
-        &[report.digest(), replay.digest()],
-        &mut audit,
-    );
-
-    RunOutcome {
-        digest: report.digest(),
-        audit,
-        trace,
-    }
-}
-
-fn run_geo_sample(sample: &Sample) -> RunOutcome {
-    let cfg = sample.geo_config();
-    let mut audit = Audit::new();
-
-    let rec = recorder_for(sample);
-    let report = geo::run_geo_traced(&cfg, rec.clone());
-    audit_geo_report(&report, &mut audit);
-
-    let trace = if rec.is_enabled() {
-        let snap = rec.snapshot();
-        audit_trace(&snap, &mut audit);
-        Some(snap)
-    } else {
-        None
-    };
-
-    // Same two-way metamorphic oracle as the fleet stripe, one layer
-    // up: the run and its untraced replay must agree bit for bit
-    // across the whole topology.
-    let replay = geo::run_geo(&cfg);
-    audit_digest_stability(
-        &format!("geo sample {} (run ≡ replay)", sample.index),
-        &[report.digest(), replay.digest()],
-        &mut audit,
-    );
-
-    // Backend seam across the whole topology: identity Replay through
-    // every edge and core host must be inert.
-    let with_backend = geo::run_geo_backend(
-        &cfg,
-        Recorder::disabled(),
-        std::sync::Arc::new(exec::ReplayBackend::identity()),
-    );
-    audit_backend_inertness(
-        &format!("geo sample {} (modeled ≡ replay-identity)", sample.index),
-        report.digest(),
-        with_backend.digest(),
-        &mut audit,
-    );
-
-    RunOutcome {
-        digest: report.digest(),
+        digest,
         audit,
         trace,
     }
@@ -282,6 +234,30 @@ mod tests {
             crate::invariants::EVENT_MONOTONICITY,
         ] {
             assert!(checked.contains(&inv), "{inv} never evaluated");
+        }
+    }
+
+    #[test]
+    fn every_plane_stripe_evaluates_the_shared_plane_invariants() {
+        // Migration conservation and single admission are properties of
+        // the one control plane, so fleet and scenario samples — the
+        // ones that crash hosts — must evaluate them too, and the
+        // scenario stripe must take the backend-inertness leg.
+        for kind in [SampleKind::Fleet, SampleKind::Scenario, SampleKind::Geo] {
+            let sample = (0..)
+                .map(|i| Sample::draw(7, i))
+                .find(|s| s.kind == kind && (kind == SampleKind::Geo || s.fault_pct > 0))
+                .expect("the swarm draws every stripe");
+            let outcome = run_sample(&sample);
+            assert!(outcome.is_clean(), "{kind:?} sample {}", sample.index);
+            let checked: Vec<_> = outcome.audit.invariants_checked().collect();
+            for inv in [
+                crate::invariants::GEO_MIGRATION_CONSERVATION,
+                crate::invariants::GEO_SINGLE_ADMISSION,
+                crate::invariants::BACKEND_INERTNESS,
+            ] {
+                assert!(checked.contains(&inv), "{inv} never evaluated on {kind:?}");
+            }
         }
     }
 

@@ -71,14 +71,16 @@ pub const ENODEV_GATE: &str = "enodev-gate";
 /// Warehouse CID hints only name containers actually warm (noted
 /// loaded, never invalidated), and its stats match a shadow model.
 pub const WAREHOUSE_CONSISTENCY: &str = "warehouse-consistency";
-/// Cross-region migration conserves container state byte for byte:
-/// what the source serialized equals what the WAN fabric was charged
-/// equals what the destination measured while restoring. Orphaned
-/// moves (destination drained mid-flight) must land nothing.
+/// Migration conserves container state byte for byte, across a WAN
+/// fabric or a flat fleet's interconnect: what the source serialized
+/// equals what the fabric was charged equals what the destination
+/// measured while restoring. Orphaned moves (destination crashed or
+/// drained mid-flight) must land nothing.
 pub const GEO_MIGRATION_CONSERVATION: &str = "geo-migration-conservation";
-/// No request is ever admitted twice across regions: however routing
-/// spills clockwise under saturation, a request holds at most one
-/// admission slot at a time.
+/// No request is ever admitted twice: however routing spills
+/// clockwise under saturation, re-routes off a crashed host or defers
+/// behind a radio outage, a request holds at most one admission slot
+/// at a time.
 pub const GEO_SINGLE_ADMISSION: &str = "geo-single-admission";
 /// Span-tree well-formedness: every span closed, end ≥ begin, parents
 /// open before children.
@@ -311,7 +313,9 @@ pub fn audit_simulation_report(report: &SimulationReport, dram_bytes: u64, audit
     );
 }
 
-/// Conservation checks on a finished fleet run.
+/// Conservation checks on the control plane's report — every fleet,
+/// scenario and geo run produces one: the accounting laws, migration
+/// byte conservation across the fabric, and single admission.
 pub fn audit_fleet_report(report: &FleetReport, audit: &mut Audit) {
     let s = &report.summary;
     audit.ensure(
@@ -364,105 +368,10 @@ pub fn audit_fleet_report(report: &FleetReport, audit: &mut Audit) {
             },
         );
     }
-    if let Some(sc) = &report.scenario {
-        audit_scenario_stats(sc, s.submitted, audit);
-    }
-}
-
-/// Conservation checks on a fleet run's scenario block: arrival
-/// conservation and per-tenant isolation accounting.
-pub fn audit_scenario_stats(sc: &fleet::ScenarioStats, fleet_submitted: u64, audit: &mut Audit) {
-    audit.ensure(
-        SCENARIO_ARRIVAL_CONSERVATION,
-        sc.injected == sc.submitted + sc.suppressed,
-        format!("scenario {}", sc.name),
-        || {
-            format!(
-                "injected {} != submitted {} + suppressed {}",
-                sc.injected, sc.submitted, sc.suppressed
-            )
-        },
-    );
-    audit.checked(TENANT_ISOLATION_ACCOUNTING);
-    let tenant_total: u64 = sc.tenants.iter().map(|t| t.submitted).sum();
-    if tenant_total != fleet_submitted {
-        audit.fail(
-            TENANT_ISOLATION_ACCOUNTING,
-            format!("scenario {}", sc.name),
-            format!(
-                "tenant submissions sum to {tenant_total} but the fleet served {fleet_submitted}"
-            ),
-        );
-    }
-    for t in &sc.tenants {
-        audit.ensure(
-            TENANT_ISOLATION_ACCOUNTING,
-            t.completed_remote + t.fallback_local + t.abandoned == t.submitted,
-            format!("tenant {}", t.name),
-            || {
-                format!(
-                    "remote {} + fallback {} + abandoned {} != submitted {}",
-                    t.completed_remote, t.fallback_local, t.abandoned, t.submitted
-                )
-            },
-        );
-    }
-}
-
-/// Conservation checks on a finished geo run: the fleet-style
-/// accounting laws, plus the two geo-specific invariants — migration
-/// byte conservation across the WAN fabric and single admission under
-/// cross-region spillover.
-pub fn audit_geo_report(report: &geo::GeoReport, audit: &mut Audit) {
-    let s = &report.summary;
-    audit.ensure(
-        FLEET_ACCOUNTING,
-        s.completed_remote + s.fallback_local + s.abandoned == s.submitted,
-        "geo summary",
-        || {
-            format!(
-                "remote {} + fallback {} + abandoned {} != submitted {}",
-                s.completed_remote, s.fallback_local, s.abandoned, s.submitted
-            )
-        },
-    );
-    audit.ensure(
-        FLEET_ACCOUNTING,
-        report.records.len() as u64 == s.submitted,
-        "geo records",
-        || {
-            format!(
-                "{} records for {} submitted requests",
-                report.records.len(),
-                s.submitted
-            )
-        },
-    );
-    for r in &report.records {
-        audit.ensure(
-            FLEET_ACCOUNTING,
-            r.phase.is_terminal(),
-            format!("geo request {}", r.id),
-            || format!("record finalized in non-terminal {:?}", r.phase),
-        );
-    }
-    for (i, h) in report.hosts.iter().enumerate() {
-        audit.ensure(
-            MEMORY_BOUND,
-            h.peak_memory <= h.memory_bytes,
-            format!("geo host {i}"),
-            || {
-                format!(
-                    "peak memory {} exceeds DRAM {}",
-                    h.peak_memory, h.memory_bytes
-                )
-            },
-        );
-    }
 
     // Migration byte conservation, end to end: source serialization ==
-    // fabric charge == destination restore, and an orphaned move lands
-    // nothing.
+    // fabric charge == destination restore, and an orphaned move
+    // (destination crashed or drained mid-flight) lands nothing.
     let c = &report.control;
     for (i, m) in report.migrations.iter().enumerate() {
         let subject = format!("migration {i} ({} → {})", m.from_host, m.to_host);
@@ -510,7 +419,7 @@ pub fn audit_geo_report(report: &geo::GeoReport, audit: &mut Audit) {
         c.migrations_started == report.migrations.len() as u64
             && c.migrations_completed == completed
             && c.migration_bytes == landed,
-        "geo migration ledger",
+        "migration ledger",
         || {
             format!(
                 "control says {}/{} moves and {} bytes, records say {}/{} and {}",
@@ -523,22 +432,20 @@ pub fn audit_geo_report(report: &geo::GeoReport, audit: &mut Audit) {
             )
         },
     );
-    let (out, inn) = report.hosts.iter().fold((0u64, 0u64), |(o, i), h| {
-        (o + h.migrations_out, i + h.migrations_in)
-    });
     audit.ensure(
         GEO_MIGRATION_CONSERVATION,
         out == completed && inn == completed,
-        "geo host migration counters",
+        "host migration counters",
         || format!("{completed} moves completed but hosts recorded {out} out / {inn} in"),
     );
 
-    // Single admission: the engine counts any request that acquired a
-    // second slot while still holding one; spillover must never do it.
+    // Single admission: the plane counts any request that acquired a
+    // second slot while still holding one; neither spillover nor a
+    // crash re-route nor a radio deferral may ever do it.
     audit.ensure(
         GEO_SINGLE_ADMISSION,
         c.double_admissions == 0,
-        "geo admission",
+        "admission",
         || {
             format!(
                 "{} requests held two admission slots at once",
@@ -546,15 +453,56 @@ pub fn audit_geo_report(report: &geo::GeoReport, audit: &mut Audit) {
             )
         },
     );
-    for r in &report.records {
-        if r.phase == rattrap::Phase::Done && !r.fell_back {
-            audit.ensure(
-                GEO_SINGLE_ADMISSION,
-                r.cell.is_some() && r.host.is_some(),
-                format!("geo request {}", r.id),
-                || "remotely completed without a recorded placement".to_string(),
-            );
-        }
+    for r in report.records.iter().filter(|r| r.remote()) {
+        audit.ensure(
+            GEO_SINGLE_ADMISSION,
+            r.host.is_some(),
+            format!("request {}", r.id),
+            || "remotely completed without a recorded placement".to_string(),
+        );
+    }
+    if let Some(sc) = &report.scenario {
+        audit_scenario_stats(sc, s.submitted, audit);
+    }
+}
+
+/// Conservation checks on a fleet run's scenario block: arrival
+/// conservation and per-tenant isolation accounting.
+pub fn audit_scenario_stats(sc: &fleet::ScenarioStats, fleet_submitted: u64, audit: &mut Audit) {
+    audit.ensure(
+        SCENARIO_ARRIVAL_CONSERVATION,
+        sc.injected == sc.submitted + sc.suppressed,
+        format!("scenario {}", sc.name),
+        || {
+            format!(
+                "injected {} != submitted {} + suppressed {}",
+                sc.injected, sc.submitted, sc.suppressed
+            )
+        },
+    );
+    audit.checked(TENANT_ISOLATION_ACCOUNTING);
+    let tenant_total: u64 = sc.tenants.iter().map(|t| t.submitted).sum();
+    if tenant_total != fleet_submitted {
+        audit.fail(
+            TENANT_ISOLATION_ACCOUNTING,
+            format!("scenario {}", sc.name),
+            format!(
+                "tenant submissions sum to {tenant_total} but the fleet served {fleet_submitted}"
+            ),
+        );
+    }
+    for t in &sc.tenants {
+        audit.ensure(
+            TENANT_ISOLATION_ACCOUNTING,
+            t.completed_remote + t.fallback_local + t.abandoned == t.submitted,
+            format!("tenant {}", t.name),
+            || {
+                format!(
+                    "remote {} + fallback {} + abandoned {} != submitted {}",
+                    t.completed_remote, t.fallback_local, t.abandoned, t.submitted
+                )
+            },
+        );
     }
 }
 

@@ -16,7 +16,7 @@
 //!    zero must reproduce the pinned golden digests, tracing must not
 //!    perturb a run, and parallel replications must be bit-identical
 //!    to serial ones.
-//! 3. **Minimizer** ([`minimize`], [`repro`]) — greedy bounded delta
+//! 3. **Minimizer** ([`mod@minimize`], [`repro`]) — greedy bounded delta
 //!    debugging over a failing sample's integer knobs, accepting a
 //!    shrink only when the *same* invariant still fires, then writing
 //!    a replayable repro bundle (config JSON, Chrome trace, causal
@@ -39,8 +39,8 @@ pub use audit::{Audit, Violation};
 pub use explorer::{explore, ExplorerConfig, ExplorerReport, FailedSample};
 pub use harness::{run_model_audits, run_sample, RunOutcome};
 pub use invariants::{
-    audit_digest_stability, audit_fleet_report, audit_geo_report, audit_simulation_report,
-    audit_trace, LifecycleAuditor, CATALOGUE,
+    audit_digest_stability, audit_fleet_report, audit_simulation_report, audit_trace,
+    LifecycleAuditor, CATALOGUE,
 };
 pub use minimize::{minimize, Minimized};
 pub use repro::{replay, write_bundle};

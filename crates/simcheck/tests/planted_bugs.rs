@@ -9,8 +9,8 @@ use obsv::{SpanId, Subsystem, TraceEvent, TraceSnapshot};
 use rattrap::{Phase, PhaseObserver, RequestRecord};
 use simcheck::audit::Audit;
 use simcheck::invariants::{
-    audit_digest_stability, audit_fleet_report, audit_geo_report, audit_simulation_report,
-    audit_trace, LifecycleAuditor, BYTE_CONSERVATION, CATALOGUE, DIGEST_STABILITY, ENODEV_GATE,
+    audit_digest_stability, audit_fleet_report, audit_simulation_report, audit_trace,
+    LifecycleAuditor, BYTE_CONSERVATION, CATALOGUE, DIGEST_STABILITY, ENODEV_GATE,
     EVENT_MONOTONICITY, FLEET_ACCOUNTING, GEO_MIGRATION_CONSERVATION, GEO_SINGLE_ADMISSION,
     LIFECYCLE_MONOTONE, LIFECYCLE_TERMINAL, LINK_CONSERVATION, MEMORY_BOUND,
     SCENARIO_ARRIVAL_CONSERVATION, SPAN_TREE, TENANT_ISOLATION_ACCOUNTING, WAREHOUSE_CONSISTENCY,
@@ -45,6 +45,29 @@ fn real_fleet_report() -> fleet::FleetReport {
     sample.users = 6;
     sample.duration_s = 240;
     fleet::run_fleet(&sample.fleet_config())
+}
+
+/// A real fleet report from a churning run — host crashes at three
+/// times the paper rate under an eager rebalancer — so `migrations`
+/// holds completed moves and at least one a crash orphaned.
+fn real_churning_fleet_report() -> fleet::FleetReport {
+    let mut cfg = fleet::FleetConfig::paper_default(4, 12);
+    cfg.traffic.users = 24;
+    cfg.traffic.duration = SimDuration::from_secs(600);
+    cfg.faults = simkit::faults::FaultConfig::scaled(3.0);
+    cfg.rebalance.imbalance_threshold = 0.05;
+    cfg.rebalance.min_interval = SimDuration::from_secs(10);
+    let report = fleet::run_fleet(&cfg);
+    assert!(
+        report.control.host_crashes > 0,
+        "the fault plan crashed hosts"
+    );
+    assert!(
+        report.migrations.iter().any(|m| m.completed)
+            && report.migrations.iter().any(|m| !m.completed),
+        "the run must complete some moves and orphan others"
+    );
+    report
 }
 
 /// A small real geo report to corrupt, tuned so cross-region
@@ -284,73 +307,80 @@ fn tenant_isolation_accounting_fires_when_a_tenant_breakdown_leaks() {
 }
 
 // ---------------------------------------------------------------------
-// Geo invariants (corrupt a real multi-region report, re-audit)
+// Migration-conservation and single-admission invariants: properties
+// of the shared control plane, so each bug is planted on a crash-fault
+// fleet report and on a multi-region report.
 // ---------------------------------------------------------------------
+
+fn plane_reports() -> [fleet::FleetReport; 2] {
+    [real_churning_fleet_report(), real_geo_report().plane]
+}
+
+/// `invariant` fires on both plane reports once `corrupt` has run.
+fn fires_on_both(invariant: &str, corrupt: impl Fn(&mut fleet::FleetReport)) {
+    for mut report in plane_reports() {
+        corrupt(&mut report);
+        let mut audit = Audit::new();
+        audit_fleet_report(&report, &mut audit);
+        assert!(fired(&audit, invariant));
+    }
+}
 
 #[test]
 fn geo_report_is_clean_before_corruption() {
-    let report = real_geo_report();
-    assert!(
-        !report.migrations.is_empty(),
-        "scenario must migrate for the planted bugs to mean anything"
-    );
-    let mut audit = Audit::new();
-    audit_geo_report(&report, &mut audit);
-    assert!(
-        audit.is_clean(),
-        "real geo report failed its own audit:\n{}",
-        audit
-            .violations()
-            .iter()
-            .map(|v| v.to_string())
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
+    for report in plane_reports() {
+        assert!(
+            !report.migrations.is_empty(),
+            "scenario must migrate for the planted bugs to mean anything"
+        );
+        let mut audit = Audit::new();
+        audit_fleet_report(&report, &mut audit);
+        assert!(
+            audit.is_clean(),
+            "real report failed its own audit:\n{}",
+            audit
+                .violations()
+                .iter()
+                .map(|v| v.to_string())
+                .collect::<Vec<_>>()
+                .join("\n")
+        );
+    }
 }
 
 #[test]
 fn geo_migration_conservation_fires_when_state_is_lost_in_flight() {
-    let mut report = real_geo_report();
     // The destination restores fewer bytes than the source serialized
-    // — state silently truncated somewhere across the WAN.
-    report.migrations[0].bytes_dst = report.migrations[0].bytes_src / 2;
-    let mut audit = Audit::new();
-    audit_geo_report(&report, &mut audit);
-    assert!(fired(&audit, GEO_MIGRATION_CONSERVATION));
+    // — state silently truncated somewhere across the fabric.
+    fires_on_both(GEO_MIGRATION_CONSERVATION, |report| {
+        let m = report.migrations.iter_mut().find(|m| m.completed);
+        let m = m.expect("some move completed");
+        m.bytes_dst = m.bytes_src / 2;
+    });
 }
 
 #[test]
 fn geo_migration_conservation_fires_when_the_fabric_is_undercharged() {
-    let mut report = real_geo_report();
     // The fabric carried fewer bytes than the checkpoint holds — a
-    // free lunch on the shared WAN link.
-    report.migrations[0].bytes_wire = report.migrations[0].bytes_src - 1;
-    let mut audit = Audit::new();
-    audit_geo_report(&report, &mut audit);
-    assert!(fired(&audit, GEO_MIGRATION_CONSERVATION));
+    // free lunch on the shared link.
+    fires_on_both(GEO_MIGRATION_CONSERVATION, |report| {
+        report.migrations[0].bytes_wire = report.migrations[0].bytes_src - 1;
+    });
 }
 
 #[test]
 fn geo_single_admission_fires_on_a_double_admitted_spillover() {
-    let mut report = real_geo_report();
-    report.control.double_admissions = 1;
-    let mut audit = Audit::new();
-    audit_geo_report(&report, &mut audit);
-    assert!(fired(&audit, GEO_SINGLE_ADMISSION));
+    fires_on_both(GEO_SINGLE_ADMISSION, |report| {
+        report.control.double_admissions = 1;
+    });
 }
 
 #[test]
 fn geo_single_admission_fires_on_a_completion_with_no_placement() {
-    let mut report = real_geo_report();
-    let victim = report
-        .records
-        .iter()
-        .position(|r| r.remote())
-        .expect("some request completed remotely");
-    report.records[victim].host = None;
-    let mut audit = Audit::new();
-    audit_geo_report(&report, &mut audit);
-    assert!(fired(&audit, GEO_SINGLE_ADMISSION));
+    fires_on_both(GEO_SINGLE_ADMISSION, |report| {
+        let victim = report.records.iter_mut().find(|r| r.remote());
+        victim.expect("some request completed remotely").host = None;
+    });
 }
 
 // ---------------------------------------------------------------------

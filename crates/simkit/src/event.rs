@@ -8,7 +8,7 @@
 //! # Implementation
 //!
 //! Instead of a comparison-ordered binary heap, events live in a
-//! hierarchical timing wheel ([`LEVELS`] levels of [`SLOTS`] slots;
+//! hierarchical timing wheel (`LEVELS` levels of `SLOTS` slots;
 //! level-`l` slots are `64^l` µs wide) backed by a generation-tagged
 //! slab that acts as the event arena: nodes are recycled through a free
 //! list, so steady-state scheduling performs **zero heap allocation**,

@@ -92,7 +92,7 @@ impl Cluster {
     }
 
     /// Two distinct mutable hosts at once — the shape
-    /// [`migrate`](crate::migrate::migrate) needs (source and
+    /// [`migrate`] needs (source and
     /// destination together). Panics if `a == b`.
     pub fn host_pair_mut(&mut self, a: usize, b: usize) -> (&mut CloudHost, &mut CloudHost) {
         split_two(&mut self.hosts, a, b)

@@ -1,4 +1,4 @@
-//! The one calibration table behind every [`WorkloadProfile`].
+//! The one calibration table behind every [`crate::WorkloadProfile`].
 //!
 //! Every number the simulation charges for the four benchmarks is
 //! derived from this table — nothing else in the workspace hard-codes
