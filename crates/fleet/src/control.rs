@@ -140,13 +140,14 @@ pub struct CellDecision {
 }
 
 /// The cell-selection policy: place one request homed in a region,
-/// given the per-cell rings, each cell's warm hosts for the app, and
-/// which hosts will admit. `None` sheds.
-pub type RouteFn = dyn Fn(
+/// given the per-cell rings, each cell's warm hosts for the app (the
+/// plane's scratch, valid for the call), and which hosts will admit.
+/// `None` sheds.
+pub type RouteFn = dyn for<'a> Fn(
         usize,
         &Aid,
         &[Router],
-        &dyn Fn(usize) -> Vec<usize>,
+        &'a dyn Fn(usize) -> &'a [usize],
         &mut dyn FnMut(usize) -> bool,
     ) -> Option<CellDecision>
     + Send
@@ -255,6 +256,20 @@ enum CtlEvent {
     Deliver { src: usize, msg: Wire },
 }
 
+/// A [`CtlEvent::Arrive`] as it waits in the queue's backlog: 8 bytes
+/// per trace arrival, not the event enum's widest variant (a [`Wire`]).
+#[derive(Debug)]
+struct Arrival {
+    user: u32,
+    kind: WorkloadKind,
+}
+
+impl From<Arrival> for CtlEvent {
+    fn from(Arrival { user, kind }: Arrival) -> Self {
+        CtlEvent::Arrive { user, kind }
+    }
+}
+
 /// One request's control-plane state.
 #[derive(Debug)]
 struct ReqState {
@@ -304,6 +319,9 @@ struct CellState {
     /// [`Wire::WarmInfo`] flips. At most one window stale — an
     /// acceptable hint-propagation delay.
     warm: Vec<BTreeSet<usize>>,
+    /// Scratch of [`ControlLp::route_request`]: the cell's active warm
+    /// hosts for the app being routed.
+    warm_active: Vec<usize>,
 }
 
 /// An in-flight migration (control side).
@@ -319,7 +337,7 @@ struct MigSlot {
 struct ControlLp {
     layout: Arc<ControlLayout>,
     rec: Recorder,
-    queue: EventQueue<CtlEvent>,
+    queue: EventQueue<CtlEvent, Arrival>,
     hosts: Vec<HostSlot>,
     cells: Vec<CellState>,
     /// Per-cell consistent-hash rings over global host indices.
@@ -382,6 +400,7 @@ impl ControlLp {
             .map(|c| CellState {
                 autoscaler: Autoscaler::new(c.autoscale),
                 warm: vec![BTreeSet::new(); WorkloadKind::ALL.len()],
+                warm_active: Vec::new(),
             })
             .collect();
         let fabrics = layout
@@ -405,7 +424,7 @@ impl ControlLp {
 
         let mut lp = ControlLp {
             rec,
-            queue: EventQueue::new(),
+            queue: EventQueue::default(),
             cells,
             routers: (0..layout.cells.len())
                 .map(|_| Router::new(RING_VNODES))
@@ -460,25 +479,30 @@ impl ControlLp {
         // Each region draws its own trace stream at its own diurnal
         // phase. Seed and start hour are layout data: the flat fleet's
         // single region carries the stream and the 08:00 start
-        // `traces::generate` always used.
+        // `traces::generate` always used. Known up front and never
+        // cancelled, the arrivals enter as the queue's backlog, not as
+        // a wheel node each — sorted here, as 16-byte pairs, by time
+        // with ties left in (region, user, trace) order: the order
+        // their sequence numbers give them.
+        let mut arrivals: Vec<(SimTime, u32)> = Vec::new();
         for region in &self.layout.regions {
             let mut traffic = self.layout.traffic.clone();
             traffic.users = region.users;
             traffic.seed = region.trace_seed;
-            let arrivals = traces::livelab::generate_with_start(&traffic, region.start_hour);
-            for (u, times) in arrivals.into_iter().enumerate() {
+            let trace = traces::livelab::generate_with_start(&traffic, region.start_hour);
+            for (u, times) in trace.into_iter().enumerate() {
                 let user = region.first_user + u as u32;
-                for t in times {
-                    self.queue.schedule(
-                        t,
-                        CtlEvent::Arrive {
-                            user,
-                            kind: user_app[user as usize],
-                        },
-                    );
-                }
+                arrivals.extend(times.into_iter().map(|t| (t, user)));
             }
         }
+        arrivals.sort_by_key(|&(t, _)| t);
+        let scripted = self.driver.as_ref().map_or(0, |d| d.planned_offloads());
+        self.reqs.reserve_exact(arrivals.len() + scripted as usize);
+        self.queue
+            .load_backlog(arrivals.into_iter().map(|(t, user)| {
+                let kind = user_app[user as usize];
+                (t, Arrival { user, kind })
+            }));
 
         let plan = FaultPlan::generate(
             &self.layout.faults,
@@ -499,20 +523,13 @@ impl ControlLp {
         // each a home.
         if let Some(d) = &self.driver {
             self.scn.0 = d.injected();
-            for a in d.arrivals() {
-                if a.offload {
-                    self.scn.1 += 1;
-                    self.queue.schedule(
-                        a.at,
-                        CtlEvent::Arrive {
-                            user: a.user,
-                            kind: a.kind,
-                        },
-                    );
-                } else {
-                    self.scn.2 += 1;
-                }
-            }
+            self.scn.1 = d.planned_offloads();
+            self.scn.2 = self.scn.0 - self.scn.1;
+            let offloads = d.arrivals().iter().filter(|a| a.offload);
+            self.queue.load_backlog(offloads.map(|a| {
+                let (user, kind) = (a.user, a.kind);
+                (a.at, Arrival { user, kind })
+            }));
         }
 
         self.queue
@@ -608,17 +625,16 @@ impl ControlLp {
     fn route_request(&mut self, now: SimTime, req: usize) {
         let kix = kind_ix(self.reqs[req].kind);
         let region = self.reqs[req].region;
-        let (hosts, cells, admission) = (&self.hosts, &self.cells, &self.admission);
-        // One warm list per cell the policy actually asks about, built
-        // straight from the hint set — the one-cell path allocates
-        // exactly this list and nothing else.
-        let warm = |cell: usize| -> Vec<usize> {
-            cells[cell].warm[kix]
-                .iter()
-                .copied()
-                .filter(|&g| hosts[g].status == HostStatus::Active)
-                .collect()
-        };
+        let (hosts, admission) = (&self.hosts, &self.admission);
+        // Every cell's warm list, straight from its hint set.
+        for cell in &mut self.cells {
+            let active = |&g: &usize| hosts[g].status == HostStatus::Active;
+            cell.warm_active.clear();
+            cell.warm_active
+                .extend(cell.warm[kix].iter().copied().filter(active));
+        }
+        let cells = &self.cells;
+        let warm = |cell: usize| cells[cell].warm_active.as_slice();
         let decision =
             (self.layout.route)(region, &self.aids[kix], &self.routers, &warm, &mut |g| {
                 hosts[g].status == HostStatus::Active && admission.has_room(g)
@@ -1292,8 +1308,7 @@ impl Lp for PlaneLp {
     fn run_window(&mut self, bound: SimTime, out: &mut Outbox<Wire>) {
         match self {
             PlaneLp::Ctl(lp) => {
-                while lp.queue.peek_time().is_some_and(|t| t < bound) {
-                    let (now, ev) = lp.queue.pop().expect("peeked");
+                while let Some((now, ev)) = lp.queue.pop_before(bound) {
                     lp.rec.set_now(now.as_micros());
                     lp.dispatch(now, ev, out);
                 }

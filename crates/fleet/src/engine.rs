@@ -36,7 +36,7 @@ use rattrap::warehouse::{aid_of, Aid};
 use rattrap::AppWarehouse;
 use simkit::shard::Outbox;
 use simkit::{derive_seed, EventQueue, FairShareExecutor, JobId, SimDuration, SimRng, SimTime};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 use virt::migrate::{checkpoint, restore, Checkpoint};
 use virt::{CloudHost, InstanceId};
@@ -186,6 +186,24 @@ struct Pending {
     xfer_seed: u64,
 }
 
+/// Where one instance is in its life on this host.
+#[derive(Debug, Clone, Copy)]
+enum InstState {
+    /// Provisioned, still booting.
+    Booting,
+    /// Restored by an in-flight migration, not serving yet.
+    Restoring,
+    /// Idle since this instant.
+    Idle(SimTime),
+    /// Serving `pend`; `job` is absent during code load and I/O.
+    Busy { pend: Pending, job: Option<JobId> },
+}
+
+fn state_of(insts: &mut [(InstanceId, InstState)], inst: InstanceId) -> &mut InstState {
+    let slot = insts.iter_mut().find(|(i, _)| *i == inst);
+    &mut slot.expect("instance is in the table").1
+}
+
 /// A single cloud host as a logical process: instance pool, CPU
 /// executor, code warehouse, and device-side link. Built and driven
 /// only by [`ControlLayout::run`], for flat fleets and
@@ -200,16 +218,11 @@ pub(crate) struct HostLp {
     cpu: FairShareExecutor<InstanceId>,
     warehouse: AppWarehouse,
     link: Link,
-    /// Idle instances and when they went idle.
-    idle: BTreeMap<InstanceId, SimTime>,
-    /// Busy instances and the request each is serving.
-    busy: BTreeMap<InstanceId, Pending>,
-    /// CPU job per busy instance (absent during code load / I/O).
-    jobs: BTreeMap<InstanceId, JobId>,
-    /// Instances provisioned but still booting.
-    booting: BTreeSet<InstanceId>,
-    /// Instances restored by an in-flight migration.
-    pending_mig: BTreeSet<InstanceId>,
+    /// Every instance on the host and its state. The host hands ids
+    /// out in increasing order and new instances are pushed at the
+    /// back, so the table is always in id order — the order every walk
+    /// (idle pick, reclaim, crash cancel) visits instances in.
+    insts: Vec<(InstanceId, InstState)>,
     /// Admitted requests waiting for an instance.
     wait: VecDeque<Pending>,
     /// Last warm/cold hint published to control, per workload.
@@ -266,11 +279,7 @@ impl HostLp {
             cpu,
             warehouse,
             link,
-            idle: BTreeMap::new(),
-            busy: BTreeMap::new(),
-            jobs: BTreeMap::new(),
-            booting: BTreeSet::new(),
-            pending_mig: BTreeSet::new(),
+            insts: Vec::new(),
             wait: VecDeque::new(),
             published: vec![false; WorkloadKind::ALL.len()],
             aids,
@@ -302,8 +311,7 @@ impl HostLp {
         match ev {
             HostEvent::BootDone { inst, epoch } => {
                 if epoch == self.epoch {
-                    self.booting.remove(&inst);
-                    self.idle.insert(inst, now);
+                    *state_of(&mut self.insts, inst) = InstState::Idle(now);
                     self.pump(now, out);
                 }
             }
@@ -396,7 +404,7 @@ impl HostLp {
         if self.host.instance_count() < self.cfg.pool.max_instances {
             if let Ok((inst, setup)) = self.host.provision(self.cfg.runtime) {
                 self.note_provisioned();
-                self.booting.insert(inst);
+                self.insts.push((inst, InstState::Booting));
                 let epoch = self.epoch;
                 self.queue.schedule(
                     now.saturating_add(setup),
@@ -407,16 +415,26 @@ impl HostLp {
         self.wait.push_back(pend);
     }
 
+    /// Idle instances, in id order.
+    fn idle(&self) -> impl Iterator<Item = InstanceId> + '_ {
+        let idle = |&(i, s)| matches!(s, InstState::Idle(_)).then_some(i);
+        self.insts.iter().filter_map(idle)
+    }
+
+    fn count(&self, state: fn(&InstState) -> bool) -> usize {
+        self.insts.iter().filter(|(_, s)| state(s)).count()
+    }
+
     /// Prefer an idle instance that already holds the app's code.
     fn pick_idle(&self, kind: WorkloadKind) -> Option<InstanceId> {
         let app_id = kind.app_id();
-        let with_app = self.idle.keys().copied().find(|&i| {
+        let with_app = self.idle().find(|&i| {
             self.host
                 .instance(i)
                 .map(|r| r.apps_loaded.contains(app_id))
                 .unwrap_or(false)
         });
-        with_app.or_else(|| self.idle.keys().next().copied())
+        with_app.or_else(|| self.idle().next())
     }
 
     /// Load the app into `inst` (free when resident), charging a code
@@ -428,10 +446,10 @@ impl HostLp {
         inst: InstanceId,
         out: &mut Outbox<Wire>,
     ) {
-        self.idle.remove(&inst);
         let kind = pend.task.kind;
+        let kix = kind_ix(kind);
         let app_id = kind.app_id();
-        let aid = self.aids[kind_ix(kind)].clone();
+        let aid = &self.aids[kix];
         let code_bytes = kind.profile().app_code_bytes;
         let resident = self
             .host
@@ -439,7 +457,8 @@ impl HostLp {
             .map(|r| r.apps_loaded.contains(app_id))
             .unwrap_or(false);
         let mut t = SimDuration::ZERO;
-        if !resident && !self.warehouse.lookup(&aid) {
+        let cold = !resident && !self.warehouse.lookup(aid);
+        if cold {
             // Cold everywhere: the device must push the code first.
             let mut rng = SimRng::new(pend.xfer_seed);
             t += self
@@ -451,16 +470,24 @@ impl HostLp {
             .host
             .load_app(inst, app_id, code_bytes)
             .expect("instance is live");
-        self.warehouse.note_loaded(&aid, inst);
-        self.busy.insert(inst, pend);
-        self.publish_warm(now, out);
+        let cached = self.warehouse.note_loaded(aid, inst);
+        *state_of(&mut self.insts, inst) = InstState::Busy { pend, job: None };
+        if cold {
+            // The insert may have evicted other apps' code.
+            self.publish_warm(now, out);
+        } else {
+            // Only this app's CID column changed: it lists `inst` now.
+            self.publish_kind(now, kix, cached, out);
+        }
         let epoch = self.epoch;
         self.queue
             .schedule(now.saturating_add(t), HostEvent::CodeLoaded { inst, epoch });
     }
 
     fn on_code_loaded(&mut self, now: SimTime, inst: InstanceId) {
-        let pend = self.busy[&inst];
+        let InstState::Busy { pend, .. } = *state_of(&mut self.insts, inst) else {
+            unreachable!("code loads into a busy instance");
+        };
         self.rec.set_current_request(Some(pend.req as u64));
         let spec = self.cfg.runtime.spec();
         let ghz = self.host.host_spec().clock_ghz;
@@ -474,8 +501,8 @@ impl HostLp {
             input_seed: derive_seed(pend.xfer_seed, 0xE8EC_0000_0000_0001),
         };
         let work = self.backend.charge(&ctx, &pend.task);
-        let job = self.cpu.submit(now, work, inst);
-        self.jobs.insert(inst, job);
+        let job = Some(self.cpu.submit(now, work, inst));
+        *state_of(&mut self.insts, inst) = InstState::Busy { pend, job };
         self.cpu
             .reschedule(now, &mut self.queue, |cpu_epoch| HostEvent::CpuPoll {
                 cpu_epoch,
@@ -483,17 +510,19 @@ impl HostLp {
     }
 
     fn on_cpu_poll(&mut self, now: SimTime, cpu_epoch: u64) {
-        let Some(finished) = self.cpu.poll(now, cpu_epoch) else {
+        let (cfg, h, epoch) = (&self.cfg, self.h, self.epoch);
+        let (insts, rec, queue) = (&mut self.insts, &self.rec, &mut self.queue);
+        let fresh = self.cpu.poll_with(now, cpu_epoch, |_, inst| {
+            let InstState::Busy { pend, job } = state_of(insts, inst) else {
+                unreachable!("CPU jobs belong to busy instances");
+            };
+            *job = None;
+            rec.set_current_request(Some(pend.req as u64));
+            let t = io_time(cfg, h, pend.task.io_bytes);
+            queue.schedule(now.saturating_add(t), HostEvent::IoDone { inst, epoch });
+        });
+        if !fresh {
             return; // stale schedule point
-        };
-        for (_, inst) in finished {
-            self.jobs.remove(&inst);
-            let pend = self.busy[&inst];
-            self.rec.set_current_request(Some(pend.req as u64));
-            let t = self.io_time(pend.task.io_bytes);
-            let epoch = self.epoch;
-            self.queue
-                .schedule(now.saturating_add(t), HostEvent::IoDone { inst, epoch });
         }
         self.cpu
             .reschedule(now, &mut self.queue, |cpu_epoch| HostEvent::CpuPoll {
@@ -501,25 +530,12 @@ impl HostLp {
             });
     }
 
-    /// Offloading-I/O wall time: the shared in-memory layer for the
-    /// optimized class, the virtualized disk path otherwise.
-    fn io_time(&self, bytes: u64) -> SimDuration {
-        if bytes == 0 {
-            return SimDuration::ZERO;
-        }
-        let spec = self.cfg.runtime.spec();
-        if spec.uses_shared_io_layer {
-            SimDuration::from_secs_f64(bytes as f64 / virt::TMPFS_BANDWIDTH)
-        } else {
-            let disk = self.cfg.host_specs[self.h].disk_bandwidth;
-            SimDuration::from_secs_f64(bytes as f64 / (disk * spec.io_efficiency))
-        }
-    }
-
     fn on_io_done(&mut self, now: SimTime, inst: InstanceId, out: &mut Outbox<Wire>) {
-        let pend = self.busy.remove(&inst).expect("instance was serving");
+        let state = state_of(&mut self.insts, inst);
+        let InstState::Busy { pend, .. } = std::mem::replace(state, InstState::Idle(now)) else {
+            unreachable!("instance was serving");
+        };
         self.rec.set_current_request(Some(pend.req as u64));
-        self.idle.insert(inst, now);
         self.served += 1;
         out.send(
             now,
@@ -534,7 +550,7 @@ impl HostLp {
 
     /// Hand idle instances to waiting requests, in FIFO order.
     fn pump(&mut self, now: SimTime, out: &mut Outbox<Wire>) {
-        while !self.idle.is_empty() {
+        while self.idle().next().is_some() {
             let Some(pend) = self.wait.pop_front() else {
                 return;
             };
@@ -562,8 +578,10 @@ impl HostLp {
         self.serving = false;
         self.drain_mode = false;
         self.epoch += 1;
-        for (_, job) in std::mem::take(&mut self.jobs) {
-            self.cpu.cancel(now, job);
+        for (_, state) in &self.insts {
+            if let InstState::Busy { job: Some(job), .. } = *state {
+                self.cpu.cancel(now, job);
+            }
         }
         self.cpu
             .reschedule(now, &mut self.queue, |cpu_epoch| HostEvent::CpuPoll {
@@ -588,11 +606,7 @@ impl HostLp {
         for inst in self.host.instance_ids() {
             let _ = self.host.teardown(inst);
         }
-        self.idle.clear();
-        self.busy.clear();
-        self.jobs.clear();
-        self.booting.clear();
-        self.pending_mig.clear();
+        self.insts.clear();
         self.wait.clear();
         self.warehouse = AppWarehouse::new(self.cfg.warehouse_capacity);
     }
@@ -613,7 +627,9 @@ impl HostLp {
         };
         self.reclaim_idle(now, floor, out);
         if self.drain_mode {
-            if self.busy.is_empty() && self.wait.is_empty() && self.pending_mig.is_empty() {
+            let working =
+                |s: &InstState| matches!(s, InstState::Busy { .. } | InstState::Restoring);
+            if self.count(working) == 0 && self.wait.is_empty() {
                 out.send(now, CTL, Wire::DrainEmpty);
             }
         } else {
@@ -627,21 +643,22 @@ impl HostLp {
     }
 
     fn reclaim_idle(&mut self, now: SimTime, floor: usize, out: &mut Outbox<Wire>) {
-        let expired: Vec<InstanceId> = self
-            .idle
-            .iter()
-            .filter(|&(_, &since)| now.saturating_since(since) >= self.cfg.pool.idle_teardown)
-            .map(|(&i, _)| i)
-            .collect();
+        let mut idle = self.idle().count();
         let mut changed = false;
-        for inst in expired {
-            if self.idle.len() <= floor {
-                break;
+        let mut i = 0;
+        while i < self.insts.len() && idle > floor {
+            match self.insts[i] {
+                (inst, InstState::Idle(since))
+                    if now.saturating_since(since) >= self.cfg.pool.idle_teardown =>
+                {
+                    let _ = self.host.teardown(inst);
+                    self.insts.remove(i);
+                    self.warehouse.invalidate_container(inst);
+                    idle -= 1;
+                    changed = true;
+                }
+                _ => i += 1,
             }
-            let _ = self.host.teardown(inst);
-            self.idle.remove(&inst);
-            self.warehouse.invalidate_container(inst);
-            changed = true;
         }
         if changed {
             self.publish_warm(now, out);
@@ -650,13 +667,14 @@ impl HostLp {
 
     /// Keep `warm_spares` instances idle or booting.
     fn fill_warm_pool(&mut self, now: SimTime) {
-        while self.idle.len() + self.booting.len() < self.cfg.pool.warm_spares
+        let spare = |s: &InstState| matches!(s, InstState::Idle(_) | InstState::Booting);
+        while self.count(spare) < self.cfg.pool.warm_spares
             && self.host.instance_count() < self.cfg.pool.max_instances
         {
             match self.host.provision(self.cfg.runtime) {
                 Ok((inst, setup)) => {
                     self.note_provisioned();
-                    self.booting.insert(inst);
+                    self.insts.push((inst, InstState::Booting));
                     let epoch = self.epoch;
                     self.queue.schedule(
                         now.saturating_add(setup),
@@ -676,7 +694,7 @@ impl HostLp {
         if !self.serving {
             return;
         }
-        let victim = self.idle.keys().copied().find(|&i| {
+        let victim = self.idle().find(|&i| {
             self.host
                 .instance(i)
                 .map(|r| !r.apps_loaded.is_empty())
@@ -705,7 +723,7 @@ impl HostLp {
                 .span_end_at(span, now.saturating_add(freeze).as_micros(), vec![]);
         }
         let _ = self.host.teardown(victim);
-        self.idle.remove(&victim);
+        self.insts.retain(|&(i, _)| i != victim);
         self.warehouse.invalidate_container(victim);
         self.publish_warm(now, out);
         let epoch = self.epoch;
@@ -730,7 +748,7 @@ impl HostLp {
             return; // DRAM is full — the state is dropped
         };
         self.note_provisioned();
-        self.pending_mig.insert(inst);
+        self.insts.push((inst, InstState::Restoring));
         let epoch = self.epoch;
         self.queue.schedule(
             now.saturating_add(d),
@@ -751,8 +769,7 @@ impl HostLp {
         bytes: u64,
         out: &mut Outbox<Wire>,
     ) {
-        self.pending_mig.remove(&inst);
-        self.idle.insert(inst, now);
+        *state_of(&mut self.insts, inst) = InstState::Idle(now);
         // Publish the arrived container's apps as warm CID hints.
         let apps: Vec<String> = self
             .host
@@ -779,10 +796,15 @@ impl HostLp {
     fn publish_warm(&mut self, now: SimTime, out: &mut Outbox<Wire>) {
         for ix in 0..self.aids.len() {
             let warm = !self.warehouse.containers_with(&self.aids[ix]).is_empty();
-            if warm != self.published[ix] {
-                self.published[ix] = warm;
-                out.send(now, CTL, Wire::WarmInfo { kind_ix: ix, warm });
-            }
+            self.publish_kind(now, ix, warm, out);
+        }
+    }
+
+    /// Tell control app `ix` is now `warm` here, if that is news.
+    fn publish_kind(&mut self, now: SimTime, ix: usize, warm: bool, out: &mut Outbox<Wire>) {
+        if warm != self.published[ix] {
+            self.published[ix] = warm;
+            out.send(now, CTL, Wire::WarmInfo { kind_ix: ix, warm });
         }
     }
 
@@ -799,8 +821,7 @@ impl HostLp {
     /// Drain local events strictly below `bound` (the LP's
     /// `run_window`), emitting control-bound messages into `out`.
     pub fn run_window(&mut self, bound: SimTime, out: &mut Outbox<Wire>) {
-        while self.queue.peek_time().is_some_and(|t| t < bound) {
-            let (now, ev) = self.queue.pop().expect("peeked");
+        while let Some((now, ev)) = self.queue.pop_before(bound) {
             self.rec.set_now(now.as_micros());
             self.dispatch(now, ev, out);
         }
@@ -822,6 +843,21 @@ impl HostLp {
             peak_memory: self.peak_memory,
             snapshot: self.rec.snapshot(),
         }
+    }
+}
+
+/// Offloading-I/O wall time on host `h` of `cfg`: the shared in-memory
+/// layer for the optimized class, the virtualized disk path otherwise.
+fn io_time(cfg: &FleetConfig, h: usize, bytes: u64) -> SimDuration {
+    if bytes == 0 {
+        return SimDuration::ZERO;
+    }
+    let spec = cfg.runtime.spec();
+    if spec.uses_shared_io_layer {
+        SimDuration::from_secs_f64(bytes as f64 / virt::TMPFS_BANDWIDTH)
+    } else {
+        let disk = cfg.host_specs[h].disk_bandwidth;
+        SimDuration::from_secs_f64(bytes as f64 / (disk * spec.io_efficiency))
     }
 }
 
@@ -903,7 +939,7 @@ fn flat_layout(cfg: &FleetConfig) -> ControlLayout {
         legs: vec![None],
         route: Box::new(|_, aid, rings, warm, admissible| {
             rings[0]
-                .route(aid, &warm(0), admissible)
+                .route(aid, warm(0), admissible)
                 .map(|d| CellDecision {
                     cell: 0,
                     host: d.host,

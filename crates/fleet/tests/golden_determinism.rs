@@ -150,3 +150,37 @@ fn control_plane_trace_vocabulary_is_pinned() {
         "stressed run"
     );
 }
+
+/// The repo benchmark's two fleet workloads (`benchmark/src/sim.rs`:
+/// `fleet_long` and `fleet_dense`, seed 7) at its `--smoke` horizon, a
+/// tenth of the full one. `benchmark/check.sh` pins the same runs, but
+/// only behind `RATTRAP_BENCH_SMOKE=1`; here a plain `cargo test`
+/// notices an engine change that moves either shape — the narrow one
+/// that lives on per-event costs or the wide one that walks 128 rings.
+#[test]
+fn benchmark_fleet_shapes_are_pinned_at_smoke_horizon() {
+    let shapes = [
+        (
+            "fleet_long",
+            8,
+            1_600,
+            360,
+            8_413,
+            0x9b86_4c09_63b2_f0bb_u64,
+        ),
+        ("fleet_dense", 128, 150_000, 2, 355, 0x4ec2_1a7b_8524_3b30),
+    ];
+    for (name, hosts, users, horizon_s, requests, digest) in shapes {
+        let mut cfg = FleetConfig::paper_default(hosts, 7);
+        cfg.traffic.users = users;
+        cfg.traffic.duration = SimDuration::from_secs(horizon_s);
+        let rep = run_fleet(&cfg);
+        assert_eq!(rep.summary.submitted, requests, "{name}: arrivals moved");
+        assert_eq!(
+            rep.digest(),
+            digest,
+            "{name} at smoke horizon moved: {:#018x}",
+            rep.digest()
+        );
+    }
+}

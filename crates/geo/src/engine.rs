@@ -137,6 +137,7 @@ fn geo_layout(cfg: &GeoConfig, topo: &Topology) -> ControlLayout {
         fabric_of,
         legs,
         route: Box::new(move |region, aid, rings, warm, admissible| {
+            let warm = |cell| warm(cell).to_vec();
             router.route(&route_topo, region, aid, rings, warm, admissible)
         }),
         traffic: cfg.traffic.clone(),

@@ -163,10 +163,10 @@ impl<T> SharedLink<T> {
     /// Re-arm the completion check after any mutation. `make_event`
     /// receives the new epoch; embed it in the scheduled event and hand
     /// it back to [`SharedLink::poll`].
-    pub fn reschedule<E>(
+    pub fn reschedule<E, B: Into<E>>(
         &mut self,
         now: SimTime,
-        queue: &mut EventQueue<E>,
+        queue: &mut EventQueue<E, B>,
         make_event: impl FnOnce(u64) -> E,
     ) {
         self.exec.reschedule(now, queue, make_event);

@@ -42,8 +42,7 @@ use simkit::faults::{
     TransferOutcome,
 };
 use simkit::{
-    derive_seed, EventQueue, FairShareExecutor, FairShareResource, SimDuration, SimRng, SimTime,
-    TimelineSampler,
+    derive_seed, EventQueue, FairShareExecutor, SimDuration, SimRng, SimTime, TimelineSampler,
 };
 use std::collections::{BTreeMap, VecDeque};
 use virt::{CloudHost, HostError, InstanceId, RuntimeClass, TMPFS_BANDWIDTH};
@@ -358,13 +357,13 @@ impl Simulation {
     pub fn new(cfg: ScenarioConfig) -> Self {
         let host = CloudHost::new(hostkernel::HostSpec::paper_server());
         let spec = host.host_spec();
-        let cpu = FairShareExecutor::from_resource(FairShareResource::new(spec.cores as f64, 1.0));
+        let cpu = FairShareExecutor::new(spec.cores as f64, 1.0);
         // Offloading I/O is scattered small-block traffic: the HDD
         // delivers only a fraction of its sequential bandwidth.
-        let disk = FairShareExecutor::from_resource(FairShareResource::new(
+        let disk = FairShareExecutor::new(
             spec.disk_bandwidth * RANDOM_IO_FACTOR,
             spec.disk_bandwidth * RANDOM_IO_FACTOR,
-        ));
+        );
         let bin = SimDuration::from_secs(1);
         let horizon = cfg.sample_horizon;
         let dispatcher = Dispatcher::new(cfg.platform.dispatch_policy());
@@ -508,17 +507,14 @@ impl Simulation {
                 }
             }
             ArrivalModel::Trace(per_device) => {
-                for (d, times) in per_device.iter().enumerate() {
-                    for (i, &t) in times.iter().enumerate() {
-                        self.queue.schedule(
-                            t,
-                            Event::Arrival {
-                                device: d as u32,
-                                seq: i as u32,
-                            },
-                        );
-                    }
-                }
+                // Known up front, never cancelled: the queue's backlog.
+                let arrivals = per_device.iter().enumerate().flat_map(|(d, times)| {
+                    times.iter().enumerate().map(move |(i, &t)| {
+                        let (device, seq) = (d as u32, i as u32);
+                        (t, Event::Arrival { device, seq })
+                    })
+                });
+                self.queue.load_backlog(arrivals);
             }
         }
         // Warm-pool pre-provisioning (Monitor & Scheduler).

@@ -131,12 +131,16 @@ impl AppWarehouse {
     }
 
     /// Record that `container` has loaded the code for `aid` (CID map).
-    pub fn note_loaded(&mut self, aid: &Aid, container: InstanceId) {
-        if let Some(e) = self.entries.get_mut(aid) {
-            if !e.containers.contains(&container) {
-                e.containers.push(container);
-            }
+    /// Returns whether the code is cached at all — when it is, the
+    /// app's CID column lists `container` from here on.
+    pub fn note_loaded(&mut self, aid: &Aid, container: InstanceId) -> bool {
+        let Some(e) = self.entries.get_mut(aid) else {
+            return false;
+        };
+        if !e.containers.contains(&container) {
+            e.containers.push(container);
         }
+        true
     }
 
     /// Containers that already hold this app's code, preferred-first.

@@ -306,7 +306,7 @@ impl CodeCache for AppWarehouse {
         AppWarehouse::insert(self, aid, app_id, code_bytes)
     }
     fn note_loaded(&mut self, aid: &Aid, container: InstanceId) {
-        AppWarehouse::note_loaded(self, aid, container)
+        AppWarehouse::note_loaded(self, aid, container);
     }
     fn invalidate(&mut self, container: InstanceId) {
         AppWarehouse::invalidate_container(self, container)

@@ -17,7 +17,7 @@
 //! is `floor(log64(at ^ cursor))` — events land as low as their
 //! distance allows and cascade toward level 0 as the cursor advances.
 //!
-//! Three auxiliary structures complete the picture:
+//! Four auxiliary structures complete the picture:
 //!
 //! * a **due heap** holding the (few) events at or before the cursor,
 //!   ordered by `(time, seq)` — this is where cascades deposit events
@@ -26,7 +26,13 @@
 //! * an **overflow heap** for events beyond the wheel horizon
 //!   (`2^42` µs ≈ 51 simulated days past the cursor);
 //! * a **slab free list** with per-node generation counters, so an
-//!   [`EventId`] from a recycled slot can never cancel its successor.
+//!   [`EventId`] from a recycled slot can never cancel its successor;
+//! * a **backlog** of bulk-loaded events
+//!   ([`EventQueue::load_backlog`]): one `(time, seq)`-sorted run
+//!   beside the wheel, merged with the due heap at pop time. A trace's
+//!   arrivals are known up front and never cancelled; as wheel nodes
+//!   they sit in a slab far larger than cache and are touched once per
+//!   level they cascade through, as a sorted run they are read once.
 //!
 //! Cancellation marks the node dead in O(1) and leaves it linked; dead
 //! nodes are reclaimed when their container surfaces them (or by a full
@@ -92,7 +98,8 @@ type HeapKey = Reverse<(u64, u64, u32)>;
 /// A time-ordered queue of events of type `E`.
 ///
 /// Events scheduled for the same instant pop in scheduling order
-/// (FIFO), which keeps simulations deterministic.
+/// (FIFO), which keeps simulations deterministic. `B` is the form
+/// bulk-loaded events wait in: `E`, or something smaller that converts.
 ///
 /// ```
 /// use simkit::event::EventQueue;
@@ -105,7 +112,7 @@ type HeapKey = Reverse<(u64, u64, u32)>;
 /// assert_eq!(q.now(), SimTime::from_secs(1));
 /// ```
 #[derive(Debug)]
-pub struct EventQueue<E> {
+pub struct EventQueue<E, B = E> {
     /// Event arena: nodes are allocated once and recycled forever.
     slab: Vec<Node<E>>,
     free_head: u32,
@@ -122,7 +129,10 @@ pub struct EventQueue<E> {
     due: BinaryHeap<HeapKey>,
     /// Events beyond the wheel horizon (`at ^ cursor ≥ 2^WHEEL_BITS`).
     overflow: BinaryHeap<HeapKey>,
-    /// Exact number of pending, non-cancelled events.
+    /// Bulk-loaded events as `(at, seq, payload)`, by descending
+    /// `(at, seq)`: the last is the next one. Never in the slab.
+    backlog: Vec<(u64, u64, B)>,
+    /// Exact number of pending, non-cancelled events (backlog included).
     live_count: usize,
     /// Cancelled nodes still linked in a slot list or heap, awaiting
     /// reclamation.
@@ -131,15 +141,15 @@ pub struct EventQueue<E> {
     now: SimTime,
 }
 
-impl<E> Default for EventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl<E> EventQueue<E> {
     /// Create an empty queue with the clock at [`SimTime::ZERO`].
     pub fn new() -> Self {
+        Self::default()
+    }
+}
+
+impl<E, B> Default for EventQueue<E, B> {
+    fn default() -> Self {
         EventQueue {
             slab: Vec::new(),
             free_head: NIL,
@@ -148,13 +158,16 @@ impl<E> EventQueue<E> {
             cursor: 0,
             due: BinaryHeap::new(),
             overflow: BinaryHeap::new(),
+            backlog: Vec::new(),
             live_count: 0,
             dead: 0,
             next_seq: 0,
             now: SimTime::ZERO,
         }
     }
+}
 
+impl<E, B: Into<E>> EventQueue<E, B> {
     /// Current simulation clock: the timestamp of the last popped event.
     #[inline]
     pub fn now(&self) -> SimTime {
@@ -200,6 +213,26 @@ impl<E> EventQueue<E> {
         self.schedule(self.now.saturating_add(delay), payload)
     }
 
+    /// Schedule a batch of events that will never be cancelled, in
+    /// iteration order. Equivalent to calling [`EventQueue::schedule`]
+    /// on each in turn — same clamping, same sequence numbers, so the
+    /// same pop order, ties included — but the batch bypasses the
+    /// wheel and waits as one sorted run (input already in time order
+    /// sorts in one pass; a later batch merges into what is left of an
+    /// earlier one).
+    pub fn load_backlog(&mut self, events: impl IntoIterator<Item = (SimTime, B)>) {
+        let (now, before, seq) = (self.now, self.backlog.len(), self.next_seq);
+        let numbered = events.into_iter().zip(seq..);
+        self.backlog.extend(numbered.map(|((at, payload), seq)| {
+            debug_assert!(at >= now, "scheduled event in the past: {at} < {now}");
+            (at.max(now).as_micros(), seq, payload)
+        }));
+        let loaded = self.backlog.len() - before;
+        self.next_seq += loaded as u64;
+        self.live_count += loaded;
+        self.backlog.sort_by_key(|&(at, seq, _)| Reverse((at, seq)));
+    }
+
     /// Cancel a previously scheduled event. Returns `true` if the event
     /// had not yet fired (or been cancelled). O(1): the node is marked
     /// dead in place and reclaimed lazily; stale handles (already fired
@@ -220,28 +253,35 @@ impl<E> EventQueue<E> {
 
     /// Timestamp of the next pending event, if any.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        if !self.settle() {
-            return None;
-        }
-        self.due
-            .peek()
-            .map(|&Reverse((at, _, _))| SimTime::from_micros(at))
+        self.settle().map(|(at, _)| SimTime::from_micros(at))
     }
 
     /// Pop the next event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        if !self.settle() {
-            return None;
-        }
-        let Reverse((at, _, idx)) = self.due.pop().expect("settle guarantees a due event");
-        let payload = self.slab[idx as usize]
-            .payload
-            .take()
-            .expect("live event carries its payload");
-        self.free(idx);
+        let (at, from_backlog) = self.settle()?;
+        Some(self.take(at, from_backlog))
+    }
+
+    /// Pop the next event if it is strictly before `bound`: one
+    /// window-drain step (`peek_time` + `pop`) for one settle.
+    pub fn pop_before(&mut self, bound: SimTime) -> Option<(SimTime, E)> {
+        let (at, from_backlog) = self.settle()?;
+        (at < bound.as_micros()).then(|| self.take(at, from_backlog))
+    }
+
+    /// Remove the head [`EventQueue::settle`] just reported.
+    fn take(&mut self, at: u64, from_backlog: bool) -> (SimTime, E) {
+        let payload = if from_backlog {
+            self.backlog.pop().expect("settle saw it").2.into()
+        } else {
+            let Reverse((_, _, idx)) = self.due.pop().expect("settle guarantees a due event");
+            let payload = self.slab[idx as usize].payload.take();
+            self.free(idx);
+            payload.expect("live event carries its payload")
+        };
         self.live_count -= 1;
         self.now = SimTime::from_micros(at);
-        Some((self.now, payload))
+        (self.now, payload)
     }
 
     /// Take a node from the free list or grow the slab.
@@ -308,9 +348,11 @@ impl<E> EventQueue<E> {
         self.occupied[level] |= 1u64 << slot;
     }
 
-    /// Drive the wheel until the due-heap top is the global minimum
-    /// pending event. Returns `false` iff the queue is empty.
-    fn settle(&mut self) -> bool {
+    /// Drive the wheel until the earliest pending event is known: the
+    /// due-heap top or the backlog head, by `(time, seq)`. Returns its
+    /// time and whether it is the backlog's; `None` iff empty.
+    fn settle(&mut self) -> Option<(u64, bool)> {
+        let back = self.backlog.last().map(|&(at, seq, _)| (at, seq));
         loop {
             // Reclaim cancelled entries surfacing at the due-heap top.
             while let Some(&Reverse((_, _, idx))) = self.due.peek() {
@@ -322,15 +364,18 @@ impl<E> EventQueue<E> {
                 self.free(idx);
             }
             // A non-empty due heap tops out at `≤ cursor`, which
-            // precedes every wheel and overflow event — global min.
-            if self.due.peek().is_some() {
-                return true;
+            // precedes every wheel and overflow event.
+            if let Some(&Reverse((at, seq, _))) = self.due.peek() {
+                return Some(match back {
+                    Some(b) if b < (at, seq) => (b.0, true),
+                    _ => (at, false),
+                });
             }
-            if self.live_count == 0 {
+            if self.live_count == self.backlog.len() {
                 if self.dead > 0 {
                     self.sweep();
                 }
-                return false;
+                return back.map(|(at, _)| (at, true));
             }
             if let Some((level, slot)) = self.next_occupied() {
                 self.advance(level, slot);
@@ -669,6 +714,26 @@ mod tests {
         q.schedule(SimTime::from_micros(horizon + 300), 'm');
         assert_eq!(q.pop(), Some((SimTime::from_micros(horizon + 300), 'm')));
         assert_eq!(q.pop(), Some((SimTime::from_micros(horizon + 500), 'y')));
+    }
+
+    #[test]
+    fn backlog_in_compact_form_merges_by_time_then_sequence() {
+        // `u32` backlog entries become `u64` events as they pop.
+        let mut q: EventQueue<u64, u32> = EventQueue::default();
+        let t = SimTime::from_secs;
+        q.schedule(t(2), 20);
+        q.load_backlog([(t(3), 31), (t(1), 10), (t(2), 21)]);
+        q.schedule(t(2), 22);
+        assert_eq!(q.len(), 5);
+        assert_eq!(q.peek_time(), Some(t(1)));
+        assert_eq!(q.pop_before(t(1)), None, "the bound is exclusive");
+        assert_eq!(q.pop_before(t(2)), Some((t(1), 10)));
+        // Three events tie at 2 s: scheduling order decides, whichever
+        // side of the merge each waits on.
+        let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, [20, 21, 22, 31]);
+        assert_eq!(q.now(), t(3));
+        assert!(q.is_empty());
     }
 
     #[test]

@@ -8,12 +8,12 @@
 //! mutation changes every job's rate, so previously predicted finish
 //! times are wrong). [`FairShareExecutor`] owns that pattern once:
 //!
-//! * it assigns [`JobId`]s and maps them to caller payloads,
+//! * it keeps caller payloads in the resource's id-ordered job table,
 //! * [`FairShareExecutor::reschedule`] bumps the *epoch* and schedules
 //!   the next completion-check event into the caller's [`EventQueue`],
-//! * [`FairShareExecutor::poll`] rejects checks carrying a stale epoch
-//!   and otherwise drains every finished job (remaining work ≤
-//!   [`WORK_EPS`]) in ascending job-id order — deterministically.
+//! * [`FairShareExecutor::poll_with`] rejects checks carrying a stale
+//!   epoch and otherwise drains every finished job (remaining work ≤
+//!   [`WORK_EPS`]) in ascending job-id order, without allocating.
 //!
 //! The caller stays in charge of its own event type: `reschedule`
 //! takes a constructor closure from the fresh epoch to an event, so an
@@ -23,7 +23,6 @@ use crate::event::{EventId, EventQueue};
 use crate::resource::{FairShareResource, JobId};
 use crate::time::{SimDuration, SimTime};
 use obsv::{attrs, AttrValue, Counter, Recorder, SpanId, Subsystem};
-use std::collections::BTreeMap;
 
 /// Work remaining at or below this is "done" (float slack on
 /// resources). Shared by every executor-driven device so completion
@@ -42,20 +41,20 @@ const CHECK_SLACK: SimDuration = SimDuration::from_micros(2);
 struct ExecObs {
     rec: Recorder,
     device: &'static str,
-    job_spans: BTreeMap<u64, SpanId>,
     reschedules: Counter,
     stale_polls: Counter,
     completions: Counter,
 }
 
-/// A fair-shared device plus the epoch/job-map bookkeeping needed to
-/// drive it from a discrete-event loop. `T` is the caller's per-job
-/// payload (typically a request index), returned on completion.
+/// A fair-shared device plus the epoch bookkeeping needed to drive it
+/// from a discrete-event loop. `T` is the caller's per-job payload
+/// (typically a request index), returned on completion.
 #[derive(Debug, Clone)]
 pub struct FairShareExecutor<T> {
-    resource: FairShareResource,
+    /// Each job carries the caller's payload and its span
+    /// ([`SpanId::NONE`], which ends as a no-op, when not instrumented).
+    resource: FairShareResource<(T, SpanId)>,
     epoch: u64,
-    jobs: BTreeMap<u64, T>,
     /// Handle of the outstanding completion-check event, cancelled on
     /// the next [`FairShareExecutor::reschedule`] (when
     /// [`FairShareExecutor::eager_check_cancel`] is on) so superseded
@@ -80,15 +79,9 @@ impl<T> FairShareExecutor<T> {
     /// Panics if either argument is not strictly positive and finite
     /// (see [`FairShareResource::new`]).
     pub fn new(capacity: f64, per_job_cap: f64) -> Self {
-        Self::from_resource(FairShareResource::new(capacity, per_job_cap))
-    }
-
-    /// Wrap an existing resource.
-    pub fn from_resource(resource: FairShareResource) -> Self {
         FairShareExecutor {
-            resource,
+            resource: FairShareResource::new(capacity, per_job_cap),
             epoch: 0,
-            jobs: BTreeMap::new(),
             pending: None,
             eager_cancel: false,
             obs: None,
@@ -111,7 +104,6 @@ impl<T> FairShareExecutor<T> {
             completions: counter("completions"),
             rec,
             device,
-            job_spans: BTreeMap::new(),
         });
     }
 
@@ -130,20 +122,14 @@ impl<T> FairShareExecutor<T> {
         self.eager_cancel = true;
     }
 
-    /// The underlying shared device (read-only; mutations must go
-    /// through the executor so the bookkeeping stays consistent).
-    pub fn resource(&self) -> &FairShareResource {
-        &self.resource
-    }
-
     /// Number of jobs currently executing.
     pub fn active_jobs(&self) -> usize {
-        self.jobs.len()
+        self.resource.active_jobs()
     }
 
     /// `true` when no job is executing.
     pub fn is_idle(&self) -> bool {
-        self.jobs.is_empty()
+        self.active_jobs() == 0
     }
 
     /// Current scheduling epoch (advances on every [`reschedule`]).
@@ -159,9 +145,8 @@ impl<T> FairShareExecutor<T> {
     ///
     /// [`reschedule`]: FairShareExecutor::reschedule
     pub fn submit(&mut self, now: SimTime, work: f64, payload: T) -> JobId {
-        let job = self.resource.add_job(now, work);
-        self.jobs.insert(job.0, payload);
-        if let Some(obs) = &mut self.obs {
+        let job = self.resource.add_job(now, work, (payload, SpanId::NONE));
+        if let Some(obs) = &self.obs {
             let span = obs.rec.span_start_at(
                 Subsystem::Simkit,
                 obs.device,
@@ -172,23 +157,20 @@ impl<T> FairShareExecutor<T> {
                     ("work", AttrValue::F64(work)),
                 ],
             );
-            obs.job_spans.insert(job.0, span);
+            self.resource.jobs.last_mut().expect("just added").payload.1 = span;
         }
         job
     }
 
     /// Abort a job, returning its payload (or `None` if unknown).
     pub fn cancel(&mut self, now: SimTime, job: JobId) -> Option<T> {
-        let payload = self.jobs.remove(&job.0)?;
-        self.resource.remove_job(now, job);
-        if let Some(obs) = &mut self.obs {
-            if let Some(span) = obs.job_spans.remove(&job.0) {
-                obs.rec.span_end_at(
-                    span,
-                    now.as_micros(),
-                    attrs![("cancelled", AttrValue::Bool(true))],
-                );
-            }
+        let (_, (payload, span)) = self.resource.remove_job(now, job)?;
+        if let Some(obs) = &self.obs {
+            obs.rec.span_end_at(
+                span,
+                now.as_micros(),
+                attrs![("cancelled", AttrValue::Bool(true))],
+            );
         }
         Some(payload)
     }
@@ -242,10 +224,10 @@ impl<T> FairShareExecutor<T> {
     /// a trail of stale-epoch pops.
     ///
     /// [`eager_check_cancel`]: FairShareExecutor::eager_check_cancel
-    pub fn reschedule<E>(
+    pub fn reschedule<E, B: Into<E>>(
         &mut self,
         now: SimTime,
-        queue: &mut EventQueue<E>,
+        queue: &mut EventQueue<E, B>,
         make_event: impl FnOnce(u64) -> E,
     ) {
         self.resource.advance_to(now);
@@ -265,48 +247,48 @@ impl<T> FairShareExecutor<T> {
 
     /// Handle a completion-check event stamped with `epoch`.
     ///
-    /// Returns `None` for a stale check (a newer [`reschedule`]
+    /// Returns `false` for a stale check (a newer [`reschedule`]
     /// superseded it — the event must be ignored). Otherwise advances
     /// the device to `now` and drains every job whose remaining work is
-    /// at or below [`WORK_EPS`], in ascending job-id order, returning
-    /// `(id, payload)` pairs. The caller processes the completions and
-    /// then calls [`reschedule`] once to cover the survivors.
+    /// at or below [`WORK_EPS`], in ascending job-id order, handing
+    /// each `(id, payload)` to `done`. The caller then calls
+    /// [`reschedule`] once to cover the survivors. Allocates nothing.
     ///
     /// [`reschedule`]: FairShareExecutor::reschedule
-    pub fn poll(&mut self, now: SimTime, epoch: u64) -> Option<Vec<(JobId, T)>> {
+    pub fn poll_with(&mut self, now: SimTime, epoch: u64, mut done: impl FnMut(JobId, T)) -> bool {
         if epoch != self.epoch {
             if let Some(obs) = &self.obs {
                 obs.stale_polls.inc();
             }
-            return None;
+            return false;
         }
         // This check just fired; its handle is spent.
         self.pending = None;
         self.resource.advance_to(now);
-        let finished: Vec<u64> = self
-            .jobs
-            .keys()
-            .copied()
-            .filter(|&j| {
-                self.resource
-                    .remaining(JobId(j))
-                    .map(|r| r <= WORK_EPS)
-                    .unwrap_or(false)
-            })
-            .collect();
-        let mut out = Vec::with_capacity(finished.len());
-        for j in finished {
-            let payload = self.jobs.remove(&j).expect("tracked job");
-            self.resource.remove_job(now, JobId(j));
-            if let Some(obs) = &mut self.obs {
-                obs.completions.inc();
-                if let Some(span) = obs.job_spans.remove(&j) {
-                    obs.rec.span_end_at(span, now.as_micros(), Vec::new());
-                }
+        let jobs = &mut self.resource.jobs;
+        let mut i = 0;
+        while i < jobs.len() {
+            if jobs[i].remaining > WORK_EPS {
+                i += 1;
+                continue;
             }
-            out.push((JobId(j), payload));
+            let job = jobs.remove(i);
+            let (payload, span) = job.payload;
+            if let Some(obs) = &self.obs {
+                obs.completions.inc();
+                obs.rec.span_end_at(span, now.as_micros(), Vec::new());
+            }
+            done(JobId(job.id), payload);
         }
-        Some(out)
+        true
+    }
+
+    /// [`poll_with`](Self::poll_with), collected — for callers that need
+    /// their whole `self` while handling completions. `None` when stale.
+    pub fn poll(&mut self, now: SimTime, epoch: u64) -> Option<Vec<(JobId, T)>> {
+        let mut out = Vec::new();
+        self.poll_with(now, epoch, |job, payload| out.push((job, payload)))
+            .then_some(out)
     }
 }
 

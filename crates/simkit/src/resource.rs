@@ -19,28 +19,41 @@
 //! re-query after every event).
 
 use crate::time::{SimDuration, SimTime};
-use std::collections::BTreeMap;
 
 /// Identifier of a job executing on a [`FairShareResource`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct JobId(pub u64);
 
-/// A divisible capacity shared max–min fairly between jobs.
+/// One active job: remaining work in units, and whatever the caller
+/// wants back when it leaves.
 #[derive(Debug, Clone)]
-pub struct FairShareResource {
+pub(crate) struct Job<T> {
+    pub(crate) id: u64,
+    pub(crate) remaining: f64,
+    pub(crate) payload: T,
+}
+
+/// A divisible capacity shared max–min fairly between jobs. `T` is a
+/// per-job payload ([`FairShareExecutor`](crate::FairShareExecutor)
+/// keeps the caller's there); a bare resource carries `()`.
+#[derive(Debug, Clone)]
+pub struct FairShareResource<T> {
     /// Total capacity in units/second (e.g. core-seconds/s, bytes/s).
     capacity: f64,
     /// Upper bound on any single job's rate (units/second).
     per_job_cap: f64,
-    /// Remaining work per active job, in units.
-    jobs: BTreeMap<u64, f64>,
+    /// The job table. Ids are handed out in increasing order and new
+    /// jobs are pushed at the back, so the table is always in id order
+    /// — the order every walk (progress, completion scan, tie-break)
+    /// visits jobs in.
+    pub(crate) jobs: Vec<Job<T>>,
     next_id: u64,
     last_update: SimTime,
     /// Total units of work completed since construction.
     completed_work: f64,
 }
 
-impl FairShareResource {
+impl<T> FairShareResource<T> {
     /// Create a resource with `capacity` units/s shared among jobs capped
     /// at `per_job_cap` units/s each.
     ///
@@ -58,7 +71,7 @@ impl FairShareResource {
         FairShareResource {
             capacity,
             per_job_cap,
-            jobs: BTreeMap::new(),
+            jobs: Vec::new(),
             next_id: 0,
             last_update: SimTime::ZERO,
             completed_work: 0.0,
@@ -123,38 +136,49 @@ impl FairShareResource {
         let dt = (now - self.last_update).as_secs_f64();
         let rate = self.per_job_rate();
         if rate > 0.0 {
-            for remaining in self.jobs.values_mut() {
-                let done = (rate * dt).min(*remaining);
-                *remaining -= done;
+            for job in &mut self.jobs {
+                let done = (rate * dt).min(job.remaining);
+                job.remaining -= done;
                 self.completed_work += done;
             }
         }
         self.last_update = now;
     }
 
-    /// Add a job with `work` units at time `now`. Returns its id.
+    /// Add a job with `work` units at time `now`, carrying `payload`.
+    /// Returns its id.
     ///
     /// # Panics
     /// Panics if `work` is negative or non-finite.
-    pub fn add_job(&mut self, now: SimTime, work: f64) -> JobId {
+    pub fn add_job(&mut self, now: SimTime, work: f64, payload: T) -> JobId {
         assert!(work >= 0.0 && work.is_finite(), "work must be non-negative");
         self.advance_to(now);
         let id = self.next_id;
         self.next_id += 1;
-        self.jobs.insert(id, work);
+        self.jobs.push(Job {
+            id,
+            remaining: work,
+            payload,
+        });
         JobId(id)
+    }
+
+    fn position(&self, job: JobId) -> Option<usize> {
+        self.jobs.binary_search_by_key(&job.0, |j| j.id).ok()
     }
 
     /// Remaining work for `job`, or `None` if unknown/finished-and-removed.
     pub fn remaining(&self, job: JobId) -> Option<f64> {
-        self.jobs.get(&job.0).copied()
+        self.position(job).map(|i| self.jobs[i].remaining)
     }
 
     /// Remove a job (completed or aborted) at time `now`. Returns the
-    /// work that was still outstanding, or `None` if the id is unknown.
-    pub fn remove_job(&mut self, now: SimTime, job: JobId) -> Option<f64> {
+    /// work that was still outstanding and the job's payload, or `None`
+    /// if the id is unknown.
+    pub fn remove_job(&mut self, now: SimTime, job: JobId) -> Option<(f64, T)> {
         self.advance_to(now);
-        self.jobs.remove(&job.0)
+        let job = self.jobs.remove(self.position(job)?);
+        Some((job.remaining, job.payload))
     }
 
     /// The earliest instant at which some active job finishes, assuming
@@ -168,13 +192,14 @@ impl FairShareResource {
         if rate <= 0.0 {
             return None;
         }
-        let (&id, &rem) = self.jobs.iter().min_by(|a, b| {
-            a.1.partial_cmp(b.1)
+        let first = self.jobs.iter().min_by(|a, b| {
+            a.remaining
+                .partial_cmp(&b.remaining)
                 .expect("work is finite")
-                .then(a.0.cmp(b.0))
+                .then(a.id.cmp(&b.id))
         })?;
-        let dt = SimDuration::from_secs_f64(rem / rate);
-        Some((self.last_update.saturating_add(dt), JobId(id)))
+        let dt = SimDuration::from_secs_f64(first.remaining / rate);
+        Some((self.last_update.saturating_add(dt), JobId(first.id)))
     }
 }
 
@@ -270,7 +295,7 @@ mod tests {
     fn single_job_runs_at_cap() {
         // 12-core machine, job capped at 1 core, 2 core-seconds of work.
         let mut cpu = FairShareResource::new(12.0, 1.0);
-        let j = cpu.add_job(SimTime::ZERO, 2.0);
+        let j = cpu.add_job(SimTime::ZERO, 2.0, ());
         let (done, id) = cpu.next_completion().unwrap();
         assert_eq!(id, j);
         assert!((done.as_secs_f64() - 2.0).abs() < 1e-6);
@@ -281,8 +306,8 @@ mod tests {
         // 2 units/s capacity, cap 2/s each, two jobs of 2 units → each
         // gets 1 unit/s → both finish at t=2.
         let mut r = FairShareResource::new(2.0, 2.0);
-        r.add_job(SimTime::ZERO, 2.0);
-        r.add_job(SimTime::ZERO, 2.0);
+        r.add_job(SimTime::ZERO, 2.0, ());
+        r.add_job(SimTime::ZERO, 2.0, ());
         let (done, _) = r.next_completion().unwrap();
         assert!((done.as_secs_f64() - 2.0).abs() < 1e-6);
     }
@@ -290,8 +315,8 @@ mod tests {
     #[test]
     fn departure_speeds_up_survivor() {
         let mut r = FairShareResource::new(1.0, 1.0);
-        let a = r.add_job(SimTime::ZERO, 1.0);
-        let b = r.add_job(SimTime::ZERO, 3.0);
+        let a = r.add_job(SimTime::ZERO, 1.0, ());
+        let b = r.add_job(SimTime::ZERO, 3.0, ());
         // Both run at 0.5/s. a finishes at t=2.
         let (ta, ja) = r.next_completion().unwrap();
         assert_eq!(ja, a);
@@ -307,10 +332,10 @@ mod tests {
     fn utilization_tracks_active_jobs() {
         let mut cpu = FairShareResource::new(4.0, 1.0);
         assert_eq!(cpu.utilization(), 0.0);
-        cpu.add_job(SimTime::ZERO, 10.0);
+        cpu.add_job(SimTime::ZERO, 10.0, ());
         assert!((cpu.utilization() - 0.25).abs() < 1e-9);
         for _ in 0..7 {
-            cpu.add_job(SimTime::ZERO, 10.0);
+            cpu.add_job(SimTime::ZERO, 10.0, ());
         }
         // 8 jobs on 4 cores: saturated.
         assert!((cpu.utilization() - 1.0).abs() < 1e-9);
@@ -319,7 +344,7 @@ mod tests {
     #[test]
     fn completed_work_accumulates() {
         let mut r = FairShareResource::new(1.0, 1.0);
-        let j = r.add_job(SimTime::ZERO, 5.0);
+        let j = r.add_job(SimTime::ZERO, 5.0, ());
         r.advance_to(t(2.0));
         assert!((r.completed_work() - 2.0).abs() < 1e-9);
         assert!((r.remaining(j).unwrap() - 3.0).abs() < 1e-9);
@@ -330,7 +355,7 @@ mod tests {
     #[test]
     fn advance_ignores_time_travel() {
         let mut r = FairShareResource::new(1.0, 1.0);
-        let j = r.add_job(t(5.0), 10.0);
+        let j = r.add_job(t(5.0), 10.0, ());
         r.advance_to(t(1.0)); // earlier than last update; ignored
         assert!((r.remaining(j).unwrap() - 10.0).abs() < 1e-9);
     }
@@ -338,7 +363,7 @@ mod tests {
     #[test]
     fn zero_work_job_completes_immediately() {
         let mut r = FairShareResource::new(1.0, 1.0);
-        let j = r.add_job(t(3.0), 0.0);
+        let j = r.add_job(t(3.0), 0.0, ());
         let (done, id) = r.next_completion().unwrap();
         assert_eq!(id, j);
         assert_eq!(done, t(3.0));
@@ -347,8 +372,8 @@ mod tests {
     #[test]
     fn completion_ties_break_by_lowest_id() {
         let mut r = FairShareResource::new(2.0, 1.0);
-        let a = r.add_job(SimTime::ZERO, 1.0);
-        let _b = r.add_job(SimTime::ZERO, 1.0);
+        let a = r.add_job(SimTime::ZERO, 1.0, ());
+        let _b = r.add_job(SimTime::ZERO, 1.0, ());
         assert_eq!(r.next_completion().unwrap().1, a);
     }
 
@@ -370,6 +395,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_rejected() {
-        FairShareResource::new(0.0, 1.0);
+        FairShareResource::<()>::new(0.0, 1.0);
     }
 }

@@ -18,6 +18,17 @@ pub struct SimTime(u64);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
+/// `f64::round(x) as u64` for `x >= 0` (and NaN, which reads 0) without
+/// the call: `round` is a software routine on baseline x86-64, behind
+/// every float-to-time conversion on the event hot path. The cast
+/// truncates and saturates, `x - t` is exact wherever `x` has a
+/// fraction, and half rounds away from zero — bit for bit `round`.
+#[inline]
+fn round_to_u64(x: f64) -> u64 {
+    let t = x as u64;
+    t.saturating_add((x - t as f64 >= 0.5) as u64)
+}
+
 impl SimTime {
     /// The instant the simulation starts at.
     pub const ZERO: SimTime = SimTime(0);
@@ -45,7 +56,7 @@ impl SimTime {
     /// Construct from fractional seconds (saturating at zero for negatives).
     #[inline]
     pub fn from_secs_f64(s: f64) -> Self {
-        SimTime((s.max(0.0) * 1e6).round() as u64)
+        SimTime(round_to_u64(s.max(0.0) * 1e6))
     }
 
     /// Raw microsecond count.
@@ -107,13 +118,13 @@ impl SimDuration {
     /// Construct from fractional seconds (saturating at zero for negatives).
     #[inline]
     pub fn from_secs_f64(s: f64) -> Self {
-        SimDuration((s.max(0.0) * 1e6).round() as u64)
+        SimDuration(round_to_u64(s.max(0.0) * 1e6))
     }
 
     /// Construct from fractional milliseconds.
     #[inline]
     pub fn from_millis_f64(ms: f64) -> Self {
-        SimDuration((ms.max(0.0) * 1e3).round() as u64)
+        SimDuration(round_to_u64(ms.max(0.0) * 1e3))
     }
 
     /// Raw microsecond count.
@@ -155,7 +166,7 @@ impl SimDuration {
     /// Multiply by a non-negative float, rounding to the nearest microsecond.
     #[inline]
     pub fn mul_f64(self, k: f64) -> SimDuration {
-        SimDuration((self.0 as f64 * k.max(0.0)).round() as u64)
+        SimDuration(round_to_u64(self.0 as f64 * k.max(0.0)))
     }
 }
 

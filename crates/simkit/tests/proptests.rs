@@ -85,7 +85,7 @@ proptest! {
                 (Some(_), _) => {
                     let (t, work) = q.pop().unwrap();
                     submitted += work;
-                    r.add_job(t, work);
+                    r.add_job(t, work, ());
                     active += 1;
                 }
                 (None, Some((td, jid))) => {
@@ -309,5 +309,212 @@ proptest! {
         }
         prop_assert_eq!(q.pop(), None);
         prop_assert_eq!(q.len(), 0);
+    }
+}
+
+/// `f64::round`-then-cast, the definition the libm-free conversions
+/// must reproduce bit for bit.
+fn rounded(x: f64) -> u64 {
+    x.round() as u64
+}
+
+/// All four float constructors at the product `x` (in µs): `mul_f64`
+/// on a 1 µs span sees `x` itself, the others see it through their
+/// own scaling, and each is held to `round` of exactly what it
+/// computes.
+fn assert_rounds_like_libm(x: f64) {
+    let one = SimDuration::from_micros(1);
+    assert_eq!(
+        one.mul_f64(x).as_micros(),
+        rounded(x.max(0.0)),
+        "mul_f64({x:e})"
+    );
+    let (s, ms) = (x / 1e6, x / 1e3);
+    assert_eq!(
+        SimDuration::from_secs_f64(s).as_micros(),
+        rounded(s.max(0.0) * 1e6),
+        "SimDuration::from_secs_f64({s:e})"
+    );
+    assert_eq!(
+        SimTime::from_secs_f64(s).as_micros(),
+        rounded(s.max(0.0) * 1e6),
+        "SimTime::from_secs_f64({s:e})"
+    );
+    assert_eq!(
+        SimDuration::from_millis_f64(ms).as_micros(),
+        rounded(ms.max(0.0) * 1e3),
+        "from_millis_f64({ms:e})"
+    );
+}
+
+#[test]
+fn float_conversions_round_like_libm_at_the_edges() {
+    let two52 = (1u64 << 52) as f64;
+    let edges = [
+        0.0,
+        -0.0,
+        0.25,
+        0.49999999999999994, // largest double below one half: rounds down
+        0.5,
+        0.5000000000000001,
+        1.5,
+        2.5,
+        1e6 - 0.5,
+        two52 - 0.5,
+        two52 + 0.5, // not representable: the literal already is 2^52 (+1)
+        two52 * 2.0, // 2^53
+        two52 * 2.0 + 2.0,
+        (1u64 << 63) as f64,
+        u64::MAX as f64, // 2^64: the cast saturates
+        3.0e19,
+        1e300,
+        f64::MAX,
+        f64::INFINITY,
+        f64::NAN,
+        f64::MIN_POSITIVE,
+        -1.0,
+        -1e300,
+        f64::NEG_INFINITY,
+    ];
+    for x in edges {
+        assert_rounds_like_libm(x);
+        // Neighbouring doubles on both sides of every edge.
+        if x.is_finite() {
+            assert_rounds_like_libm(f64::from_bits(x.to_bits() + 1));
+            assert_rounds_like_libm(f64::from_bits(x.to_bits().saturating_sub(1)));
+        }
+    }
+    // `mul_f64` on a long span: the product, not the factor, is rounded.
+    let hour = SimDuration::from_secs(3600);
+    for k in [
+        0.0,
+        1e-10,
+        0.3333333333333333,
+        1.0000000001,
+        2.5,
+        1e12,
+        f64::NAN,
+    ] {
+        let want = rounded(hour.as_micros() as f64 * k.max(0.0));
+        assert_eq!(hour.mul_f64(k).as_micros(), want, "hour × {k:e}");
+    }
+}
+
+proptest! {
+    /// The conversions equal `round`-then-cast across `[0, 2^53]`:
+    /// uniformly, near the half-way points, and in every binade.
+    #[test]
+    fn float_conversions_round_like_libm(
+        frac in 0.0f64..1.0,
+        whole in 0u64..(1 << 53),
+        exp in 0u32..54,
+        nudge in 0u64..4,
+    ) {
+        let top = (1u64 << 53) as f64;
+        assert_rounds_like_libm(frac * top);
+        // A few ulps either side of `whole + ½` (exact below 2^52).
+        let half = whole as f64 + 0.5;
+        assert_rounds_like_libm(f64::from_bits(half.to_bits() + nudge));
+        assert_rounds_like_libm(f64::from_bits(half.to_bits() - nudge));
+        // Somewhere in binade `exp`, so small values are not drowned
+        // out by the uniform draw.
+        assert_rounds_like_libm((1u64 << exp) as f64 * (1.0 + frac));
+    }
+}
+
+/// One step of the backlog-vs-`schedule` equivalence property. Most
+/// deltas are small so that equal timestamps turn up on both sides of
+/// the merge, and within each side.
+#[derive(Debug, Clone)]
+enum BacklogOp {
+    Schedule(u64),
+    ScheduleIn(u64),
+    /// Bulk-load this batch (deltas from `now`, in this order).
+    Load(Vec<u64>),
+    Cancel(u64),
+    Pop,
+    /// `pop_before(now + delta)`.
+    PopBefore(u64),
+}
+
+proptest! {
+    /// A queue fed through `load_backlog` pops exactly what a queue fed
+    /// the same events through `schedule` pops — time and payload, so
+    /// tie order is covered — whatever is scheduled, cancelled or
+    /// loaded in between (a second batch lands on what is left of the
+    /// first, a batch may arrive after events that tie with it), and
+    /// `pop_before` is `peek_time` + `pop`.
+    #[test]
+    fn backlog_pops_exactly_like_schedule(
+        ops in prop::collection::vec(
+            prop_oneof![
+                (0u64..6).prop_map(BacklogOp::Schedule),
+                (0u64..3000).prop_map(BacklogOp::Schedule),
+                // Either side of the 2^42 µs wheel horizon.
+                (1u64 << 41..1 << 43).prop_map(BacklogOp::Schedule),
+                (0u64..6).prop_map(BacklogOp::ScheduleIn),
+                prop::collection::vec(0u64..6, 0..12).prop_map(BacklogOp::Load),
+                prop::collection::vec(0u64..3000, 0..40).prop_map(BacklogOp::Load),
+                any::<u64>().prop_map(BacklogOp::Cancel),
+                Just(BacklogOp::Pop),
+                Just(BacklogOp::Pop),
+                (0u64..8).prop_map(BacklogOp::PopBefore),
+                (0u64..2000).prop_map(BacklogOp::PopBefore),
+            ],
+            1..120,
+        )
+    ) {
+        let mut bulk: EventQueue<u64> = EventQueue::new();
+        let mut plain: EventQueue<u64> = EventQueue::new();
+        // Cancellable events: the same event's handle in each queue.
+        let mut ids: Vec<(simkit::EventId, simkit::EventId)> = Vec::new();
+        let mut tag = 0u64;
+        let mut next_tag = || { tag += 1; tag };
+        for op in ops {
+            prop_assert_eq!(bulk.now(), plain.now());
+            let now = bulk.now().as_micros();
+            match op {
+                BacklogOp::Schedule(d) => {
+                    let (at, t) = (SimTime::from_micros(now + d), next_tag());
+                    ids.push((bulk.schedule(at, t), plain.schedule(at, t)));
+                }
+                BacklogOp::ScheduleIn(d) => {
+                    let (d, t) = (SimDuration::from_micros(d), next_tag());
+                    ids.push((bulk.schedule_in(d, t), plain.schedule_in(d, t)));
+                }
+                BacklogOp::Load(deltas) => {
+                    let batch: Vec<(SimTime, u64)> = deltas
+                        .iter()
+                        .map(|d| (SimTime::from_micros(now + d), next_tag()))
+                        .collect();
+                    for &(at, t) in &batch {
+                        plain.schedule(at, t);
+                    }
+                    bulk.load_backlog(batch);
+                }
+                BacklogOp::Cancel(which) => {
+                    if ids.is_empty() {
+                        continue;
+                    }
+                    let (b, p) = ids.swap_remove(which as usize % ids.len());
+                    // Already popped or not: both queues agree.
+                    prop_assert_eq!(bulk.cancel(b), plain.cancel(p));
+                }
+                BacklogOp::Pop => prop_assert_eq!(bulk.pop(), plain.pop()),
+                BacklogOp::PopBefore(d) => {
+                    let bound = SimTime::from_micros(now + d);
+                    let due = plain.peek_time().is_some_and(|t| t < bound);
+                    let want = if due { plain.pop() } else { None };
+                    prop_assert_eq!(bulk.pop_before(bound), want);
+                }
+            }
+            prop_assert_eq!(bulk.len(), plain.len());
+            prop_assert_eq!(bulk.peek_time(), plain.peek_time());
+        }
+        while let Some(want) = plain.pop() {
+            prop_assert_eq!(bulk.pop(), Some(want));
+        }
+        prop_assert_eq!(bulk.pop(), None);
+        prop_assert!(bulk.is_empty());
     }
 }
