@@ -64,14 +64,17 @@ if [ "${RATTRAP_BENCH_SMOKE:-0}" != "0" ]; then
         cargo run --release --offline -p rattrap-bench --bin exp_storm >/dev/null
     echo "==> bench smoke (exp_drift: modeled vs real kernel latency)"
     cargo run --release --offline -p rattrap-bench --bin exp_drift >/dev/null
-    echo "==> fleet_prof smoke (SIGPROF sampler + counting allocator, 2 repetitions)"
+    echo "==> fleet_prof smoke (SIGPROF sampler + counting allocator, 2 repetitions a shape)"
     # A tool, not a gate: it only has to run and see itself running.
-    samples=$(cargo run --release --offline -p rattrap-bench --bin fleet_prof -- \
-        long --reps 2 | awk '$1 == "samples" { print $2 }')
-    if [ "${samples:-0}" -lt 1 ]; then
-        echo "    ERROR: fleet_prof took no sample" >&2
-        exit 1
-    fi
+    for shape in "long" "paper --smoke"; do
+        # shellcheck disable=SC2086  # $shape is a shape and its flag
+        samples=$(cargo run --release --offline -p rattrap-bench --bin fleet_prof -- \
+            $shape --reps 2 | awk '$1 == "samples" { print $2 }')
+        if [ "${samples:-0}" -lt 1 ]; then
+            echo "    ERROR: fleet_prof $shape took no sample" >&2
+            exit 1
+        fi
+    done
     echo "==> exec serve probe (offload API end to end)"
     cargo run --release --offline -p rattrap-bench --bin exec_serve -- --probe >/dev/null
     echo "==> repo benchmark smoke (benchmark/check.sh: pinned simulator digests, serve checksums)"

@@ -13,7 +13,7 @@ fn bench_warehouse(c: &mut Criterion) {
     group.bench_function("lookup_hit", |b| {
         let mut w = AppWarehouse::new(512 << 20);
         let aid = aid_of("com.bench.chessgame");
-        w.insert(aid.clone(), "com.bench.chessgame", 2 << 20);
+        w.insert(aid, "com.bench.chessgame", 2 << 20);
         b.iter(|| black_box(w.lookup(&aid)))
     });
     group.bench_function("insert_evict_under_pressure", |b| {

@@ -1,15 +1,22 @@
-//! Sampling profiler for the fleet engine: runs a named fleet shape N
-//! times under a `SIGPROF` timer and a counting allocator, then prints
+//! Sampling profiler for the two engines: runs a named benchmark shape
+//! N times under a `SIGPROF` timer and a counting allocator, then prints
 //! where the samples fell — by layer and by source line — with the
 //! denominators beside them. A tool, not a gate: EXPERIMENTS.md's
-//! "Where `fleet_long`'s 280 ms went" is its output.
+//! "Where `fleet_long`'s 280 ms went" and "Where `paper_replay`'s
+//! 220 ms went" are its output.
 //!
-//! Usage: `fleet_prof [long|dense] [--reps N] [--hz N] [--top N] [--smoke] [--raw]`
+//! Usage: `fleet_prof [long|dense|paper] [--reps N] [--hz N] [--top N]
+//! [--allocs N] [--smoke] [--raw]`
 //!
 //! * `long` (default) is the repo benchmark's `fleet_long` shape (8
 //!   hosts, 1 600 users, 1 h), `dense` its `fleet_dense` (128 hosts,
-//!   150 000 users, 21 s); `--smoke` runs a tenth of the horizon.
+//!   150 000 users, 21 s), `paper` its `paper_replay` (one 70-user × 4 h
+//!   LiveLab trace through the paper engine on 3 platforms × 4 apps);
+//!   `--smoke` runs a tenth of the horizon.
 //! * `--hz 0` turns sampling off (allocation counts only).
+//! * `--allocs N` adds one untimed repetition in which every Nth
+//!   allocation records its call stack, and prints the allocation sites
+//!   (first frame outside std and this file) by share.
 //! * `--raw` prints every sample as `module+0xoffset` frames, leaf
 //!   first, instead of resolving them.
 //!
@@ -24,25 +31,57 @@
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 mod prof {
     use fleet::{run_fleet, FleetConfig};
+    use obsv::{Recorder, RecorderConfig};
+    use rattrap::{run_scenario, PlatformKind, ReportHasher, ScenarioConfig, Simulation};
     use simkit::SimDuration;
     use std::alloc::{GlobalAlloc, Layout, System};
+    use std::backtrace::Backtrace;
+    use std::cell::Cell;
     use std::collections::BTreeMap;
     use std::ffi::c_void;
     use std::process::Command;
     use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering::Relaxed};
+    use std::sync::Mutex;
     use std::time::Instant;
+    use traces::TraceConfig;
+    use workloads::WorkloadKind;
 
-    /// Counts every allocation the run makes; otherwise the system
-    /// allocator.
+    /// Counts every allocation the run makes, and records the call
+    /// stack of every [`STRIDE`]th; otherwise the system allocator.
     struct Counting;
     static ALLOCS: AtomicU64 = AtomicU64::new(0);
+    /// Record every this-many-th allocation's stack; 0 = none.
+    static STRIDE: AtomicU64 = AtomicU64::new(0);
+    static STACKS: Mutex<Vec<Backtrace>> = Mutex::new(Vec::new());
+
+    thread_local! {
+        /// Set while a stack is being recorded: what that allocates is
+        /// the profiler's, neither counted nor recorded.
+        static RECORDING: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// Count one allocation of the run; every `STRIDE`th keeps its stack.
+    fn count() {
+        if RECORDING.try_with(Cell::get).unwrap_or(true) {
+            return;
+        }
+        let nth = ALLOCS.fetch_add(1, Relaxed);
+        let stride = STRIDE.load(Relaxed);
+        if stride != 0 && nth.is_multiple_of(stride) {
+            RECORDING.with(|r| r.set(true));
+            let stack = Backtrace::force_capture();
+            STACKS.lock().expect("no panic while recording").push(stack);
+            RECORDING.with(|r| r.set(false));
+        }
+    }
 
     // SAFETY: every method forwards its arguments unchanged to `System`,
-    // which upholds the `GlobalAlloc` contract; the counter is a
-    // statistic and publishes nothing.
+    // which upholds the `GlobalAlloc` contract. `count` re-enters the
+    // allocator only behind its own `RECORDING` flag (a const-initialised
+    // `Cell`, which never allocates), so the recursion ends one level in.
     unsafe impl GlobalAlloc for Counting {
         unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            ALLOCS.fetch_add(1, Relaxed);
+            count();
             // SAFETY: the caller's `layout` contract is `System`'s.
             unsafe { System.alloc(layout) }
         }
@@ -51,7 +90,7 @@ mod prof {
             unsafe { System.dealloc(ptr, layout) }
         }
         unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            ALLOCS.fetch_add(1, Relaxed);
+            count();
             // SAFETY: as `dealloc`; `new_size` is the caller's contract.
             unsafe { System.realloc(ptr, layout, new_size) }
         }
@@ -304,8 +343,11 @@ mod prof {
             ("simkit/src/time.rs", "time rounding"),
             // The software `f64::round` baseline x86-64 falls back to.
             ("compiler-builtins", "time rounding"),
+            ("simkit/src/table.rs", "id-ordered tables"),
             ("simkit/src/", "executor + resource"),
             ("fleet/src/", "fleet control + host LP"),
+            ("rattrap/src/", "paper engine (rattrap)"),
+            ("hostkernel/src/", "hostkernel"),
             ("netsim/src/", "netsim"),
             ("traces/src/", "trace generation"),
             ("workloads/src/", "workload sampling"),
@@ -315,12 +357,86 @@ mod prof {
         hit.map_or("std / other", |&(_, layer)| layer)
     }
 
+    /// What a repetition runs: one fleet, or the paper engine's twelve
+    /// replays of one trace.
+    enum Shape {
+        Fleet(Box<FleetConfig>),
+        Paper(Vec<ScenarioConfig>),
+    }
+
+    /// The benchmark's `paper_replay` input: one LiveLab trace (Fig. 11's
+    /// session parameters), every platform × every app.
+    fn replay_scenarios(users: u32, horizon_s: u64) -> Vec<ScenarioConfig> {
+        let traffic = TraceConfig::fig11(users, SimDuration::from_secs(horizon_s), 7);
+        let trace = traces::generate(&traffic);
+        PlatformKind::ALL
+            .into_iter()
+            .flat_map(|platform| WorkloadKind::ALL.map(|kind| (platform, kind)))
+            .map(|(platform, kind)| traces::replay_scenario(&traffic, &trace, platform, kind))
+            .collect()
+    }
+
+    impl Shape {
+        /// One repetition. Returns what is checked afterwards, outside
+        /// the timed and sampled region: `(requests, digest)` thunk.
+        fn run(&self) -> Box<dyn FnOnce() -> (u64, u64)> {
+            match self {
+                Shape::Fleet(cfg) => {
+                    let report = run_fleet(cfg);
+                    Box::new(move || (report.summary.submitted, report.digest()))
+                }
+                Shape::Paper(cfgs) => {
+                    let reports: Vec<_> = cfgs.iter().cloned().map(run_scenario).collect();
+                    Box::new(move || {
+                        let mut fold = ReportHasher::new();
+                        let mut requests = 0;
+                        for r in &reports {
+                            fold.write_u64(r.digest());
+                            requests += r.requests.len() as u64;
+                        }
+                        (requests, fold.finish())
+                    })
+                }
+            }
+        }
+
+        /// Events one repetition pops, where the engine counts them
+        /// (`rattrap.events_dispatched`, from one traced pass).
+        fn events(&self) -> Option<u64> {
+            let Shape::Paper(cfgs) = self else {
+                return None;
+            };
+            let popped = cfgs.iter().map(|cfg| {
+                let rec = Recorder::enabled(RecorderConfig::with_capacity(1 << 10));
+                let mut sim = Simulation::new(cfg.clone());
+                sim.set_recorder(rec.clone());
+                sim.run();
+                rec.snapshot().counters["rattrap.events_dispatched"]
+            });
+            Some(popped.sum())
+        }
+    }
+
+    /// Where a recorded allocation came from: the first frame of `stack`
+    /// that is neither std's nor this file's, as `file:line`.
+    fn allocation_site(stack: &Backtrace) -> String {
+        let text = stack.to_string();
+        let site = text
+            .lines()
+            .filter_map(|l| l.trim_start().strip_prefix("at "))
+            .find(|at| !at.starts_with("/rustc/") && !at.contains("fleet_prof.rs"));
+        // `file:line:column`, from the workspace root.
+        let site = site.and_then(|at| at.rsplit_once(':')).map(|(s, _)| s);
+        site.map_or("? (no frame outside std)", |s| s.trim_start_matches("./"))
+            .to_string()
+    }
+
     pub fn main() {
         let stack_top = 0usize;
         STACK_TOP.store(&stack_top as *const usize as usize, Relaxed);
 
         let (mut shape, mut reps, mut hz, mut top) = ("long", 10u32, 250u64, 40usize);
-        let (mut smoke, mut raw) = (false, false);
+        let (mut smoke, mut raw, mut stride) = (false, false, 0u64);
         let mut args = std::env::args().skip(1);
         while let Some(a) = args.next() {
             let mut num = |what: &str| -> u64 {
@@ -330,53 +446,61 @@ mod prof {
             match a.as_str() {
                 "long" => shape = "long",
                 "dense" => shape = "dense",
+                "paper" => shape = "paper",
                 "--reps" => reps = num("--reps") as u32,
                 "--hz" => hz = num("--hz"),
                 "--top" => top = num("--top") as usize,
+                "--allocs" => stride = num("--allocs"),
                 "--smoke" => smoke = true,
                 "--raw" => raw = true,
                 other => panic!("unknown argument `{other}`"),
             }
         }
-        let (hosts, users, horizon_s) = match shape {
-            "dense" => (128, 150_000, 21),
-            _ => (8, 1600, 3600),
+        let (name, hosts, users, horizon_s) = match shape {
+            "dense" => ("fleet_dense", 128, 150_000, 21),
+            "paper" => ("paper_replay", 1, 70, 4 * 3600),
+            _ => ("fleet_long", 8, 1600, 3600),
         };
-        let mut cfg = FleetConfig::paper_default(hosts, 7);
-        cfg.traffic.users = users;
-        cfg.traffic.duration = SimDuration::from_secs(horizon_s / if smoke { 10 } else { 1 });
+        let horizon_s = horizon_s / if smoke { 10 } else { 1 };
+        let work = if shape == "paper" {
+            Shape::Paper(replay_scenarios(users, horizon_s))
+        } else {
+            let mut cfg = FleetConfig::paper_default(hosts, 7);
+            cfg.traffic.users = users;
+            cfg.traffic.duration = SimDuration::from_secs(horizon_s);
+            Shape::Fleet(Box::new(cfg))
+        };
 
         // One discarded run: lazy statics, the shared image, page faults.
-        let warm = run_fleet(&cfg);
-        let (requests, digest) = (warm.summary.submitted, warm.digest());
-        drop(warm);
+        let (requests, digest) = work.run()();
+        let events = work.events();
 
         install_handler();
-        let allocs0 = ALLOCS.load(Relaxed);
-        let (mut wall, mut fastest) = (0.0, f64::INFINITY);
+        let (mut wall, mut fastest, mut allocs) = (0.0, f64::INFINITY, 0);
         for _ in 0..reps {
-            // Only the run is timed and sampled, not the digest check.
-            let began = Instant::now();
+            // Only the run is timed, sampled and counted, not the digest
+            // check.
+            let (began, allocs0) = (Instant::now(), ALLOCS.load(Relaxed));
             set_timer(hz);
-            let report = run_fleet(&cfg);
+            let check = work.run();
             set_timer(0);
             let rep = began.elapsed().as_secs_f64();
+            allocs += ALLOCS.load(Relaxed) - allocs0;
             wall += rep;
             fastest = fastest.min(rep);
-            assert_eq!(report.digest(), digest, "the run is deterministic");
+            assert_eq!(check(), (requests, digest), "the run is deterministic");
         }
-        let allocs = ALLOCS.load(Relaxed) - allocs0;
         let taken = TAKEN.load(Relaxed).min(CAPACITY);
 
         let cores = std::thread::available_parallelism().map_or(0, usize::from);
         println!(
-            "# fleet_prof shape=fleet_{shape} smoke={smoke} hosts={hosts} users={users} \
-             horizon_s={} reps={reps} hz={hz} cores={cores} digest={digest:016x}",
-            cfg.traffic.duration.as_micros() / 1_000_000
+            "# fleet_prof shape={name} smoke={smoke} hosts={hosts} users={users} \
+             horizon_s={horizon_s} reps={reps} hz={hz} cores={cores} digest={digest:016x}"
         );
+        let events = events.map_or(String::new(), |e| format!(" events/rep={e}"));
         println!(
-            "# requests/rep={requests} wall/rep={:.1} ms, fastest {:.1} ms  ({:.0} ns/request)  \
-             allocations/rep={}  ({:.2} per request)",
+            "# requests/rep={requests}{events} wall/rep={:.1} ms, fastest {:.1} ms  \
+             ({:.0} ns/request)  allocations/rep={}  ({:.2} per request)",
             wall * 1e3 / reps as f64,
             fastest * 1e3,
             wall * 1e9 / (reps as f64 * requests as f64),
@@ -384,6 +508,30 @@ mod prof {
             allocs as f64 / (reps as f64 * requests as f64),
         );
         println!("samples {taken}");
+
+        if stride > 0 {
+            STRIDE.store(stride, Relaxed);
+            let check = work.run();
+            STRIDE.store(0, Relaxed);
+            drop(check);
+            let stacks = std::mem::take(&mut *STACKS.lock().expect("recording is over"));
+            let mut sites: BTreeMap<String, u64> = BTreeMap::new();
+            for stack in &stacks {
+                *sites.entry(allocation_site(stack)).or_default() += 1;
+            }
+            let mut sites: Vec<_> = sites.into_iter().collect();
+            sites.sort_by_key(|(_, n)| std::cmp::Reverse(*n));
+            println!(
+                "\n{:<72} {:>8} {:>7}",
+                format!("allocation sites (every {stride}th of one repetition)"),
+                "stacks",
+                "share"
+            );
+            for (site, n) in sites.iter().take(top) {
+                let share = 100.0 * *n as f64 / stacks.len() as f64;
+                println!("{site:<72} {n:>8} {share:>6.1}%");
+            }
+        }
         if taken == 0 {
             return;
         }

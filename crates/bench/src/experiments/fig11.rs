@@ -12,14 +12,7 @@ use workloads::WorkloadKind;
 /// Run Fig. 11: a 6-hour synthetic LiveLab trace replayed against all
 /// three platforms.
 pub fn run(seed: u64) -> ExperimentOutput {
-    let trace_cfg = TraceConfig {
-        users: 5,
-        duration: SimDuration::from_secs(6 * 3600),
-        sessions_per_hour: 2.5,
-        mean_session_len: 18.0,
-        intra_gap_s: 25.0,
-        seed,
-    };
+    let trace_cfg = TraceConfig::fig11(5, SimDuration::from_secs(6 * 3600), seed);
     let results = run_trace_experiment(WorkloadKind::ChessGame, &trace_cfg, &PlatformKind::ALL);
 
     let labels: Vec<&str> = results.iter().map(|r| r.platform.label()).collect();

@@ -30,7 +30,7 @@ pub fn run(_seed: u64) -> ExperimentOutput {
         let (id, setup) = host.provision(*class).expect("fresh host has room");
         let inst = host.instance(id).expect("just provisioned");
         let spec = class.spec();
-        let disk = inst.exclusive_disk_bytes;
+        let disk = inst.exclusive_disk_bytes();
         // The optimized container additionally relies on the shared
         // layer, published once per host, not per instance.
         let _ = base_disk;

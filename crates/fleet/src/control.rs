@@ -669,7 +669,7 @@ impl ControlLp {
                     ("host", AttrValue::U64(d.host as u64)),
                     ("reason", AttrValue::Str(d.reason.label())),
                     ("cross_region", AttrValue::Bool(d.cross_region)),
-                    ("aid", AttrValue::Text(self.aids[kix].0.clone())),
+                    ("aid", AttrValue::Text(self.aids[kix].to_string())),
                     ("depth", AttrValue::U64(self.admission.depth(d.host) as u64)),
                 ],
             );

@@ -126,11 +126,6 @@ pub(crate) enum Wire {
     },
 }
 
-/// Map an app id back to its workload (for code bytes on migration).
-fn kind_of_app(app_id: &str) -> Option<WorkloadKind> {
-    WorkloadKind::ALL.into_iter().find(|k| k.app_id() == app_id)
-}
-
 pub(crate) fn kind_ix(kind: WorkloadKind) -> usize {
     WorkloadKind::ALL
         .into_iter()
@@ -427,11 +422,11 @@ impl HostLp {
 
     /// Prefer an idle instance that already holds the app's code.
     fn pick_idle(&self, kind: WorkloadKind) -> Option<InstanceId> {
-        let app_id = kind.app_id();
+        let aid = &self.aids[kind_ix(kind)];
         let with_app = self.idle().find(|&i| {
             self.host
                 .instance(i)
-                .map(|r| r.apps_loaded.contains(app_id))
+                .map(|r| r.apps_loaded.contains(aid))
                 .unwrap_or(false)
         });
         with_app.or_else(|| self.idle().next())
@@ -454,7 +449,7 @@ impl HostLp {
         let resident = self
             .host
             .instance(inst)
-            .map(|r| r.apps_loaded.contains(app_id))
+            .map(|r| r.apps_loaded.contains(aid))
             .unwrap_or(false);
         let mut t = SimDuration::ZERO;
         let cold = !resident && !self.warehouse.lookup(aid);
@@ -464,7 +459,7 @@ impl HostLp {
             t += self
                 .link
                 .transfer_time(code_bytes, Direction::Upload, &mut rng);
-            self.warehouse.insert(aid.clone(), app_id, code_bytes);
+            self.warehouse.insert(*aid, app_id, code_bytes);
         }
         t += self
             .host
@@ -770,17 +765,16 @@ impl HostLp {
         out: &mut Outbox<Wire>,
     ) {
         *state_of(&mut self.insts, inst) = InstState::Idle(now);
-        // Publish the arrived container's apps as warm CID hints.
-        let apps: Vec<String> = self
-            .host
-            .instance(inst)
-            .map(|r| r.apps_loaded.iter().cloned().collect())
-            .unwrap_or_default();
-        for app_id in apps {
-            if let Some(kind) = kind_of_app(&app_id) {
-                let aid = self.aids[kind_ix(kind)].clone();
-                self.warehouse
-                    .insert(aid.clone(), &app_id, kind.profile().app_code_bytes);
+        // Publish the arrived container's apps as warm CID hints, in
+        // package-name order (the warehouse's LRU clock ticks per insert).
+        let mut kinds = WorkloadKind::ALL;
+        kinds.sort_by_key(|k| k.app_id());
+        for kind in kinds {
+            let aid = self.aids[kind_ix(kind)];
+            let loaded = |r: &virt::RuntimeInstance| r.apps_loaded.contains(&aid);
+            if self.host.instance(inst).is_ok_and(loaded) {
+                let code_bytes = kind.profile().app_code_bytes;
+                self.warehouse.insert(aid, kind.app_id(), code_bytes);
                 self.warehouse.note_loaded(&aid, inst);
             }
         }

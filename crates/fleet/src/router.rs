@@ -147,7 +147,8 @@ impl Router {
                 reason: RouteReason::Affinity,
             });
         }
-        let key = hash_bytes(aid.0.bytes(), 0);
+        // The ring keys on the AID as the cache table prints it.
+        let key = hash_bytes(aid.hex(), 0);
         let (before, from) = self
             .points
             .split_at(self.points.partition_point(|p| p.at < key));
@@ -290,7 +291,9 @@ mod tests {
                 reason: RouteReason::Affinity,
             });
         }
-        let order = ring_walk(r, hash_bytes(aid.0.bytes(), 0));
+        // The reference hashes the rendered string, as the router did
+        // when an AID was one.
+        let order = ring_walk(r, hash_bytes(aid.to_string().bytes(), 0));
         for (i, h) in order.into_iter().enumerate() {
             if admissible(h) {
                 return Some(RouteDecision {

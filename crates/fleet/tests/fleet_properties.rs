@@ -62,25 +62,14 @@ proptest! {
                 );
             }
         }
-        let apps_before: Vec<String> = src
-            .instance(id)
-            .unwrap()
-            .apps_loaded
-            .iter()
-            .cloned()
-            .collect();
+        let apps_before = src.instance(id).unwrap().apps_loaded.clone();
         let upper_before = upper_snapshot(&src, id);
 
         let receipt = migrate(&mut src, id, &mut dst, 1.25e9, SimTime::ZERO).unwrap();
 
-        let apps_after: Vec<String> = dst
-            .instance(receipt.new_id)
-            .unwrap()
-            .apps_loaded
-            .iter()
-            .cloned()
-            .collect();
-        prop_assert_eq!(apps_before, apps_after, "loaded-app set moved intact");
+        let apps_after = &dst.instance(receipt.new_id).unwrap().apps_loaded;
+        prop_assert_eq!(apps_before.len(), apps.len(), "one AID per app");
+        prop_assert_eq!(&apps_before, apps_after, "loaded-app set moved intact");
         prop_assert_eq!(
             upper_before,
             upper_snapshot(&dst, receipt.new_id),

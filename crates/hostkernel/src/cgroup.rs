@@ -30,6 +30,9 @@ pub struct Cgroup {
 #[derive(Debug, Default)]
 pub struct CgroupManager {
     groups: BTreeMap<u32, Cgroup>,
+    /// Which group each attached pid is a member of — the inverse of
+    /// every `members` set, so moving a pid touches two groups, not all.
+    group_of: BTreeMap<u32, u32>,
     next_id: u32,
 }
 
@@ -80,15 +83,22 @@ impl CgroupManager {
                 what: format!("cgroup {}", id.0),
             });
         }
-        for g in self.groups.values_mut() {
-            g.members.remove(&pid);
-        }
+        self.detach(pid);
+        self.group_of.insert(pid, id.0);
         self.groups
             .get_mut(&id.0)
             .expect("checked above")
             .members
             .insert(pid);
         Ok(())
+    }
+
+    /// Detach a pid from whichever cgroup holds it (process exit).
+    pub fn detach(&mut self, pid: u32) {
+        if let Some(g) = self.group_of.remove(&pid) {
+            let group = self.groups.get_mut(&g).expect("indexed groups exist");
+            group.members.remove(&pid);
+        }
     }
 
     /// Charge `bytes` of memory to the group, enforcing the limit.
@@ -213,5 +223,9 @@ mod tests {
         assert!(m.remove(g).is_err());
         let empty = m.create("e", 1024, u64::MAX);
         assert!(m.remove(empty).is_ok());
+        m.detach(1);
+        m.detach(1); // an unattached pid is nobody's member
+        assert!(m.remove(g).is_ok(), "detached, the group can go");
+        assert!(m.is_empty());
     }
 }

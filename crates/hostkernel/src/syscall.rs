@@ -15,34 +15,36 @@ use crate::kernel::Kernel;
 use obsv::{attrs, AttrValue, Subsystem};
 use simkit::SimTime;
 
-/// The Android syscalls the offloading path exercises.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Syscall {
+/// The Android syscalls the offloading path exercises. Names are
+/// borrowed from the caller: a syscall on a request's path (the offload
+/// RPC's binder transaction) allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Syscall<'a> {
     /// Open one of the Android pseudo devices.
     OpenDevice(DeviceKind),
     /// Publish a binder service (ServiceManager `addService`).
     BinderRegister {
         /// Service name, e.g. `"activity"`.
-        service: String,
+        service: &'a str,
     },
     /// Synchronous binder transaction.
     BinderTransact {
         /// Target service.
-        service: String,
+        service: &'a str,
         /// Payload size in bytes.
         payload_bytes: u64,
     },
     /// Asynchronous (one-way) binder transaction.
     BinderTransactOneway {
         /// Target service.
-        service: String,
+        service: &'a str,
         /// Payload size in bytes.
         payload_bytes: u64,
     },
     /// Subscribe to a service's death (`linkToDeath`).
     BinderLinkToDeath {
         /// Service to watch.
-        service: String,
+        service: &'a str,
     },
     /// Arm an RTC alarm.
     AlarmSet {
@@ -59,21 +61,21 @@ pub enum Syscall {
         /// Priority (2–7).
         priority: u8,
         /// Log tag.
-        tag: String,
+        tag: &'a str,
         /// Message body.
-        message: String,
+        message: &'a str,
     },
     /// Create an anonymous shared-memory region.
     AshmemCreate {
         /// Region name.
-        name: String,
+        name: &'a str,
         /// Region size, bytes.
         size: u64,
     },
     /// Fork the calling process (Zygote specialization).
     Fork {
         /// Name for the child.
-        child_name: String,
+        child_name: &'a str,
     },
     /// Exit the calling process.
     Exit,
@@ -101,7 +103,7 @@ pub enum SyscallRet {
 impl Kernel {
     /// Dispatch `call` on behalf of `pid`, routing device access through
     /// the process's namespace.
-    pub fn syscall(&mut self, pid: u32, call: Syscall) -> KernelResult<SyscallRet> {
+    pub fn syscall(&mut self, pid: u32, call: Syscall<'_>) -> KernelResult<SyscallRet> {
         let ns = self.processes.get(pid)?.namespace;
         match call {
             Syscall::OpenDevice(kind) => {
@@ -109,21 +111,21 @@ impl Kernel {
                 Ok(SyscallRet::Fd(h.fd))
             }
             Syscall::BinderRegister { service } => {
-                let h = self.binder_mut(ns)?.register_service(&service, pid)?;
+                let h = self.binder_mut(ns)?.register_service(service, pid)?;
                 Ok(SyscallRet::Binder(h))
             }
             Syscall::BinderTransact {
                 service,
                 payload_bytes,
             } => {
-                let served = self.binder_mut(ns)?.transact(&service, payload_bytes)?;
+                let served = self.binder_mut(ns)?.transact(service, payload_bytes)?;
                 if self.recorder().is_enabled() {
                     self.recorder().instant(
                         Subsystem::Hostkernel,
                         "binder.transact",
                         attrs![
                             ("ns", AttrValue::U64(ns as u64)),
-                            ("service", AttrValue::Text(service)),
+                            ("service", AttrValue::Text(service.to_string())),
                             ("bytes", AttrValue::U64(payload_bytes)),
                             ("served_by", AttrValue::U64(served as u64)),
                         ],
@@ -136,14 +138,14 @@ impl Kernel {
                 payload_bytes,
             } => {
                 self.binder_mut(ns)?
-                    .transact_oneway(pid, &service, payload_bytes)?;
+                    .transact_oneway(pid, service, payload_bytes)?;
                 if self.recorder().is_enabled() {
                     self.recorder().instant(
                         Subsystem::Hostkernel,
                         "binder.transact_oneway",
                         attrs![
                             ("ns", AttrValue::U64(ns as u64)),
-                            ("service", AttrValue::Text(service)),
+                            ("service", AttrValue::Text(service.to_string())),
                             ("bytes", AttrValue::U64(payload_bytes)),
                         ],
                     );
@@ -151,7 +153,7 @@ impl Kernel {
                 Ok(SyscallRet::Unit)
             }
             Syscall::BinderLinkToDeath { service } => {
-                self.binder_mut(ns)?.link_to_death(pid, &service)?;
+                self.binder_mut(ns)?.link_to_death(pid, service)?;
                 Ok(SyscallRet::Unit)
             }
             Syscall::AlarmSet { due } => {
@@ -175,25 +177,25 @@ impl Kernel {
                         attrs![
                             ("ns", AttrValue::U64(ns as u64)),
                             ("priority", AttrValue::U64(priority as u64)),
-                            ("tag", AttrValue::Text(tag.clone())),
+                            ("tag", AttrValue::Text(tag.to_string())),
                         ],
                     );
                 }
                 self.logger_mut(ns)?.write(crate::logger::LogRecord {
                     priority,
-                    tag,
-                    message,
+                    tag: tag.to_string(),
+                    message: message.to_string(),
                     pid,
                     at_us,
                 });
                 Ok(SyscallRet::Unit)
             }
             Syscall::AshmemCreate { name, size } => {
-                let id = self.ashmem_mut(ns)?.create(&name, size, pid)?;
+                let id = self.ashmem_mut(ns)?.create(name, size, pid)?;
                 Ok(SyscallRet::Ashmem(id))
             }
             Syscall::Fork { child_name } => {
-                let child = self.processes.fork(pid, &child_name)?;
+                let child = self.processes.fork(pid, child_name)?;
                 Ok(SyscallRet::Pid(child))
             }
             Syscall::Exit => {
@@ -243,7 +245,7 @@ mod tests {
             .syscall(
                 init,
                 Syscall::Fork {
-                    child_name: "zygote".into(),
+                    child_name: "zygote",
                 },
             )
             .unwrap()
@@ -254,7 +256,7 @@ mod tests {
             .syscall(
                 zygote,
                 Syscall::Fork {
-                    child_name: "system_server".into(),
+                    child_name: "system_server",
                 },
             )
             .unwrap()
@@ -264,15 +266,13 @@ mod tests {
         k.syscall(
             system_server,
             Syscall::BinderRegister {
-                service: "activity".into(),
+                service: "activity",
             },
         )
         .unwrap();
         k.syscall(
             system_server,
-            Syscall::BinderRegister {
-                service: "package".into(),
-            },
+            Syscall::BinderRegister { service: "package" },
         )
         .unwrap();
         // An app process can now transact with the activity manager.
@@ -280,7 +280,7 @@ mod tests {
             .syscall(
                 zygote,
                 Syscall::Fork {
-                    child_name: "com.bench.ocr".into(),
+                    child_name: "com.bench.ocr",
                 },
             )
             .unwrap()
@@ -291,7 +291,7 @@ mod tests {
             .syscall(
                 app,
                 Syscall::BinderTransact {
-                    service: "activity".into(),
+                    service: "activity",
                     payload_bytes: 128,
                 },
             )
@@ -317,7 +317,7 @@ mod tests {
             .syscall(
                 init,
                 Syscall::BinderTransact {
-                    service: "x".into(),
+                    service: "x",
                     payload_bytes: 1,
                 },
             )
@@ -343,8 +343,8 @@ mod tests {
             init,
             Syscall::LogWrite {
                 priority: 4,
-                tag: "init".into(),
-                message: "boot done".into(),
+                tag: "init",
+                message: "boot done",
             },
         )
         .unwrap();
@@ -365,20 +365,15 @@ mod tests {
             .syscall(
                 init,
                 Syscall::Fork {
-                    child_name: "service".into(),
+                    child_name: "service",
                 },
             )
             .unwrap()
         else {
             panic!()
         };
-        k.syscall(
-            svc,
-            Syscall::BinderRegister {
-                service: "media".into(),
-            },
-        )
-        .unwrap();
+        k.syscall(svc, Syscall::BinderRegister { service: "media" })
+            .unwrap();
         k.syscall(
             svc,
             Syscall::AlarmSet {
@@ -389,7 +384,7 @@ mod tests {
         k.syscall(
             svc,
             Syscall::AshmemCreate {
-                name: "buf".into(),
+                name: "buf",
                 size: 4096,
             },
         )
@@ -409,7 +404,7 @@ mod tests {
             .syscall(
                 init,
                 Syscall::AshmemCreate {
-                    name: "huge".into(),
+                    name: "huge",
                     size: 1 << 40,
                 },
             )

@@ -51,7 +51,7 @@ proptest! {
             let ns = k.create_namespace();
             let pid = k.processes.spawn(ns, "init", 0);
             k.syscall(pid, Syscall::OpenDevice(DeviceKind::Binder)).unwrap();
-            k.syscall(pid, Syscall::BinderRegister { service: format!("svc-{i}") }).unwrap();
+            k.syscall(pid, Syscall::BinderRegister { service: &format!("svc-{i}") }).unwrap();
             spaces.push((ns, pid, i));
         }
         for &victim in &kill {
@@ -78,7 +78,7 @@ proptest! {
         for i in 0..n_children {
             let parent = pids[i % pids.len()];
             if let Ok(SyscallRet::Pid(child)) =
-                k.syscall(parent, Syscall::Fork { child_name: format!("c{i}") })
+                k.syscall(parent, Syscall::Fork { child_name: &format!("c{i}") })
             {
                 pids.push(child);
             }
@@ -87,7 +87,7 @@ proptest! {
         prop_assert_eq!(k.processes.in_namespace(ns).len(), total);
         // Exit the init: everyone else still exists.
         k.syscall(init, Syscall::Exit).unwrap();
-        let fork_err = k.syscall(init, Syscall::Fork { child_name: "x".into() }).is_err();
+        let fork_err = k.syscall(init, Syscall::Fork { child_name: "x" }).is_err();
         prop_assert!(fork_err);
         prop_assert_eq!(k.processes.in_namespace(ns).len(), total, "zombie still listed");
         // Namespace teardown clears everything.

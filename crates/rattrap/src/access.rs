@@ -12,8 +12,10 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 /// An action an offloaded workflow attempts, as seen by the filter.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Action {
+/// Names are borrowed: the filter runs three times per request and
+/// builds nothing.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Action<'a> {
     /// Write `bytes` to the offloading filesystem.
     FsWrite {
         /// Bytes written.
@@ -22,19 +24,19 @@ pub enum Action {
     /// Call a binder service by name.
     BinderCall {
         /// Target service.
-        service: String,
+        service: &'a str,
     },
     /// Open an outbound network connection.
     NetConnect {
         /// Destination description.
-        dest: String,
+        dest: &'a str,
     },
     /// Fork a new process inside the container.
     SpawnProcess,
     /// Read another app's cached code from the warehouse.
     WarehouseRead {
         /// AID being read.
-        aid: String,
+        aid: &'a str,
     },
 }
 
@@ -118,7 +120,7 @@ impl AccessController {
     }
 
     /// Filter one action of `app_id`'s workflow.
-    pub fn check(&mut self, app_id: &str, action: &Action) -> Result<(), Denial> {
+    pub fn check(&mut self, app_id: &str, action: &Action<'_>) -> Result<(), Denial> {
         self.checks += 1;
         if self.blocked.contains(app_id) {
             return Err(Denial::Blocked);
@@ -132,7 +134,7 @@ impl AccessController {
         };
         let ok = match action {
             Action::FsWrite { bytes } => *bytes <= table.fs_write_limit,
-            Action::BinderCall { service } => table.allowed_services.contains(service),
+            Action::BinderCall { service } => table.allowed_services.contains(*service),
             Action::NetConnect { .. } => table.allow_network,
             Action::SpawnProcess => table.allow_spawn,
             // Reading someone else's cached code is never allowed.
@@ -205,17 +207,12 @@ mod tests {
             .check(
                 "app",
                 &Action::BinderCall {
-                    service: "activity".into()
+                    service: "activity"
                 }
             )
             .is_ok());
         assert!(c
-            .check(
-                "app",
-                &Action::NetConnect {
-                    dest: "client".into()
-                }
-            )
+            .check("app", &Action::NetConnect { dest: "client" })
             .is_ok());
         assert!(c.check("app", &Action::SpawnProcess).is_ok());
         assert_eq!(c.violation_count("app"), 0);
@@ -230,7 +227,7 @@ mod tests {
             let r = c.check(
                 "mal",
                 &Action::BinderCall {
-                    service: "telephony".into(),
+                    service: "telephony",
                 },
             );
             assert!(matches!(r, Err(Denial::Violation { .. })));
@@ -259,12 +256,7 @@ mod tests {
     fn warehouse_cross_reads_always_denied() {
         let mut c = controller();
         c.admit("spy", 1024);
-        let r = c.check(
-            "spy",
-            &Action::WarehouseRead {
-                aid: "8d6d1b5".into(),
-            },
-        );
+        let r = c.check("spy", &Action::WarehouseRead { aid: "8d6d1b5" });
         assert!(matches!(r, Err(Denial::Violation { .. })));
     }
 
@@ -281,7 +273,7 @@ mod tests {
         c.admit("good", 1024);
         c.admit("bad", 1024);
         for _ in 0..3 {
-            let _ = c.check("bad", &Action::WarehouseRead { aid: "x".into() });
+            let _ = c.check("bad", &Action::WarehouseRead { aid: "x" });
         }
         assert!(c.is_blocked("bad"));
         assert!(!c.is_blocked("good"));

@@ -7,8 +7,7 @@
 //! Container where requests from the same application have been
 //! executed before, which saves the time for loading codes" (§IV-D).
 
-use simkit::SimTime;
-use std::collections::BTreeMap;
+use simkit::{IdTable, SimTime};
 use virt::{InstanceId, RuntimeClass};
 
 /// Lifecycle state of a runtime instance as tracked by the Container DB.
@@ -40,10 +39,56 @@ pub struct ContainerRecord {
     pub owner_device: Option<u32>,
 }
 
+/// An ordered set small enough to live in one sorted `Vec`: unlike a
+/// `BTreeSet` it keeps its allocation when it empties, and the DB's
+/// indexes empty and refill with every request.
+#[derive(Debug)]
+struct SortedSet<T>(Vec<T>);
+
+impl<T> Default for SortedSet<T> {
+    fn default() -> Self {
+        SortedSet(Vec::new())
+    }
+}
+
+impl<T: Ord + Copy> SortedSet<T> {
+    fn insert(&mut self, value: T) {
+        if let Err(at) = self.0.binary_search(&value) {
+            self.0.insert(at, value);
+        }
+    }
+
+    fn remove(&mut self, value: T) {
+        if let Ok(at) = self.0.binary_search(&value) {
+            self.0.remove(at);
+        }
+    }
+
+    fn first(&self) -> Option<T> {
+        self.0.first().copied()
+    }
+}
+
 /// The Container DB.
+///
+/// Besides the records it keeps what the Dispatcher and the Scheduler
+/// ask of them per request — how many instances are booting, which are
+/// ready and idle, which of the shared pool is least loaded, which one a
+/// device owns — as indexes updated where a record changes, so no
+/// question walks the records. `state`, `active_jobs` and `owner_device`
+/// are therefore written only by the methods below.
 #[derive(Debug, Default)]
 pub struct ContainerDb {
-    records: BTreeMap<u32, ContainerRecord>,
+    records: IdTable<ContainerRecord>,
+    /// Records in `InstanceState::Booting`.
+    booting: usize,
+    /// Ids of ready records with no active job.
+    ready_idle: SortedSet<u32>,
+    /// `(active_jobs, id)` of every record no device owns: the shared
+    /// pool. An owned instance only ever takes its owner's requests.
+    pool_by_load: SortedSet<(u32, u32)>,
+    /// `(owner_device, id)` of every owned record.
+    owned: SortedSet<(u32, u32)>,
 }
 
 impl ContainerDb {
@@ -60,6 +105,12 @@ impl ContainerDb {
         ready_at: SimTime,
         owner_device: Option<u32>,
     ) {
+        self.remove(id);
+        self.booting += 1;
+        match owner_device {
+            Some(device) => self.owned.insert((device, id.0)),
+            None => self.pool_by_load.insert((0, id.0)),
+        }
         self.records.insert(
             id.0,
             ContainerRecord {
@@ -75,24 +126,81 @@ impl ContainerDb {
 
     /// Mark an instance ready (boot completed).
     pub fn mark_ready(&mut self, id: InstanceId) {
-        if let Some(r) = self.records.get_mut(&id.0) {
+        if let Some(r) = self.records.get_mut(id.0) {
+            if matches!(r.state, InstanceState::Booting { .. }) {
+                self.booting -= 1;
+                if r.active_jobs == 0 {
+                    self.ready_idle.insert(id.0);
+                }
+            }
             r.state = InstanceState::Ready;
         }
     }
 
     /// Remove a record (teardown).
     pub fn remove(&mut self, id: InstanceId) -> Option<ContainerRecord> {
-        self.records.remove(&id.0)
+        let r = self.records.remove(id.0)?;
+        if matches!(r.state, InstanceState::Booting { .. }) {
+            self.booting -= 1;
+        }
+        self.ready_idle.remove(id.0);
+        match r.owner_device {
+            Some(device) => self.owned.remove((device, id.0)),
+            None => self.pool_by_load.remove((r.active_jobs, id.0)),
+        }
+        Some(r)
     }
 
     /// Record lookup.
     pub fn get(&self, id: InstanceId) -> Option<&ContainerRecord> {
-        self.records.get(&id.0)
+        self.records.get(id.0)
     }
 
-    /// Mutable record lookup.
-    pub fn get_mut(&mut self, id: InstanceId) -> Option<&mut ContainerRecord> {
-        self.records.get_mut(&id.0)
+    /// Move `id`'s job count one up or one down (never below zero),
+    /// keeping the indexes in step.
+    fn step_jobs(&mut self, id: InstanceId, up: bool) -> Option<&mut ContainerRecord> {
+        let r = self.records.get_mut(id.0)?;
+        let before = r.active_jobs;
+        r.active_jobs = if up {
+            before + 1
+        } else {
+            before.saturating_sub(1)
+        };
+        if r.active_jobs != before {
+            if r.owner_device.is_none() {
+                self.pool_by_load.remove((before, id.0));
+                self.pool_by_load.insert((r.active_jobs, id.0));
+            }
+            if r.state == InstanceState::Ready {
+                if before == 0 {
+                    self.ready_idle.remove(id.0);
+                } else if r.active_jobs == 0 {
+                    self.ready_idle.insert(id.0);
+                }
+            }
+        }
+        Some(r)
+    }
+
+    /// A request was placed on `id`: one more active job. Unknown ids
+    /// are ignored.
+    pub fn add_job(&mut self, id: InstanceId) {
+        self.step_jobs(id, true);
+    }
+
+    /// `id` finished serving a job at `now`: one job fewer, and the idle
+    /// clock restarts. Unknown ids are ignored.
+    pub fn finish_job(&mut self, id: InstanceId, now: SimTime) {
+        if let Some(r) = self.step_jobs(id, false) {
+            r.last_active = now;
+        }
+    }
+
+    /// A request left `id` before being served (its attempt died while
+    /// uploading or waiting): one job fewer, the idle clock untouched.
+    /// Unknown ids are ignored.
+    pub fn withdraw_job(&mut self, id: InstanceId) {
+        self.step_jobs(id, false);
     }
 
     /// All records in id order.
@@ -110,17 +218,59 @@ impl ContainerDb {
         self.records.is_empty()
     }
 
+    /// Number of instances still booting.
+    pub fn booting(&self) -> usize {
+        let scan = || self.iter().filter(|r| r.state != InstanceState::Ready);
+        debug_assert_eq!(self.booting, scan().count());
+        self.booting
+    }
+
+    /// Number of ready instances with no active job.
+    pub fn ready_idle(&self) -> usize {
+        self.ready_idle.0.len()
+    }
+
+    /// The lowest-id ready instance with no active job.
+    pub fn first_ready_idle(&self) -> Option<InstanceId> {
+        let scan = || {
+            let idle = |r: &&ContainerRecord| r.state == InstanceState::Ready && r.active_jobs == 0;
+            self.iter().find(idle).map(|r| r.id)
+        };
+        let first = self.ready_idle.first().map(InstanceId);
+        debug_assert_eq!(first, scan());
+        first
+    }
+
+    /// The shared-pool instance (no owner) with the fewest active jobs
+    /// (lowest id on a tie), booting ones included.
+    pub fn least_loaded(&self) -> Option<InstanceId> {
+        let scan = || {
+            let pool = self.iter().filter(|r| r.owner_device.is_none());
+            pool.min_by_key(|r| (r.active_jobs, r.id.0)).map(|r| r.id)
+        };
+        let least = self.pool_by_load.first().map(|(_, id)| InstanceId(id));
+        debug_assert_eq!(least, scan());
+        least
+    }
+
+    /// The lowest-id instance owned by `device` (VM-per-device model).
+    pub fn owned_by(&self, device: u32) -> Option<InstanceId> {
+        let scan = || self.iter().find(|r| r.owner_device == Some(device));
+        let from = self.owned.0.partition_point(|&(d, _)| d < device);
+        let owned = self.owned.0.get(from).filter(|&&(d, _)| d == device);
+        let owned = owned.map(|&(_, id)| InstanceId(id));
+        debug_assert_eq!(owned, scan().map(|r| r.id));
+        owned
+    }
+
     /// Instances idle (no jobs) since before `cutoff`.
     pub fn idle_since(&self, cutoff: SimTime) -> Vec<InstanceId> {
-        self.records
-            .values()
-            .filter(|r| {
-                r.active_jobs == 0
-                    && r.last_active <= cutoff
-                    && matches!(r.state, InstanceState::Ready)
-            })
-            .map(|r| r.id)
-            .collect()
+        let idle = |&id: &u32| {
+            self.get(InstanceId(id))
+                .is_some_and(|r| r.last_active <= cutoff)
+        };
+        let ids = self.ready_idle.0.iter().copied().filter(idle);
+        ids.map(InstanceId).collect()
     }
 }
 
@@ -168,8 +318,8 @@ impl Dispatcher {
     pub fn place(&self, db: &ContainerDb, device: u32, cid_hint: &[InstanceId]) -> Placement {
         if self.policy.per_device_instances {
             // VM baseline: the device's own VM, provisioned on first use.
-            return match db.iter().find(|r| r.owner_device == Some(device)) {
-                Some(r) => Placement::Existing(r.id),
+            return match db.owned_by(device) {
+                Some(id) => Placement::Existing(id),
                 None => Placement::Provision,
             };
         }
@@ -186,20 +336,16 @@ impl Dispatcher {
             }
         }
         // 2) An idle ready instance.
-        if let Some(r) = db
-            .iter()
-            .filter(|r| matches!(r.state, InstanceState::Ready) && r.active_jobs == 0)
-            .min_by_key(|r| r.id.0)
-        {
-            return Placement::Existing(r.id);
+        if let Some(id) = db.first_ready_idle() {
+            return Placement::Existing(id);
         }
         // 3) Grow the pool if allowed.
         if db.len() < self.policy.max_instances {
             return Placement::Provision;
         }
         // 4) Least-loaded instance (booting ones count — requests wait).
-        match db.iter().min_by_key(|r| (r.active_jobs, r.id.0)) {
-            Some(r) => Placement::Existing(r.id),
+        match db.least_loaded() {
+            Some(id) => Placement::Existing(id),
             None => Placement::Provision,
         }
     }
@@ -208,6 +354,49 @@ impl Dispatcher {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// After any sequence of register / mark_ready / job changes /
+        /// remove, every index answers what a scan of the records does.
+        #[test]
+        fn indexes_equal_a_scan(ops in prop::collection::vec((0u8..6, 0u32..12, 0u32..4), 1..120)) {
+            let mut db = ContainerDb::new();
+            for (step, (op, id, device)) in ops.into_iter().enumerate() {
+                let id = InstanceId(id);
+                match op {
+                    0 => {
+                        let owner = (device > 0).then_some(device);
+                        db.register(id, RuntimeClass::CacOptimized, t(step as u64), owner);
+                    }
+                    1 => db.mark_ready(id),
+                    2 => db.add_job(id),
+                    3 => db.finish_job(id, t(step as u64)),
+                    4 => db.withdraw_job(id),
+                    _ => {
+                        db.remove(id);
+                    }
+                }
+                let ready_idle = |r: &&ContainerRecord| {
+                    r.state == InstanceState::Ready && r.active_jobs == 0
+                };
+                let booting = db.iter().filter(|r| r.state != InstanceState::Ready).count();
+                prop_assert_eq!(db.booting(), booting);
+                prop_assert_eq!(db.ready_idle(), db.iter().filter(ready_idle).count());
+                prop_assert_eq!(db.first_ready_idle(), db.iter().find(ready_idle).map(|r| r.id));
+                let pool = db.iter().filter(|r| r.owner_device.is_none());
+                let least = pool.min_by_key(|r| (r.active_jobs, r.id.0));
+                prop_assert_eq!(db.least_loaded(), least.map(|r| r.id));
+                for device in 0..4 {
+                    let owned = db.iter().find(|r| r.owner_device == Some(device));
+                    prop_assert_eq!(db.owned_by(device), owned.map(|r| r.id));
+                }
+                let cutoff = t(step as u64 / 2);
+                let idle = db.iter().filter(ready_idle).filter(|r| r.last_active <= cutoff);
+                prop_assert_eq!(db.idle_since(cutoff), idle.map(|r| r.id).collect::<Vec<_>>());
+            }
+        }
+    }
 
     fn t(s: u64) -> SimTime {
         SimTime::from_secs(s)
@@ -265,7 +454,8 @@ mod tests {
         db.register(InstanceId(1), RuntimeClass::CacOptimized, t(0), None);
         db.mark_ready(InstanceId(0));
         db.mark_ready(InstanceId(1));
-        db.get_mut(InstanceId(1)).unwrap().active_jobs = 2;
+        db.add_job(InstanceId(1));
+        db.add_job(InstanceId(1));
         assert_eq!(
             d.place(&db, 0, &[InstanceId(1)]),
             Placement::Existing(InstanceId(0)),
@@ -279,14 +469,16 @@ mod tests {
         let mut db = ContainerDb::new();
         assert_eq!(d.place(&db, 0, &[]), Placement::Provision);
         db.register(InstanceId(0), RuntimeClass::CacOptimized, t(2), None);
-        db.get_mut(InstanceId(0)).unwrap().active_jobs = 1;
+        db.add_job(InstanceId(0));
         assert_eq!(
             d.place(&db, 0, &[]),
             Placement::Provision,
             "busy pool below cap grows"
         );
         db.register(InstanceId(1), RuntimeClass::CacOptimized, t(2), None);
-        db.get_mut(InstanceId(1)).unwrap().active_jobs = 3;
+        for _ in 0..3 {
+            db.add_job(InstanceId(1));
+        }
         // At cap: pick the least-loaded even though it's booting.
         assert_eq!(d.place(&db, 0, &[]), Placement::Existing(InstanceId(0)));
     }
@@ -300,8 +492,9 @@ mod tests {
         db.mark_ready(InstanceId(0));
         db.mark_ready(InstanceId(1));
         // 2 stays booting. 1 is busy.
-        db.get_mut(InstanceId(1)).unwrap().active_jobs = 1;
-        db.get_mut(InstanceId(0)).unwrap().last_active = t(10);
+        db.add_job(InstanceId(1));
+        db.add_job(InstanceId(0));
+        db.finish_job(InstanceId(0), t(10));
         assert_eq!(db.idle_since(t(50)), vec![InstanceId(0)]);
         assert!(db.idle_since(t(5)).is_empty());
     }

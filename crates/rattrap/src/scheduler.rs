@@ -9,7 +9,7 @@
 //! instance; the [`Scheduler`] turns a Container-DB snapshot into scale
 //! and share actions the platform applies.
 
-use crate::dispatcher::{ContainerDb, InstanceState};
+use crate::dispatcher::ContainerDb;
 use simkit::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 use virt::InstanceId;
@@ -117,15 +117,8 @@ impl Scheduler {
     /// below the warm-spare floor.
     pub fn plan(&self, db: &ContainerDb, now: SimTime) -> Vec<ScaleAction> {
         let mut actions = Vec::new();
-        let ready_idle = db
-            .iter()
-            .filter(|r| matches!(r.state, InstanceState::Ready) && r.active_jobs == 0)
-            .count();
-        let booting = db
-            .iter()
-            .filter(|r| matches!(r.state, InstanceState::Booting { .. }))
-            .count();
-        let spare_supply = ready_idle + booting;
+        let ready_idle = db.ready_idle();
+        let spare_supply = ready_idle + db.booting();
         if spare_supply < self.policy.warm_spares && db.len() < self.policy.max_instances {
             let want =
                 (self.policy.warm_spares - spare_supply).min(self.policy.max_instances - db.len());
@@ -156,17 +149,19 @@ impl Scheduler {
         actions
     }
 
-    /// Compute `cpu.shares` per instance proportional to smoothed load
-    /// (floor 256, busy instances up to 4096) — process-level resource
-    /// control a VM platform cannot do without a hypervisor round trip.
-    pub fn rebalance_shares(&self, db: &ContainerDb, monitor: &Monitor) -> BTreeMap<u32, u32> {
-        let mut shares = BTreeMap::new();
-        for rec in db.iter() {
+    /// Compute `cpu.shares` per instance, in id order, proportional to
+    /// smoothed load (floor 256, busy instances up to 4096) —
+    /// process-level resource control a VM platform cannot do without a
+    /// hypervisor round trip.
+    pub fn rebalance_shares<'a>(
+        &self,
+        db: &'a ContainerDb,
+        monitor: &'a Monitor,
+    ) -> impl Iterator<Item = (InstanceId, u32)> + 'a {
+        db.iter().map(|rec| {
             let load = monitor.load_of(rec.id);
-            let s = (1024.0 * (0.25 + load)).clamp(256.0, 4096.0) as u32;
-            shares.insert(rec.id.0, s);
-        }
-        shares
+            (rec.id, (1024.0 * (0.25 + load)).clamp(256.0, 4096.0) as u32)
+        })
     }
 }
 
@@ -221,7 +216,7 @@ mod tests {
         });
         let mut db = db_with(2, true);
         for i in 0..2 {
-            db.get_mut(InstanceId(i)).unwrap().active_jobs = 1;
+            db.add_job(InstanceId(i));
         }
         assert!(s.plan(&db, t(0)).is_empty(), "at cap: no provisioning");
     }
@@ -234,7 +229,8 @@ mod tests {
             idle_teardown: SimDuration::from_secs(120),
         });
         let mut db = db_with(3, true);
-        db.get_mut(InstanceId(0)).unwrap().active_jobs = 2;
+        db.add_job(InstanceId(0));
+        db.add_job(InstanceId(0));
         // 1 and 2 are ready-idle: spare supply 2 ≥ 1.
         assert!(s.plan(&db, t(10)).is_empty());
     }
@@ -246,10 +242,7 @@ mod tests {
             max_instances: 8,
             idle_teardown: SimDuration::from_secs(100),
         });
-        let mut db = db_with(3, true);
-        for i in 0..3 {
-            db.get_mut(InstanceId(i)).unwrap().last_active = t(0);
-        }
+        let db = db_with(3, true);
         let actions = s.plan(&db, t(1000));
         // 3 idle, keep 1 warm → tear down 2 (oldest ids first).
         assert_eq!(
@@ -282,7 +275,10 @@ mod tests {
         let mut m = Monitor::new(1.0);
         m.observe(InstanceId(0), 3);
         m.observe(InstanceId(1), 0);
-        let shares = s.rebalance_shares(&db, &m);
+        let shares: BTreeMap<u32, u32> = s
+            .rebalance_shares(&db, &m)
+            .map(|(id, shares)| (id.0, shares))
+            .collect();
         assert!(
             shares[&0] > 3 * shares[&1],
             "busy gets {} idle gets {}",

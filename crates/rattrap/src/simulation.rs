@@ -34,7 +34,7 @@ use crate::platform::PlatformConfig;
 use crate::request::{PhaseBreakdown, RequestRecord};
 use crate::resilience::ResiliencePolicy;
 use crate::scheduler::{Monitor, PoolPolicy, ScaleAction, Scheduler};
-use crate::warehouse::{aid_of, AppWarehouse, WarehouseStats};
+use crate::warehouse::{aid_of, Aid, AppWarehouse, WarehouseStats};
 use netsim::{Direction, Link, NetworkScenario};
 use obsv::{attrs, AttrValue, Counter, Recorder, SpanId, Subsystem};
 use simkit::faults::{
@@ -42,7 +42,8 @@ use simkit::faults::{
     TransferOutcome,
 };
 use simkit::{
-    derive_seed, EventQueue, FairShareExecutor, SimDuration, SimRng, SimTime, TimelineSampler,
+    derive_seed, EventQueue, FairShareExecutor, IdTable, SimDuration, SimRng, SimTime,
+    TimelineSampler,
 };
 use std::collections::{BTreeMap, VecDeque};
 use virt::{CloudHost, HostError, InstanceId, RuntimeClass, TMPFS_BANDWIDTH};
@@ -271,6 +272,20 @@ struct ReqSpans {
     phase: SpanId,
 }
 
+/// What the engine tracks per live runtime instance.
+#[derive(Debug, Default)]
+struct Runtime {
+    /// A request is in service (code load, compute or offloading I/O).
+    busy: bool,
+    /// Requests waiting for the runtime to come free, first come first.
+    queue: VecDeque<usize>,
+    /// Requests waiting for the instance to finish booting.
+    boot_waiters: Vec<usize>,
+    /// Apps whose code a client already pushed into this runtime — the
+    /// clients' own record, used by the cache-less platforms.
+    code_pushed: Vec<Aid>,
+}
+
 /// The simulation state machine. Create with [`Simulation::new`], run
 /// with [`Simulation::run`] (collecting) or
 /// [`Simulation::run_with_sink`] (streaming).
@@ -298,10 +313,9 @@ pub struct Simulation {
     /// Per-slot generation counters (see [`Event`]), parallel to
     /// `pending`. Bumped on fault, completion, and slot recycling.
     slot_gen: Vec<u64>,
-    instance_queue: BTreeMap<InstanceId, VecDeque<usize>>,
-    instance_busy: BTreeMap<InstanceId, bool>,
-    /// Requests waiting for a specific instance to finish booting.
-    boot_waiters: BTreeMap<InstanceId, Vec<usize>>,
+    /// The engine's own state of every live instance, by instance id:
+    /// rows come and go with the Container DB's records.
+    runtimes: IdTable<Runtime>,
     cpu_sampler: TimelineSampler,
     io_read: TimelineSampler,
     io_write: TimelineSampler,
@@ -311,9 +325,13 @@ pub struct Simulation {
     finished_at: SimTime,
     instances_provisioned: u32,
     peak_disk: u64,
-    /// Client-side record of code already pushed per (instance, app) —
-    /// used by the cache-less platforms.
-    code_pushed: std::collections::BTreeSet<(InstanceId, &'static str)>,
+    /// Requests the arrival model will issue over the whole run.
+    expected_requests: u64,
+    /// `"device-{d}"` for every device seen so far: the access
+    /// controller's connection check names the client it connects to.
+    device_names: Vec<String>,
+    /// Scratch for one completion check's finished requests.
+    finished: Vec<usize>,
     /// Monitor & Scheduler (§IV-A): warm-pool management, idle
     /// reclamation, and cpu.shares rebalancing.
     scheduler: Scheduler,
@@ -368,6 +386,10 @@ impl Simulation {
         let horizon = cfg.sample_horizon;
         let dispatcher = Dispatcher::new(cfg.platform.dispatch_policy());
         let fault_plan = FaultPlan::generate(&cfg.faults, derive_seed(cfg.seed, FAULT_SEED_STREAM));
+        let expected_requests = match &cfg.arrivals {
+            ArrivalModel::ClosedLoop { .. } => (cfg.devices * cfg.requests_per_device) as u64,
+            ArrivalModel::Trace(t) => t.iter().map(|v| v.len() as u64).sum(),
+        };
         Simulation {
             queue: EventQueue::new(),
             host,
@@ -382,9 +404,7 @@ impl Simulation {
             pending: Vec::new(),
             free_slots: Vec::new(),
             slot_gen: Vec::new(),
-            instance_queue: BTreeMap::new(),
-            instance_busy: BTreeMap::new(),
-            boot_waiters: BTreeMap::new(),
+            runtimes: IdTable::new(),
             cpu_sampler: TimelineSampler::new(bin, horizon),
             io_read: TimelineSampler::new(bin, horizon),
             io_write: TimelineSampler::new(bin, horizon),
@@ -401,7 +421,9 @@ impl Simulation {
             }),
             monitor: Monitor::new(0.3),
             cfg,
-            code_pushed: std::collections::BTreeSet::new(),
+            expected_requests,
+            device_names: Vec::new(),
+            finished: Vec::new(),
             observers: Vec::new(),
             link_windows: fault_plan.link_windows(),
             straggler_windows: fault_plan.straggler_windows(),
@@ -469,7 +491,10 @@ impl Simulation {
 
     /// Run to completion, collecting every request into the report.
     pub fn run(self) -> SimulationReport {
-        let mut sink = CollectingSink::default();
+        // Every expected request ends in the sink: size it once.
+        let mut sink = CollectingSink {
+            records: Vec::with_capacity(self.expected_requests as usize),
+        };
         let summary = self.run_with_sink(&mut sink);
         let mut requests = sink.records;
         requests.sort_by_key(|r| (r.completed_at, r.id));
@@ -606,22 +631,12 @@ impl Simulation {
     }
 
     fn all_work_finished(&self) -> bool {
-        let expected = match &self.cfg.arrivals {
-            ArrivalModel::ClosedLoop { .. } => {
-                (self.cfg.devices * self.cfg.requests_per_device) as u64
-            }
-            ArrivalModel::Trace(t) => t.iter().map(|v| v.len() as u64).sum(),
-        };
-        self.completed >= expected
+        self.completed >= self.expected_requests
     }
 
     fn current_cpu_level(&self) -> f64 {
         let provisioned = self.db.len().max(1) as f64;
-        let booting = self
-            .db
-            .iter()
-            .filter(|r| matches!(r.state, InstanceState::Booting { .. }))
-            .count() as f64;
+        let booting = self.db.booting() as f64;
         ((self.cpu.active_jobs() as f64 + 0.7 * booting) / provisioned).min(1.0)
     }
 
@@ -852,12 +867,11 @@ impl Simulation {
         // request workflow (counted even for benign workloads).
         if self.cfg.platform.access_control {
             self.access.admit(app_id, profile.payload_bytes_mean);
-            let _ = self.access.check(
-                app_id,
-                &Action::NetConnect {
-                    dest: format!("device-{device}"),
-                },
-            );
+            for d in self.device_names.len() as u32..=device {
+                self.device_names.push(format!("device-{d}"));
+            }
+            let dest = &self.device_names[device as usize];
+            let _ = self.access.check(app_id, &Action::NetConnect { dest });
             let _ = self.access.check(
                 app_id,
                 &Action::FsWrite {
@@ -867,58 +881,22 @@ impl Simulation {
             let _ = self.access.check(
                 app_id,
                 &Action::BinderCall {
-                    service: "offloadcontroller".into(),
+                    service: "offloadcontroller",
                 },
             );
         }
 
         // Placement.
-        let cid_hint: Vec<InstanceId> = self.warehouse.containers_with(&aid).to_vec();
-        let placement = self.dispatcher.place(&self.db, device, &cid_hint);
-        let instance = match placement {
-            Placement::Existing(id) => id,
-            Placement::Provision => match self.provision(now, device) {
-                Some(id) => id,
-                None => {
-                    // Pool exhausted and nothing to queue on: shouldn't
-                    // happen with sane configs; route to least loaded.
-                    self.dispatcher
-                        .place(&self.db, device, &[])
-                        .existing_or_first(&self.db)
-                        .expect("some instance exists")
-                }
-            },
-        };
-        if let Some(rec) = self.db.get_mut(instance) {
-            rec.active_jobs += 1;
-        }
+        let instance = self.place(now, device, aid);
 
-        // Does this request carry the mobile code over the network?
-        let code_transferred = if self.cfg.platform.code_cache {
-            // Rattrap: once and for all, platform-wide.
-            !self.warehouse.lookup(&aid)
-        } else {
-            // VM / W-O: the client pushes the code into *this* runtime
-            // on its first request there (and remembers having done so).
-            self.code_pushed.insert((instance, app_id))
-        };
+        // Does this request carry the mobile code over the network, and
+        // does the runtime still need a (local) code load?
+        let (code_transferred, resident) = self.code_state(instance, kind, aid);
         let code_bytes_sent = if code_transferred {
             profile.app_code_bytes
         } else {
             0
         };
-        if self.cfg.platform.code_cache && code_transferred {
-            // Warehouse preserves the code after this transfer.
-            self.warehouse
-                .insert(aid.clone(), app_id, profile.app_code_bytes);
-        }
-
-        // Whether the runtime still needs a (local) code load.
-        let resident = self
-            .host
-            .instance(instance)
-            .map(|i| i.apps_loaded.contains(app_id))
-            .unwrap_or(false);
         let affinity_hit = resident && !code_transferred;
         let code_to_load = if resident { 0 } else { profile.app_code_bytes };
 
@@ -1027,6 +1005,68 @@ impl Simulation {
         self.rec.span_end_at(span, end.as_micros(), attrs);
     }
 
+    /// Place a request of `device` for app `aid`: the dispatcher's
+    /// choice (the warehouse's CID column is its affinity hint), with a
+    /// new runtime provisioned when it asks for one. The request counts
+    /// against the instance from here on.
+    fn place(&mut self, now: SimTime, device: u32, aid: Aid) -> InstanceId {
+        let cid_hint = self.warehouse.containers_with(&aid);
+        let instance = match self.dispatcher.place(&self.db, device, cid_hint) {
+            Placement::Existing(id) => id,
+            Placement::Provision => match self.provision(now, device) {
+                Some(id) => id,
+                None => {
+                    // Pool exhausted and nothing to queue on: shouldn't
+                    // happen with sane configs; route to least loaded.
+                    self.dispatcher
+                        .place(&self.db, device, &[])
+                        .existing_or_first(&self.db)
+                        .expect("some instance exists")
+                }
+            },
+        };
+        self.db.add_job(instance);
+        instance
+    }
+
+    /// Where the code of app `kind` stands for a request just placed on
+    /// `instance`: whether this request carries it over the network
+    /// (recorded, so the next one does not), and whether the runtime
+    /// already has it loaded.
+    fn code_state(&mut self, instance: InstanceId, kind: WorkloadKind, aid: Aid) -> (bool, bool) {
+        let code_transferred = if self.cfg.platform.code_cache {
+            // Rattrap: once and for all, platform-wide — the warehouse
+            // preserves the code after this transfer.
+            let miss = !self.warehouse.lookup(&aid);
+            if miss {
+                let code_bytes = kind.profile().app_code_bytes;
+                self.warehouse.insert(aid, kind.app_id(), code_bytes);
+            }
+            miss
+        } else {
+            // VM / W-O: the client pushes the code into *this* runtime
+            // on its first request there (and remembers having done so).
+            let pushed = &mut self.runtime(instance).code_pushed;
+            let first = !pushed.contains(&aid);
+            if first {
+                pushed.push(aid);
+            }
+            first
+        };
+        let resident = self
+            .host
+            .instance(instance)
+            .map(|i| i.apps_loaded.contains(&aid))
+            .unwrap_or(false);
+        (code_transferred, resident)
+    }
+
+    /// The engine's row for live instance `id`.
+    fn runtime(&mut self, id: InstanceId) -> &mut Runtime {
+        let row = self.runtimes.get_mut(id.0);
+        row.expect("every live instance has a runtime row")
+    }
+
     fn provision(&mut self, now: SimTime, device: u32) -> Option<InstanceId> {
         let class: RuntimeClass = self.cfg.platform.runtime_class;
         match self.host.provision(class) {
@@ -1039,8 +1079,7 @@ impl Simulation {
                     None
                 };
                 self.db.register(id, class, now + setup, owner);
-                self.instance_busy.insert(id, false);
-                self.instance_queue.insert(id, VecDeque::new());
+                self.runtimes.insert(id.0, Runtime::default());
                 self.queue
                     .schedule(now + setup, Event::BootDone { instance: id });
                 // Boot reads the image from disk (Fig. 2's early read
@@ -1065,7 +1104,7 @@ impl Simulation {
         self.transition(now, req, Phase::RuntimePrep);
         match self.db.get(instance).map(|r| r.state) {
             Some(InstanceState::Booting { .. }) => {
-                self.boot_waiters.entry(instance).or_default().push(req);
+                self.runtime(instance).boot_waiters.push(req);
             }
             Some(InstanceState::Ready) => self.try_start_service(now, instance, req),
             None => {
@@ -1076,29 +1115,24 @@ impl Simulation {
                 let id = self
                     .provision(now, device)
                     .expect("re-provision after teardown");
-                if let Some(rec) = self.db.get_mut(id) {
-                    rec.active_jobs += 1;
-                }
+                self.db.add_job(id);
                 self.pending[req].instance = Some(id);
-                self.boot_waiters.entry(id).or_default().push(req);
+                self.runtime(id).boot_waiters.push(req);
             }
         }
     }
 
     fn try_start_service(&mut self, now: SimTime, instance: InstanceId, req: usize) {
-        let busy = *self.instance_busy.get(&instance).unwrap_or(&false);
-        if busy {
-            self.instance_queue
-                .entry(instance)
-                .or_default()
-                .push_back(req);
+        let runtime = self.runtime(instance);
+        if runtime.busy {
+            runtime.queue.push_back(req);
         } else {
             self.start_service(now, instance, req);
         }
     }
 
     fn start_service(&mut self, now: SimTime, instance: InstanceId, req: usize) {
-        self.instance_busy.insert(instance, true);
+        self.runtime(instance).busy = true;
         // This can run mid-handler for a *queued* request (finish_io
         // releasing the runtime), so scope the trace attribution to
         // this request and restore the caller's afterwards.
@@ -1127,8 +1161,7 @@ impl Simulation {
             .expect("instance exists while serving");
         if code > 0 {
             self.io_read.record_amount(now, code as f64);
-            let aid = aid_of(app_id);
-            self.warehouse.note_loaded(&aid, instance);
+            self.warehouse.note_loaded(&aid_of(app_id), instance);
         }
         let gen = self.slot_gen[req];
         self.queue
@@ -1180,20 +1213,22 @@ impl Simulation {
     }
 
     fn on_cpu_check(&mut self, now: SimTime, epoch: u64) {
-        let Some(finished) = self.cpu.poll(now, epoch) else {
-            return; // stale schedule; a newer one exists
-        };
-        for (_, req) in finished {
-            if self.rec.is_enabled() {
-                self.rec
-                    .set_current_request(Some(self.pending[req].record.id));
+        let mut finished = std::mem::take(&mut self.finished);
+        // (A stale schedule finishes nothing; a newer one exists.)
+        if self.cpu.poll_with(now, epoch, |_, req| finished.push(req)) {
+            for req in finished.drain(..) {
+                if self.rec.is_enabled() {
+                    self.rec
+                        .set_current_request(Some(self.pending[req].record.id));
+                }
+                self.pending[req].cpu_job = None;
+                self.transition(now, req, Phase::OffloadIo);
+                self.begin_io(now, req);
             }
-            self.pending[req].cpu_job = None;
-            self.transition(now, req, Phase::OffloadIo);
-            self.begin_io(now, req);
+            self.cpu
+                .reschedule(now, &mut self.queue, |epoch| Event::CpuCheck { epoch });
         }
-        self.cpu
-            .reschedule(now, &mut self.queue, |epoch| Event::CpuCheck { epoch });
+        self.finished = finished;
     }
 
     fn on_device_cpu_check(
@@ -1206,22 +1241,23 @@ impl Simulation {
         let Some(exec) = self.device_cpus.get_mut(&device) else {
             return;
         };
-        let Some(finished) = exec.poll(now, epoch) else {
-            return;
-        };
-        for (_, req) in &finished {
-            if self.rec.is_enabled() {
-                self.rec
-                    .set_current_request(Some(self.pending[*req].record.id));
+        let mut finished = std::mem::take(&mut self.finished);
+        if exec.poll_with(now, epoch, |_, req| finished.push(req)) {
+            for req in finished.drain(..) {
+                if self.rec.is_enabled() {
+                    self.rec
+                        .set_current_request(Some(self.pending[req].record.id));
+                }
+                self.on_request_complete(now, req, sink);
             }
-            self.on_request_complete(now, *req, sink);
+            if let Some(exec) = self.device_cpus.get_mut(&device) {
+                exec.reschedule(now, &mut self.queue, |epoch| Event::DeviceCpuCheck {
+                    device,
+                    epoch,
+                });
+            }
         }
-        if let Some(exec) = self.device_cpus.get_mut(&device) {
-            exec.reschedule(now, &mut self.queue, |epoch| Event::DeviceCpuCheck {
-                device,
-                epoch,
-            });
-        }
+        self.finished = finished;
     }
 
     fn begin_io(&mut self, now: SimTime, req: usize) {
@@ -1273,30 +1309,43 @@ impl Simulation {
     }
 
     fn on_disk_check(&mut self, now: SimTime, epoch: u64) {
-        let Some(finished) = self.disk.poll(now, epoch) else {
-            return;
-        };
-        for (_, req) in finished {
-            if self.rec.is_enabled() {
-                self.rec
-                    .set_current_request(Some(self.pending[req].record.id));
+        let mut finished = std::mem::take(&mut self.finished);
+        if self.disk.poll_with(now, epoch, |_, req| finished.push(req)) {
+            for req in finished.drain(..) {
+                if self.rec.is_enabled() {
+                    self.rec
+                        .set_current_request(Some(self.pending[req].record.id));
+                }
+                self.pending[req].disk_job = None;
+                let from = self.pending[req].phase_started();
+                let bytes = self.pending[req].task.io_bytes as f64;
+                if now > from {
+                    self.io_write.record_amount_over(from, now, bytes);
+                } else {
+                    // Sub-microsecond I/O would make the interval empty
+                    // and silently drop the bytes; bin them at the
+                    // instant instead. (Unreachable with the current
+                    // +2 µs check slack — kept so faster disks can't
+                    // lose the tail.)
+                    self.io_write.record_amount(now, bytes);
+                }
+                self.finish_io(now, req);
             }
-            self.pending[req].disk_job = None;
-            let from = self.pending[req].phase_started();
-            let bytes = self.pending[req].task.io_bytes as f64;
-            if now > from {
-                self.io_write.record_amount_over(from, now, bytes);
-            } else {
-                // Sub-microsecond I/O would make the interval empty and
-                // silently drop the bytes; bin them at the instant
-                // instead. (Unreachable with the current +2 µs check
-                // slack — kept so faster disks can't lose the tail.)
-                self.io_write.record_amount(now, bytes);
-            }
-            self.finish_io(now, req);
+            self.disk
+                .reschedule(now, &mut self.queue, |epoch| Event::DiskCheck { epoch });
         }
-        self.disk
-            .reschedule(now, &mut self.queue, |epoch| Event::DiskCheck { epoch });
+        self.finished = finished;
+    }
+
+    /// `instance` finished (or lost) the request it was serving: it goes
+    /// idle, or straight on to the next queued request.
+    fn release_runtime(&mut self, now: SimTime, instance: InstanceId) {
+        self.db.finish_job(instance, now);
+        let runtime = self.runtime(instance);
+        runtime.busy = false;
+        if let Some(next) = runtime.queue.pop_front() {
+            self.start_service(now, instance, next);
+        }
     }
 
     fn finish_io(&mut self, now: SimTime, req: usize) {
@@ -1307,14 +1356,7 @@ impl Simulation {
 
         // Release the runtime for the next queued request.
         let instance = self.pending[req].instance.expect("serving");
-        self.instance_busy.insert(instance, false);
-        if let Some(rec) = self.db.get_mut(instance) {
-            rec.active_jobs = rec.active_jobs.saturating_sub(1);
-            rec.last_active = now;
-        }
-        if let Some(next) = self.instance_queue.entry(instance).or_default().pop_front() {
-            self.start_service(now, instance, next);
-        }
+        self.release_runtime(now, instance);
 
         // Download the result, walked across the fault plan's link
         // windows exactly like the upload.
@@ -1422,10 +1464,11 @@ impl Simulation {
             );
         }
         self.db.mark_ready(instance);
-        if let Some(waiters) = self.boot_waiters.remove(&instance) {
-            for req in waiters {
-                self.try_start_service(now, instance, req);
-            }
+        // (A crash may have taken the instance before its boot finished.)
+        let row = self.runtimes.get_mut(instance.0);
+        let waiters = row.map(|r| std::mem::take(&mut r.boot_waiters));
+        for req in waiters.unwrap_or_default() {
+            self.try_start_service(now, instance, req);
         }
     }
 
@@ -1473,11 +1516,9 @@ impl Simulation {
             );
         }
         let mut hit: Vec<usize> = Vec::new();
-        if let Some(waiters) = self.boot_waiters.remove(&victim) {
-            hit.extend(waiters);
-        }
-        if let Some(queue) = self.instance_queue.get_mut(&victim) {
-            hit.extend(queue.drain(..));
+        if let Some(runtime) = self.runtimes.remove(victim.0) {
+            hit.extend(runtime.boot_waiters);
+            hit.extend(runtime.queue);
         }
         for i in 0..self.pending.len() {
             let lc = &self.pending[i];
@@ -1493,8 +1534,6 @@ impl Simulation {
         }
         hit.sort_unstable();
         self.db.remove(victim);
-        self.instance_busy.remove(&victim);
-        self.instance_queue.remove(&victim);
         self.warehouse.invalidate_container(victim);
         self.monitor.forget(victim);
         for req in hit {
@@ -1573,22 +1612,16 @@ impl Simulation {
                 record.phases.data_transfer -= transfer;
                 record.upload_time -= transfer;
                 if let Some(id) = instance {
-                    if let Some(rec) = self.db.get_mut(id) {
-                        rec.active_jobs = rec.active_jobs.saturating_sub(1);
-                    }
+                    self.db.withdraw_job(id);
                 }
             }
             Phase::RuntimePrep => {
                 if let Some(id) = instance {
-                    if let Some(waiters) = self.boot_waiters.get_mut(&id) {
-                        waiters.retain(|&r| r != req);
+                    if let Some(runtime) = self.runtimes.get_mut(id.0) {
+                        runtime.boot_waiters.retain(|&r| r != req);
+                        runtime.queue.retain(|&r| r != req);
                     }
-                    if let Some(queue) = self.instance_queue.get_mut(&id) {
-                        queue.retain(|&r| r != req);
-                    }
-                    if let Some(rec) = self.db.get_mut(id) {
-                        rec.active_jobs = rec.active_jobs.saturating_sub(1);
-                    }
+                    self.db.withdraw_job(id);
                 }
             }
             Phase::CodeLoad | Phase::Compute | Phase::OffloadIo => {
@@ -1607,14 +1640,7 @@ impl Simulation {
                 // already gone.
                 if let Some(id) = instance {
                     if self.db.get(id).is_some() {
-                        self.instance_busy.insert(id, false);
-                        if let Some(rec) = self.db.get_mut(id) {
-                            rec.active_jobs = rec.active_jobs.saturating_sub(1);
-                            rec.last_active = now;
-                        }
-                        if let Some(next) = self.instance_queue.entry(id).or_default().pop_front() {
-                            self.start_service(now, id, next);
-                        }
+                        self.release_runtime(now, id);
                     }
                 }
             }
@@ -1710,45 +1736,16 @@ impl Simulation {
             }
             ResumeStage::Upload { bytes } => {
                 let kind = self.pending[req].record.kind;
-                let app_id = kind.app_id();
-                let aid = aid_of(app_id);
                 let profile = kind.profile();
                 // Re-place: the original instance may be gone.
-                let cid_hint: Vec<InstanceId> = self.warehouse.containers_with(&aid).to_vec();
-                let placement = self.dispatcher.place(&self.db, device, &cid_hint);
-                let instance = match placement {
-                    Placement::Existing(id) => id,
-                    Placement::Provision => match self.provision(now, device) {
-                        Some(id) => id,
-                        None => self
-                            .dispatcher
-                            .place(&self.db, device, &[])
-                            .existing_or_first(&self.db)
-                            .expect("some instance exists"),
-                    },
-                };
-                if let Some(rec) = self.db.get_mut(instance) {
-                    rec.active_jobs += 1;
-                }
-                let code_transferred = if self.cfg.platform.code_cache {
-                    !self.warehouse.lookup(&aid)
-                } else {
-                    self.code_pushed.insert((instance, app_id))
-                };
+                let aid = aid_of(kind.app_id());
+                let instance = self.place(now, device, aid);
+                let (code_transferred, resident) = self.code_state(instance, kind, aid);
                 let code_bytes_now = if code_transferred {
                     profile.app_code_bytes
                 } else {
                     0
                 };
-                if self.cfg.platform.code_cache && code_transferred {
-                    self.warehouse
-                        .insert(aid.clone(), app_id, profile.app_code_bytes);
-                }
-                let resident = self
-                    .host
-                    .instance(instance)
-                    .map(|i| i.apps_loaded.contains(app_id))
-                    .unwrap_or(false);
                 {
                     let lc = &mut self.pending[req];
                     lc.instance = Some(instance);
@@ -1797,13 +1794,11 @@ impl Simulation {
     fn on_idle_scan(&mut self, now: SimTime) {
         // Feed the monitor and rebalance cpu.shares toward busy
         // instances (process-level resource control, §IV-A).
-        let snapshot: Vec<(InstanceId, u32)> =
-            self.db.iter().map(|r| (r.id, r.active_jobs)).collect();
-        for (id, jobs) in snapshot {
-            self.monitor.observe(id, jobs);
+        for r in self.db.iter() {
+            self.monitor.observe(r.id, r.active_jobs);
         }
         for (id, shares) in self.scheduler.rebalance_shares(&self.db, &self.monitor) {
-            if let Ok(inst) = self.host.instance(InstanceId(id)) {
+            if let Ok(inst) = self.host.instance(id) {
                 let cg = inst.cgroup;
                 let _ = self.host.kernel.cgroups.set_cpu_shares(cg, shares);
             }
@@ -1822,24 +1817,17 @@ impl Simulation {
                     for id in victims {
                         // Don't reclaim instances with queued work, boot
                         // waiters, or placed-but-uploading requests.
-                        let queued = self
-                            .instance_queue
-                            .get(&id)
-                            .map(|q| !q.is_empty())
-                            .unwrap_or(false);
-                        let waited = self
-                            .boot_waiters
-                            .get(&id)
-                            .map(|w| !w.is_empty())
-                            .unwrap_or(false);
+                        let waited_for = self
+                            .runtimes
+                            .get(id.0)
+                            .is_some_and(|r| !r.queue.is_empty() || !r.boot_waiters.is_empty());
                         let placed = self.db.get(id).map(|r| r.active_jobs > 0).unwrap_or(false);
-                        if queued || waited || placed {
+                        if waited_for || placed {
                             continue;
                         }
                         if self.host.teardown(id).is_ok() {
                             self.db.remove(id);
-                            self.instance_busy.remove(&id);
-                            self.instance_queue.remove(&id);
+                            self.runtimes.remove(id.0);
                             self.warehouse.invalidate_container(id);
                             self.monitor.forget(id);
                         }

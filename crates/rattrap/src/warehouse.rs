@@ -10,22 +10,9 @@
 
 use std::collections::BTreeMap;
 use virt::InstanceId;
-
-/// Application identifier — the cache key derived from the app's
-/// package identity (the hex strings of Fig. 8).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Aid(pub String);
-
-/// Derive an AID from a package name (FNV-1a, rendered as hex like the
-/// paper's `8d6d1b5` examples).
-pub fn aid_of(app_id: &str) -> Aid {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in app_id.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    Aid(format!("{:07x}", h & 0xfff_ffff))
-}
+/// The cache key (the hex ids of Fig. 8) lives beside the runtimes that
+/// track loaded code by it.
+pub use virt::{aid_of, Aid};
 
 /// One cache-table row.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -108,7 +95,7 @@ impl AppWarehouse {
                 .entries
                 .iter()
                 .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
+                .map(|(&aid, _)| aid)
                 .expect("non-empty");
             let victim = self.entries.remove(&lru).expect("exists");
             self.used_bytes -= victim.code_bytes;
@@ -191,7 +178,50 @@ mod tests {
     fn aid_is_stable_and_distinct() {
         assert_eq!(aid_of("com.bench.ocr"), aid_of("com.bench.ocr"));
         assert_ne!(aid_of("com.bench.ocr"), aid_of("com.bench.chessgame"));
-        assert_eq!(aid_of("com.bench.ocr").0.len(), 7, "paper-style short hex");
+        assert_eq!(
+            aid_of("com.bench.ocr").to_string().len(),
+            7,
+            "paper-style short hex"
+        );
+    }
+
+    /// The AID as it was derived and rendered when it was a `String`.
+    fn rendered(app_id: &str) -> String {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for b in app_id.bytes() {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x1000_0000_01b3);
+        }
+        format!("{:07x}", h & 0xfff_ffff)
+    }
+
+    #[test]
+    fn integer_aid_renders_and_orders_like_the_string_it_replaced() {
+        let mut rng = simkit::SimRng::new(0xa1d);
+        let mut names: Vec<String> = workloads::WorkloadKind::ALL
+            .iter()
+            .map(|k| k.app_id().to_string())
+            .collect();
+        for i in 0..1_000 {
+            let len = rng.uniform_u64(0, 40) as usize;
+            let tail: String = (0..len)
+                .map(|_| rng.uniform_u64(0x20, 0x7e) as u8 as char)
+                .collect();
+            names.push(format!("pkg{i}.{tail}"));
+        }
+        for name in &names {
+            let aid = aid_of(name);
+            assert_eq!(aid.to_string(), rendered(name), "{name}");
+            assert_eq!(aid.hex().as_slice(), rendered(name).as_bytes(), "{name}");
+        }
+        for pair in names.windows(2) {
+            let by_id = aid_of(&pair[0]).cmp(&aid_of(&pair[1]));
+            assert_eq!(
+                by_id,
+                rendered(&pair[0]).cmp(&rendered(&pair[1])),
+                "{pair:?}"
+            );
+        }
     }
 
     #[test]
@@ -199,7 +229,7 @@ mod tests {
         let mut w = AppWarehouse::new(mib(100));
         let aid = aid_of("com.bench.chessgame");
         assert!(!w.lookup(&aid));
-        w.insert(aid.clone(), "com.bench.chessgame", mib(2));
+        w.insert(aid, "com.bench.chessgame", mib(2));
         assert!(w.lookup(&aid));
         assert!(w.lookup(&aid));
         let s = w.stats();
@@ -212,7 +242,7 @@ mod tests {
     fn cid_mapping_tracks_containers() {
         let mut w = AppWarehouse::new(mib(10));
         let aid = aid_of("app");
-        w.insert(aid.clone(), "app", 1000);
+        w.insert(aid, "app", 1000);
         w.note_loaded(&aid, InstanceId(3));
         w.note_loaded(&aid, InstanceId(7));
         w.note_loaded(&aid, InstanceId(3)); // dedup
@@ -228,10 +258,10 @@ mod tests {
         let a = aid_of("a");
         let b = aid_of("b");
         let c = aid_of("c");
-        w.insert(a.clone(), "a", mib(2));
-        w.insert(b.clone(), "b", mib(2));
+        w.insert(a, "a", mib(2));
+        w.insert(b, "b", mib(2));
         assert!(w.lookup(&a), "touch a so b becomes LRU");
-        w.insert(c.clone(), "c", mib(2)); // evicts b
+        w.insert(c, "c", mib(2)); // evicts b
         assert!(w.lookup(&a));
         assert!(!w.lookup(&b), "b was evicted");
         assert!(w.lookup(&c));
@@ -243,7 +273,7 @@ mod tests {
     fn oversized_code_is_not_cached() {
         let mut w = AppWarehouse::new(1000);
         let aid = aid_of("huge");
-        w.insert(aid.clone(), "huge", 5000);
+        w.insert(aid, "huge", 5000);
         assert!(!w.lookup(&aid));
         assert_eq!(w.used_bytes(), 0);
     }
@@ -252,8 +282,8 @@ mod tests {
     fn reinsert_replaces_entry() {
         let mut w = AppWarehouse::new(mib(10));
         let aid = aid_of("app");
-        w.insert(aid.clone(), "app", 1000);
-        w.insert(aid.clone(), "app", 3000);
+        w.insert(aid, "app", 1000);
+        w.insert(aid, "app", 3000);
         assert_eq!(w.used_bytes(), 3000);
         assert_eq!(w.len(), 1);
     }

@@ -137,3 +137,33 @@ fn digests_distinguish_seeds_and_platforms() {
         "digest must see seed differences"
     );
 }
+
+/// The repo benchmark's `paper_replay` workload (`benchmark/src/sim.rs`:
+/// one 70-user LiveLab trace, Fig. 11's session parameters, on 3
+/// platforms × 4 apps) for seed 7 at its `--smoke` horizon, a tenth of
+/// the full one. `benchmark/check.sh` pins the same twelve runs, but
+/// only behind `RATTRAP_BENCH_SMOKE=1`; here a plain `cargo test`
+/// notices an engine change that moves the one workload that crosses VM
+/// boot, cold starts, insmod and union mounts at volume.
+#[test]
+fn benchmark_paper_shape_is_pinned_at_smoke_horizon() {
+    let horizon = simkit::SimDuration::from_secs(4 * 3600 / 10);
+    let traffic = traces::TraceConfig::fig11(70, horizon, 7);
+    let trace = traces::generate(&traffic);
+    let (mut fold, mut requests) = (rattrap::ReportHasher::new(), 0);
+    for platform in PlatformKind::ALL {
+        for kind in WorkloadKind::ALL {
+            let cell = traces::replay_scenario(&traffic, &trace, platform, kind);
+            let report = run_scenario(cell);
+            requests += report.requests.len();
+            fold.write_u64(report.digest());
+        }
+    }
+    assert_eq!(requests, 8_112, "paper_replay: arrivals moved");
+    assert_eq!(
+        fold.finish(),
+        0xcf28_6f17_b07c_dfdf,
+        "paper_replay at smoke horizon moved: {:#018x}",
+        fold.finish()
+    );
+}

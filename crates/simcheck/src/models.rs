@@ -341,8 +341,8 @@ pub fn audit_code_cache<C: CodeCache>(cache: &mut C, seed: u64, steps: u32, audi
         let (aid, name, bytes) = &apps[rng.uniform_u64(0, apps.len() as u64 - 1) as usize];
         match rng.uniform_u64(0, 4) {
             0 => {
-                cache.insert(aid.clone(), name, *bytes);
-                shadow.insert(aid.clone(), (*bytes, BTreeSet::new()));
+                cache.insert(*aid, name, *bytes);
+                shadow.insert(*aid, (*bytes, BTreeSet::new()));
             }
             1 => {
                 let c = InstanceId(rng.uniform_u64(0, 7) as u32);

@@ -11,6 +11,7 @@
 //! logical processes, one event queue each ([`shard`]),
 //! online statistics and empirical CDFs ([`stats`]),
 //! one-second timeline sampling for server-load figures ([`sampler`]),
+//! id-ordered tables for a host's live instances ([`table`]),
 //! and the unit conventions shared by every crate ([`units`]).
 //!
 //! Design rules:
@@ -30,6 +31,7 @@ pub mod resource;
 pub mod sampler;
 pub mod shard;
 pub mod stats;
+pub mod table;
 pub mod time;
 pub mod units;
 
@@ -44,4 +46,5 @@ pub use resource::{FairShareResource, JobId, MemoryPool};
 pub use sampler::TimelineSampler;
 pub use shard::{run_sharded, Envelope, Lp, Outbox, ShardMode};
 pub use stats::{Cdf, OnlineStats};
+pub use table::IdTable;
 pub use time::{SimDuration, SimTime};

@@ -14,6 +14,6 @@ pub mod replay;
 
 pub use livelab::{generate, stats, TraceConfig, TraceStats, DIURNAL};
 pub use replay::{
-    run_trace_experiment, run_trace_experiment_streaming, PlatformTraceResult, SpeedupSink,
-    StreamingTraceResult,
+    replay_scenario, run_trace_experiment, run_trace_experiment_streaming, PlatformTraceResult,
+    SpeedupSink, StreamingTraceResult,
 };

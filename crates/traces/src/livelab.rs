@@ -30,6 +30,21 @@ pub struct TraceConfig {
     pub seed: u64,
 }
 
+impl TraceConfig {
+    /// Fig. 11's session shape — 2.5 sessions an active hour, 18
+    /// requests a session, 25 s apart — for `users` over `duration`.
+    pub fn fig11(users: u32, duration: SimDuration, seed: u64) -> Self {
+        TraceConfig {
+            users,
+            duration,
+            sessions_per_hour: 2.5,
+            mean_session_len: 18.0,
+            intra_gap_s: 25.0,
+            seed,
+        }
+    }
+}
+
 impl Default for TraceConfig {
     fn default() -> Self {
         TraceConfig {

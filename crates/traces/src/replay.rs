@@ -5,7 +5,7 @@ use rattrap::{
     ArrivalModel, PlatformKind, ReportSummary, RequestRecord, RequestSink, ScenarioConfig,
     SimulationReport,
 };
-use simkit::{Cdf, OnlineStats, SimDuration};
+use simkit::{Cdf, OnlineStats, SimDuration, SimTime};
 use workloads::WorkloadKind;
 
 /// Results for one platform under the trace.
@@ -25,6 +25,24 @@ pub struct PlatformTraceResult {
     pub report: SimulationReport,
 }
 
+/// One cell of a replay: `trace` (generated from `trace_cfg`, whose
+/// seed also keys the per-request randomness) arriving at `platform`
+/// as `workload` requests.
+pub fn replay_scenario(
+    trace_cfg: &TraceConfig,
+    trace: &[Vec<SimTime>],
+    platform: PlatformKind,
+    workload: WorkloadKind,
+) -> ScenarioConfig {
+    ScenarioConfig {
+        arrivals: ArrivalModel::Trace(trace.to_vec()),
+        devices: trace_cfg.users,
+        requests_per_device: 0,                     // ignored in trace mode
+        sample_horizon: SimDuration::from_secs(60), // timelines unused here
+        ..ScenarioConfig::paper_default(platform.config(), workload, trace_cfg.seed)
+    }
+}
+
 /// Run the Fig. 11 experiment: replay one synthetic LiveLab trace of
 /// `workload` requests against every platform. "For fair comparison"
 /// the identical trace (and identical per-request randomness, keyed by
@@ -38,13 +56,7 @@ pub fn run_trace_experiment(
     platforms
         .iter()
         .map(|&platform| {
-            let scenario = ScenarioConfig {
-                arrivals: ArrivalModel::Trace(trace.clone()),
-                devices: trace_cfg.users,
-                requests_per_device: 0, // ignored in trace mode
-                sample_horizon: SimDuration::from_secs(60), // timelines unused here
-                ..ScenarioConfig::paper_default(platform.config(), workload, trace_cfg.seed)
-            };
+            let scenario = replay_scenario(trace_cfg, &trace, platform, workload);
             let report = rattrap::run_scenario(scenario);
             let speedups: Vec<f64> = report.requests.iter().map(|r| r.speedup()).collect();
             let n = speedups.len();
@@ -124,13 +136,7 @@ pub fn run_trace_experiment_streaming(
     platforms
         .iter()
         .map(|&platform| {
-            let scenario = ScenarioConfig {
-                arrivals: ArrivalModel::Trace(trace.clone()),
-                devices: trace_cfg.users,
-                requests_per_device: 0, // ignored in trace mode
-                sample_horizon: SimDuration::from_secs(60), // timelines unused here
-                ..ScenarioConfig::paper_default(platform.config(), workload, trace_cfg.seed)
-            };
+            let scenario = replay_scenario(trace_cfg, &trace, platform, workload);
             let mut sink = SpeedupSink::default();
             let summary = rattrap::run_scenario_with_sink(scenario, &mut sink);
             let n = sink.total.max(1);

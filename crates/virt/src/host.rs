@@ -10,6 +10,7 @@
 //! syscalls. Android VMs bypass the host kernel entirely (they carry
 //! their own) and appear as a single opaque process.
 
+use crate::aid::{aid_of, Aid};
 use crate::boot::BootSequence;
 use crate::spec::{RuntimeClass, RuntimeSpec, TMPFS_BANDWIDTH};
 use containerfs::{
@@ -19,8 +20,8 @@ use containerfs::{
 use hostkernel::{CgroupId, DeviceKind, HostSpec, Kernel, KernelError, Syscall, SyscallRet};
 use obsv::{attrs, AttrValue, Recorder, SpanId, Subsystem};
 use simkit::resource::OutOfMemory;
-use simkit::{MemoryPool, SimDuration};
-use std::collections::{BTreeMap, BTreeSet};
+use simkit::{IdTable, MemoryPool, SimDuration};
+use std::collections::BTreeSet;
 use std::sync::{Arc, OnceLock};
 
 /// Identifier of a provisioned runtime instance.
@@ -79,14 +80,22 @@ pub struct RuntimeInstance {
     pub zygote_pid: Option<u32>,
     /// Union mount (optimized containers only).
     pub mount: Option<UnionMount>,
-    /// Disk bytes exclusively owned by this instance.
-    pub exclusive_disk_bytes: u64,
+    /// Disk bytes exclusively owned by this instance. Fixed at
+    /// provisioning: the host keeps the sum over live instances.
+    exclusive_disk_bytes: u64,
     /// Mobile apps whose code has been loaded into the runtime.
-    pub apps_loaded: BTreeSet<String>,
+    pub apps_loaded: BTreeSet<Aid>,
     /// Boot sequence the instance ran.
     pub boot: BootSequence,
     /// Total setup latency (boot + one-time module loading).
     pub setup_time: SimDuration,
+}
+
+impl RuntimeInstance {
+    /// Disk bytes exclusively owned by this instance.
+    pub fn exclusive_disk_bytes(&self) -> u64 {
+        self.exclusive_disk_bytes
+    }
 }
 
 /// Fixed dex-opt / verification cost when loading an app into a runtime.
@@ -112,7 +121,11 @@ pub struct CloudHost {
     memory: MemoryPool,
     full_image_bytes: u64,
     container_rootfs_bytes: u64,
-    instances: BTreeMap<u32, RuntimeInstance>,
+    instances: IdTable<RuntimeInstance>,
+    /// Σ `exclusive_disk_bytes` over `instances`: added by `provision`,
+    /// subtracted by `teardown`, so disk usage is read per event without
+    /// walking the instances.
+    exclusive_disk_total: u64,
     next_id: u32,
     /// Observability recorder (disabled unless attached).
     rec: Recorder,
@@ -143,7 +156,8 @@ impl CloudHost {
             memory: MemoryPool::new(spec.memory_bytes),
             full_image_bytes: image.full_image_bytes,
             container_rootfs_bytes: image.container_rootfs_bytes,
-            instances: BTreeMap::new(),
+            instances: IdTable::new(),
+            exclusive_disk_total: 0,
             next_id: 0,
             rec: Recorder::disabled(),
         }
@@ -211,7 +225,7 @@ impl CloudHost {
             let SyscallRet::Pid(zygote) = self.kernel.syscall(
                 init,
                 Syscall::Fork {
-                    child_name: "zygote".into(),
+                    child_name: "zygote",
                 },
             )?
             else {
@@ -220,19 +234,15 @@ impl CloudHost {
             let SyscallRet::Pid(system_server) = self.kernel.syscall(
                 zygote,
                 Syscall::Fork {
-                    child_name: "system_server".into(),
+                    child_name: "system_server",
                 },
             )?
             else {
                 unreachable!("fork returns a pid");
             };
             for service in ["activity", "package", "offloadcontroller"] {
-                self.kernel.syscall(
-                    system_server,
-                    Syscall::BinderRegister {
-                        service: service.into(),
-                    },
-                )?;
+                self.kernel
+                    .syscall(system_server, Syscall::BinderRegister { service })?;
             }
             // User-space bring-up leaves its marks in /dev/log/main, the
             // same ring `dump_log` surfaces into request timelines.
@@ -249,8 +259,8 @@ impl CloudHost {
                     pid,
                     Syscall::LogWrite {
                         priority: 4,
-                        tag: tag.into(),
-                        message: message.into(),
+                        tag,
+                        message,
                     },
                 )?;
             }
@@ -321,6 +331,7 @@ impl CloudHost {
         }
 
         self.next_id += 1;
+        self.exclusive_disk_total += exclusive;
         self.instances.insert(
             id.0,
             RuntimeInstance {
@@ -345,7 +356,7 @@ impl CloudHost {
     pub fn teardown(&mut self, id: InstanceId) -> Result<(), HostError> {
         let inst = self
             .instances
-            .remove(&id.0)
+            .remove(id.0)
             .ok_or(HostError::NoSuchInstance(id))?;
         if self.rec.is_enabled() {
             self.rec.instant(
@@ -358,6 +369,7 @@ impl CloudHost {
             );
         }
         self.memory.release(inst.class.spec().memory_bytes);
+        self.exclusive_disk_total -= inst.exclusive_disk_bytes;
         if inst.class.is_container() {
             self.kernel.destroy_namespace(inst.namespace)?;
             self.kernel.module_put_package();
@@ -369,26 +381,33 @@ impl CloudHost {
         if let Some(m) = inst.mount {
             m.unmount(&mut self.layers);
         }
+        // The anchor process was the group's only member.
+        self.kernel.cgroups.detach(inst.init_pid);
+        self.kernel.cgroups.remove(inst.cgroup)?;
         Ok(())
     }
 
     /// Immutable instance access.
     pub fn instance(&self, id: InstanceId) -> Result<&RuntimeInstance, HostError> {
         self.instances
-            .get(&id.0)
+            .get(id.0)
             .ok_or(HostError::NoSuchInstance(id))
     }
 
     /// Mutable instance access.
     pub fn instance_mut(&mut self, id: InstanceId) -> Result<&mut RuntimeInstance, HostError> {
         self.instances
-            .get_mut(&id.0)
+            .get_mut(id.0)
             .ok_or(HostError::NoSuchInstance(id))
     }
 
     /// Instance ids in creation order.
     pub fn instance_ids(&self) -> Vec<InstanceId> {
-        self.instances.keys().map(|&k| InstanceId(k)).collect()
+        self.instances
+            .ids()
+            .iter()
+            .map(|&k| InstanceId(k))
+            .collect()
     }
 
     /// Number of live instances.
@@ -407,13 +426,12 @@ impl CloudHost {
     ) -> Result<SimDuration, HostError> {
         let disk_bw = self.host_spec().disk_bandwidth;
         let inst = self.instance_mut(id)?;
-        if inst.apps_loaded.contains(app_id) {
+        if !inst.apps_loaded.insert(aid_of(app_id)) {
             return Ok(SimDuration::ZERO);
         }
         let io_eff = inst.class.spec().io_efficiency;
         let t =
             CLASSLOAD_FIXED + SimDuration::from_secs_f64(code_bytes as f64 / (disk_bw * io_eff));
-        inst.apps_loaded.insert(app_id.to_string());
         if self.rec.is_enabled() {
             let now = self.rec.now_us();
             let span = self.rec.span_start_at(
@@ -443,7 +461,7 @@ impl CloudHost {
         self.kernel.syscall(
             zygote,
             Syscall::BinderTransact {
-                service: "offloadcontroller".into(),
+                service: "offloadcontroller",
                 payload_bytes,
             },
         )?;
@@ -489,12 +507,9 @@ impl CloudHost {
     /// bytes. This is the quantity behind the "at least 79 % disk
     /// savings" headline.
     pub fn total_disk_usage(&self) -> u64 {
-        self.layers.total_shared_bytes()
-            + self
-                .instances
-                .values()
-                .map(|i| i.exclusive_disk_bytes)
-                .sum::<u64>()
+        let walked = || self.instances.values().map(|i| i.exclusive_disk_bytes);
+        debug_assert_eq!(self.exclusive_disk_total, walked().sum::<u64>());
+        self.layers.total_shared_bytes() + self.exclusive_disk_total
     }
 
     /// Host DRAM currently reserved by instances.
@@ -555,7 +570,7 @@ mod tests {
             .syscall(
                 zygote,
                 Syscall::Fork {
-                    child_name: "com.bench.ocr".into(),
+                    child_name: "com.bench.ocr",
                 },
             )
             .unwrap()
@@ -567,7 +582,7 @@ mod tests {
             .syscall(
                 app,
                 Syscall::BinderTransact {
-                    service: "activity".into(),
+                    service: "activity",
                     payload_bytes: 64,
                 },
             )
@@ -614,19 +629,19 @@ mod tests {
         let mut h = host();
         let base = h.total_disk_usage(); // shared layer only
         let (vm, _) = h.provision(RuntimeClass::AndroidVm).unwrap();
-        let vm_disk = h.instance(vm).unwrap().exclusive_disk_bytes;
+        let vm_disk = h.instance(vm).unwrap().exclusive_disk_bytes();
         assert!(
             (vm_disk as f64 / gib(1) as f64 - 1.10).abs() < 0.01,
             "VM ≈ 1.1 GiB"
         );
         let (wo, _) = h.provision(RuntimeClass::CacUnoptimized).unwrap();
-        let wo_disk = h.instance(wo).unwrap().exclusive_disk_bytes;
+        let wo_disk = h.instance(wo).unwrap().exclusive_disk_bytes();
         assert!(
             (wo_disk as f64 / gib(1) as f64 - 1.02).abs() < 0.01,
             "W/O ≈ 1.02 GiB"
         );
         let (opt, _) = h.provision(RuntimeClass::CacOptimized).unwrap();
-        let opt_disk = h.instance(opt).unwrap().exclusive_disk_bytes;
+        let opt_disk = h.instance(opt).unwrap().exclusive_disk_bytes();
         assert!(
             opt_disk < mib(8),
             "optimized CAC < 7.1 MB + slack, got {opt_disk}"

@@ -5,6 +5,8 @@
 //! non-optimized Cloud Android Container of Rattrap(W/O), and the fully
 //! optimized Cloud Android Container.
 //!
+//! * [`aid`] — application identifiers, the key runtimes, the App
+//!   Warehouse and the fleet router track an app's code by.
 //! * [`boot`] — the Fig. 6 boot sequences, calibrated to Table I's
 //!   setup times (28.72 s / 6.80 s / 1.75 s).
 //! * [`spec`] — per-class memory, vCPU, and efficiency parameters.
@@ -18,12 +20,14 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod aid;
 pub mod boot;
 pub mod cluster;
 pub mod host;
 pub mod migrate;
 pub mod spec;
 
+pub use aid::{aid_of, Aid};
 pub use boot::{
     android_vm_boot, cac_optimized_boot, cac_unoptimized_boot, BootSequence, BootStage,
 };

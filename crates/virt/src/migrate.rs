@@ -9,6 +9,7 @@
 //! Unlike a VM, none of the 1 GiB image travels — the destination
 //! mounts its own Shared Resource Layer.
 
+use crate::aid::Aid;
 use crate::host::{CloudHost, HostError, InstanceId};
 use crate::spec::RuntimeClass;
 use containerfs::FsImage;
@@ -22,7 +23,7 @@ pub struct Checkpoint {
     /// Runtime class of the source container.
     pub class: RuntimeClass,
     /// Apps whose code was loaded in the runtime.
-    pub apps: BTreeSet<String>,
+    pub apps: BTreeSet<Aid>,
     /// The private upper layer (instance config + offload scratch).
     pub upper: FsImage,
     /// Resident memory pages to transfer.

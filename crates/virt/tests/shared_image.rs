@@ -28,7 +28,7 @@ fn first_use_builds_the_image_once_even_from_two_threads() {
                     let layer = host.shared_layer_bytes();
                     assert_eq!(host.total_disk_usage(), layer);
                     let (id, _) = host.provision(RuntimeClass::CacOptimized).unwrap();
-                    let private = host.instance(id).unwrap().exclusive_disk_bytes;
+                    let private = host.instance(id).unwrap().exclusive_disk_bytes();
                     (t, layer, host.total_disk_usage() - private)
                 })
             })

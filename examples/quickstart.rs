@@ -42,7 +42,7 @@ fn main() {
         "container #{} — namespace {}, private disk {} KiB, zygote pid {}",
         inst.id.0,
         inst.namespace,
-        inst.exclusive_disk_bytes / 1024,
+        inst.exclusive_disk_bytes() / 1024,
         inst.zygote_pid.expect("containers have a zygote")
     );
 
@@ -55,10 +55,10 @@ fn main() {
     if !warehouse.lookup(&aid) {
         println!(
             "\ncode cache MISS for {app} (AID {}) — uploading {} KiB APK",
-            aid.0,
+            aid,
             profile.app_code_bytes / 1024
         );
-        warehouse.insert(aid.clone(), app, profile.app_code_bytes);
+        warehouse.insert(aid, app, profile.app_code_bytes);
     }
     let load = host
         .load_app(cac, app, profile.app_code_bytes)

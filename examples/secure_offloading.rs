@@ -21,12 +21,10 @@ fn main() {
 
     // The benign OCR app's workflow sails through the filter.
     let benign = [
-        Action::NetConnect {
-            dest: "device-0".into(),
-        },
+        Action::NetConnect { dest: "device-0" },
         Action::FsWrite { bytes: 300 * 1024 },
         Action::BinderCall {
-            service: "offloadcontroller".into(),
+            service: "offloadcontroller",
         },
         Action::SpawnProcess,
     ];
@@ -42,17 +40,13 @@ fn main() {
     println!();
     let attacks = [
         Action::BinderCall {
-            service: "telephony".into(),
+            service: "telephony",
         }, // not an offloading service
-        Action::WarehouseRead {
-            aid: "8d6d1b5".into(),
-        }, // another app's cached code
+        Action::WarehouseRead { aid: "8d6d1b5" }, // another app's cached code
         Action::FsWrite {
             bytes: 500 * 1024 * 1024,
         }, // way over its declared payload
-        Action::NetConnect {
-            dest: "device-0".into(),
-        }, // legitimate… but too late
+        Action::NetConnect { dest: "device-0" },  // legitimate… but too late
     ];
     for action in &attacks {
         let verdict = controller.check("com.evil.miner", action);

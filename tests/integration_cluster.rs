@@ -45,7 +45,7 @@ fn migration_between_standalone_hosts_preserves_userspace() {
         .syscall(
             zygote,
             hostkernel::Syscall::Fork {
-                child_name: "post-migration".into(),
+                child_name: "post-migration",
             },
         )
         .unwrap()
@@ -57,7 +57,7 @@ fn migration_between_standalone_hosts_preserves_userspace() {
         .syscall(
             app,
             hostkernel::Syscall::BinderTransact {
-                service: "activity".into(),
+                service: "activity",
                 payload_bytes: 32,
             },
         )

@@ -48,7 +48,7 @@ fn container_userspace_runs_on_shared_kernel_with_isolation() {
         .syscall(
             zygote_a,
             Syscall::Fork {
-                child_name: "com.bench.chessgame".into(),
+                child_name: "com.bench.chessgame",
             },
         )
         .unwrap()
@@ -60,7 +60,7 @@ fn container_userspace_runs_on_shared_kernel_with_isolation() {
         .syscall(
             app_a,
             Syscall::BinderTransact {
-                service: "activity".into(),
+                service: "activity",
                 payload_bytes: 64,
             },
         )
@@ -83,7 +83,7 @@ fn container_userspace_runs_on_shared_kernel_with_isolation() {
         .syscall(
             zygote_b,
             Syscall::Fork {
-                child_name: "still-works".into()
+                child_name: "still-works"
             }
         )
         .is_ok());
@@ -100,7 +100,7 @@ fn shared_layer_is_physically_shared_across_the_fleet() {
     }
     let per_container: u64 = ids
         .iter()
-        .map(|&id| host.instance(id).unwrap().exclusive_disk_bytes)
+        .map(|&id| host.instance(id).unwrap().exclusive_disk_bytes())
         .sum();
     assert_eq!(host.total_disk_usage(), shared + per_container);
     // Six containers cost far less than six images.
@@ -114,7 +114,7 @@ fn warehouse_survives_container_churn() {
     let mut warehouse = AppWarehouse::new(64 << 20);
     let aid = aid_of(WorkloadKind::Linpack.app_id());
     assert!(!warehouse.lookup(&aid));
-    warehouse.insert(aid.clone(), WorkloadKind::Linpack.app_id(), 137_216);
+    warehouse.insert(aid, WorkloadKind::Linpack.app_id(), 137_216);
 
     let mut host = CloudHost::new(HostSpec::paper_server());
     let (c1, _) = host.provision(RuntimeClass::CacOptimized).unwrap();
