@@ -98,4 +98,11 @@ if [ "${RATTRAP_BENCH_SMOKE:-0}" != "0" ]; then
         storm results/BENCH_storm.json target/perf_storm.json
 fi
 
+echo "==> size"
+# ROADMAP counts net-negative lines as a success metric; read them here.
+printf '    crates/*/src: %s lines\n' \
+    "$(find crates -path '*/src/*' -name '*.rs' | xargs cat | wc -l)"
+printf '    examples/ tests/ crates/bench/benches/: %s lines\n' \
+    "$(find examples/ tests/ crates/bench/benches/ -name '*.rs' | xargs cat | wc -l)"
+
 echo "CI OK"

@@ -32,6 +32,7 @@
 use super::ExperimentOutput;
 use analysis::{fnum, Scorecard, Table};
 use geo::{run_geo, GeoConfig, GeoReport, TierSpec};
+use rayon::prelude::*;
 use simkit::SimDuration;
 
 /// Regions on the WAN ring.
@@ -126,9 +127,12 @@ pub fn run_scaled(seed: u64, smoke: bool) -> ExperimentOutput {
     let gcfg = geo_cfg(seed, smoke);
     let bcfg = single_region_cfg(seed, smoke);
 
-    let grep = run_geo(&gcfg);
-    let brep = run_geo(&bcfg);
-    let replay = run_geo(&gcfg);
+    // Three independent runs, in parallel; results come back in order.
+    let reports: Vec<GeoReport> = [&gcfg, &bcfg, &gcfg]
+        .par_iter()
+        .map(|cfg| run_geo(cfg))
+        .collect();
+    let (grep, brep, replay) = (&reports[0], &reports[1], &reports[2]);
 
     let total_users: u32 = gcfg.regions.iter().map(|r| r.users).sum();
     let mut table = Table::new(
@@ -284,7 +288,7 @@ pub fn run_scaled(seed: u64, smoke: bool) -> ExperimentOutput {
             brep.summary.completed_remote + brep.summary.fallback_local + brep.summary.abandoned,
             brep.summary.submitted,
         ),
-        terminal_ok(&grep) && terminal_ok(&brep),
+        terminal_ok(grep) && terminal_ok(brep),
     );
     sc.expect(
         "same seed, replayed, bit-identical report",

@@ -11,8 +11,8 @@ use fleet::{run_fleet, FleetConfig};
 use hostkernel::HostSpec;
 use proptest::prelude::*;
 use simkit::faults::FaultConfig;
-use simkit::{SimDuration, SimTime};
-use virt::{migrate, CloudHost, RuntimeClass};
+use simkit::SimDuration;
+use virt::{checkpoint, restore, CloudHost, RuntimeClass};
 use workloads::WorkloadKind;
 
 /// Snapshot of an upper layer: (path, size, category) triples in path
@@ -65,14 +65,16 @@ proptest! {
         let apps_before = src.instance(id).unwrap().apps_loaded.clone();
         let upper_before = upper_snapshot(&src, id);
 
-        let receipt = migrate(&mut src, id, &mut dst, 1.25e9, SimTime::ZERO).unwrap();
+        let (ckpt, _) = checkpoint(&src, id).unwrap();
+        src.teardown(id).unwrap();
+        let (new_id, _) = restore(&mut dst, &ckpt).unwrap();
 
-        let apps_after = &dst.instance(receipt.new_id).unwrap().apps_loaded;
+        let apps_after = &dst.instance(new_id).unwrap().apps_loaded;
         prop_assert_eq!(apps_before.len(), apps.len(), "one AID per app");
         prop_assert_eq!(&apps_before, apps_after, "loaded-app set moved intact");
         prop_assert_eq!(
             upper_before,
-            upper_snapshot(&dst, receipt.new_id),
+            upper_snapshot(&dst, new_id),
             "private upper layer moved byte-for-byte"
         );
         // And the source slot is gone.

@@ -12,8 +12,6 @@
 //! * [`dispatcher`] — Dispatcher + Container DB with CID cache affinity.
 //! * [`decision`] — the client-side MAUI-style offloading decision
 //!   engine (link estimators + latency/energy prediction).
-//! * [`mod@partition`] — MAUI/CloneCloud method-level code partitioning
-//!   (optimal tree DP over annotated call graphs).
 //! * [`platform`] — the three platform configurations of §VI-A
 //!   (Rattrap, Rattrap(W/O), VM baseline) and the ablation knobs.
 //! * [`scheduler`] — Monitor & Scheduler: warm pools, idle
@@ -35,7 +33,6 @@ pub mod decision;
 pub mod dispatcher;
 pub mod lifecycle;
 pub mod metrics;
-pub mod partition;
 pub mod platform;
 pub mod request;
 pub mod resilience;
@@ -51,9 +48,6 @@ pub use lifecycle::{Phase, PhaseLog, PhaseObserver, PhaseTransition, RequestLife
 pub use metrics::{
     CollectingSink, CountingSink, FaultStats, ReportHasher, ReportSummary, RequestSink, TenantLane,
     TenantSplitSink,
-};
-pub use partition::{
-    partition, CallGraph, MethodNode, PartitionCosts, PartitionPlan, Placement as MethodPlacement,
 };
 pub use platform::{PlatformConfig, PlatformKind};
 pub use request::{PhaseBreakdown, RequestRecord};

@@ -502,9 +502,9 @@ pub fn audit_timeline<T: Timeline>(timeline: &mut T, seed: u64, events: u32, aud
 
     // Phase 2: interleaved schedule/pop/cancel under churn. The bulk
     // phase above loads everything up front; real engines mix the three
-    // constantly, and deltas here deliberately span every wheel regime —
-    // same-instant bursts, bottom-level, cross-level cascades, and
-    // far-future timers past the 2^42 µs horizon (overflow heap).
+    // constantly, and deltas here deliberately span every time scale —
+    // same-instant bursts, microseconds, seconds, and far-future
+    // timers past 2^42 µs.
     let mut now = last;
     // Live events in scheduling order: (handle, at, tag). Tags increase
     // with scheduling, so min-by (at, tag) is exactly the FIFO-tie

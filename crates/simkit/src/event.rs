@@ -1,4 +1,4 @@
-//! Deterministic event queue on a hierarchical timing wheel.
+//! Deterministic event queue: a slab of events under one binary heap.
 //!
 //! The queue is the heart of every discrete-event simulation in this
 //! workspace. Determinism is guaranteed by breaking timestamp ties with a
@@ -7,53 +7,32 @@
 //!
 //! # Implementation
 //!
-//! Instead of a comparison-ordered binary heap, events live in a
-//! hierarchical timing wheel (`LEVELS` levels of `SLOTS` slots;
-//! level-`l` slots are `64^l` µs wide) backed by a generation-tagged
-//! slab that acts as the event arena: nodes are recycled through a free
-//! list, so steady-state scheduling performs **zero heap allocation**,
-//! and `schedule` / `cancel` are O(1). The wheel keys slots off the
-//! XOR of the event time with an internal `cursor`, so an event's level
-//! is `floor(log64(at ^ cursor))` — events land as low as their
-//! distance allows and cascade toward level 0 as the cursor advances.
+//! Three structures:
 //!
-//! Four auxiliary structures complete the picture:
-//!
-//! * a **due heap** holding the (few) events at or before the cursor,
-//!   ordered by `(time, seq)` — this is where cascades deposit events
-//!   and the only place `pop` reads from, which is what preserves the
-//!   exact FIFO-on-ties contract of the old comparison-ordered queue;
-//! * an **overflow heap** for events beyond the wheel horizon
-//!   (`2^42` µs ≈ 51 simulated days past the cursor);
-//! * a **slab free list** with per-node generation counters, so an
-//!   [`EventId`] from a recycled slot can never cancel its successor;
+//! * a **generation-tagged slab** that acts as the event arena: nodes
+//!   are recycled through a free list, so steady-state scheduling
+//!   performs **zero heap allocation**, and the per-node generation
+//!   counter means an [`EventId`] from a recycled slot can never cancel
+//!   its successor;
+//! * one **binary heap** of `(time, seq, slab index)` keys — the pop
+//!   order is exactly `(time, seq)`, FIFO on ties;
 //! * a **backlog** of bulk-loaded events
 //!   ([`EventQueue::load_backlog`]): one `(time, seq)`-sorted run
-//!   beside the wheel, merged with the due heap at pop time. A trace's
-//!   arrivals are known up front and never cancelled; as wheel nodes
-//!   they sit in a slab far larger than cache and are touched once per
-//!   level they cascade through, as a sorted run they are read once.
+//!   beside the heap, merged with the heap top at pop time. A trace's
+//!   arrivals are known up front and never cancelled; as slab nodes
+//!   they would sit in an arena far larger than cache and deepen every
+//!   sift, as a sorted run they are read once.
 //!
-//! Cancellation marks the node dead in O(1) and leaves it linked; dead
-//! nodes are reclaimed when their container surfaces them (or by a full
-//! sweep once the queue has no live events), and `len` counts live
-//! events exactly — cancelled-but-unpopped entries are never visible.
+//! Cancellation empties the node in O(1) and leaves its key in the
+//! heap; the key is dropped and the node recycled when it reaches the
+//! top, and `len` counts live events exactly — cancelled-but-unpopped
+//! entries are never visible.
 
 use crate::time::{SimDuration, SimTime};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// log2 of the slot count per wheel level.
-const SLOT_BITS: u32 = 6;
-/// Slots per wheel level.
-const SLOTS: usize = 1 << SLOT_BITS;
-/// Wheel levels. Level `l` covers `64^(l+1)` µs relative to the cursor.
-const LEVELS: usize = 7;
-/// Bits of absolute time the wheel spans relative to its cursor:
-/// `64^7 = 2^42` µs ≈ 51 simulated days. Events further out wait in the
-/// overflow heap until the cursor reaches their region.
-const WHEEL_BITS: u32 = SLOT_BITS * LEVELS as u32;
-/// Null link in the intrusive slot lists / free list.
+/// Null link in the free list.
 const NIL: u32 = u32::MAX;
 
 /// Handle for a scheduled event, usable with [`EventQueue::cancel`].
@@ -79,21 +58,15 @@ impl EventId {
     }
 }
 
-/// One slab cell. `next` chains the node into exactly one container at
-/// a time: a wheel slot list while pending above the cursor, or the
-/// free list once reclaimed (heap-resident nodes are not chained).
+/// One slab cell. A pending event holds its payload; a cancelled one
+/// is empty but still keyed in the heap; a reclaimed one is empty and
+/// chained into the free list through `next_free`.
 #[derive(Debug)]
 struct Node<E> {
-    at: u64,
-    seq: u64,
     gen: u32,
-    next: u32,
-    live: bool,
+    next_free: u32,
     payload: Option<E>,
 }
-
-/// Heap entries order by `(time, seq)` — the queue's pop order.
-type HeapKey = Reverse<(u64, u64, u32)>;
 
 /// A time-ordered queue of events of type `E`.
 ///
@@ -116,27 +89,15 @@ pub struct EventQueue<E, B = E> {
     /// Event arena: nodes are allocated once and recycled forever.
     slab: Vec<Node<E>>,
     free_head: u32,
-    /// Intrusive list heads: `levels[l][s]` chains the events whose
-    /// time lands in slot `s` of level `l` relative to `cursor`.
-    levels: Box<[[u32; SLOTS]; LEVELS]>,
-    /// Per-level occupancy bitmask; bit `s` set iff `levels[l][s] != NIL`.
-    occupied: [u64; LEVELS],
-    /// Internal wheel reference time (µs). Invariant:
-    /// `now ≤ cursor ≤` every pending event above the due heap.
-    cursor: u64,
-    /// Events with `at ≤ cursor`, ordered by `(at, seq)`. The only
-    /// structure `pop` reads, so pop order is exactly `(time, seq)`.
-    due: BinaryHeap<HeapKey>,
-    /// Events beyond the wheel horizon (`at ^ cursor ≥ 2^WHEEL_BITS`).
-    overflow: BinaryHeap<HeapKey>,
+    /// One `(at, seq, slab index)` key per slab event, cancelled ones
+    /// included until they reach the top. `seq` is unique, so the
+    /// order is exactly `(time, seq)`.
+    heap: BinaryHeap<Reverse<(u64, u64, u32)>>,
     /// Bulk-loaded events as `(at, seq, payload)`, by descending
     /// `(at, seq)`: the last is the next one. Never in the slab.
     backlog: Vec<(u64, u64, B)>,
     /// Exact number of pending, non-cancelled events (backlog included).
     live_count: usize,
-    /// Cancelled nodes still linked in a slot list or heap, awaiting
-    /// reclamation.
-    dead: usize,
     next_seq: u64,
     now: SimTime,
 }
@@ -153,14 +114,9 @@ impl<E, B> Default for EventQueue<E, B> {
         EventQueue {
             slab: Vec::new(),
             free_head: NIL,
-            levels: Box::new([[NIL; SLOTS]; LEVELS]),
-            occupied: [0; LEVELS],
-            cursor: 0,
-            due: BinaryHeap::new(),
-            overflow: BinaryHeap::new(),
+            heap: BinaryHeap::new(),
             backlog: Vec::new(),
             live_count: 0,
-            dead: 0,
             next_seq: 0,
             now: SimTime::ZERO,
         }
@@ -202,8 +158,8 @@ impl<E, B: Into<E>> EventQueue<E, B> {
         let at = at.max(self.now).as_micros();
         let seq = self.next_seq;
         self.next_seq += 1;
-        let idx = self.alloc(at, seq, payload);
-        self.place(idx);
+        let idx = self.alloc(payload);
+        self.heap.push(Reverse((at, seq, idx)));
         self.live_count += 1;
         EventId::new(self.slab[idx as usize].gen, idx)
     }
@@ -217,9 +173,9 @@ impl<E, B: Into<E>> EventQueue<E, B> {
     /// iteration order. Equivalent to calling [`EventQueue::schedule`]
     /// on each in turn — same clamping, same sequence numbers, so the
     /// same pop order, ties included — but the batch bypasses the
-    /// wheel and waits as one sorted run (input already in time order
-    /// sorts in one pass; a later batch merges into what is left of an
-    /// earlier one).
+    /// slab and heap and waits as one sorted run (input already in time
+    /// order sorts in one pass; a later batch merges into what is left
+    /// of an earlier one).
     pub fn load_backlog(&mut self, events: impl IntoIterator<Item = (SimTime, B)>) {
         let (now, before, seq) = (self.now, self.backlog.len(), self.next_seq);
         let numbered = events.into_iter().zip(seq..);
@@ -234,17 +190,15 @@ impl<E, B: Into<E>> EventQueue<E, B> {
     }
 
     /// Cancel a previously scheduled event. Returns `true` if the event
-    /// had not yet fired (or been cancelled). O(1): the node is marked
-    /// dead in place and reclaimed lazily; stale handles (already fired
-    /// or cancelled, or from a recycled slot) are a generation-check
-    /// miss and never accumulate state.
+    /// had not yet fired (or been cancelled). O(1): the node is emptied
+    /// in place and reclaimed lazily; stale handles (already fired or
+    /// cancelled, or from a recycled slot) are a generation-check miss
+    /// and never accumulate state.
     pub fn cancel(&mut self, id: EventId) -> bool {
         match self.slab.get_mut(id.idx()) {
-            Some(node) if node.gen == id.gen() && node.live => {
-                node.live = false;
+            Some(node) if node.gen == id.gen() && node.payload.is_some() => {
                 node.payload = None;
                 self.live_count -= 1;
-                self.dead += 1;
                 true
             }
             _ => false,
@@ -274,10 +228,10 @@ impl<E, B: Into<E>> EventQueue<E, B> {
         let payload = if from_backlog {
             self.backlog.pop().expect("settle saw it").2.into()
         } else {
-            let Reverse((_, _, idx)) = self.due.pop().expect("settle guarantees a due event");
+            let Reverse((_, _, idx)) = self.heap.pop().expect("settle saw it");
             let payload = self.slab[idx as usize].payload.take();
             self.free(idx);
-            payload.expect("live event carries its payload")
+            payload.expect("settle left a live event on top")
         };
         self.live_count -= 1;
         self.now = SimTime::from_micros(at);
@@ -285,212 +239,66 @@ impl<E, B: Into<E>> EventQueue<E, B> {
     }
 
     /// Take a node from the free list or grow the slab.
-    fn alloc(&mut self, at: u64, seq: u64, payload: E) -> u32 {
+    fn alloc(&mut self, payload: E) -> u32 {
         if self.free_head != NIL {
             let idx = self.free_head;
             let node = &mut self.slab[idx as usize];
-            self.free_head = node.next;
-            node.at = at;
-            node.seq = seq;
-            node.next = NIL;
-            node.live = true;
+            self.free_head = node.next_free;
             node.payload = Some(payload);
             idx
         } else {
             let idx = self.slab.len();
             assert!(idx < NIL as usize, "event slab exhausted");
             self.slab.push(Node {
-                at,
-                seq,
                 gen: 0,
-                next: NIL,
-                live: true,
+                next_free: NIL,
                 payload: Some(payload),
             });
             idx as u32
         }
     }
 
-    /// Return a node to the free list, bumping its generation so any
-    /// outstanding [`EventId`] for it goes stale.
+    /// Return an emptied node to the free list, bumping its generation
+    /// so any outstanding [`EventId`] for it goes stale.
     fn free(&mut self, idx: u32) {
-        let head = self.free_head;
         let node = &mut self.slab[idx as usize];
+        debug_assert!(node.payload.is_none(), "freed a pending event");
         node.gen = node.gen.wrapping_add(1);
-        node.live = false;
-        node.payload = None;
-        node.next = head;
+        node.next_free = self.free_head;
         self.free_head = idx;
     }
 
-    /// Insert node `idx` into the structure matching its distance from
-    /// the cursor: the due heap at or before it, a wheel slot within
-    /// the horizon, the overflow heap beyond.
-    fn place(&mut self, idx: u32) {
-        let (at, seq) = {
-            let n = &self.slab[idx as usize];
-            (n.at, n.seq)
-        };
-        if at <= self.cursor {
-            self.due.push(Reverse((at, seq, idx)));
-            return;
-        }
-        let diff = at ^ self.cursor;
-        let level = ((63 - diff.leading_zeros()) / SLOT_BITS) as usize;
-        if level >= LEVELS {
-            self.overflow.push(Reverse((at, seq, idx)));
-            return;
-        }
-        let slot = ((at >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
-        let head = &mut self.levels[level][slot];
-        self.slab[idx as usize].next = *head;
-        *head = idx;
-        self.occupied[level] |= 1u64 << slot;
-    }
-
-    /// Drive the wheel until the earliest pending event is known: the
-    /// due-heap top or the backlog head, by `(time, seq)`. Returns its
-    /// time and whether it is the backlog's; `None` iff empty.
+    /// Find the earliest pending event: the heap top, once cancelled
+    /// keys are popped off it, or the backlog head, by `(time, seq)`.
+    /// Returns its time and whether it is the backlog's; `None` iff
+    /// empty. A queue with no live slab event drains its heap here, so
+    /// cancel-heavy idle periods do not accumulate dead keys.
     fn settle(&mut self) -> Option<(u64, bool)> {
-        let back = self.backlog.last().map(|&(at, seq, _)| (at, seq));
-        loop {
-            // Reclaim cancelled entries surfacing at the due-heap top.
-            while let Some(&Reverse((_, _, idx))) = self.due.peek() {
-                if self.slab[idx as usize].live {
-                    break;
-                }
-                self.due.pop();
-                self.dead -= 1;
-                self.free(idx);
-            }
-            // A non-empty due heap tops out at `≤ cursor`, which
-            // precedes every wheel and overflow event.
-            if let Some(&Reverse((at, seq, _))) = self.due.peek() {
-                return Some(match back {
-                    Some(b) if b < (at, seq) => (b.0, true),
-                    _ => (at, false),
-                });
-            }
-            if self.live_count == self.backlog.len() {
-                if self.dead > 0 {
-                    self.sweep();
-                }
-                return back.map(|(at, _)| (at, true));
-            }
-            if let Some((level, slot)) = self.next_occupied() {
-                self.advance(level, slot);
-            } else {
-                self.drain_overflow();
-            }
-        }
-    }
-
-    /// Earliest occupied wheel slot. Events at level `l` all precede
-    /// events at any level above `l` (they share the cursor's digits
-    /// above `l` and differ only below), so the lowest occupied level
-    /// wins, and within a level the smallest slot index wins.
-    fn next_occupied(&self) -> Option<(usize, usize)> {
-        self.occupied
-            .iter()
-            .position(|&occ| occ != 0)
-            .map(|level| (level, self.occupied[level].trailing_zeros() as usize))
-    }
-
-    /// Advance the cursor to the lower bound of `(level, slot)` and
-    /// cascade the slot's events down (level 0 deposits into the due
-    /// heap, where `(at, seq)` ordering takes over).
-    fn advance(&mut self, level: usize, slot: usize) {
-        let shift = SLOT_BITS * level as u32;
-        debug_assert!(
-            slot as u64 > (self.cursor >> shift) & (SLOTS as u64 - 1),
-            "occupied slots sit strictly past the cursor digit"
-        );
-        // Safe to jump: the due heap is empty and this is the earliest
-        // occupied slot, so no pending event precedes its lower bound.
-        let above = shift + SLOT_BITS;
-        self.cursor = ((self.cursor >> above) << above) | ((slot as u64) << shift);
-        self.occupied[level] &= !(1u64 << slot);
-        let mut head = std::mem::replace(&mut self.levels[level][slot], NIL);
-        while head != NIL {
-            let next = self.slab[head as usize].next;
-            if self.slab[head as usize].live {
-                self.place(head);
-            } else {
-                self.dead -= 1;
-                self.free(head);
-            }
-            head = next;
-        }
-    }
-
-    /// Wheel and due heap are empty: jump the cursor to the earliest
-    /// live overflow event, then pull every overflow entry that now
-    /// falls inside the wheel horizon back into the wheel so later
-    /// in-horizon schedules can never leapfrog them.
-    fn drain_overflow(&mut self) {
-        loop {
-            match self.overflow.pop() {
-                Some(Reverse((at, _, idx))) => {
-                    if !self.slab[idx as usize].live {
-                        self.dead -= 1;
-                        self.free(idx);
-                        continue;
-                    }
-                    self.cursor = at;
-                    self.place(idx);
-                    break;
-                }
-                None => unreachable!("live events pending but every structure is empty"),
-            }
-        }
-        while let Some(&Reverse((at, _, idx))) = self.overflow.peek() {
-            // In-horizon ⟺ same 2^WHEEL_BITS-aligned region as the new
-            // cursor; monotone in `at`, so stop at the first miss.
-            if (at ^ self.cursor) >> WHEEL_BITS != 0 {
+        while let Some(&Reverse((_, _, idx))) = self.heap.peek() {
+            if self.slab[idx as usize].payload.is_some() {
                 break;
             }
-            self.overflow.pop();
-            if self.slab[idx as usize].live {
-                self.place(idx);
-            } else {
-                self.dead -= 1;
-                self.free(idx);
-            }
-        }
-    }
-
-    /// Reclaim every dead node at once. Only called when no live events
-    /// remain, so all linked or heap-resident nodes are dead by
-    /// definition and the containers can be cleared wholesale — this
-    /// keeps cancel-heavy idle periods from accumulating junk.
-    fn sweep(&mut self) {
-        for level in 0..LEVELS {
-            if self.occupied[level] == 0 {
-                continue;
-            }
-            for slot in 0..SLOTS {
-                let mut head = std::mem::replace(&mut self.levels[level][slot], NIL);
-                while head != NIL {
-                    let next = self.slab[head as usize].next;
-                    self.free(head);
-                    head = next;
-                }
-            }
-            self.occupied[level] = 0;
-        }
-        while let Some(Reverse((_, _, idx))) = self.due.pop() {
+            self.heap.pop();
             self.free(idx);
         }
-        while let Some(Reverse((_, _, idx))) = self.overflow.pop() {
-            self.free(idx);
+        let top = self.heap.peek().map(|&Reverse((at, seq, _))| (at, seq));
+        let back = self.backlog.last().map(|&(at, seq, _)| (at, seq));
+        match (top, back) {
+            (Some(t), Some(b)) if b < t => Some((b.0, true)),
+            (Some(t), _) => Some((t.0, false)),
+            (None, b) => b.map(|(at, _)| (at, true)),
         }
-        self.dead = 0;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Cancelled events whose keys still wait in the heap.
+    fn dead<E>(q: &EventQueue<E>) -> usize {
+        q.heap.len() - (q.live_count - q.backlog.len())
+    }
 
     #[test]
     fn pops_in_time_order() {
@@ -572,8 +380,8 @@ mod tests {
         assert_eq!(q.len(), 6);
         assert!(q.cancel(ids[0]));
         assert!(q.cancel(ids[3]));
-        // No pop or peek has run: the dead nodes are still linked
-        // internally, but the public count excludes them already.
+        // No pop or peek has run: the dead nodes are still keyed in
+        // the heap, but the public count excludes them already.
         assert_eq!(q.len(), 4);
         assert!(!q.is_empty());
         for id in &ids {
@@ -582,7 +390,7 @@ mod tests {
         assert_eq!(q.len(), 0);
         assert!(q.is_empty(), "all-cancelled queue reads empty pre-pop");
         assert_eq!(q.pop(), None);
-        assert_eq!(q.dead, 0, "empty-queue settle swept the dead nodes");
+        assert_eq!(dead(&q), 0, "empty-queue settle dropped the dead keys");
     }
 
     #[test]
@@ -591,7 +399,7 @@ mod tests {
         let a = q.schedule(SimTime::from_secs(1), 'a');
         assert_eq!(q.pop(), Some((SimTime::from_secs(1), 'a')));
         assert!(!q.cancel(a), "the event already fired");
-        assert_eq!(q.dead, 0, "no cancellation state retained");
+        assert_eq!(dead(&q), 0, "no cancellation state retained");
         assert_eq!(q.len(), 0);
         // A fault-heavy pattern: many schedule/fire/late-cancel cycles
         // must not grow the queue's internal state or corrupt `len`.
@@ -600,7 +408,7 @@ mod tests {
             q.pop();
             assert!(!q.cancel(id));
         }
-        assert_eq!(q.dead, 0);
+        assert_eq!(dead(&q), 0);
         assert_eq!(q.len(), 0);
         assert_eq!(q.slab.len(), 1, "slot recycling reuses one arena cell");
     }
@@ -627,7 +435,7 @@ mod tests {
         for id in &ids[..4] {
             assert!(q.cancel(*id));
         }
-        assert_eq!(q.dead, 4);
+        assert_eq!(dead(&q), 4);
         assert_eq!(q.len(), 4);
         assert_eq!(q.pop(), Some((SimTime::from_secs(5), 4)));
         assert_eq!(q.len(), 3);
@@ -642,12 +450,11 @@ mod tests {
     }
 
     #[test]
-    fn far_future_events_cascade_between_levels() {
+    fn events_spread_over_every_time_scale_pop_in_order() {
         let mut q = EventQueue::new();
-        // Spread across every wheel level and the overflow heap:
-        // 10 µs, ~4 ms, ~0.26 s, ~17 s, ~18 min, ~19 h, ~51 d, ~60 d.
+        // 10 µs, 640 µs, ~41 ms, ~2.7 s, ~2.8 min, ~3 h, ~8 d, ~51 d.
         let times: Vec<u64> = (0..7).map(|l| 10u64 * 64u64.pow(l)).collect();
-        let beyond = (1u64 << WHEEL_BITS) + 12_345;
+        let beyond = (1u64 << 42) + 12_345;
         let mut expect = Vec::new();
         for (i, &t) in times.iter().chain(std::iter::once(&beyond)).enumerate() {
             q.schedule(SimTime::from_micros(t), i);
@@ -659,10 +466,10 @@ mod tests {
     }
 
     #[test]
-    fn same_timestamp_burst_after_cascade_stays_fifo() {
+    fn same_timestamp_burst_in_the_far_future_stays_fifo() {
         let mut q = EventQueue::new();
-        // A burst at a single far-future instant has to survive
-        // several level cascades without perturbing FIFO order.
+        // A hundred keys equal in time sift past each other on the
+        // way in and out; only `seq` keeps them in scheduling order.
         let t = SimTime::from_micros(5 * 64u64.pow(4) + 17);
         for i in 0..100u32 {
             q.schedule(t, i);
@@ -672,13 +479,14 @@ mod tests {
     }
 
     #[test]
-    fn event_scheduled_behind_the_cursor_still_pops_first() {
+    fn event_scheduled_before_a_peeked_head_still_pops_first() {
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_secs(10), 'z');
-        // Peek advances the internal cursor to 10 s...
+        // Peek reports 10 s as the head without moving the clock...
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(10)));
-        // ...but a later schedule for an earlier instant must still
-        // pop first (it routes to the due heap, not the wheel).
+        assert_eq!(q.now(), SimTime::ZERO);
+        // ...so a later schedule for an earlier instant is legal and
+        // must pop first.
         q.schedule(SimTime::from_secs(1), 'a');
         assert_eq!(q.pop(), Some((SimTime::from_secs(1), 'a')));
         assert_eq!(q.pop(), Some((SimTime::from_secs(10), 'z')));
@@ -689,9 +497,9 @@ mod tests {
         let mut q = EventQueue::new();
         let a = q.schedule(SimTime::from_secs(1), 'a');
         let b = q.schedule(SimTime::from_secs(1), 'b');
-        // Force both into the due heap via the cursor advance...
+        // Settle with both due at the heap top...
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(1)));
-        // ...then cancel one of them after the fact.
+        // ...then cancel the one the peek reported.
         assert!(q.cancel(a));
         assert_eq!(q.len(), 1);
         assert_eq!(q.pop(), Some((SimTime::from_secs(1), 'b')));
@@ -700,20 +508,18 @@ mod tests {
     }
 
     #[test]
-    fn overflow_entries_rejoin_wheel_before_new_schedules() {
+    fn schedule_between_two_far_future_events_pops_between_them() {
         let mut q = EventQueue::new();
-        let horizon = 1u64 << WHEEL_BITS;
-        // Two events beyond the wheel horizon, in the same far region.
-        q.schedule(SimTime::from_micros(horizon + 100), 'x');
-        q.schedule(SimTime::from_micros(horizon + 500), 'y');
-        // Pop the first: the cursor jumps into the far region and must
-        // drag 'y' out of overflow into the wheel...
-        assert_eq!(q.pop(), Some((SimTime::from_micros(horizon + 100), 'x')));
-        // ...so a fresh schedule between cursor and 'y' cannot
-        // leapfrog it.
-        q.schedule(SimTime::from_micros(horizon + 300), 'm');
-        assert_eq!(q.pop(), Some((SimTime::from_micros(horizon + 300), 'm')));
-        assert_eq!(q.pop(), Some((SimTime::from_micros(horizon + 500), 'y')));
+        let far = 1u64 << 42; // ≈ 51 simulated days
+        q.schedule(SimTime::from_micros(far + 100), 'x');
+        q.schedule(SimTime::from_micros(far + 500), 'y');
+        // Pop the first: the clock jumps 51 days in one step...
+        assert_eq!(q.pop(), Some((SimTime::from_micros(far + 100), 'x')));
+        // ...and a fresh schedule between the clock and 'y' must not
+        // wait behind it.
+        q.schedule(SimTime::from_micros(far + 300), 'm');
+        assert_eq!(q.pop(), Some((SimTime::from_micros(far + 300), 'm')));
+        assert_eq!(q.pop(), Some((SimTime::from_micros(far + 500), 'y')));
     }
 
     #[test]

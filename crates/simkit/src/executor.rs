@@ -109,9 +109,10 @@ impl<T> FairShareExecutor<T> {
 
     /// Cancel superseded completion checks out of the queue instead of
     /// letting them surface as stale-epoch no-op pops. O(1) per
-    /// reschedule on the timing-wheel queue and semantically neutral —
-    /// stale checks are rejected by the epoch guard either way — but
-    /// it *changes the pop stream*, so consumers that derive
+    /// reschedule (the queue empties the event's slab node in place)
+    /// and semantically neutral — stale checks are rejected by the
+    /// epoch guard either way — but it *changes the pop stream*, so
+    /// consumers that derive
     /// order-sensitive float accumulations from raw pops (the rattrap
     /// host's per-pop sampler, pinned by the golden digests) must not
     /// enable it. The same `queue` must then drive the executor for
@@ -218,8 +219,8 @@ impl<T> FairShareExecutor<T> {
     /// built by `make_event` from the new epoch.
     ///
     /// With [`eager_check_cancel`] enabled, the superseded check is
-    /// also cancelled out of the queue (O(1) on the timing wheel), so
-    /// the executor keeps **at most one** check event resident per
+    /// also cancelled out of the queue (O(1): emptied in the slab), so
+    /// the executor keeps **at most one** live check event per
     /// device regardless of how often the job set mutates — instead of
     /// a trail of stale-epoch pops.
     ///

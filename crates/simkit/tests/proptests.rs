@@ -223,11 +223,9 @@ proptest! {
 /// One step of the interleaved queue-vs-model equivalence property.
 ///
 /// Push deltas are split into three bands so shrunken failures say
-/// which wheel regime broke: `Near` stays within the bottom level
-/// (and includes zero-delta same-timestamp bursts), `Mid` crosses
-/// intermediate levels, and `Far` reaches the top level and the
-/// beyond-horizon overflow heap (deltas up to 2^45 µs > the 2^42 µs
-/// wheel horizon).
+/// which time scale broke: `Near` is under 16 µs (and includes
+/// zero-delta same-timestamp bursts), `Mid` up to a second, and `Far`
+/// from a second to 2^45 µs (about a year).
 #[derive(Debug, Clone)]
 enum QueueOp {
     PushNear(u64),
@@ -238,7 +236,7 @@ enum QueueOp {
 }
 
 proptest! {
-    /// The timing-wheel queue agrees with a plain sorted reference
+    /// The event queue agrees with a plain sorted reference
     /// model over arbitrary push/pop/cancel interleavings: identical
     /// pop sequences (time *and* payload, so same-timestamp FIFO order
     /// is covered), identical `len` after every step (cancelled events
@@ -450,7 +448,7 @@ proptest! {
             prop_oneof![
                 (0u64..6).prop_map(BacklogOp::Schedule),
                 (0u64..3000).prop_map(BacklogOp::Schedule),
-                // Either side of the 2^42 µs wheel horizon.
+                // Far-future timers, weeks to months out.
                 (1u64 << 41..1 << 43).prop_map(BacklogOp::Schedule),
                 (0u64..6).prop_map(BacklogOp::ScheduleIn),
                 prop::collection::vec(0u64..6, 0..12).prop_map(BacklogOp::Load),

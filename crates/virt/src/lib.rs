@@ -10,8 +10,8 @@
 //! * [`boot`] — the Fig. 6 boot sequences, calibrated to Table I's
 //!   setup times (28.72 s / 6.80 s / 1.75 s).
 //! * [`spec`] — per-class memory, vCPU, and efficiency parameters.
-//! * [`mod@migrate`] — Zap-style checkpoint/restore and live migration of
-//!   containers between hosts (only private state travels).
+//! * [`mod@migrate`] — Zap-style checkpoint/restore of a container,
+//!   the two ends of a move between hosts (only private state travels).
 //! * [`host`] — [`CloudHost`]: provisions instances against the real
 //!   `hostkernel` (driver modules, namespaces, Zygote bring-up via
 //!   syscalls) and `containerfs` (shared-layer union mounts, tmpfs
@@ -22,7 +22,6 @@
 
 pub mod aid;
 pub mod boot;
-pub mod cluster;
 pub mod host;
 pub mod migrate;
 pub mod spec;
@@ -31,7 +30,6 @@ pub use aid::{aid_of, Aid};
 pub use boot::{
     android_vm_boot, cac_optimized_boot, cac_unoptimized_boot, BootSequence, BootStage,
 };
-pub use cluster::{Cluster, ClusterAddr};
 pub use host::{CloudHost, HostError, InstanceId, RuntimeInstance};
-pub use migrate::{checkpoint, migrate, migrate_precopy, restore, Checkpoint, MigrationReceipt};
+pub use migrate::{checkpoint, restore, Checkpoint};
 pub use spec::{RuntimeClass, RuntimeSpec, TMPFS_BANDWIDTH};

@@ -1,9 +1,12 @@
 //! Cross-crate integration: the full Rattrap stack from kernel modules
-//! up to served offloading requests.
+//! up to served offloading requests, container moves between hosts and
+//! Docker-style distribution.
 
+use dockerlike::{cloud_android_layers, Daemon, Layer, Manifest, PullStrategy, Registry};
 use hostkernel::{DeviceKind, HostSpec, Kernel, KernelError, Syscall, SyscallRet};
 use rattrap::{aid_of, run_scenario, AppWarehouse, PlatformKind, ScenarioConfig};
-use virt::{CloudHost, RuntimeClass};
+use simkit::SimTime;
+use virt::{checkpoint, restore, CloudHost, RuntimeClass};
 use workloads::WorkloadKind;
 
 #[test]
@@ -167,4 +170,70 @@ fn kernel_memory_fully_reclaimed_after_last_container() {
         host.kernel.unload_module(m.name).unwrap();
     }
     assert_eq!(host.kernel.kernel_memory(), 0);
+}
+
+#[test]
+fn migration_between_standalone_hosts_preserves_userspace() {
+    // The move `fleet`'s host LP performs: checkpoint, tear the source
+    // down, restore on the destination.
+    let mut src = CloudHost::new(HostSpec::paper_server());
+    let mut dst = CloudHost::new(HostSpec::paper_server());
+    let (id, _) = src.provision(RuntimeClass::CacOptimized).unwrap();
+    let (ckpt, _) = checkpoint(&src, id).unwrap();
+    src.teardown(id).unwrap();
+    let (new_id, _) = restore(&mut dst, &ckpt).unwrap();
+    // The restored container has a live Android userspace: fork an app
+    // from its zygote and transact on binder.
+    let inst = dst.instance(new_id).unwrap();
+    let zygote = inst.zygote_pid.expect("containers have a zygote");
+    let SyscallRet::Pid(app) = dst
+        .kernel
+        .syscall(
+            zygote,
+            Syscall::Fork {
+                child_name: "post-migration",
+            },
+        )
+        .unwrap()
+    else {
+        panic!("fork returns a pid");
+    };
+    let served = dst
+        .kernel
+        .syscall(
+            app,
+            Syscall::BinderTransact {
+                service: "activity",
+                payload_bytes: 32,
+            },
+        )
+        .unwrap();
+    assert!(matches!(served, SyscallRet::ServedBy(_)));
+}
+
+#[test]
+fn docker_registry_feeds_a_whole_cluster() {
+    // One registry, three hosts, each pulling the image: the registry
+    // stores the layers once; each host's daemon caches them once.
+    let mut registry = Registry::new();
+    let layers: Vec<Layer> = cloud_android_layers().into_iter().map(|(l, _)| l).collect();
+    let manifest = Manifest::new("rattrap/cloud-android", "4.4-r2", &layers);
+    let image = manifest.reference();
+    registry.push(manifest, layers);
+    let registry_bytes = registry.stored_bytes();
+
+    let mut total_transferred = 0;
+    for _ in 0..3 {
+        let mut daemon = Daemon::new();
+        let first = daemon
+            .create(&registry, &image, PullStrategy::Eager, SimTime::ZERO)
+            .unwrap();
+        let second = daemon
+            .create(&registry, &image, PullStrategy::Eager, SimTime::ZERO)
+            .unwrap();
+        total_transferred += first.pull.bytes_transferred + second.pull.bytes_transferred;
+        assert_eq!(second.pull.bytes_transferred, 0, "per-host cache dedups");
+    }
+    // 3 hosts × 1 cold pull each — not 6 pulls.
+    assert_eq!(total_transferred, 3 * registry_bytes);
 }
