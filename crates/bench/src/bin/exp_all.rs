@@ -4,7 +4,7 @@
 use rattrap_bench::experiments as exp;
 use rayon::prelude::*;
 
-fn main() {
+fn main() -> std::process::ExitCode {
     let args: Vec<String> = std::env::args().collect();
     let out_dir = args
         .iter()
@@ -59,4 +59,5 @@ fn main() {
     }
     println!("=======================================");
     println!("overall: {passed} / {total} paper-shape checks passed");
+    exp::exit_code(passed, total)
 }

@@ -1,8 +1,9 @@
 //! Fleet control-plane study: scaling, faults + rebalancing,
 //! elasticity. Usage: `exp_cluster [seed]`
-fn main() {
+fn main() -> std::process::ExitCode {
     let seed = rattrap_bench::experiments::seed_from_args();
     rattrap_bench::meta::print_header(seed);
     let out = rattrap_bench::experiments::cluster::run(seed);
     println!("{}", out.render());
+    rattrap_bench::experiments::exit_code(out.scorecard.passed(), out.scorecard.len())
 }

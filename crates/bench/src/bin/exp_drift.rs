@@ -7,7 +7,7 @@
 //! the `EXEC_CALIBRATION_OUT` override) from the measured rows, so the
 //! `Replay` backend can deterministically re-price sim charges with
 //! this host's drift ratios.
-fn main() {
+fn main() -> std::process::ExitCode {
     let seed = rattrap_bench::experiments::seed_from_args();
     rattrap_bench::meta::print_header(seed);
     let out = rattrap_bench::experiments::drift::run(seed);
@@ -28,4 +28,5 @@ fn main() {
             path.display()
         );
     }
+    rattrap_bench::experiments::exit_code(out.scorecard.passed(), out.scorecard.len())
 }

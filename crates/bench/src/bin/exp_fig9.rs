@@ -4,7 +4,7 @@
 //! `RATTRAP_TRACE` env var) it additionally runs one fully
 //! instrumented replication and writes a Chrome trace-event JSON —
 //! loadable in Perfetto / `chrome://tracing` — to the given path.
-fn main() {
+fn main() -> std::process::ExitCode {
     let seed = rattrap_bench::experiments::seed_from_args();
     rattrap_bench::meta::print_header(seed);
     let out = rattrap_bench::experiments::fig9::run(seed);
@@ -14,4 +14,5 @@ fn main() {
             .unwrap_or_else(|e| panic!("writing trace to {path}: {e}"));
         println!("trace: one instrumented Rattrap/OCR replication written to {path}");
     }
+    rattrap_bench::experiments::exit_code(out.scorecard.passed(), out.scorecard.len())
 }

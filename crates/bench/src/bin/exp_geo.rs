@@ -1,8 +1,9 @@
 //! Multi-region edge hierarchy study: latency at the edge, cloud-burst,
 //! follow-the-sun. Usage: `exp_geo [seed]`
-fn main() {
+fn main() -> std::process::ExitCode {
     let seed = rattrap_bench::experiments::seed_from_args();
     rattrap_bench::meta::print_header(seed);
     let out = rattrap_bench::experiments::geo::run(seed);
     println!("{}", out.render());
+    rattrap_bench::experiments::exit_code(out.scorecard.passed(), out.scorecard.len())
 }

@@ -1,7 +1,8 @@
 //! Regenerate the paper's table1 experiment. Usage: `exp_table1 [seed]`
-fn main() {
+fn main() -> std::process::ExitCode {
     let seed = rattrap_bench::experiments::seed_from_args();
     rattrap_bench::meta::print_header(seed);
     let out = rattrap_bench::experiments::table1::run(seed);
     println!("{}", out.render());
+    rattrap_bench::experiments::exit_code(out.scorecard.passed(), out.scorecard.len())
 }

@@ -19,7 +19,7 @@
 //! as a digest-equality check, and the faulty cell is run twice (bare
 //! and traced) to prove observation does not perturb the simulation.
 
-use super::ExperimentOutput;
+use super::{slashed, ExperimentOutput};
 use analysis::{fnum, Scorecard, Table};
 use fleet::{run_fleet, run_fleet_traced, FleetConfig, FleetReport};
 use obsv::{Recorder, RecorderConfig, Subsystem, TraceEvent};
@@ -28,7 +28,12 @@ use simkit::faults::FaultConfig;
 use simkit::SimDuration;
 
 /// Host counts swept by the scaling study.
-pub const HOST_COUNTS: [usize; 4] = [1, 2, 4, 8];
+const HOST_COUNTS: [usize; 4] = [1, 2, 4, 8];
+
+/// Cloud req/s floor per scaling cell: half the full-scale throughput
+/// measured when the floor was set (4.361 / 8.693 / 17.248 / 30.078).
+/// Smoke runs land within 10 % of full scale, so one floor serves both.
+const RPS_FLOOR: [f64; 4] = [2.1805, 4.3465, 8.624, 15.039];
 
 /// Users that saturate even the 8-host cell on the LanWifi scenario
 /// (one server peaks around 5 req/s remote; 1600 users at LiveLab
@@ -37,7 +42,7 @@ pub const HOST_COUNTS: [usize; 4] = [1, 2, 4, 8];
 const STRESS_USERS: u32 = 1600;
 
 /// The scaling-sweep scenario at `hosts` hosts.
-pub fn scaling_cfg(hosts: usize, seed: u64, smoke: bool) -> FleetConfig {
+fn scaling_cfg(hosts: usize, seed: u64, smoke: bool) -> FleetConfig {
     let mut cfg = FleetConfig::paper_default(hosts, seed);
     cfg.traffic.users = STRESS_USERS;
     if smoke {
@@ -234,6 +239,12 @@ pub fn run_scaled(seed: u64, smoke: bool) -> ExperimentOutput {
         rps[3] >= 1.3 * rps[2],
     );
     sc.expect(
+        "every scaling cell keeps half its full-scale throughput",
+        &format!("≥ {} req/s", slashed(&RPS_FLOOR)),
+        &slashed(&rps),
+        rps.iter().zip(&RPS_FLOOR).all(|(r, floor)| r >= floor),
+    );
+    sc.expect(
         "same seed, same fleet, bit-identical report",
         &format!("{:#018x}", four.digest()),
         &format!("{:#018x}", replay.digest()),
@@ -318,7 +329,7 @@ pub fn run(seed: u64) -> ExperimentOutput {
 /// past the fleet's ~2.7k req/s service ceiling, so the run exercises
 /// every path (admission shed, device fallback, warm routing) at full
 /// pressure. Smoke mode shrinks it to 20k users on 32 hosts.
-pub fn mega_cfg(seed: u64, smoke: bool) -> FleetConfig {
+fn mega_cfg(seed: u64, smoke: bool) -> FleetConfig {
     let (hosts, users) = if smoke {
         (32, 20_000)
     } else {

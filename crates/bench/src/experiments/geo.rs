@@ -29,14 +29,19 @@
 //! The headline geo run doubles as a determinism check: it is replayed
 //! from the same seed and the two reports must digest identically.
 
-use super::ExperimentOutput;
+use super::{slashed, ExperimentOutput};
 use analysis::{fnum, Scorecard, Table};
 use geo::{run_geo, GeoConfig, GeoReport, TierSpec};
 use rayon::prelude::*;
 use simkit::SimDuration;
 
 /// Regions on the WAN ring.
-pub const REGIONS: usize = 3;
+const REGIONS: usize = 3;
+
+/// Geo p99 ceiling (s) for remote regions 1 and 2: 1.5× the full-scale
+/// p99 measured when the ceiling was set (11.025 / 9.938 s). Smoke
+/// runs sit below full scale, so one ceiling serves both.
+const REMOTE_P99_CEILING_S: [f64; REGIONS - 1] = [16.5375, 14.907];
 
 /// Effective per-flow throughput across one or more inter-region hops
 /// (bytes/s): ~4 Mbit/s, a single TCP flow at intercontinental RTT.
@@ -69,7 +74,7 @@ fn sizing(smoke: bool) -> (u32, usize, (usize, usize)) {
 }
 
 /// The geo deployment: hardware at every region's edge and core.
-pub fn geo_cfg(seed: u64, smoke: bool) -> GeoConfig {
+fn geo_cfg(seed: u64, smoke: bool) -> GeoConfig {
     let (users, edge, (core, core_active)) = sizing(smoke);
     let mut cfg = GeoConfig::paper_default(REGIONS, seed);
     wan(&mut cfg);
@@ -86,7 +91,7 @@ pub fn geo_cfg(seed: u64, smoke: bool) -> GeoConfig {
 /// The centralized baseline: identical users, identical total
 /// hardware, all of it in region 0 — regions 1.. are users-only, and
 /// every one of their requests crosses the WAN.
-pub fn single_region_cfg(seed: u64, smoke: bool) -> GeoConfig {
+fn single_region_cfg(seed: u64, smoke: bool) -> GeoConfig {
     let (users, edge, (core, core_active)) = sizing(smoke);
     let mut cfg = GeoConfig::paper_default(REGIONS, seed);
     wan(&mut cfg);
@@ -246,6 +251,16 @@ pub fn run_scaled(seed: u64, smoke: bool) -> ExperimentOutput {
             .collect::<Vec<_>>()
             .join(", "),
         remote_win,
+    );
+    let remote_p99: Vec<f64> = grep.regions[1..].iter().map(|g| g.p99_response_s).collect();
+    sc.expect(
+        "remote-region geo p99 stays under its ceiling",
+        &format!("≤ {} s for regions 1..", slashed(&REMOTE_P99_CEILING_S)),
+        &slashed(&remote_p99),
+        remote_p99
+            .iter()
+            .zip(&REMOTE_P99_CEILING_S)
+            .all(|(p99, cap)| p99 <= cap),
     );
     sc.expect(
         "the home edge serves the majority of geo traffic",

@@ -23,6 +23,7 @@ pub mod table1;
 pub mod table2;
 
 use analysis::Scorecard;
+use std::process::ExitCode;
 
 /// What every experiment produces: human-readable output plus the
 /// paper-vs-measured scorecard.
@@ -52,8 +53,8 @@ pub const REPLICATIONS: u64 = 3;
 /// `true` when `RATTRAP_BENCH_SMOKE` is set (to anything but `0`): CI
 /// smoke mode. Experiments shrink to one replication and reduced
 /// request counts so the whole suite finishes in seconds. Smoke runs
-/// check that the harness *executes*, not that the paper's numbers
-/// hold — scorecards still render but bands may miss.
+/// still gate: every scorecard must pass at smoke scale too, and a
+/// miss fails the binary through [`exit_code`].
 pub fn smoke() -> bool {
     std::env::var("RATTRAP_BENCH_SMOKE")
         .map(|v| !v.is_empty() && v != "0")
@@ -90,6 +91,27 @@ pub fn replicate<R: Send>(seed: u64, n: u64, f: impl Fn(u64) -> R + Sync) -> Vec
     use rayon::prelude::*;
     let seeds: Vec<u64> = (0..n).map(|i| simkit::derive_seed(seed, i)).collect();
     seeds.par_iter().map(|&s| f(s)).collect()
+}
+
+/// The exit status of an `exp_*` binary: failure when any of the
+/// `total` scorecard rows missed. The scorecards are the repo's
+/// measurement gate, so a miss must fail whatever ran the binary, not
+/// only print `[MISS]`.
+pub fn exit_code(passed: usize, total: usize) -> ExitCode {
+    if passed == total {
+        ExitCode::SUCCESS
+    } else {
+        eprintln!("scorecard: {} of {total} checks missed", total - passed);
+        ExitCode::FAILURE
+    }
+}
+
+/// `a / b / c` at two decimals: one scorecard cell for a sweep.
+pub(crate) fn slashed(xs: &[f64]) -> String {
+    xs.iter()
+        .map(|x| format!("{x:.2}"))
+        .collect::<Vec<_>>()
+        .join(" / ")
 }
 
 /// Parse the seed from CLI args.

@@ -4,8 +4,8 @@
 //! engine and scores the platform's behaviour under each:
 //!
 //! 1. **flash crowd** — a burst cohort ramps arrivals ~12× over the
-//!    base population; the fleet must absorb it with bounded p99
-//!    degradation and lose nothing.
+//!    base population; the fleet must absorb it with p95 within 1.5×
+//!    of the quiet fleet's and lose nothing.
 //! 2. **correlated failure** — half the devices lose their radio for a
 //!    two-minute window composed with PR 2's host-crash FaultPlan; the
 //!    restore edge must produce a thundering herd (deferred uploads
@@ -42,7 +42,7 @@ fn base_users(smoke: bool) -> u32 {
 
 /// The quiet fleet every family storms: 4 hosts, LiveLab diurnal
 /// traffic, no scenario plan.
-pub fn quiet_cfg(seed: u64, smoke: bool) -> FleetConfig {
+fn quiet_cfg(seed: u64, smoke: bool) -> FleetConfig {
     let mut cfg = FleetConfig::paper_default(4, seed);
     cfg.traffic.users = base_users(smoke);
     cfg.traffic.duration = SimDuration::from_secs(if smoke { 900 } else { 3600 });
@@ -50,7 +50,7 @@ pub fn quiet_cfg(seed: u64, smoke: bool) -> FleetConfig {
 }
 
 /// The canonical spec for one family, sized against the quiet fleet.
-pub fn family_spec(family: ScenarioFamily, smoke: bool) -> ScenarioSpec {
+fn family_spec(family: ScenarioFamily, smoke: bool) -> ScenarioSpec {
     let users = base_users(smoke);
     let horizon = if smoke { 900u64 } else { 3600 };
     let start = SimTime::from_secs(horizon / 4);
@@ -73,7 +73,7 @@ pub fn family_spec(family: ScenarioFamily, smoke: bool) -> ScenarioSpec {
 
 /// The fleet config one family storms. The correlated-failure family
 /// composes the radio outage with the host-crash fault plan.
-pub fn family_cfg(family: ScenarioFamily, seed: u64, smoke: bool) -> FleetConfig {
+fn family_cfg(family: ScenarioFamily, seed: u64, smoke: bool) -> FleetConfig {
     let mut cfg = quiet_cfg(seed, smoke);
     cfg.scenario_plan = Some(family_spec(family, smoke));
     if family == ScenarioFamily::CorrelatedFailure {
@@ -82,17 +82,12 @@ pub fn family_cfg(family: ScenarioFamily, seed: u64, smoke: bool) -> FleetConfig
     cfg
 }
 
-/// One family's measured outcome (consumed by the `BENCH_storm.json`
-/// baseline writer as well as the tables below).
-pub struct FamilyCell {
-    /// Family under storm.
-    pub family: ScenarioFamily,
-    /// The run's report.
-    pub report: FleetReport,
-    /// Engine wall seconds of that run.
-    pub wall_secs: f64,
+/// One family's measured outcome.
+struct FamilyCell {
+    family: ScenarioFamily,
+    report: FleetReport,
     /// Whether a same-seed replay digested identically.
-    pub deterministic: bool,
+    deterministic: bool,
 }
 
 /// Terminal accounting partitions submissions.
@@ -101,37 +96,23 @@ fn conserved(r: &FleetReport) -> bool {
         == r.summary.submitted
 }
 
-/// Run every family, replay it from the same seed, and collect the
-/// cells.
-pub fn run_cells(seed: u64, smoke: bool) -> Vec<FamilyCell> {
-    ScenarioFamily::ALL
+/// Run the storm study under an explicit smoke flag: the quiet fleet,
+/// then every family run and replayed from the same seed.
+pub fn run_scaled(seed: u64, smoke: bool) -> ExperimentOutput {
+    let quiet = run_fleet(&quiet_cfg(seed, smoke));
+    let cells: Vec<FamilyCell> = ScenarioFamily::ALL
         .par_iter()
         .map(|&family| {
             let cfg = family_cfg(family, seed, smoke);
-            let t = std::time::Instant::now();
             let report = run_fleet(&cfg);
-            let wall_secs = t.elapsed().as_secs_f64();
-            let replay = run_fleet(&cfg);
             FamilyCell {
                 family,
-                deterministic: report.digest() == replay.digest(),
+                deterministic: report.digest() == run_fleet(&cfg).digest(),
                 report,
-                wall_secs,
             }
         })
-        .collect()
-}
+        .collect();
 
-/// Run the storm study under an explicit smoke flag.
-pub fn run_scaled(seed: u64, smoke: bool) -> ExperimentOutput {
-    let quiet = run_fleet(&quiet_cfg(seed, smoke));
-    let cells = run_cells(seed, smoke);
-    build_output(&quiet, &cells, smoke)
-}
-
-/// Assemble tables + scorecard from the measured cells (shared with
-/// the `exp_storm` binary, which also writes the JSON baseline).
-pub fn build_output(quiet: &FleetReport, cells: &[FamilyCell], smoke: bool) -> ExperimentOutput {
     let mut table = Table::new(
         &format!(
             "scenario storms — 4 hosts, {} base users, quiet p95 {:.2}s",
@@ -152,7 +133,7 @@ pub fn build_output(quiet: &FleetReport, cells: &[FamilyCell], smoke: bool) -> E
             "p95 (s)",
         ],
     );
-    for c in cells {
+    for c in &cells {
         let s = c.report.scenario.as_ref().expect("storm runs carry stats");
         table.row(&[
             c.family.label().into(),
@@ -265,14 +246,19 @@ pub fn build_output(quiet: &FleetReport, cells: &[FamilyCell], smoke: bool) -> E
         crowd.report.control.shed
             <= crowd.report.summary.fallback_local + crowd.report.summary.abandoned,
     );
+    // Admission sheds the burst rather than queueing it, so the
+    // requests the fleet does serve barely slow down (1.01x full,
+    // 1.24x smoke at the default seed).
+    let p95_degradation =
+        crowd.report.summary.p95_response_s / quiet.summary.p95_response_s.max(1e-9);
     sc.expect(
         "flash-crowd p95 degradation is bounded",
-        "≤ 25x quiet p95",
+        "≤ 1.5x quiet p95",
         &format!(
-            "{:.2}s vs quiet {:.2}s",
+            "{:.2}s vs quiet {:.2}s = {p95_degradation:.2}x",
             crowd.report.summary.p95_response_s, quiet.summary.p95_response_s
         ),
-        crowd.report.summary.p95_response_s <= 25.0 * quiet.summary.p95_response_s.max(1e-9),
+        p95_degradation <= 1.5,
     );
     let deferred = outage.report.scenario.as_ref().unwrap().deferred;
     sc.expect(

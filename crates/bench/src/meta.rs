@@ -100,13 +100,12 @@ pub fn print_header(seed: u64) {
     println!("{}", RunMeta::capture(seed).header());
 }
 
-/// Resolve a bench baseline output path: the `env_var` override when
-/// set, else `default`. Relative paths are anchored at the *workspace
-/// root*, not the process working directory — `cargo bench` runs
-/// bench executables with the package dir (`crates/bench`) as cwd, so
-/// a raw relative path would land baselines (and CI gate candidates
-/// like `perf-geo.json`) two levels below where every consumer
-/// looks for them.
+/// Resolve the path `exp_drift --write-calibration` writes the
+/// calibration map to: the `env_var` override when set, else
+/// `default`. Relative paths are anchored at the *workspace root*,
+/// not the process working directory, so the committed map
+/// (`crates/exec/data/calibration.json`) is rewritten in place whether
+/// the binary runs from the repo root, a crate dir or `target/`.
 pub fn baseline_out(env_var: &str, default: &str) -> std::path::PathBuf {
     let raw = std::env::var(env_var).unwrap_or_else(|_| default.to_owned());
     let path = std::path::PathBuf::from(&raw);

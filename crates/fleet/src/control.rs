@@ -481,7 +481,7 @@ impl ControlLp {
         // single region carries the stream and the 08:00 start
         // `traces::generate` always used. Known up front and never
         // cancelled, the arrivals enter as the queue's backlog, not as
-        // a wheel node each — sorted here, as 16-byte pairs, by time
+        // a slab entry each — sorted here, as 16-byte pairs, by time
         // with ties left in (region, user, trace) order: the order
         // their sequence numbers give them.
         let mut arrivals: Vec<(SimTime, u32)> = Vec::new();

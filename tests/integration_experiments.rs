@@ -71,6 +71,14 @@ fn geo_scorecard_passes_on_alternate_seed() {
 }
 
 #[test]
+fn storm_scorecard_passes_on_alternate_seed() {
+    // The flash-crowd p95 bound (≤ 1.5x quiet), zero-loss and
+    // suppression contracts must hold even on the shrunk run.
+    let out = exp::storm::run_scaled(ALT_SEED, true);
+    assert!(out.scorecard.all_ok(), "\n{}", out.scorecard.render());
+}
+
+#[test]
 fn experiment_bodies_are_deterministic() {
     let a = exp::fig9::run(42);
     let b = exp::fig9::run(42);
