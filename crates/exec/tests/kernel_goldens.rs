@@ -43,6 +43,80 @@ const GOLDEN: [(WorkloadKind, SizeClass, u64); 8] = [
     (WorkloadKind::Linpack, SizeClass::Medium, 0x6b974adeaf8be133),
 ];
 
+/// The eight kernel-input seeds the benchmark's serve workloads draw
+/// from (`benchmark/src/serve.rs`, `POOLS`): the inputs a served
+/// request actually runs.
+const POOL_SEEDS: [u64; 8] = [
+    0x5EED_0006,
+    0x5EED_0009,
+    0x5EED_001F,
+    0x5EED_0000,
+    0x5EED_000A,
+    0x5EED_0013,
+    0x5EED_0021,
+    0x5EED_0026,
+];
+
+/// The cells `serve_heavy` spends its time in, with the seed order of
+/// [`POOL_SEEDS`].
+const POOL_CELLS: [(WorkloadKind, SizeClass); 4] = [
+    (WorkloadKind::ChessGame, SizeClass::Small),
+    (WorkloadKind::ChessGame, SizeClass::Medium),
+    (WorkloadKind::Ocr, SizeClass::Medium),
+    (WorkloadKind::Ocr, SizeClass::Large),
+];
+
+/// `(checksum, work_units)` per [`POOL_CELLS`] row × [`POOL_SEEDS`]
+/// column — regenerated via `print_golden_table`. A kernel rewrite that
+/// keeps these does the same work: same best move, score and node
+/// count; same text, comparison count and confidence bits.
+const POOL_GOLDEN: [[(u64, u64); 8]; 4] = [
+    // ChessGame/S
+    [
+        (0xe2cdbeb910e51d16, 1697),
+        (0xb4597402c18a3026, 5061),
+        (0xeb5b69165c5e1637, 2633),
+        (0x1416f4f1eaf5a42a, 3275),
+        (0x7ef3e94f3e55c135, 4371),
+        (0x3a551f1b7843583c, 1884),
+        (0x2f6aa848232b0348, 2058),
+        (0xdd8d514f9cff68dc, 2061),
+    ],
+    // ChessGame/M
+    [
+        (0x1053e2fbbb387ce9, 15328),
+        (0x5b25dd28edb2497d, 18806),
+        (0x313bbc436cbe9f87, 16969),
+        (0x692666ed4caae292, 18112),
+        (0xa36abe18b7b12b07, 15500),
+        (0x37ea0825d031c52f, 13334),
+        (0xcc674595f26d2b6f, 14811),
+        (0x163f8f2b3d3974f5, 20604),
+    ],
+    // OCR/M
+    [
+        (0x35d3052fdfaabebf, 2664),
+        (0xcd4a9afd4f703889, 2553),
+        (0xde940ef2816d00bc, 2701),
+        (0x1234845fa94737e9, 2886),
+        (0xc344f9ec065616fd, 2627),
+        (0x30832f999fd5a05f, 2664),
+        (0x37b1c1b890448ba1, 2442),
+        (0x4ed66c7a8e2d62d0, 2590),
+    ],
+    // OCR/L
+    [
+        (0x4418b9b55524308f, 6401),
+        (0xca13144ebf910370, 6253),
+        (0x37542e7dfe405118, 6401),
+        (0xd826141fed485cfe, 6660),
+        (0x4e77434369a60c1a, 6327),
+        (0x89b6195a605220b2, 6290),
+        (0xd641bc5f8cba78b5, 6253),
+        (0x1c3afe8a60671800, 6438),
+    ],
+];
+
 #[test]
 fn print_golden_table() {
     for kind in WorkloadKind::ALL {
@@ -54,6 +128,15 @@ fn print_golden_table() {
             );
         }
     }
+    for (kind, size) in POOL_CELLS {
+        println!("    // {}/{}", kind.label(), size.label());
+        println!("    [");
+        for seed in POOL_SEEDS {
+            let out = execute_kernel(kind, size, seed);
+            println!("        (0x{:016x}, {}),", out.checksum, out.work_units);
+        }
+        println!("    ],");
+    }
 }
 
 #[test]
@@ -61,5 +144,22 @@ fn outputs_match_committed_checksums() {
     for (kind, size, want) in GOLDEN {
         let got = execute_kernel(kind, size, GOLDEN_SEED).checksum;
         assert_eq!(got, want, "{}/{}", kind.label(), size.label());
+    }
+}
+
+#[test]
+fn serve_pool_outputs_match_committed_goldens() {
+    for ((kind, size), row) in POOL_CELLS.into_iter().zip(POOL_GOLDEN) {
+        for (seed, want) in POOL_SEEDS.into_iter().zip(row) {
+            let out = execute_kernel(kind, size, seed);
+            assert_eq!(
+                (out.checksum, out.work_units),
+                want,
+                "{}/{} seed {seed:#x}: {}",
+                kind.label(),
+                size.label(),
+                out.detail
+            );
+        }
     }
 }
