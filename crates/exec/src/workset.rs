@@ -128,9 +128,10 @@ impl Fnv {
 
 /// Kernel input parameters for one `(kind, size)` cell.
 ///
-/// Sized so that Medium ≈ tens of milliseconds on a modern core and
-/// Large stays well under half a second — CI's exec smoke job runs
-/// every cell and must finish in bounded wall time.
+/// Sized so that no Medium cell takes much over ten milliseconds on a
+/// modern core and no Large cell much over a tenth of a second (Chess
+/// is the largest: ≈ 11 and ≈ 80 ms in `results/drift.txt`) — CI's exec
+/// smoke job runs every cell and must finish in bounded wall time.
 #[derive(Debug, Clone, Copy)]
 struct KernelParams {
     /// OCR: pseudo-words rendered into the page image.

@@ -231,15 +231,9 @@ impl Board {
         })
     }
 
-    /// All `(square, piece)` pairs for `color`, ascending square.
-    pub fn pieces_of(&self, color: Color) -> Vec<(Square, Piece)> {
-        (0..64)
-            .filter_map(|i| {
-                self.squares[i as usize]
-                    .filter(|p| p.color == color)
-                    .map(|p| (Square(i), p))
-            })
-            .collect()
+    /// Every `(square, piece)` on the board, ascending square.
+    pub fn pieces(&self) -> impl Iterator<Item = (Square, Piece)> + '_ {
+        (0u8..64).filter_map(|i| self.squares[i as usize].map(|p| (Square(i), p)))
     }
 
     /// Parse a FEN string.
@@ -375,8 +369,9 @@ mod tests {
             })
         );
         assert_eq!(b.piece_at(Square::parse("e4").unwrap()), None);
-        assert_eq!(b.pieces_of(Color::White).len(), 16);
-        assert_eq!(b.pieces_of(Color::Black).len(), 16);
+        for color in [Color::White, Color::Black] {
+            assert_eq!(b.pieces().filter(|(_, p)| p.color == color).count(), 16);
+        }
     }
 
     #[test]

@@ -107,14 +107,11 @@ fn pst(kind: PieceKind, sq: Square, color: Color) -> i32 {
 /// Evaluate `board` in centipawns from the **side-to-move** perspective
 /// (positive = good for the player to move), as negamax search expects.
 pub fn evaluate(board: &Board) -> i32 {
-    let mut score = 0;
-    for color in [Color::White, Color::Black] {
-        let sign = if color == board.side { 1 } else { -1 };
-        for (sq, piece) in board.pieces_of(color) {
-            score += sign * (piece_value(piece.kind) + pst(piece.kind, sq, color));
-        }
-    }
-    score
+    let sign = |color| if color == board.side { 1 } else { -1 };
+    board
+        .pieces()
+        .map(|(sq, p)| sign(p.color) * (piece_value(p.kind) + pst(p.kind, sq, p.color)))
+        .sum()
 }
 
 #[cfg(test)]

@@ -1,10 +1,12 @@
 //! Negamax alpha-beta search with iterative deepening and a quiescence
 //! stage — the compute kernel the ChessGame workload offloads.
 
-use super::board::Board;
+use super::board::{Board, Square};
 use super::eval::{evaluate, piece_value};
-use super::movegen::{apply_move, in_check, legal_moves, Move};
+use super::movegen::{apply_move, in_check, is_attacked, legal_child, legal_moves};
+use super::movegen::{pseudo_legal_moves, Move};
 use super::zobrist::{Bound, TranspositionTable, TtEntry, Zobrist};
+use std::cmp::Reverse;
 
 /// Score representing a forced mate (offset by ply so nearer mates win).
 pub const MATE_SCORE: i32 = 100_000;
@@ -30,6 +32,27 @@ pub struct Searcher {
     nodes: u64,
     node_budget: u64,
     table: Option<(Zobrist, TranspositionTable)>,
+    /// The pseudo-legal moves of every open node, innermost last. A node
+    /// appends its list and leaves it; its caller truncates back once it
+    /// returns. So a search allocates no move list per node.
+    moves: Vec<Move>,
+}
+
+/// The value of what `mv` captures, if anything.
+fn victim(board: &Board, mv: &Move) -> Option<i32> {
+    board.piece_at(mv.to).map(|p| piece_value(p.kind))
+}
+
+/// Search order: `first` (the table's move), then captures of big
+/// victims, then the rest, each group in generation order. Legality is
+/// checked per move just before it is searched: skipping the illegal
+/// moves of a stable-sorted list visits the same sequence as sorting
+/// the legal ones.
+fn order(board: &Board, moves: &mut [Move], first: Option<Move>) {
+    moves.sort_by_key(|m| {
+        let bonus = if Some(*m) == first { 100_000 } else { 0 };
+        Reverse(bonus + victim(board, m).unwrap_or(-1))
+    });
 }
 
 impl Searcher {
@@ -39,6 +62,8 @@ impl Searcher {
             nodes: 0,
             node_budget,
             table: None,
+            // A few hundred are open at once on a deep capture line.
+            moves: Vec::with_capacity(1 << 10),
         }
     }
 
@@ -58,8 +83,17 @@ impl Searcher {
     }
 
     /// Quiescence: resolve captures so the horizon effect doesn't
-    /// dominate the static eval.
-    fn quiesce(&mut self, board: &Board, mut alpha: i32, beta: i32) -> i32 {
+    /// dominate the static eval. `listed` is `(base, king)` when the
+    /// caller has already appended this position's pseudo-legal moves
+    /// from `self.moves[base]`; otherwise they are generated here, once
+    /// stand-pat has had its chance to cut.
+    fn quiesce(
+        &mut self,
+        board: &Board,
+        mut alpha: i32,
+        beta: i32,
+        listed: Option<(usize, Option<Square>)>,
+    ) -> i32 {
         self.nodes += 1;
         let stand_pat = evaluate(board);
         if stand_pat >= beta {
@@ -69,21 +103,27 @@ impl Searcher {
         if self.out_of_budget() {
             return alpha;
         }
-        let mut captures: Vec<Move> = legal_moves(board)
-            .into_iter()
-            .filter(|m| board.piece_at(m.to).is_some())
-            .collect();
-        // MVV ordering: take the biggest victim first.
-        captures.sort_by_key(|m| {
-            std::cmp::Reverse(
-                board
-                    .piece_at(m.to)
-                    .map(|p| piece_value(p.kind))
-                    .unwrap_or(0),
-            )
+        let (base, king) = listed.unwrap_or_else(|| {
+            let base = self.moves.len();
+            (base, pseudo_legal_moves(board, &mut self.moves))
         });
-        for mv in captures {
-            let score = -self.quiesce(&apply_move(board, mv), -beta, -alpha);
+        // Captures only (kept in generation order), biggest victim first.
+        let mut end = base;
+        for i in base..self.moves.len() {
+            if victim(board, &self.moves[i]).is_some() {
+                self.moves.swap(end, i);
+                end += 1;
+            }
+        }
+        self.moves.truncate(end);
+        order(board, &mut self.moves[base..], None);
+        for i in base..end {
+            let mv = self.moves[i];
+            let Some(child) = legal_child(board, king, mv) else {
+                continue;
+            };
+            let score = -self.quiesce(&child, -beta, -alpha, None);
+            self.moves.truncate(end);
             if score >= beta {
                 return beta;
             }
@@ -96,17 +136,22 @@ impl Searcher {
     }
 
     fn negamax(&mut self, board: &Board, depth: u32, mut alpha: i32, beta: i32, ply: i32) -> i32 {
-        let moves = legal_moves(board);
-        if moves.is_empty() {
+        let base = self.moves.len();
+        let king = pseudo_legal_moves(board, &mut self.moves);
+        // Whether the position is terminal needs only its first legal move.
+        if !self.moves[base..]
+            .iter()
+            .any(|&mv| legal_child(board, king, mv).is_some())
+        {
             self.nodes += 1;
-            return if in_check(board, board.side) {
+            return if king.is_some_and(|k| is_attacked(board, k, board.side.opponent())) {
                 -(MATE_SCORE - ply) // mated: worse when nearer
             } else {
                 0 // stalemate
             };
         }
         if depth == 0 {
-            return self.quiesce(board, alpha, beta);
+            return self.quiesce(board, alpha, beta, Some((base, king)));
         }
         self.nodes += 1;
         let alpha_orig = alpha;
@@ -131,23 +176,17 @@ impl Searcher {
             }
         }
 
-        // Order: TT move first, then captures of big victims, then rest.
-        let mut ordered = moves;
-        ordered.sort_by_key(|m| {
-            let tt_bonus = if Some(*m) == tt_move { 100_000 } else { 0 };
-            std::cmp::Reverse(
-                tt_bonus
-                    + board
-                        .piece_at(m.to)
-                        .map(|p| piece_value(p.kind))
-                        .unwrap_or(-1),
-            )
-        });
-
+        order(board, &mut self.moves[base..], tt_move);
+        let end = self.moves.len();
         let mut best = -MATE_SCORE - 1;
         let mut best_move = None;
-        for mv in ordered {
-            let score = -self.negamax(&apply_move(board, mv), depth - 1, -beta, -alpha, ply + 1);
+        for i in base..end {
+            let mv = self.moves[i];
+            let Some(child) = legal_child(board, king, mv) else {
+                continue;
+            };
+            let score = -self.negamax(&child, depth - 1, -beta, -alpha, ply + 1);
+            self.moves.truncate(end);
             if score > best {
                 best = score;
                 best_move = Some(mv);
@@ -208,6 +247,7 @@ impl Searcher {
                     -alpha,
                     1,
                 );
+                self.moves.clear();
                 if score > iter_score {
                     iter_score = score;
                     iter_best = mv;

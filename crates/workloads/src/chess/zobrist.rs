@@ -71,11 +71,9 @@ impl Zobrist {
     /// Hash a full position.
     pub fn hash(&self, board: &Board) -> u64 {
         let mut h = 0u64;
-        for color in [Color::White, Color::Black] {
-            let ci = if color == Color::White { 0 } else { 1 };
-            for (sq, piece) in board.pieces_of(color) {
-                h ^= self.pieces[ci][piece_index(piece.kind)][sq.0 as usize];
-            }
+        for (sq, piece) in board.pieces() {
+            let ci = if piece.color == Color::White { 0 } else { 1 };
+            h ^= self.pieces[ci][piece_index(piece.kind)][sq.0 as usize];
         }
         if board.side == Color::Black {
             h ^= self.side_to_move;

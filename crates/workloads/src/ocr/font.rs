@@ -68,7 +68,7 @@ pub fn char_at(idx: usize) -> char {
 }
 
 /// Number of templates.
-pub fn template_count() -> usize {
+pub const fn template_count() -> usize {
     ALPHABET.len()
 }
 

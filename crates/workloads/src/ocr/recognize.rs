@@ -2,7 +2,7 @@
 //! workload (the paper's OCR uses Tesseract via JNI; ours is a
 //! from-scratch correlation matcher over the same glyph geometry).
 
-use super::font::{char_at, glyph, template_count, GLYPH_H, GLYPH_SPACING, GLYPH_W};
+use super::font::{char_at, glyph, pixel, template_count, GLYPH_H, GLYPH_SPACING, GLYPH_W};
 use super::image::{GrayImage, RENDER_SCALE};
 
 /// Result of recognising one image.
@@ -16,42 +16,54 @@ pub struct OcrResult {
     pub comparisons: u64,
 }
 
-/// Binarize with a fixed mid-gray threshold.
-fn is_ink(img: &GrayImage, x: usize, y: usize) -> bool {
-    img.get(x, y) < 128
+/// A glyph box: one template glyph at [`RENDER_SCALE`].
+const BOX_W: usize = GLYPH_W * RENDER_SCALE;
+const BOX_H: usize = GLYPH_H * RENDER_SCALE;
+
+/// A glyph box as bits: bit `y * BOX_W + x` is pixel (x, y) of the box.
+type BoxBits = [u64; (BOX_W * BOX_H).div_ceil(64)];
+
+fn set_bit(bits: &mut BoxBits, i: usize) {
+    bits[i / 64] |= 1 << (i % 64);
 }
 
-/// Score a glyph template against the image cell at (x0, y0):
-/// fraction of agreeing pixels over the scaled glyph box.
-fn match_score(img: &GrayImage, x0: usize, y0: usize, g: &[u8; 7]) -> f64 {
-    let mut agree = 0usize;
-    let mut total = 0usize;
-    for gy in 0..GLYPH_H {
-        for gx in 0..GLYPH_W {
-            let want = super::font::pixel(g, gx, gy);
-            for sy in 0..RENDER_SCALE {
-                for sx in 0..RENDER_SCALE {
-                    let x = x0 + gx * RENDER_SCALE + sx;
-                    let y = y0 + gy * RENDER_SCALE + sy;
-                    if x < img.width && y < img.height {
-                        total += 1;
-                        if is_ink(img, x, y) == want {
-                            agree += 1;
-                        }
-                    }
-                }
+/// Every template glyph scaled to a box, its bits set where it inks.
+fn scaled_templates() -> [BoxBits; template_count()] {
+    let mut out = [BoxBits::default(); template_count()];
+    for (t, bits) in out.iter_mut().enumerate() {
+        let g = glyph(char_at(t)).expect("template chars have glyphs");
+        for i in 0..BOX_W * BOX_H {
+            if pixel(g, i % BOX_W / RENDER_SCALE, i / BOX_W / RENDER_SCALE) {
+                set_bit(bits, i);
             }
         }
     }
-    if total == 0 {
-        0.0
-    } else {
-        agree as f64 / total as f64
+    out
+}
+
+/// The image's box at (x0, y0), binarised with a fixed mid-gray
+/// threshold: `(ink, valid)`, where `valid` marks the pixels that lie
+/// on the image (a box the image edge clips compares only those).
+fn binarise(img: &GrayImage, x0: usize, y0: usize) -> (BoxBits, BoxBits) {
+    let (mut ink, mut valid) = (BoxBits::default(), BoxBits::default());
+    for y in 0..BOX_H.min(img.height.saturating_sub(y0)) {
+        let row = &img.pixels[(y0 + y) * img.width..(y0 + y + 1) * img.width];
+        for x in 0..BOX_W.min(img.width.saturating_sub(x0)) {
+            set_bit(&mut valid, y * BOX_W + x);
+            if row[x0 + x] < 128 {
+                set_bit(&mut ink, y * BOX_W + x);
+            }
+        }
     }
+    (ink, valid)
 }
 
 /// Recognise a single-line image produced by
 /// [`render_text`](super::image::render_text) (possibly noisy).
+///
+/// Each cell's box is scored against every template as the fraction of
+/// its on-image pixels whose ink agrees with the template's (0 if none
+/// is on the image).
 pub fn recognize(img: &GrayImage) -> OcrResult {
     let cell_w = (GLYPH_W + GLYPH_SPACING) * RENDER_SCALE;
     let margin = 2 * RENDER_SCALE;
@@ -62,16 +74,20 @@ pub fn recognize(img: &GrayImage) -> OcrResult {
             comparisons: 0,
         };
     }
+    let templates = scaled_templates();
     let cells = (img.width - 2 * margin) / cell_w;
     let mut text = String::with_capacity(cells);
     let mut conf_sum = 0.0;
     let mut comparisons = 0u64;
     for c in 0..cells {
-        let x0 = margin + c * cell_w;
+        let (ink, valid) = binarise(img, margin + c * cell_w, margin);
+        let total: u32 = valid.iter().map(|w| w.count_ones()).sum();
         let mut best = (0usize, -1.0f64);
-        for t in 0..template_count() {
-            let g = glyph(char_at(t)).expect("template chars have glyphs");
-            let score = match_score(img, x0, margin, g);
+        for (t, template) in templates.iter().enumerate() {
+            let agree: u32 = (0..valid.len())
+                .map(|w| (!(ink[w] ^ template[w]) & valid[w]).count_ones())
+                .sum();
+            let score = f64::from(agree) / f64::from(total.max(1));
             comparisons += 1;
             if score > best.1 {
                 best = (t, score);

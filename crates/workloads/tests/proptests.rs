@@ -54,19 +54,12 @@ proptest! {
             let mv = moves[rng.uniform_u64(0, moves.len() as u64 - 1) as usize];
             board = apply_move(&board, mv);
             for color in [Color::White, Color::Black] {
-                let kings = board
-                    .pieces_of(color)
-                    .iter()
-                    .filter(|(_, p)| p.kind == PieceKind::King)
-                    .count();
+                let own = || board.pieces().filter(move |(_, p)| p.color == color);
+                let kings = own().filter(|(_, p)| p.kind == PieceKind::King).count();
                 prop_assert_eq!(kings, 1, "exactly one {:?} king", color);
-                let pawns = board
-                    .pieces_of(color)
-                    .iter()
-                    .filter(|(_, p)| p.kind == PieceKind::Pawn)
-                    .count();
+                let pawns = own().filter(|(_, p)| p.kind == PieceKind::Pawn).count();
                 prop_assert!(pawns <= 8);
-                prop_assert!(board.pieces_of(color).len() <= 16);
+                prop_assert!(own().count() <= 16);
             }
             let fen = board.to_fen();
             prop_assert_eq!(Board::from_fen(&fen).unwrap().to_fen(), fen);
