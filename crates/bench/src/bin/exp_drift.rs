@@ -4,9 +4,9 @@
 //!
 //! `--write-calibration` re-measures on this machine and rewrites the
 //! committed calibration map (`crates/exec/data/calibration.json`, or
-//! the `EXEC_CALIBRATION_OUT` override) from the measured rows, so the
-//! `Replay` backend can deterministically re-price sim charges with
-//! this host's drift ratios.
+//! the `EXEC_CALIBRATION_OUT` override) from the measured rows, so a
+//! config's `calibration` field can deterministically re-price
+//! simulated compute with this host's drift ratios.
 fn main() -> std::process::ExitCode {
     let seed = rattrap_bench::experiments::seed_from_args();
     rattrap_bench::meta::print_header(seed);

@@ -12,16 +12,15 @@
 //! Determinism caveat: wall times depend on the machine, so the drift
 //! *values* are not pinned by any golden; what the scorecard pins is
 //! coverage (all four kernels, all sizes), output verifiability
-//! (checksums match an independent execution), and that replaying the
-//! identity calibration reproduces the modeled rattrap digest bit for
-//! bit.
+//! (checksums match an independent execution), and that a config
+//! carrying an explicit identity calibration map reproduces the default
+//! rattrap digest bit for bit.
 
 use super::ExperimentOutput;
 use analysis::{Scorecard, Table};
-use exec::{measure_drift, DriftConfig, DriftRow, RealBackend, ReplayBackend, SizeClass};
+use exec::{measure_drift, CalibrationMap, DriftConfig, DriftRow, RealBackend, SizeClass};
 use rattrap::platform::PlatformKind;
-use rattrap::simulation::{ScenarioConfig, Simulation};
-use std::sync::Arc;
+use rattrap::simulation::{run_scenario, ScenarioConfig};
 use workloads::WorkloadKind;
 
 /// Run the drift sweep: every kernel at every size, `reps` repetitions
@@ -36,12 +35,8 @@ pub fn sweep(seed: u64, smoke: bool) -> Vec<DriftRow> {
     measure_drift(&backend, &cfg)
 }
 
-fn digest_with(seed: u64, backend: exec::BackendHandle) -> u64 {
-    let cfg =
-        ScenarioConfig::paper_default(PlatformKind::Rattrap.config(), WorkloadKind::Ocr, seed);
-    let mut sim = Simulation::new(cfg);
-    sim.set_backend(backend);
-    sim.run().digest()
+fn paper_cfg(seed: u64) -> ScenarioConfig {
+    ScenarioConfig::paper_default(PlatformKind::Rattrap.config(), WorkloadKind::Ocr, seed)
 }
 
 /// Run the drift study (smoke mode via `RATTRAP_BENCH_SMOKE`).
@@ -112,13 +107,17 @@ pub fn run(seed: u64) -> ExperimentOutput {
             ms(SizeClass::Large) > ms(SizeClass::Small)
         }),
     );
-    let modeled_digest = digest_with(seed, exec::modeled());
-    let replay_digest = digest_with(seed, Arc::new(ReplayBackend::identity()));
+    let default_digest = run_scenario(paper_cfg(seed)).digest();
+    let identity_digest = run_scenario(ScenarioConfig {
+        calibration: CalibrationMap::identity(),
+        ..paper_cfg(seed)
+    })
+    .digest();
     sc.expect(
         "identity replay ≡ modeled (engine digest)",
         "bit-identical",
-        &format!("{modeled_digest:016x} vs {replay_digest:016x}"),
-        modeled_digest == replay_digest,
+        &format!("{default_digest:016x} vs {identity_digest:016x}"),
+        default_digest == identity_digest,
     );
 
     ExperimentOutput {

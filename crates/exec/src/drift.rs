@@ -9,9 +9,8 @@
 //! [`CalibrationMap`] is exactly these
 //! ratios, recorded on the reference machine.
 
-use crate::backend::HostClass;
 use crate::real::RealBackend;
-use crate::replay::{CalEntry, CalibrationMap};
+use crate::replay::{CalEntry, CalibrationMap, HostClass};
 use crate::workset::SizeClass;
 use simkit::units::Megacycles;
 use workloads::WorkloadKind;

@@ -1,58 +1,41 @@
-//! `exec` — the real-execution compute backend.
+//! `exec` — real kernel execution, and the calibration that prices
+//! simulated compute.
 //!
-//! The discrete-event simulation charges every offloaded request a
-//! *calibrated cycle profile* ([`workloads::WorkloadProfile`]), even
-//! though the four workload kernels (OCR, chess, VirusScan, Linpack)
-//! are genuinely executable Rust. This crate closes that loop with a
-//! pluggable [`ComputeBackend`] the engines (rattrap's `Simulation`,
-//! the `fleet` host shards, and through them every `geo` cell) consult
-//! when a request reaches its compute phase:
+//! The discrete-event engines (rattrap's `Simulation`, the `fleet`
+//! host shards, and through them every `geo` cell) price every
+//! offloaded request's compute phase from a *calibrated cycle
+//! profile* ([`workloads::WorkloadProfile`]) times a ratio from a
+//! [`CalibrationMap`] carried on their config. Each engine resolves the
+//! map once per [`HostClass`] into a [`CalibrationTable`]; the identity
+//! map (the default) prices exactly as the bare cycle model, which is
+//! what every golden digest pins.
 //!
-//! * [`Modeled`] — today's behaviour, verbatim: the sampled task's
-//!   megacycles priced at the host clock and runtime-class efficiency.
-//!   Bit-identical to the pre-backend engines; every golden digest is
-//!   pinned against it.
-//! * [`RealBackend`] — the kernel actually *runs* on a bounded worker
-//!   thread pool. The request's sampled task is quantized to a
-//!   [`SizeClass`], a deterministic kernel input is built from the
-//!   request's seed, and the measured wall time becomes the sim-time
-//!   charge. Every execution is logged as a [`Measurement`] keyed by
-//!   `(WorkloadKind, SizeClass, HostClass)` — the raw material of a
-//!   [`CalibrationMap`].
-//! * [`ReplayBackend`] — a committed calibration map converts recorded
-//!   real/modeled ratios back into deterministic charges, so
-//!   real-informed runs are reproducible: same map, same seed, same
-//!   report, bit for bit. The identity map reproduces [`Modeled`]
-//!   exactly (`modeled × 1.0`), which is how the golden digests stay
-//!   meaningful under replay.
+//! The four workload kernels (OCR, chess, VirusScan, Linpack) are
+//! genuinely executable Rust. [`RealBackend`] runs them on a bounded
+//! worker pool; [`measure_drift`] compares their wall times with the
+//! cycle model, and [`calibration_from_rows`] turns that comparison
+//! into a map — the committed one is [`CalibrationMap::committed`].
 //!
-//! On top of the backends sits a thin offload API server
+//! On top of the executor sits a thin offload API server
 //! ([`serve::serve`]): a client submits `{kind, size, seed}` as one
 //! line of JSON over TCP, a pluggable [`serve::OffloadHandler`]
 //! routes/admits/executes it (the `fleet` crate provides the
 //! control-plane-backed handler), and the response carries the output
 //! checksum plus a queue/execute timing breakdown — the
 //! ship-code/run-remote/copy-back loop of the paper's platform, served
-//! for real.
-//!
-//! Determinism contract: [`Modeled`] and [`ReplayBackend`] are pure
-//! functions of `(ComputeCtx, TaskRequest)` and may be used in golden
-//! runs; [`RealBackend`] measures wall clocks and is explicitly
-//! nondeterministic — its *outputs* (kernel checksums) are still
-//! deterministic and pinned by `tests/kernel_goldens.rs`.
+//! for real. Kernel *outputs* are deterministic and pinned by
+//! `tests/kernel_goldens.rs`; wall times are not.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod backend;
 pub mod drift;
 pub mod real;
 pub mod replay;
 pub mod serve;
 pub mod workset;
 
-pub use backend::{modeled, BackendHandle, ComputeBackend, ComputeCtx, HostClass, Modeled};
 pub use drift::{calibration_from_rows, measure_drift, DriftConfig, DriftRow};
-pub use real::{Measurement, RealBackend};
-pub use replay::{CalEntry, CalibrationMap, ReplayBackend};
+pub use real::RealBackend;
+pub use replay::{CalEntry, CalibrationMap, CalibrationTable, HostClass};
 pub use workset::{execute_kernel, kind_from_label, KernelOutput, SizeClass};

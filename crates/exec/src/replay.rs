@@ -1,14 +1,16 @@
-//! The replay backend: recorded real wall times as deterministic
-//! sim-time charges.
+//! The calibration map: recorded real/modeled ratios replayed as
+//! deterministic compute prices.
 //!
 //! A [`CalibrationMap`] holds one [`CalEntry`] per
-//! `"kind/size/host"` key — the mean real/modeled ratio observed by a
-//! [`RealBackend`](crate::real::RealBackend) run. [`ReplayBackend`]
-//! charges `modeled × ratio`: a pure function of `(ctx, task)`, so
-//! real-informed runs are bit-for-bit reproducible from the committed
-//! map. The identity map (every ratio 1.0) reproduces
-//! [`Modeled`](crate::backend::Modeled) exactly, because `x × 1.0 == x`
-//! in IEEE arithmetic — the golden digests hold under replay.
+//! `"kind/size/host"` key — the real/modeled ratio a drift sweep
+//! measured ([`crate::drift::calibration_from_rows`]). An engine
+//! resolves it once per [`HostClass`] into a [`CalibrationTable`] and
+//! prices every request's compute phase as `modeled × ratio`: a pure
+//! function of the config, so calibrated runs are bit-for-bit
+//! reproducible from the committed map. The identity map (no cells,
+//! default 1.0) prices exactly as the bare cycle model, because
+//! `x × 1.0 == x` in IEEE arithmetic — the golden digests hold under
+//! it.
 //!
 //! ## Map format
 //!
@@ -24,11 +26,27 @@
 //! Lookup order for `(kind, size, host)`: exact `"kind/size/host"`,
 //! then wildcard-host `"kind/size/*"`, then `default_ratio`.
 
-use crate::backend::{ComputeBackend, ComputeCtx, HostClass};
 use crate::workset::SizeClass;
 use obsv::json::{self, Value};
 use std::collections::BTreeMap;
 use workloads::{TaskRequest, WorkloadKind};
+
+/// Coarse hardware class an execution is attributed to; the third
+/// component of every calibration key. A static label (not a full
+/// spec) so measurements aggregate across hosts of the same shape.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct HostClass(pub &'static str);
+
+impl HostClass {
+    /// The paper's 2.66 GHz Dell server (rattrap + fleet hosts).
+    pub const PAPER_SERVER: HostClass = HostClass("paper-server");
+    /// A geo edge-PoP host.
+    pub const EDGE_POP: HostClass = HostClass("edge-pop");
+    /// A geo regional-core host.
+    pub const REGIONAL_CORE: HostClass = HostClass("regional-core");
+    /// The machine this process runs on (drift/serve measurements).
+    pub const LOCALHOST: HostClass = HostClass("localhost");
+}
 
 /// One calibration cell.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -36,7 +54,7 @@ pub struct CalEntry {
     /// Mean real/modeled wall-time ratio.
     pub ratio: f64,
     /// Mean measured kernel wall time, microseconds (reporting only;
-    /// replay charges use `ratio`).
+    /// prices use `ratio`).
     pub wall_micros: u64,
     /// Samples behind the mean.
     pub samples: u64,
@@ -51,7 +69,8 @@ pub struct CalibrationMap {
 }
 
 impl CalibrationMap {
-    /// The identity map: every charge replays as pure `Modeled`.
+    /// The identity map: every request is priced by the bare cycle
+    /// model.
     pub fn identity() -> CalibrationMap {
         CalibrationMap {
             default_ratio: 1.0,
@@ -77,11 +96,6 @@ impl CalibrationMap {
         self.entries.insert(key, entry);
     }
 
-    /// Direct entry lookup (no wildcard fallback).
-    pub fn entry(&self, key: &str) -> Option<&CalEntry> {
-        self.entries.get(key)
-    }
-
     /// Number of cells.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -90,11 +104,6 @@ impl CalibrationMap {
     /// Whether the map holds no cells.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Iterate cells in key order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &CalEntry)> {
-        self.entries.iter().map(|(k, v)| (k.as_str(), v))
     }
 
     /// Resolve the ratio for one execution: exact key, then
@@ -108,6 +117,18 @@ impl CalibrationMap {
             return e.ratio;
         }
         self.default_ratio
+    }
+
+    /// Resolve every `(kind, size)` cell for one host class, so the
+    /// request path prices by index instead of by string lookup.
+    pub fn resolve(&self, host: HostClass) -> CalibrationTable {
+        let mut ratios = [[1.0; 3]; 4];
+        for kind in WorkloadKind::ALL {
+            for size in SizeClass::ALL {
+                ratios[kind as usize][size as usize] = self.ratio(kind, size, host);
+            }
+        }
+        CalibrationTable(ratios)
     }
 
     /// Serialize to the committed JSON format (stable key order).
@@ -165,74 +186,46 @@ impl CalibrationMap {
     }
 }
 
-/// The deterministic replay backend.
-#[derive(Debug, Clone)]
-pub struct ReplayBackend {
-    map: CalibrationMap,
-}
+/// One host class's resolved calibration: the ratio of every
+/// `(kind, size)` cell, indexed by discriminant.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CalibrationTable([[f64; 3]; 4]);
 
-impl ReplayBackend {
-    /// Replay against an explicit map.
-    pub fn new(map: CalibrationMap) -> ReplayBackend {
-        ReplayBackend { map }
-    }
-
-    /// Replay against the identity map (≡ `Modeled`).
-    pub fn identity() -> ReplayBackend {
-        ReplayBackend::new(CalibrationMap::identity())
-    }
-
-    /// Replay against the committed calibration.
-    pub fn committed() -> ReplayBackend {
-        ReplayBackend::new(CalibrationMap::committed())
-    }
-
-    /// The map replayed against.
-    pub fn map(&self) -> &CalibrationMap {
-        &self.map
-    }
-}
-
-impl ComputeBackend for ReplayBackend {
-    fn name(&self) -> &'static str {
-        "replay"
-    }
-
-    fn charge(&self, ctx: &ComputeCtx, task: &TaskRequest) -> f64 {
-        let modeled = task.compute.seconds_at(ctx.clock_ghz, ctx.cpu_efficiency);
-        modeled * self.map.ratio(ctx.kind, ctx.size, ctx.host)
+impl CalibrationTable {
+    /// Core-seconds of work `task`'s compute phase costs on a host at
+    /// `ghz` running a runtime class of CPU efficiency `eff`: the cycle
+    /// model's price times the cell's ratio. The one compute-pricing
+    /// expression of every engine.
+    pub fn price(&self, task: &TaskRequest, ghz: f64, eff: f64) -> f64 {
+        task.compute.seconds_at(ghz, eff) * self.0[task.kind as usize][SizeClass::of(task) as usize]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::Modeled;
     use simkit::units::Megacycles;
     use simkit::SimRng;
 
-    fn ctx(kind: WorkloadKind, task: &TaskRequest) -> ComputeCtx {
-        ComputeCtx {
-            kind,
-            size: SizeClass::of(task),
-            host: HostClass::PAPER_SERVER,
-            clock_ghz: 2.66,
-            cpu_efficiency: 0.995,
-            input_seed: 3,
+    fn cal(ratio: f64) -> CalEntry {
+        CalEntry {
+            ratio,
+            wall_micros: 1000,
+            samples: 1,
         }
     }
 
     #[test]
     fn identity_replay_is_bitwise_modeled() {
-        let replay = ReplayBackend::identity();
+        let identity = CalibrationMap::identity().resolve(HostClass::PAPER_SERVER);
         for kind in WorkloadKind::ALL {
             let mut rng = SimRng::new(21);
             for _ in 0..64 {
                 let task = kind.profile().sample(&mut rng);
-                let c = ctx(kind, &task);
+                let modeled = Megacycles(task.compute.0).seconds_at(2.66, 0.995);
                 assert_eq!(
-                    replay.charge(&c, &task).to_bits(),
-                    Modeled.charge(&c, &task).to_bits()
+                    identity.price(&task, 2.66, 0.995).to_bits(),
+                    modeled.to_bits()
                 );
             }
         }
@@ -243,38 +236,26 @@ mod tests {
         let mut map = CalibrationMap::identity();
         map.default_ratio = 2.0;
         map.insert("OCR/M/*".into(), cal(1.5));
-        map.insert(
-            CalibrationMap::key(
-                WorkloadKind::Ocr,
-                SizeClass::Medium,
-                HostClass::PAPER_SERVER,
-            ),
-            cal(1.2),
+        let exact = CalibrationMap::key(
+            WorkloadKind::Ocr,
+            SizeClass::Medium,
+            HostClass::PAPER_SERVER,
         );
+        map.insert(exact, cal(1.2));
+        let (ocr, linpack) = (WorkloadKind::Ocr, WorkloadKind::Linpack);
+        let m = SizeClass::Medium;
+        assert_eq!(map.ratio(ocr, m, HostClass::PAPER_SERVER), 1.2);
+        assert_eq!(map.ratio(ocr, m, HostClass::EDGE_POP), 1.5);
         assert_eq!(
-            map.ratio(
-                WorkloadKind::Ocr,
-                SizeClass::Medium,
-                HostClass::PAPER_SERVER
-            ),
-            1.2
-        );
-        assert_eq!(
-            map.ratio(WorkloadKind::Ocr, SizeClass::Medium, HostClass::EDGE_POP),
-            1.5
-        );
-        assert_eq!(
-            map.ratio(WorkloadKind::Linpack, SizeClass::Small, HostClass::EDGE_POP),
+            map.ratio(linpack, SizeClass::Small, HostClass::EDGE_POP),
             2.0
         );
-    }
-
-    fn cal(ratio: f64) -> CalEntry {
-        CalEntry {
-            ratio,
-            wall_micros: 1000,
-            samples: 1,
-        }
+        // The resolved table holds the same three answers per class.
+        let server = map.resolve(HostClass::PAPER_SERVER);
+        let edge = map.resolve(HostClass::EDGE_POP);
+        assert_eq!(server.0[ocr as usize][m as usize], 1.2);
+        assert_eq!(edge.0[ocr as usize][m as usize], 1.5);
+        assert_eq!(edge.0[linpack as usize][SizeClass::Small as usize], 2.0);
     }
 
     #[test]
@@ -304,7 +285,7 @@ mod tests {
     fn replay_is_scaled_modeled() {
         let mut map = CalibrationMap::identity();
         map.default_ratio = 3.0;
-        let replay = ReplayBackend::new(map);
+        let table = map.resolve(HostClass::PAPER_SERVER);
         let task = TaskRequest {
             kind: WorkloadKind::Linpack,
             payload_bytes: 260,
@@ -313,7 +294,7 @@ mod tests {
             compute: Megacycles(2400.0),
             io_bytes: 0,
         };
-        let c = ctx(WorkloadKind::Linpack, &task);
-        assert_eq!(replay.charge(&c, &task), 3.0 * Modeled.charge(&c, &task));
+        let modeled = task.compute.seconds_at(2.66, 0.995);
+        assert_eq!(table.price(&task, 2.66, 0.995), modeled * 3.0);
     }
 }

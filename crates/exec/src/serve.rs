@@ -1,4 +1,4 @@
-//! A thin offload API server over the compute backends.
+//! A thin offload API server over the real kernel executor.
 //!
 //! The wire protocol is one JSON object per line over TCP — the
 //! smallest protocol that exercises the paper's full loop (submit →
@@ -12,15 +12,14 @@
 //! ```
 //!
 //! Checksums travel as hex *strings*: the JSON reader holds numbers as
-//! `f64`, which cannot carry a full 64-bit checksum.
+//! `f64`, which cannot carry a full 64-bit checksum. For the same
+//! reason a request's seed must be an integer below 2^53; any other
+//! seed is refused rather than rounded to a neighbour.
 //!
 //! Routing/admission is behind [`OffloadHandler`]; the `fleet` crate
 //! provides the control-plane-backed implementation (consistent-hash
-//! routing + admission bounds), while [`DirectHandler`] here executes
-//! on a local [`RealBackend`] with no control plane — enough for
-//! loopback tests and single-host serving.
+//! routing + admission bounds) over [`crate::RealBackend`] pools.
 
-use crate::real::RealBackend;
 use crate::workset::{kind_from_label, SizeClass};
 use obsv::json::{self, Value};
 use std::io::{BufRead, BufReader, Write};
@@ -28,8 +27,11 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
-use std::time::Instant;
 use workloads::WorkloadKind;
+
+/// Seeds travel as JSON numbers, read back as `f64`: every integer
+/// below 2^53 survives exactly, nothing at or above it is guaranteed to.
+const SEED_LIMIT: f64 = 9_007_199_254_740_992.0;
 
 /// One offload request as submitted by a client.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,8 +71,17 @@ impl OffloadRequest {
         let seed = v
             .get("seed")
             .and_then(Value::as_f64)
-            .ok_or("request: bad or missing \"seed\"")? as u64;
-        Ok(OffloadRequest { kind, size, seed })
+            .ok_or("request: bad or missing \"seed\"")?;
+        if !(0.0..SEED_LIMIT).contains(&seed) || seed.fract() != 0.0 {
+            return Err(format!(
+                "request: \"seed\" must be an integer in [0, 2^53), got {seed}"
+            ));
+        }
+        Ok(OffloadRequest {
+            kind,
+            size,
+            seed: seed as u64,
+        })
     }
 }
 
@@ -183,40 +194,6 @@ pub trait OffloadHandler: Send + Sync + 'static {
     fn handle(&self, req: &OffloadRequest) -> OffloadResponse;
 }
 
-/// The no-control-plane handler: every request executes on a local
-/// [`RealBackend`] pool as host 0.
-#[derive(Debug)]
-pub struct DirectHandler {
-    backend: RealBackend,
-}
-
-impl DirectHandler {
-    /// Direct handler with `workers` pool threads.
-    pub fn new(workers: usize) -> DirectHandler {
-        DirectHandler {
-            backend: RealBackend::new(workers),
-        }
-    }
-}
-
-impl OffloadHandler for DirectHandler {
-    fn handle(&self, req: &OffloadRequest) -> OffloadResponse {
-        let queued = Instant::now();
-        let (out, wall) = self.backend.execute(req.kind, req.size, req.seed);
-        let total = queued.elapsed().as_micros() as u64;
-        OffloadResponse {
-            ok: true,
-            error: String::new(),
-            checksum: out.checksum,
-            host: 0,
-            backend: "real".into(),
-            queue_micros: total.saturating_sub(wall),
-            exec_micros: wall,
-            detail: out.detail,
-        }
-    }
-}
-
 /// A running offload API server.
 #[derive(Debug)]
 pub struct Server {
@@ -320,7 +297,29 @@ pub fn submit(addr: impl ToSocketAddrs, req: &OffloadRequest) -> Result<OffloadR
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::real::RealBackend;
     use crate::workset::execute_kernel;
+
+    /// Every request executes on one local pool as host 0.
+    struct PoolHandler(RealBackend);
+
+    impl OffloadHandler for PoolHandler {
+        fn handle(&self, req: &OffloadRequest) -> OffloadResponse {
+            let (out, wall) = self.0.execute(req.kind, req.size, req.seed);
+            OffloadResponse {
+                ok: true,
+                checksum: out.checksum,
+                backend: "real".into(),
+                exec_micros: wall,
+                detail: out.detail,
+                ..OffloadResponse::error("")
+            }
+        }
+    }
+
+    fn pool_server(workers: usize) -> Server {
+        serve("127.0.0.1:0", PoolHandler(RealBackend::new(workers))).unwrap()
+    }
 
     #[test]
     fn request_and_response_round_trip() {
@@ -346,7 +345,7 @@ mod tests {
 
     #[test]
     fn direct_serving_end_to_end() {
-        let mut server = serve("127.0.0.1:0", DirectHandler::new(2)).unwrap();
+        let mut server = pool_server(2);
         let req = OffloadRequest {
             kind: WorkloadKind::Linpack,
             size: SizeClass::Small,
@@ -364,15 +363,32 @@ mod tests {
 
     #[test]
     fn malformed_requests_get_an_error_line() {
-        let mut server = serve("127.0.0.1:0", DirectHandler::new(1)).unwrap();
+        let mut server = pool_server(1);
         let stream = TcpStream::connect(server.addr()).unwrap();
         let mut writer = stream.try_clone().unwrap();
-        writeln!(writer, "{{\"kind\": \"Doom\"}}").unwrap();
-        let mut line = String::new();
-        BufReader::new(stream).read_line(&mut line).unwrap();
-        let resp = OffloadResponse::from_json(line.trim_end()).unwrap();
-        assert!(!resp.ok);
-        assert!(resp.error.contains("kind"));
+        let mut reader = BufReader::new(stream);
+        let mut exchange = |line: &str| {
+            writeln!(writer, "{line}").unwrap();
+            let mut reply = String::new();
+            reader.read_line(&mut reply).unwrap();
+            OffloadResponse::from_json(reply.trim_end()).unwrap()
+        };
+        let bad_kind = exchange("{\"kind\": \"Doom\"}");
+        assert!(!bad_kind.ok);
+        assert!(bad_kind.error.contains("kind"));
+        // A seed the reader cannot hold exactly is refused, not rounded.
+        for seed in ["-5", "7.9", "9007199254740992", "1e300"] {
+            let resp = exchange(&format!(
+                "{{\"kind\": \"OCR\", \"size\": \"S\", \"seed\": {seed}}}"
+            ));
+            assert!(!resp.ok, "seed {seed} was served");
+            assert!(resp.error.contains("seed"), "{}", resp.error);
+        }
+        // Nesting deep enough to overflow a recursive reader is an
+        // error line too, and the connection keeps serving.
+        assert!(!exchange(&"[".repeat(10_000)).ok);
+        let ok = exchange("{\"kind\": \"Linpack\", \"size\": \"S\", \"seed\": 3}");
+        assert!(ok.ok, "{}", ok.error);
         server.shutdown();
     }
 }

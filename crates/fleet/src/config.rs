@@ -155,6 +155,10 @@ pub struct FleetConfig {
     /// the engine's event stream bit-identical to the pre-scenario
     /// engine, which is what keeps the pinned golden digests valid.
     pub scenario_plan: Option<scenario::ScenarioSpec>,
+    /// Ratios the cycle model's compute price is scaled by, resolved
+    /// per host class. The default identity map prices exactly as the
+    /// bare cycle model, which the golden digests pin.
+    pub calibration: exec::CalibrationMap,
     /// Master seed; every stream in the run is derived from it.
     pub seed: u64,
 }
@@ -198,6 +202,7 @@ impl FleetConfig {
             // 150 ms+), so windowing adds no observable latency.
             sync_window: SimDuration::from_millis(1),
             scenario_plan: None,
+            calibration: exec::CalibrationMap::identity(),
             seed,
         }
     }

@@ -85,7 +85,8 @@ pub struct CellLayout {
     /// The config the cell's host shards run under (host indices
     /// there are cell-local).
     pub host_cfg: Arc<FleetConfig>,
-    /// Hardware class the cell's executions are attributed to.
+    /// Hardware class the cell's hosts resolve `host_cfg.calibration`
+    /// for.
     pub host_class: exec::HostClass,
 }
 
@@ -1335,15 +1336,11 @@ enum LpOut {
 
 impl ControlLayout {
     /// Run the layout to completion: the control plane as LP 0, one
-    /// host shard per host (charging compute through `backend` when
-    /// given), every LP's trace merged into `rec` in LP order. Returns
-    /// the run's report, hosts in global index order. The one LP
-    /// build/merge path behind every `run_fleet*` and `run_geo*`.
-    pub fn run(
-        self: &Arc<Self>,
-        rec: &Recorder,
-        backend: Option<exec::BackendHandle>,
-    ) -> FleetReport {
+    /// host shard per host (pricing compute by its cell's config and
+    /// host class), every LP's trace merged into `rec` in LP order.
+    /// Returns the run's report, hosts in global index order. The one
+    /// LP build/merge path behind every `run_fleet*` and `run_geo*`.
+    pub fn run(self: &Arc<Self>, rec: &Recorder) -> FleetReport {
         let n_hosts = self.cells.last().map_or(0, |c| c.hosts.end);
         let rec_cfg = rec.config();
 
@@ -1366,13 +1363,12 @@ impl ControlLayout {
                     .iter()
                     .find(|c| c.hosts.contains(&g))
                     .expect("every host belongs to a cell");
-                let mut host =
-                    HostLp::new(Arc::clone(&cell.host_cfg), g - cell.hosts.start, lp_rec);
-                if let Some(b) = &backend {
-                    host.set_backend(Arc::clone(b));
-                }
-                host.set_host_class(cell.host_class);
-                PlaneLp::Host(Box::new(host))
+                PlaneLp::Host(Box::new(HostLp::new(
+                    Arc::clone(&cell.host_cfg),
+                    g - cell.hosts.start,
+                    cell.host_class,
+                    lp_rec,
+                )))
             }
         };
         let finish = |_: usize, lp: PlaneLp| match lp {

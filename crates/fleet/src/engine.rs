@@ -230,19 +230,17 @@ pub(crate) struct HostLp {
     served: u64,
     peak_instances: usize,
     peak_memory: u64,
-    /// Compute backend pricing every request's compute phase (default
-    /// [`exec::Modeled`], bit-identical to the cycle model).
-    backend: exec::BackendHandle,
-    /// Hardware class this host's executions are attributed to in
-    /// calibration keys (geo overrides per tier).
-    host_class: exec::HostClass,
+    /// `cfg.calibration` resolved for this host's class: prices every
+    /// request's compute phase.
+    compute_prices: exec::CalibrationTable,
 }
 
 impl HostLp {
-    /// Build host `h` of `cfg`, recording into `rec`. Hosts with
-    /// `h < cfg.initial_active` start serving (and filling their warm
-    /// pool) at `t = 0`; the rest wait in standby for an activation.
-    pub fn new(cfg: Arc<FleetConfig>, h: usize, rec: Recorder) -> Self {
+    /// Build host `h` of `cfg`, pricing compute as hardware `class`
+    /// and recording into `rec`. Hosts with `h < cfg.initial_active`
+    /// start serving (and filling their warm pool) at `t = 0`; the rest
+    /// wait in standby for an activation.
+    pub fn new(cfg: Arc<FleetConfig>, h: usize, class: exec::HostClass, rec: Recorder) -> Self {
         let spec = cfg.host_specs[h];
         let mut host = CloudHost::new(spec);
         host.kernel.load_android_container_driver();
@@ -267,6 +265,7 @@ impl HostLp {
         }
         HostLp {
             h,
+            compute_prices: cfg.calibration.resolve(class),
             cfg,
             rec,
             queue,
@@ -285,21 +284,7 @@ impl HostLp {
             served: 0,
             peak_instances: 0,
             peak_memory: 0,
-            backend: exec::modeled(),
-            host_class: exec::HostClass::PAPER_SERVER,
         }
-    }
-
-    /// Swap the compute backend for this host shard (default
-    /// [`exec::Modeled`], which reproduces the fleet golden digest).
-    pub fn set_backend(&mut self, backend: exec::BackendHandle) {
-        self.backend = backend;
-    }
-
-    /// Attribute this host's executions to a hardware class in
-    /// calibration keys (geo tiers override the default).
-    pub fn set_host_class(&mut self, class: exec::HostClass) {
-        self.host_class = class;
     }
 
     fn dispatch(&mut self, now: SimTime, ev: HostEvent, out: &mut Outbox<Wire>) {
@@ -486,16 +471,9 @@ impl HostLp {
         self.rec.set_current_request(Some(pend.req as u64));
         let spec = self.cfg.runtime.spec();
         let ghz = self.host.host_spec().clock_ghz;
-        let ctx = exec::ComputeCtx {
-            kind: pend.task.kind,
-            size: exec::SizeClass::of(&pend.task),
-            host: self.host_class,
-            clock_ghz: ghz,
-            cpu_efficiency: spec.cpu_efficiency,
-            // Disjoint stream tag from the xfer (1000+attempt) tags.
-            input_seed: derive_seed(pend.xfer_seed, 0xE8EC_0000_0000_0001),
-        };
-        let work = self.backend.charge(&ctx, &pend.task);
+        let work = self
+            .compute_prices
+            .price(&pend.task, ghz, spec.cpu_efficiency);
         let job = Some(self.cpu.submit(now, work, inst));
         *state_of(&mut self.insts, inst) = InstState::Busy { pend, job };
         self.cpu
@@ -874,27 +852,19 @@ pub(crate) struct HostOut {
 
 /// Run a fleet scenario to completion (untraced).
 pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
-    run_fleet_inner(cfg, Recorder::disabled(), None)
+    run_fleet_traced(cfg, Recorder::disabled())
 }
 
 /// Run a fleet scenario with an observability recorder attached.
 /// Recording must not perturb the simulation: the report digest is
 /// identical with a disabled recorder.
 pub fn run_fleet_traced(cfg: &FleetConfig, rec: Recorder) -> FleetReport {
-    run_fleet_inner(cfg, rec, None)
-}
-
-/// Run a fleet scenario with every host shard charging compute through
-/// `backend` ([`exec::RealBackend`] executes the kernels for real;
-/// [`exec::ReplayBackend`] replays a committed calibration
-/// deterministically). `run_fleet_traced` is the `Modeled` special
-/// case.
-pub fn run_fleet_backend(
-    cfg: &FleetConfig,
-    rec: Recorder,
-    backend: exec::BackendHandle,
-) -> FleetReport {
-    run_fleet_inner(cfg, rec, Some(backend))
+    let report = Arc::new(flat_layout(cfg)).run(&rec);
+    // The crash re-route and radio-deferral paths give slots back by
+    // hand; the plane counts any request admitted while still holding
+    // one.
+    debug_assert_eq!(report.control.double_admissions, 0, "single admission");
+    report
 }
 
 /// The flat layout: every host in one cell behind one ring, every
@@ -952,19 +922,6 @@ fn flat_layout(cfg: &FleetConfig) -> ControlLayout {
         sync_window: cfg.sync_window,
         scenario_plan: cfg.scenario_plan.clone(),
     }
-}
-
-fn run_fleet_inner(
-    cfg: &FleetConfig,
-    rec: Recorder,
-    backend: Option<exec::BackendHandle>,
-) -> FleetReport {
-    let report = Arc::new(flat_layout(cfg)).run(&rec, backend);
-    // The crash re-route and radio-deferral paths give slots back by
-    // hand; the plane counts any request admitted while still holding
-    // one.
-    debug_assert_eq!(report.control.double_admissions, 0, "single admission");
-    report
 }
 
 #[cfg(test)]

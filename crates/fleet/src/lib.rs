@@ -49,7 +49,7 @@ pub mod serve;
 pub use admission::AdmissionCtl;
 pub use autoscaler::{Autoscaler, FleetAction};
 pub use config::{AutoscalePolicy, FleetConfig, RebalancePolicy};
-pub use engine::{run_fleet, run_fleet_backend, run_fleet_traced};
+pub use engine::{run_fleet, run_fleet_traced};
 pub use rebalance::{RebalanceMove, Rebalancer};
 pub use report::{
     ControlStats, FleetReport, FleetRequestRecord, FleetSummary, HostReport, MigrationRecord,

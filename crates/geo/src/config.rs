@@ -160,6 +160,10 @@ pub struct GeoConfig {
     /// (default) leaves the event stream bit-identical to the
     /// pre-scenario engine.
     pub scenario_plan: Option<scenario::ScenarioSpec>,
+    /// Ratios the cycle model's compute price is scaled by (see
+    /// [`FleetConfig::calibration`]); edge and core tiers each resolve
+    /// it for their own [`exec::HostClass`].
+    pub calibration: exec::CalibrationMap,
     /// Master seed; every stream in the run is derived from it.
     pub seed: u64,
 }
@@ -205,6 +209,7 @@ impl GeoConfig {
             affinity_bonus: SimDuration::from_millis(5),
             sync_window: SimDuration::from_millis(1),
             scenario_plan: None,
+            calibration: exec::CalibrationMap::identity(),
             seed,
         }
     }
@@ -273,6 +278,7 @@ impl GeoConfig {
             // The control plane owns arrival injection; the cell's
             // host shards never compile their own scenario.
             scenario_plan: None,
+            calibration: self.calibration.clone(),
             seed: self.seed,
         }
     }

@@ -36,22 +36,16 @@ use std::sync::Arc;
 
 /// Run a geo scenario to completion (untraced).
 pub fn run_geo(cfg: &GeoConfig) -> GeoReport {
-    run_geo_inner(cfg, Recorder::disabled(), None)
+    run_geo_traced(cfg, Recorder::disabled())
 }
 
 /// Run a geo scenario with an observability recorder attached.
 /// Recording must not perturb the simulation: the report digest is
 /// identical with a disabled recorder.
 pub fn run_geo_traced(cfg: &GeoConfig, rec: Recorder) -> GeoReport {
-    run_geo_inner(cfg, rec, None)
-}
-
-/// Run a geo scenario with every host shard charging compute through
-/// `backend`. Executions are attributed to
-/// [`exec::HostClass::EDGE_POP`] or [`exec::HostClass::REGIONAL_CORE`]
-/// per tier, so one calibration map can price the two tiers apart.
-pub fn run_geo_backend(cfg: &GeoConfig, rec: Recorder, backend: exec::BackendHandle) -> GeoReport {
-    run_geo_inner(cfg, rec, Some(backend))
+    let topo = Topology::new(cfg);
+    let layout = Arc::new(geo_layout(cfg, &topo));
+    GeoReport::new(layout.run(&rec), cfg.regions.iter().map(|r| r.users))
 }
 
 /// Describe `cfg` over `topo` to the control plane.
@@ -72,6 +66,8 @@ fn geo_layout(cfg: &GeoConfig, topo: &Topology) -> ControlLayout {
                 // PoPs as the diurnal peak travels the ring.
                 rebalances: edge,
                 host_cfg: Arc::new(cfg.cell_fleet_config(cell)),
+                // Each tier resolves the config's calibration map for
+                // its own class, so one map can price the two apart.
                 host_class: if edge {
                     exec::HostClass::EDGE_POP
                 } else {
@@ -151,19 +147,6 @@ fn geo_layout(cfg: &GeoConfig, topo: &Topology) -> ControlLayout {
         sync_window: cfg.sync_window,
         scenario_plan: cfg.scenario_plan.clone(),
     }
-}
-
-fn run_geo_inner(
-    cfg: &GeoConfig,
-    rec: Recorder,
-    backend: Option<exec::BackendHandle>,
-) -> GeoReport {
-    let topo = Topology::new(cfg);
-    let layout = Arc::new(geo_layout(cfg, &topo));
-    GeoReport::new(
-        layout.run(&rec, backend),
-        cfg.regions.iter().map(|r| r.users),
-    )
 }
 
 #[cfg(test)]

@@ -38,6 +38,6 @@ pub mod report;
 pub mod router;
 
 pub use config::{GeoConfig, RegionSpec, TierSpec, Topology, WanConfig};
-pub use engine::{run_geo, run_geo_backend, run_geo_traced};
+pub use engine::{run_geo, run_geo_traced};
 pub use report::{GeoRegionSummary, GeoReport};
 pub use router::{GeoDecision, GeoRouter};

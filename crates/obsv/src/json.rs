@@ -2,6 +2,10 @@
 //! Chrome trace export in environments with no serde (the build has
 //! no network access to a registry, so external JSON crates are out
 //! of reach by design).
+//!
+//! It also reads lines off the `exec` serve socket, so it must survive
+//! any input: nesting is capped at 128 levels (the reader recurses
+//! once per level) and every step is linear in the input.
 
 use std::collections::BTreeMap;
 
@@ -57,23 +61,31 @@ impl Value {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts.
+const MAX_DEPTH: usize = 128;
+
 /// Parse a complete JSON document. Errors carry a byte offset and a
 /// short reason.
 pub fn parse(text: &str) -> Result<Value, String> {
-    let bytes = text.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser {
+        text,
+        pos: 0,
+        depth: 0,
+    };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
-    if p.pos != bytes.len() {
+    if p.pos != text.len() {
         return Err(format!("trailing data at byte {}", p.pos));
     }
     Ok(value)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
+    /// Containers currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -82,7 +94,7 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -101,7 +113,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, lit: &str, value: Value) -> Result<Value, String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.text.as_bytes()[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             Ok(value)
         } else {
@@ -111,8 +123,19 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+                }
+                self.depth += 1;
+                let container = if self.peek() == Some(b'{') {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                container
+            }
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -197,13 +220,11 @@ impl Parser<'_> {
                         b'b' => out.push('\u{0008}'),
                         b'f' => out.push('\u{000c}'),
                         b'u' => {
-                            if self.pos + 4 > self.bytes.len() {
-                                return Err(self.err("truncated \\u escape"));
-                            }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
+                            let code = self
+                                .text
+                                .get(self.pos..self.pos + 4)
+                                .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+                                .ok_or_else(|| self.err("bad \\u escape"))?;
                             self.pos += 4;
                             // Surrogate pairs are not produced by our
                             // exporter; map lone surrogates to U+FFFD.
@@ -213,12 +234,14 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or escape.
+                    let rest = self
+                        .text
+                        .get(self.pos..)
+                        .ok_or_else(|| self.err("bad UTF-8"))?;
+                    let run = rest.find(['"', '\\']).unwrap_or(rest.len());
+                    out.push_str(&rest[..run]);
+                    self.pos += run;
                 }
             }
         }
@@ -247,11 +270,11 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("bad number"))?;
-        text.parse::<f64>()
+        self.text
+            .get(start..self.pos)
+            .and_then(|text| text.parse().ok())
             .map(Value::Num)
-            .map_err(|_| self.err("bad number"))
+            .ok_or_else(|| self.err("bad number"))
     }
 }
 
@@ -285,5 +308,27 @@ mod tests {
     fn unicode_and_escapes_round_trip() {
         let v = parse("\"caf\\u00e9 → ok\"").unwrap();
         assert_eq!(v.as_str(), Some("café → ok"));
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let nested = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains(&format!("at byte {MAX_DEPTH}")), "{err}");
+        // On a default-stack thread, as the serve path's are.
+        let deep = std::thread::spawn(|| parse(&"[".repeat(100_000)).is_err());
+        assert!(deep.join().expect("no stack overflow"));
+    }
+
+    #[test]
+    fn a_mebibyte_string_parses() {
+        let body = "ab\u{e9}\u{1F600}".repeat(1 << 18);
+        let text = format!("\"{body}\\n\"");
+        assert!(text.len() > 1 << 20);
+        assert_eq!(
+            parse(&text).unwrap().as_str(),
+            Some(format!("{body}\n").as_str())
+        );
     }
 }

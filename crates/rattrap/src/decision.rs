@@ -147,15 +147,16 @@ pub struct DecisionReport {
     pub local_energy_mj: f64,
 }
 
+/// Safety margin: offload only when the remote prediction beats local
+/// by this factor (hedges estimator error).
+const MARGIN: f64 = 0.9;
+
 /// The offloading decision engine.
 #[derive(Debug, Clone)]
 pub struct OffloadDecider {
     device: DeviceSpec,
     energy: EnergyEstimator,
     objective: Objective,
-    /// Safety margin: offload only when the remote prediction beats
-    /// local by this factor (hedges estimator error).
-    margin: f64,
     /// Assumed server effective clock (GHz × efficiency).
     server_eff_ghz: f64,
 }
@@ -167,16 +168,8 @@ impl OffloadDecider {
             device,
             energy: EnergyEstimator::new(DevicePowerModel::power_tutor_default()),
             objective,
-            margin: 0.9,
             server_eff_ghz: 2.66 * 0.95,
         }
-    }
-
-    /// Override the safety margin (1.0 = no hedge).
-    pub fn with_margin(mut self, margin: f64) -> Self {
-        assert!(margin > 0.0 && margin <= 1.0, "margin in (0,1]");
-        self.margin = margin;
-        self
     }
 
     /// Decide for one task. `code_bytes` is the code that would ride
@@ -199,9 +192,9 @@ impl OffloadDecider {
         let local_energy_mj = self.energy.local_execution(predicted_local);
         let offload = match self.objective {
             Objective::Latency => {
-                predicted_remote.as_secs_f64() < self.margin * predicted_local.as_secs_f64()
+                predicted_remote.as_secs_f64() < MARGIN * predicted_local.as_secs_f64()
             }
-            Objective::Energy => remote_energy_mj < self.margin * local_energy_mj,
+            Objective::Energy => remote_energy_mj < MARGIN * local_energy_mj,
         };
         DecisionReport {
             offload,

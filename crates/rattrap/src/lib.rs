@@ -46,7 +46,7 @@ pub use decision::{DecisionReport, Ewma, LinkEstimator, Objective, OffloadDecide
 pub use dispatcher::{ContainerDb, DispatchPolicy, Dispatcher, Placement};
 pub use lifecycle::{Phase, PhaseLog, PhaseObserver, PhaseTransition, RequestLifecycle};
 pub use metrics::{
-    CollectingSink, CountingSink, FaultStats, ReportHasher, ReportSummary, RequestSink, TenantLane,
+    CollectingSink, FaultStats, ReportHasher, ReportSummary, RequestSink, TenantLane,
     TenantSplitSink,
 };
 pub use platform::{PlatformConfig, PlatformKind};

@@ -37,20 +37,6 @@ impl RequestSink for CollectingSink {
     }
 }
 
-/// A sink that only counts completions — the cheapest possible probe,
-/// useful when an experiment needs throughput but no per-request data.
-#[derive(Debug, Default)]
-pub struct CountingSink {
-    /// Completed requests seen.
-    pub completed: u64,
-}
-
-impl RequestSink for CountingSink {
-    fn accept(&mut self, _record: RequestRecord) {
-        self.completed += 1;
-    }
-}
-
 /// Splits completions by tenant for multi-tenant (noisy-neighbor)
 /// replays: each device belongs to one tenant, and the sink accumulates
 /// that tenant's accounting and response times as records stream in.

@@ -103,6 +103,12 @@ pub struct ScenarioConfig {
     /// fallback). The default [`ResiliencePolicy::none`] schedules no
     /// timeout events, so fault-free runs stay bit-identical.
     pub resilience: ResiliencePolicy,
+    /// Ratios the cycle model's compute price is scaled by, resolved for
+    /// [`exec::HostClass::PAPER_SERVER`]. The default identity map
+    /// prices exactly as the bare cycle model, which every golden digest
+    /// pins; [`exec::CalibrationMap::committed`] prices at the measured
+    /// kernel costs.
+    pub calibration: exec::CalibrationMap,
 }
 
 impl ScenarioConfig {
@@ -126,6 +132,7 @@ impl ScenarioConfig {
             adaptive_offloading: false,
             faults: FaultConfig::none(),
             resilience: ResiliencePolicy::none(),
+            calibration: exec::CalibrationMap::identity(),
         }
     }
 
@@ -350,9 +357,9 @@ pub struct Simulation {
     /// Observability recorder shared with every layer (disabled unless
     /// [`Simulation::set_recorder`] is called).
     rec: Recorder,
-    /// Compute backend pricing every offloaded request's compute phase
-    /// (default [`exec::Modeled`], bit-identical to the cycle model).
-    backend: exec::BackendHandle,
+    /// `cfg.calibration` resolved for the paper server: prices every
+    /// offloaded request's compute phase.
+    compute_prices: exec::CalibrationTable,
     /// Per-slot trace spans, parallel to `pending`.
     req_spans: Vec<ReqSpans>,
     /// Events popped off the queue (no-op handle when untraced).
@@ -386,6 +393,7 @@ impl Simulation {
         let horizon = cfg.sample_horizon;
         let dispatcher = Dispatcher::new(cfg.platform.dispatch_policy());
         let fault_plan = FaultPlan::generate(&cfg.faults, derive_seed(cfg.seed, FAULT_SEED_STREAM));
+        let compute_prices = cfg.calibration.resolve(exec::HostClass::PAPER_SERVER);
         let expected_requests = match &cfg.arrivals {
             ArrivalModel::ClosedLoop { .. } => (cfg.devices * cfg.requests_per_device) as u64,
             ArrivalModel::Trace(t) => t.iter().map(|v| v.len() as u64).sum(),
@@ -433,7 +441,7 @@ impl Simulation {
                 ..FaultStats::default()
             },
             rec: Recorder::disabled(),
-            backend: exec::modeled(),
+            compute_prices,
             req_spans: Vec::new(),
             ctr_events: Counter::default(),
             ctr_completions: Counter::default(),
@@ -463,15 +471,6 @@ impl Simulation {
     /// was called).
     pub fn recorder(&self) -> &Recorder {
         &self.rec
-    }
-
-    /// Swap the compute backend. The default [`exec::Modeled`] prices
-    /// compute from the calibrated cycle profile exactly as the
-    /// pre-backend engine did, so every golden digest holds; a
-    /// [`exec::RealBackend`] executes the kernels for real, a
-    /// [`exec::ReplayBackend`] replays a committed calibration.
-    pub fn set_backend(&mut self, backend: exec::BackendHandle) {
-        self.backend = backend;
     }
 
     /// Register a lifecycle observer; it sees every phase transition of
@@ -1183,21 +1182,7 @@ impl Simulation {
             .unwrap_or(self.cfg.platform.runtime_class);
         let eff = class.spec().cpu_efficiency;
         let ghz = self.host.host_spec().clock_ghz;
-        let task = self.pending[req].task;
-        let ctx = exec::ComputeCtx {
-            kind: task.kind,
-            size: exec::SizeClass::of(&task),
-            host: exec::HostClass::PAPER_SERVER,
-            clock_ghz: ghz,
-            cpu_efficiency: eff,
-            // Disjoint from every req_rng stream (devices stay well
-            // below 0xE8EC_0000).
-            input_seed: derive_seed(
-                self.cfg.seed,
-                0xE8EC_0000_0000_0000 | self.pending[req].record.id,
-            ),
-        };
-        let mut work_core_seconds = self.backend.charge(&ctx, &task);
+        let mut work_core_seconds = self.compute_prices.price(&self.pending[req].task, ghz, eff);
         // Straggler fault: computations started inside a slowdown
         // window carry the inflation factor (no window — fault-free or
         // otherwise — touches the work term at all).

@@ -1,34 +1,47 @@
-//! Compute-backend equivalence contract.
+//! Compute-pricing equivalence contract.
 //!
-//! Three guarantees pin the `exec` backend seam:
+//! Three guarantees pin `ScenarioConfig::calibration`:
 //!
-//! 1. **Default inertness** — the default `Modeled` backend reproduces
-//!    the golden anchor from `golden_determinism.rs` bit for bit, and
-//!    so does replaying the *identity* calibration map (`modeled × 1.0`
-//!    is exact in IEEE arithmetic).
-//! 2. **Replay determinism** — a `Replay` run with any calibration map
-//!    is bit-identical across repetitions: the map is data, not state.
-//! 3. **Modeled ≡ Replay(identity)** — across seeds, platforms, and
-//!    workloads, the two backends produce identical request digests,
-//!    which is what lets golden and explorer checks keep running when
-//!    a calibration map is plugged in.
+//! 1. **Default inertness** — the default config reproduces the golden
+//!    anchor from `golden_determinism.rs` bit for bit, and so does one
+//!    carrying the *identity* calibration map explicitly (`modeled ×
+//!    1.0` is exact in IEEE arithmetic).
+//! 2. **Calibrated determinism** — a run under any calibration map is
+//!    bit-identical across repetitions: the map is data, not state.
+//! 3. **Default ≡ unit map** — across seeds, platforms, and workloads,
+//!    a non-empty map of all-1.0 cells (exact and wildcard keys) gives
+//!    the default run's request digest, which is what lets golden and
+//!    explorer checks keep running when a calibration map is set.
 
-use exec::{BackendHandle, CalEntry, CalibrationMap, ReplayBackend};
+use exec::{CalEntry, CalibrationMap, HostClass, SizeClass};
 use proptest::prelude::*;
 use rattrap::platform::PlatformKind;
-use rattrap::simulation::{ScenarioConfig, Simulation};
-use std::sync::Arc;
+use rattrap::simulation::{run_scenario, ScenarioConfig};
 use workloads::WorkloadKind;
 
 const GOLDEN_SEED: u64 = 0x2017_0529;
 /// `Rattrap`/`Ocr` anchor from `golden_determinism.rs` — keep in sync.
 const RATTRAP_OCR_GOLDEN: u64 = 0x988d5275376ae587;
 
-fn digest_with(platform: PlatformKind, kind: WorkloadKind, seed: u64, b: BackendHandle) -> u64 {
-    let cfg = ScenarioConfig::paper_default(platform.config(), kind, seed);
-    let mut sim = Simulation::new(cfg);
-    sim.set_backend(b);
-    sim.run().digest()
+fn digest_with(
+    platform: PlatformKind,
+    kind: WorkloadKind,
+    seed: u64,
+    calibration: CalibrationMap,
+) -> u64 {
+    let cfg = ScenarioConfig {
+        calibration,
+        ..ScenarioConfig::paper_default(platform.config(), kind, seed)
+    };
+    run_scenario(cfg).digest()
+}
+
+fn cell(ratio: f64) -> CalEntry {
+    CalEntry {
+        ratio,
+        wall_micros: 10_000,
+        samples: 3,
+    }
 }
 
 /// Satellite regression for the calibration-table refactor: the
@@ -42,7 +55,7 @@ fn calibration_table_defaults_reproduce_the_golden_digest() {
         WorkloadKind::Ocr,
         GOLDEN_SEED,
     );
-    assert_eq!(Simulation::new(cfg).run().digest(), RATTRAP_OCR_GOLDEN);
+    assert_eq!(run_scenario(cfg).digest(), RATTRAP_OCR_GOLDEN);
 }
 
 #[test]
@@ -51,7 +64,7 @@ fn identity_replay_reproduces_the_golden_digest() {
         PlatformKind::Rattrap,
         WorkloadKind::Ocr,
         GOLDEN_SEED,
-        Arc::new(ReplayBackend::identity()),
+        CalibrationMap::identity(),
     );
     assert_eq!(digest, RATTRAP_OCR_GOLDEN);
 }
@@ -61,15 +74,20 @@ fn identity_replay_reproduces_the_golden_digest() {
 fn skewed_map(default_ratio: f64, ocr_ratio: f64) -> CalibrationMap {
     let mut map = CalibrationMap::identity();
     map.default_ratio = default_ratio;
-    for size in exec::SizeClass::ALL {
-        map.insert(
-            format!("OCR/{}/*", size.label()),
-            CalEntry {
-                ratio: ocr_ratio,
-                wall_micros: 10_000,
-                samples: 3,
-            },
-        );
+    for size in SizeClass::ALL {
+        map.insert(format!("OCR/{}/*", size.label()), cell(ocr_ratio));
+    }
+    map
+}
+
+/// Every ratio 1.0, reached through an exact key, a wildcard key and
+/// the default.
+fn unit_map() -> CalibrationMap {
+    let mut map = CalibrationMap::identity();
+    for kind in WorkloadKind::ALL {
+        let exact = CalibrationMap::key(kind, SizeClass::Small, HostClass::PAPER_SERVER);
+        map.insert(exact, cell(1.0));
+        map.insert(format!("{}/M/*", kind.label()), cell(1.0));
     }
     map
 }
@@ -77,7 +95,8 @@ fn skewed_map(default_ratio: f64, ocr_ratio: f64) -> CalibrationMap {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Guarantee 2: replay runs are bit-identical across repetitions.
+    /// Guarantee 2: calibrated runs are bit-identical across
+    /// repetitions.
     #[test]
     fn replay_runs_are_bit_identical_across_repetitions(
         seed in 1u64..1_000,
@@ -86,12 +105,7 @@ proptest! {
     ) {
         let map = skewed_map(default_ratio, ocr_ratio);
         let run = |m: &CalibrationMap| {
-            digest_with(
-                PlatformKind::Rattrap,
-                WorkloadKind::Ocr,
-                seed,
-                Arc::new(ReplayBackend::new(m.clone())),
-            )
+            digest_with(PlatformKind::Rattrap, WorkloadKind::Ocr, seed, m.clone())
         };
         let first = run(&map);
         prop_assert_eq!(run(&map), first);
@@ -100,8 +114,8 @@ proptest! {
         prop_assert_eq!(run(&reparsed), first);
     }
 
-    /// Guarantee 3: Modeled and Replay-with-identity-map agree on the
-    /// full request digest for any platform × workload × seed.
+    /// Guarantee 3: the default config and a unit map agree on the full
+    /// request digest for any platform × workload × seed.
     #[test]
     fn modeled_equals_identity_replay(
         seed in 1u64..1_000,
@@ -114,13 +128,8 @@ proptest! {
             PlatformKind::Rattrap,
         ][platform_i];
         let kind = WorkloadKind::ALL[kind_i];
-        let modeled = digest_with(platform, kind, seed, exec::modeled());
-        let replay = digest_with(
-            platform,
-            kind,
-            seed,
-            Arc::new(ReplayBackend::identity()),
-        );
-        prop_assert_eq!(modeled, replay);
+        let cfg = ScenarioConfig::paper_default(platform.config(), kind, seed);
+        let default = run_scenario(cfg).digest();
+        prop_assert_eq!(digest_with(platform, kind, seed, unit_map()), default);
     }
 }

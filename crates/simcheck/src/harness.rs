@@ -4,17 +4,18 @@
 use crate::audit::Audit;
 use crate::invariants::{
     audit_backend_inertness, audit_digest_stability, audit_fleet_report, audit_simulation_report,
-    audit_trace, LifecycleAuditor,
+    audit_trace, LifecycleAuditor, PRICED_CLASSES,
 };
 use crate::models::{
     audit_code_cache, audit_device_gate, audit_medium, audit_timeline, EngineTimeline, FairLink,
     KernelGate,
 };
 use crate::sample::{Sample, SampleKind};
+use exec::{CalEntry, CalibrationMap, SizeClass};
 use fleet::FleetReport;
 use obsv::{Recorder, RecorderConfig, TraceSnapshot};
 use rattrap::{AppWarehouse, Simulation};
-use std::sync::Arc;
+use workloads::WorkloadKind;
 
 /// Everything observed about one audited run.
 #[derive(Debug)]
@@ -39,11 +40,12 @@ impl RunOutcome {
 /// live lifecycle auditor and the post-run report auditors.
 pub fn run_sample(sample: &Sample) -> RunOutcome {
     let fleet = |cfg: fleet::FleetConfig| {
-        move |rec, backend| {
-            let report = match backend {
-                Some(b) => fleet::run_fleet_backend(&cfg, rec, b),
-                None => fleet::run_fleet_traced(&cfg, rec),
+        move |rec, calibration| {
+            let cfg = fleet::FleetConfig {
+                calibration,
+                ..cfg.clone()
             };
+            let report = fleet::run_fleet_traced(&cfg, rec);
             (report.digest(), report)
         }
     };
@@ -71,16 +73,37 @@ pub fn run_sample(sample: &Sample) -> RunOutcome {
             run_plane_sample(
                 sample,
                 format!("geo sample {}", sample.index),
-                move |rec, backend| {
-                    let report = match backend {
-                        Some(b) => geo::run_geo_backend(&cfg, rec, b),
-                        None => geo::run_geo_traced(&cfg, rec),
+                move |rec, calibration| {
+                    let cfg = geo::GeoConfig {
+                        calibration,
+                        ..cfg.clone()
                     };
+                    let report = geo::run_geo_traced(&cfg, rec);
                     (report.digest(), report.plane)
                 },
             )
         }
     }
+}
+
+/// A non-empty calibration map whose every ratio is 1.0. Cells are
+/// keyed exactly (for every host class an engine prices with) and by
+/// wildcard, and the rest fall to the default, so resolving it runs
+/// all three lookup steps. Pricing under it must change nothing.
+pub fn unit_calibration() -> CalibrationMap {
+    let unit = CalEntry {
+        ratio: 1.0,
+        wall_micros: 0,
+        samples: 1,
+    };
+    let mut map = CalibrationMap::identity();
+    for kind in WorkloadKind::ALL {
+        for host in PRICED_CLASSES {
+            map.insert(CalibrationMap::key(kind, SizeClass::Small, host), unit);
+        }
+        map.insert(format!("{}/M/*", kind.label()), unit);
+    }
+    map
 }
 
 fn recorder_for(sample: &Sample) -> Recorder {
@@ -125,16 +148,17 @@ fn run_rattrap(sample: &Sample) -> RunOutcome {
         &mut audit,
     );
 
-    // Backend seam: the identity Replay backend must be inert.
-    let mut with_backend = Simulation::new(cfg);
-    with_backend.set_backend(Arc::new(exec::ReplayBackend::identity()));
+    // A unit calibration map on the config must be inert.
+    let calibration = unit_calibration();
+    let calibrated = rattrap::run_scenario(rattrap::ScenarioConfig {
+        calibration: calibration.clone(),
+        ..cfg
+    });
     audit_backend_inertness(
-        &format!(
-            "rattrap sample {} (modeled ≡ replay-identity)",
-            sample.index
-        ),
+        &format!("rattrap sample {} (default ≡ unit map)", sample.index),
+        &calibration,
         report.digest(),
-        with_backend.run().digest(),
+        calibrated.digest(),
         &mut audit,
     );
 
@@ -146,38 +170,40 @@ fn run_rattrap(sample: &Sample) -> RunOutcome {
 }
 
 /// One control-plane sample — fleet, scenario-striped fleet or geo.
-/// `run(recorder, backend)` runs the sample's config and returns the
-/// front-end's digest with the plane's report.
+/// `run(recorder, calibration)` runs the sample's config under that
+/// calibration map and returns the front-end's digest with the plane's
+/// report.
 fn run_plane_sample(
     sample: &Sample,
     what: String,
-    run: impl Fn(Recorder, Option<exec::BackendHandle>) -> (u64, FleetReport),
+    run: impl Fn(Recorder, CalibrationMap) -> (u64, FleetReport),
 ) -> RunOutcome {
     let mut audit = Audit::new();
 
     let rec = recorder_for(sample);
-    let (digest, report) = run(rec.clone(), None);
+    let (digest, report) = run(rec.clone(), CalibrationMap::identity());
     audit_fleet_report(&report, &mut audit);
     let trace = audited_trace(&rec, &mut audit);
 
     // Two-way metamorphic oracle: the (possibly traced) run and an
     // untraced replay of the same seed must agree bit for bit, under
     // any fault intensity or adversarial traffic the swarm draws.
-    let (replay, _) = run(Recorder::disabled(), None);
+    let (replay, _) = run(Recorder::disabled(), CalibrationMap::identity());
     audit_digest_stability(
         &format!("{what} (run ≡ replay)"),
         &[digest, replay],
         &mut audit,
     );
 
-    // Backend seam: identity Replay through every host LP (every edge
-    // and core host of a topology) must be inert.
-    let identity = Arc::new(exec::ReplayBackend::identity());
-    let (with_backend, _) = run(Recorder::disabled(), Some(identity));
+    // A unit calibration map, resolved by every host LP (every edge
+    // and core host of a topology), must be inert.
+    let calibration = unit_calibration();
+    let (calibrated, _) = run(Recorder::disabled(), calibration.clone());
     audit_backend_inertness(
-        &format!("{what} (modeled ≡ replay-identity)"),
+        &format!("{what} (default ≡ unit map)"),
+        &calibration,
         digest,
-        with_backend,
+        calibrated,
         &mut audit,
     );
 

@@ -16,6 +16,7 @@
 //! [`crate::models`].
 
 use crate::audit::Audit;
+use exec::{CalibrationMap, HostClass};
 use fleet::FleetReport;
 use obsv::{SpanId, TraceEvent, TraceSnapshot};
 use rattrap::{Phase, PhaseObserver, RequestRecord, SimulationReport};
@@ -91,10 +92,11 @@ pub const SPAN_TREE: &str = "span-tree";
 pub const EVENT_MONOTONICITY: &str = "event-monotonicity";
 /// Two same-seed runs in one process produce identical digests.
 pub const DIGEST_STABILITY: &str = "digest-stability";
-/// Swapping the default `Modeled` compute backend for
-/// `Replay(identity)` is inert: the report digest must not move
-/// (`modeled × 1.0` is exact in IEEE arithmetic, so any divergence
-/// means the backend seam leaked into engine state).
+/// A config carrying a non-empty calibration map of all-1.0 cells
+/// prices exactly as the default identity map: the map resolves to
+/// the identity table for every host class, and the report digest
+/// must not move (`modeled × 1.0` is exact in IEEE arithmetic, so any
+/// divergence means the map leaked into engine state).
 pub const BACKEND_INERTNESS: &str = "backend-inertness";
 /// The scenario plane loses nothing: every compiled scripted event is
 /// either submitted to the engine or deliberately suppressed
@@ -104,6 +106,14 @@ pub const SCENARIO_ARRIVAL_CONSERVATION: &str = "scenario-arrival-conservation";
 /// to the fleet total, and each tenant's terminal split partitions its
 /// own submissions — no request is double-billed or unbilled.
 pub const TENANT_ISOLATION_ACCOUNTING: &str = "tenant-isolation-accounting";
+
+/// Every host class an engine prices compute for: the paper server
+/// (rattrap, fleet) and geo's two tiers.
+pub(crate) const PRICED_CLASSES: [HostClass; 3] = [
+    HostClass::PAPER_SERVER,
+    HostClass::EDGE_POP,
+    HostClass::REGIONAL_CORE,
+];
 
 /// Tolerance for µs-rounded phase bookkeeping: each of the ~6 phase
 /// buckets rounds independently, so allow a handful of microseconds.
@@ -595,22 +605,37 @@ pub fn audit_trace(snap: &TraceSnapshot, audit: &mut Audit) {
     }
 }
 
+/// The calibration inertness invariant: `unit`, a map meant to hold
+/// only 1.0 ratios, must resolve to the identity table for every host
+/// class an engine prices with, and the run it drove (`calibrated`)
+/// must reproduce the default run's digest bit for bit. The table
+/// check is what sees a ratio one ulp off 1.0, which almost never
+/// moves a microsecond-rounded digest.
+pub fn audit_backend_inertness(
+    context: &str,
+    unit: &CalibrationMap,
+    default: u64,
+    calibrated: u64,
+    audit: &mut Audit,
+) {
+    let identity = CalibrationMap::identity();
+    for class in PRICED_CLASSES {
+        let same = unit.resolve(class) == identity.resolve(class);
+        audit.ensure(BACKEND_INERTNESS, same, context, || {
+            format!(
+                "the unit map prices {} hosts unlike the identity map",
+                class.0
+            )
+        });
+    }
+    audit.ensure(BACKEND_INERTNESS, default == calibrated, context, || {
+        format!("default digest {default:#018x} != unit-map digest {calibrated:#018x}")
+    });
+}
+
 /// The same-seed digest-divergence invariant (satellite of the
 /// determinism-hazard fix): every digest from repeated in-process runs
 /// of one configuration must be identical.
-/// The compute-backend inertness invariant: the identity `Replay`
-/// backend must reproduce the `Modeled` digest bit for bit.
-pub fn audit_backend_inertness(context: &str, modeled: u64, replay: u64, audit: &mut Audit) {
-    audit.checked(BACKEND_INERTNESS);
-    if modeled != replay {
-        audit.fail(
-            BACKEND_INERTNESS,
-            context.to_string(),
-            format!("modeled digest {modeled:#018x} != identity-replay digest {replay:#018x}"),
-        );
-    }
-}
-
 pub fn audit_digest_stability(context: &str, digests: &[u64], audit: &mut Audit) {
     audit.checked(DIGEST_STABILITY);
     if let Some(&first) = digests.first() {

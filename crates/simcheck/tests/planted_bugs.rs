@@ -5,16 +5,17 @@
 //! transitions; model invariants substitute lying component
 //! implementations behind the audit traits.
 
+use exec::{CalEntry, CalibrationMap, HostClass, SizeClass};
 use obsv::{SpanId, Subsystem, TraceEvent, TraceSnapshot};
 use rattrap::{Phase, PhaseObserver, RequestRecord};
 use simcheck::audit::Audit;
 use simcheck::invariants::{
-    audit_digest_stability, audit_fleet_report, audit_simulation_report, audit_trace,
-    LifecycleAuditor, BYTE_CONSERVATION, CATALOGUE, DIGEST_STABILITY, ENODEV_GATE,
-    EVENT_MONOTONICITY, FLEET_ACCOUNTING, GEO_MIGRATION_CONSERVATION, GEO_SINGLE_ADMISSION,
-    LIFECYCLE_MONOTONE, LIFECYCLE_TERMINAL, LINK_CONSERVATION, MEMORY_BOUND,
-    SCENARIO_ARRIVAL_CONSERVATION, SPAN_TREE, TENANT_ISOLATION_ACCOUNTING, WAREHOUSE_CONSISTENCY,
-    WORK_CONSERVATION,
+    audit_backend_inertness, audit_digest_stability, audit_fleet_report, audit_simulation_report,
+    audit_trace, LifecycleAuditor, BACKEND_INERTNESS, BYTE_CONSERVATION, CATALOGUE,
+    DIGEST_STABILITY, ENODEV_GATE, EVENT_MONOTONICITY, FLEET_ACCOUNTING,
+    GEO_MIGRATION_CONSERVATION, GEO_SINGLE_ADMISSION, LIFECYCLE_MONOTONE, LIFECYCLE_TERMINAL,
+    LINK_CONSERVATION, MEMORY_BOUND, SCENARIO_ARRIVAL_CONSERVATION, SPAN_TREE,
+    TENANT_ISOLATION_ACCOUNTING, WAREHOUSE_CONSISTENCY, WORK_CONSERVATION,
 };
 use simcheck::models::{
     audit_code_cache, audit_device_gate, audit_medium, audit_timeline, CodeCache, DevAccess,
@@ -450,6 +451,54 @@ fn digest_stability_fires_on_divergent_same_seed_digests() {
     let mut clean = Audit::new();
     audit_digest_stability("planted", &[1, 1, 1], &mut clean);
     assert!(clean.is_clean());
+}
+
+// ---------------------------------------------------------------------
+// Calibration inertness
+// ---------------------------------------------------------------------
+
+#[test]
+fn backend_inertness_fires_on_a_unit_map_one_ulp_off() {
+    let mut sample = Sample::draw(99, 0);
+    sample.fault_pct = 0;
+    sample.devices = 2;
+    sample.requests_per_device = 2;
+    let cfg = sample.scenario_config();
+    let default = rattrap::run_scenario(cfg.clone()).digest();
+    let run = |calibration: &CalibrationMap| {
+        rattrap::run_scenario(rattrap::ScenarioConfig {
+            calibration: calibration.clone(),
+            ..cfg.clone()
+        })
+        .digest()
+    };
+    let cell = |ratio| CalEntry {
+        ratio,
+        wall_micros: 0,
+        samples: 1,
+    };
+    let unit = simcheck::harness::unit_calibration();
+    let mut clean = Audit::new();
+    audit_backend_inertness("unit", &unit, default, run(&unit), &mut clean);
+    assert!(clean.is_clean());
+
+    // One exact cell one ulp above 1.0.
+    let mut planted = unit.clone();
+    let key = CalibrationMap::key(cfg.workload, SizeClass::Medium, HostClass::PAPER_SERVER);
+    planted.insert(key, cell(1.0 + f64::EPSILON));
+    let mut audit = Audit::new();
+    audit_backend_inertness("planted", &planted, default, run(&planted), &mut audit);
+    assert!(fired(&audit, BACKEND_INERTNESS));
+
+    // A ratio that moves the run fires through the digest as well.
+    let mut doubled = CalibrationMap::identity();
+    doubled.default_ratio = 2.0;
+    let mut audit = Audit::new();
+    audit_backend_inertness("doubled", &doubled, default, run(&doubled), &mut audit);
+    assert!(audit
+        .violations()
+        .iter()
+        .any(|v| v.detail.contains("digest")));
 }
 
 // ---------------------------------------------------------------------
