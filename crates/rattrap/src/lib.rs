@@ -45,16 +45,10 @@ pub use config::DeviceSpec;
 pub use decision::{DecisionReport, Ewma, LinkEstimator, Objective, OffloadDecider};
 pub use dispatcher::{ContainerDb, DispatchPolicy, Dispatcher, Placement};
 pub use lifecycle::{Phase, PhaseLog, PhaseObserver, PhaseTransition, RequestLifecycle};
-pub use metrics::{
-    CollectingSink, FaultStats, ReportHasher, ReportSummary, RequestSink, TenantLane,
-    TenantSplitSink,
-};
+pub use metrics::{FaultStats, ReportHasher};
 pub use platform::{PlatformConfig, PlatformKind};
 pub use request::{PhaseBreakdown, RequestRecord};
 pub use resilience::ResiliencePolicy;
 pub use scheduler::{Monitor, PoolPolicy, ScaleAction, Scheduler};
-pub use simulation::{
-    run_scenario, run_scenario_with_sink, ArrivalModel, ScenarioConfig, Simulation,
-    SimulationReport,
-};
+pub use simulation::{run_scenario, ArrivalModel, ScenarioConfig, Simulation, SimulationReport};
 pub use warehouse::{aid_of, Aid, AppWarehouse, WarehouseStats};

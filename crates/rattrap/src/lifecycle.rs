@@ -207,7 +207,7 @@ pub enum ResumeStage {
 /// the phase machine driving the §III-B accounting.
 #[derive(Debug)]
 pub struct RequestLifecycle {
-    /// The record being accumulated (returned to the sink at `Done`).
+    /// The record being accumulated (copied into the report at a terminal phase).
     pub record: RequestRecord,
     /// The sampled task parameters.
     pub task: TaskRequest,

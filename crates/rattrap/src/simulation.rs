@@ -17,19 +17,18 @@
 //! * per-request phase accounting is the [`RequestLifecycle`] state
 //!   machine in [`crate::lifecycle`], with [`PhaseObserver`] hooks on
 //!   every transition;
-//! * completed requests stream into a [`RequestSink`]
-//!   ([`Simulation::run_with_sink`]), so arbitrarily long trace replays
-//!   run in memory bounded by the in-flight request count. The
-//!   convenience [`Simulation::run`] collects into a full
-//!   [`SimulationReport`], including the §III-B phase decomposition per
-//!   request and the 1-second server-load timelines of Fig. 2.
+//! * [`Simulation::run`] collects every completed request straight
+//!   into the [`SimulationReport`], with its §III-B phase decomposition,
+//!   beside the 1-second server-load timelines of Fig. 2. Lifecycle
+//!   slots are recycled, so the engine's own state is bounded by the
+//!   in-flight request count.
 
 use crate::access::{AccessController, Action};
 use crate::config::{DeviceSpec, IDLE_TEARDOWN, RANDOM_IO_FACTOR};
 use crate::decision::{LinkEstimator, Objective, OffloadDecider};
 use crate::dispatcher::{ContainerDb, Dispatcher, InstanceState, Placement};
 use crate::lifecycle::{Phase, PhaseObserver, RequestLifecycle, ResumeStage};
-use crate::metrics::{CollectingSink, FaultStats, ReportSummary, RequestSink};
+use crate::metrics::FaultStats;
 use crate::platform::PlatformConfig;
 use crate::request::{PhaseBreakdown, RequestRecord};
 use crate::resilience::ResiliencePolicy;
@@ -294,8 +293,7 @@ struct Runtime {
 }
 
 /// The simulation state machine. Create with [`Simulation::new`], run
-/// with [`Simulation::run`] (collecting) or
-/// [`Simulation::run_with_sink`] (streaming).
+/// with [`Simulation::run`].
 pub struct Simulation {
     cfg: ScenarioConfig,
     queue: EventQueue<Event>,
@@ -328,7 +326,9 @@ pub struct Simulation {
     io_write: TimelineSampler,
     last_level_at: SimTime,
     next_req_id: u64,
-    completed: u64,
+    /// Requests brought to a terminal phase, in completion order (ties
+    /// in event order); sorted into the report when the run ends.
+    records: Vec<RequestRecord>,
     finished_at: SimTime,
     instances_provisioned: u32,
     peak_disk: u64,
@@ -364,7 +364,7 @@ pub struct Simulation {
     req_spans: Vec<ReqSpans>,
     /// Events popped off the queue (no-op handle when untraced).
     ctr_events: Counter,
-    /// Requests delivered to the sink.
+    /// Requests brought to a terminal phase.
     ctr_completions: Counter,
     /// Lifecycle slots recycled for reuse.
     ctr_recycled: Counter,
@@ -418,7 +418,8 @@ impl Simulation {
             io_write: TimelineSampler::new(bin, horizon),
             last_level_at: SimTime::ZERO,
             next_req_id: 0,
-            completed: 0,
+            // Every expected request ends in the report: size it once.
+            records: Vec::with_capacity(expected_requests as usize),
             finished_at: SimTime::ZERO,
             instances_provisioned: 0,
             peak_disk: 0,
@@ -467,12 +468,6 @@ impl Simulation {
         self.rec = rec;
     }
 
-    /// The attached recorder (disabled unless [`Self::set_recorder`]
-    /// was called).
-    pub fn recorder(&self) -> &Recorder {
-        &self.rec
-    }
-
     /// Register a lifecycle observer; it sees every phase transition of
     /// every request for the rest of the run.
     pub fn add_observer(&mut self, observer: Box<dyn PhaseObserver>) {
@@ -489,35 +484,7 @@ impl Simulation {
     }
 
     /// Run to completion, collecting every request into the report.
-    pub fn run(self) -> SimulationReport {
-        // Every expected request ends in the sink: size it once.
-        let mut sink = CollectingSink {
-            records: Vec::with_capacity(self.expected_requests as usize),
-        };
-        let summary = self.run_with_sink(&mut sink);
-        let mut requests = sink.records;
-        requests.sort_by_key(|r| (r.completed_at, r.id));
-        SimulationReport {
-            requests,
-            cpu_timeline: summary.cpu_timeline,
-            io_read_mb_s: summary.io_read_mb_s,
-            io_write_mb_s: summary.io_write_mb_s,
-            warehouse_stats: summary.warehouse_stats,
-            access_checks: summary.access_checks,
-            instances_provisioned: summary.instances_provisioned,
-            peak_memory_bytes: summary.peak_memory_bytes,
-            final_disk_bytes: summary.final_disk_bytes,
-            peak_disk_bytes: summary.peak_disk_bytes,
-            finished_at: summary.finished_at,
-            fault_stats: summary.fault_stats,
-        }
-    }
-
-    /// Run to completion, streaming each completed request into `sink`
-    /// the moment it finishes. Memory stays bounded by the in-flight
-    /// request count — nothing per-request is retained after delivery —
-    /// so arbitrarily long trace replays fit.
-    pub fn run_with_sink(mut self, sink: &mut dyn RequestSink) -> ReportSummary {
+    pub fn run(mut self) -> SimulationReport {
         // Seed the arrival events.
         match self.cfg.arrivals.clone() {
             ArrivalModel::ClosedLoop { stagger_s, .. } => {
@@ -573,7 +540,7 @@ impl Simulation {
             // host) before dispatching.
             self.rec.set_now(now.as_micros());
             self.ctr_events.inc();
-            self.handle(now, ev, sink);
+            self.handle(now, ev);
             self.peak_disk = self.peak_disk.max(self.host.total_disk_usage());
         }
 
@@ -603,7 +570,10 @@ impl Simulation {
             }
         }
 
-        ReportSummary {
+        let mut requests = self.records;
+        requests.sort_by_key(|r| (r.completed_at, r.id));
+        SimulationReport {
+            requests,
             cpu_timeline: self.cpu_sampler.levels(),
             io_read_mb_s: self
                 .io_read
@@ -624,13 +594,12 @@ impl Simulation {
             final_disk_bytes: self.host.total_disk_usage(),
             peak_disk_bytes: self.peak_disk,
             finished_at: self.finished_at,
-            completed_requests: self.completed,
-            fault_stats: self.fault_stats.clone(),
+            fault_stats: self.fault_stats,
         }
     }
 
     fn all_work_finished(&self) -> bool {
-        self.completed >= self.expected_requests
+        self.records.len() as u64 >= self.expected_requests
     }
 
     fn current_cpu_level(&self) -> f64 {
@@ -723,7 +692,7 @@ impl Simulation {
         }
     }
 
-    fn handle(&mut self, now: SimTime, ev: Event, sink: &mut dyn RequestSink) {
+    fn handle(&mut self, now: SimTime, ev: Event) {
         // Attribute everything a request-scoped event triggers — down
         // to kernel binder instants — to that request. Stale (dropped)
         // events attribute nothing.
@@ -762,24 +731,22 @@ impl Simulation {
             }
             Event::CpuCheck { epoch } => self.on_cpu_check(now, epoch),
             Event::DiskCheck { epoch } => self.on_disk_check(now, epoch),
-            Event::DeviceCpuCheck { device, epoch } => {
-                self.on_device_cpu_check(now, device, epoch, sink)
-            }
+            Event::DeviceCpuCheck { device, epoch } => self.on_device_cpu_check(now, device, epoch),
             Event::RequestComplete { req, gen } => {
                 if self.slot_gen[req] == gen {
-                    self.on_request_complete(now, req, sink);
+                    self.on_request_complete(now, req);
                 }
             }
             Event::IdleScan => self.on_idle_scan(now),
-            Event::InstanceFault { idx } => self.on_instance_fault(now, idx, sink),
+            Event::InstanceFault { idx } => self.on_instance_fault(now, idx),
             Event::TransferFault { req, gen } => {
                 if self.slot_gen[req] == gen {
-                    self.on_transfer_fault(now, req, sink);
+                    self.on_transfer_fault(now, req);
                 }
             }
             Event::PhaseTimeout { req, gen, phase } => {
                 if self.slot_gen[req] == gen && self.pending[req].phase() == phase {
-                    self.on_phase_timeout(now, req, sink);
+                    self.on_phase_timeout(now, req);
                 }
             }
             Event::Retry { req, gen } => {
@@ -1216,13 +1183,7 @@ impl Simulation {
         self.finished = finished;
     }
 
-    fn on_device_cpu_check(
-        &mut self,
-        now: SimTime,
-        device: u32,
-        epoch: u64,
-        sink: &mut dyn RequestSink,
-    ) {
+    fn on_device_cpu_check(&mut self, now: SimTime, device: u32, epoch: u64) {
         let Some(exec) = self.device_cpus.get_mut(&device) else {
             return;
         };
@@ -1233,7 +1194,7 @@ impl Simulation {
                     self.rec
                         .set_current_request(Some(self.pending[req].record.id));
                 }
-                self.on_request_complete(now, req, sink);
+                self.on_request_complete(now, req);
             }
             if let Some(exec) = self.device_cpus.get_mut(&device) {
                 exec.reschedule(now, &mut self.queue, |epoch| Event::DeviceCpuCheck {
@@ -1385,31 +1346,24 @@ impl Simulation {
         }
     }
 
-    fn on_request_complete(&mut self, now: SimTime, req: usize, sink: &mut dyn RequestSink) {
-        self.complete_request(now, req, sink, Phase::Done);
+    fn on_request_complete(&mut self, now: SimTime, req: usize) {
+        self.complete_request(now, req, Phase::Done);
     }
 
-    /// Deliver `req` to the sink in terminal phase `terminal` (Done for
+    /// Record `req` in terminal phase `terminal` (Done for
     /// served or fallback requests, Abandoned for exhausted ones) and
     /// recycle its slot. Abandoned requests still count as completed —
     /// the run-termination accounting must drain every request.
-    fn complete_request(
-        &mut self,
-        now: SimTime,
-        req: usize,
-        sink: &mut dyn RequestSink,
-        terminal: Phase,
-    ) {
+    fn complete_request(&mut self, now: SimTime, req: usize, terminal: Phase) {
         if self.rec.is_enabled() {
             self.rec
                 .set_current_request(Some(self.pending[req].record.id));
         }
         self.transition(now, req, terminal);
         self.ctr_completions.inc();
-        self.completed += 1;
         self.finished_at = self.finished_at.max(now);
         self.fault_stats.time_lost += self.pending[req].record.phases.fault_recovery;
-        sink.accept(self.pending[req].record.clone());
+        self.records.push(self.pending[req].record.clone());
 
         // Closed loop: think, then issue the next request.
         if let ArrivalModel::ClosedLoop { think_mean_s, .. } = self.cfg.arrivals {
@@ -1473,7 +1427,7 @@ impl Simulation {
     /// An instance-crash event fires: pick the victim by the plan's
     /// selector over the live instances (deterministic: sorted ids) and
     /// kill it. A crash with no live instance fizzles.
-    fn on_instance_fault(&mut self, now: SimTime, idx: usize, sink: &mut dyn RequestSink) {
+    fn on_instance_fault(&mut self, now: SimTime, idx: usize) {
         let selector = self.crash_events[idx].1;
         let mut ids: Vec<InstanceId> = self.db.iter().map(|r| r.id).collect();
         if ids.is_empty() {
@@ -1481,7 +1435,7 @@ impl Simulation {
         }
         ids.sort();
         let victim = ids[(selector % ids.len() as u64) as usize];
-        self.crash_instance(now, victim, sink);
+        self.crash_instance(now, victim);
     }
 
     /// Kill `victim` now: every request waiting on its boot, queued for
@@ -1489,7 +1443,7 @@ impl Simulation {
     /// *uploading* toward it are spared — their upload lands and the
     /// existing instance-gone path re-provisions transparently, exactly
     /// as for an idle-reclaimed instance.
-    fn crash_instance(&mut self, now: SimTime, victim: InstanceId, sink: &mut dyn RequestSink) {
+    fn crash_instance(&mut self, now: SimTime, victim: InstanceId) {
         if self.host.teardown(victim).is_err() {
             return;
         }
@@ -1526,27 +1480,27 @@ impl Simulation {
             let resume = ResumeStage::Upload {
                 bytes: task.payload_bytes + task.control_bytes,
             };
-            self.fault_request(now, req, resume, sink);
+            self.fault_request(now, req, resume);
         }
     }
 
     /// A link fault interrupted the in-flight transfer of `req`; the
     /// resume stage (with the partial-progress remainder) was stored
     /// when the interruption was priced.
-    fn on_transfer_fault(&mut self, now: SimTime, req: usize, sink: &mut dyn RequestSink) {
+    fn on_transfer_fault(&mut self, now: SimTime, req: usize) {
         let resume = self.pending[req].resume.take().unwrap_or_else(|| {
             let task = &self.pending[req].task;
             ResumeStage::Upload {
                 bytes: task.payload_bytes + task.control_bytes,
             }
         });
-        self.fault_request(now, req, resume, sink);
+        self.fault_request(now, req, resume);
     }
 
     /// `req` dwelt past the policy timeout in its current phase. The
     /// timeout knows nothing about partial progress, so the retry
     /// restarts the pipeline stage from scratch.
-    fn on_phase_timeout(&mut self, now: SimTime, req: usize, sink: &mut dyn RequestSink) {
+    fn on_phase_timeout(&mut self, now: SimTime, req: usize) {
         let task = &self.pending[req].task;
         let resume = match self.pending[req].phase() {
             Phase::DataTransferDown => ResumeStage::Download {
@@ -1556,7 +1510,7 @@ impl Simulation {
                 bytes: task.payload_bytes + task.control_bytes,
             },
         };
-        self.fault_request(now, req, resume, sink);
+        self.fault_request(now, req, resume);
     }
 
     /// The attempt of `req` just died (crash, link fault, or timeout).
@@ -1564,13 +1518,7 @@ impl Simulation {
     /// request in [`Phase::Retrying`], and spend the policy budget:
     /// backoff + retry while attempts remain, then graceful degradation
     /// to on-device execution, then abandonment.
-    fn fault_request(
-        &mut self,
-        now: SimTime,
-        req: usize,
-        resume: ResumeStage,
-        sink: &mut dyn RequestSink,
-    ) {
+    fn fault_request(&mut self, now: SimTime, req: usize, resume: ResumeStage) {
         let phase = self.pending[req].phase();
         self.fault_stats.record_strike(phase);
         if self.rec.is_enabled() {
@@ -1682,7 +1630,7 @@ impl Simulation {
         } else {
             self.fault_stats.abandoned += 1;
             self.pending[req].record.abandoned = true;
-            self.complete_request(now, req, sink, Phase::Abandoned);
+            self.complete_request(now, req, Phase::Abandoned);
         }
     }
 
@@ -1841,11 +1789,6 @@ pub fn run_scenario(cfg: ScenarioConfig) -> SimulationReport {
     Simulation::new(cfg).run()
 }
 
-/// Convenience: run one scenario streaming records into `sink`.
-pub fn run_scenario_with_sink(cfg: ScenarioConfig, sink: &mut dyn RequestSink) -> ReportSummary {
-    Simulation::new(cfg).run_with_sink(sink)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1913,21 +1856,15 @@ mod tests {
     }
 
     #[test]
-    fn streaming_sink_sees_identical_records() {
-        let cfg =
-            ScenarioConfig::paper_default(PlatformKind::Rattrap.config(), WorkloadKind::Ocr, 42);
-        let collected = run_scenario(cfg.clone());
-        let mut sink = CollectingSink::default();
-        let summary = run_scenario_with_sink(cfg, &mut sink);
-        let mut streamed = sink.records;
-        streamed.sort_by_key(|r| (r.completed_at, r.id));
-        assert_eq!(collected.requests, streamed);
-        assert_eq!(
-            summary.completed_requests as usize,
-            collected.requests.len()
-        );
-        assert_eq!(summary.finished_at, collected.finished_at);
-        assert_eq!(summary.cpu_timeline, collected.cpu_timeline);
+    fn report_holds_every_request_in_completion_order() {
+        let rep = run(PlatformKind::Rattrap, WorkloadKind::Ocr, 42);
+        assert_eq!(rep.requests.len(), 100);
+        assert!(rep
+            .requests
+            .windows(2)
+            .all(|w| (w[0].completed_at, w[0].id) < (w[1].completed_at, w[1].id)));
+        let last = rep.requests.last().expect("requests served");
+        assert_eq!(rep.finished_at, last.completed_at);
     }
 
     #[test]

@@ -1,10 +1,8 @@
 //! Rattrap face of the scenario plane: a compiled `ScenarioSpec`
-//! replays through `ArrivalModel::Trace` on a single host, and the
-//! noisy-neighbor tenant split streams through `TenantSplitSink`.
+//! replays through `ArrivalModel::Trace` on a single host, and a
+//! noisy-neighbor tenancy binds each tenant's devices to its apps.
 
-use rattrap::{
-    run_scenario_with_sink, ArrivalModel, PlatformKind, ScenarioConfig, TenantSplitSink,
-};
+use rattrap::{ArrivalModel, PlatformKind, ScenarioConfig};
 use scenario::{ScenarioDriver, ScenarioSpec};
 use simkit::{SimDuration, SimTime};
 use workloads::WorkloadKind;
@@ -53,7 +51,7 @@ fn an_interaction_storm_replays_deterministically_on_one_host() {
 }
 
 #[test]
-fn the_tenant_split_sink_partitions_a_noisy_neighbor_replay() {
+fn a_noisy_neighbor_replay_serves_every_arrival_of_both_tenants() {
     let spec = ScenarioSpec::noisy_neighbor(1, 2);
     let (mut cfg, driver) = replay_config(&spec, 0xBEE);
     // Give the trace something to carry: noisy-neighbor alone scripts
@@ -68,26 +66,21 @@ fn the_tenant_split_sink_partitions_a_noisy_neighbor_replay() {
     cfg.arrivals = ArrivalModel::Trace(storm_driver.device_arrivals(DEVICES));
 
     let tenant_of: Vec<u32> = (0..DEVICES).map(|d| driver.tenant_of(d)).collect();
-    let mut sink = TenantSplitSink::new(driver.tenant_names(), tenant_of.clone());
-    let summary = run_scenario_with_sink(cfg.clone(), &mut sink);
+    let report = rattrap::run_scenario(cfg.clone());
 
-    assert_eq!(
-        sink.total_submitted(),
-        summary.completed_requests,
-        "the split must partition the stream"
-    );
-    let lanes = sink.tenants();
-    assert_eq!(lanes.len(), 2);
-    assert!(lanes.iter().all(|l| l.submitted > 0), "both tenants ran");
-    for l in lanes {
-        assert_eq!(
-            l.completed_remote + l.fallback_local + l.abandoned,
-            l.submitted,
-            "tenant {} accounting must partition its submissions",
-            l.name
-        );
-        assert!(l.mean_response_s() > 0.0);
-        assert!(l.p99_response_s() >= l.mean_response_s() * 0.5);
+    let arrivals: usize = storm_driver
+        .device_arrivals(DEVICES)
+        .iter()
+        .map(Vec::len)
+        .sum();
+    assert_eq!(report.requests.len(), arrivals, "every arrival served once");
+    assert_eq!(driver.tenant_names().len(), 2);
+    for tenant in 0..2 {
+        let ran = report
+            .requests
+            .iter()
+            .any(|r| tenant_of[r.device as usize] == tenant);
+        assert!(ran, "tenant {tenant} ran");
     }
     // Tenancy binds the per-device workload: heavy apps on tenant 0,
     // latency-sensitive on tenant 1.

@@ -13,7 +13,4 @@ pub mod livelab;
 pub mod replay;
 
 pub use livelab::{generate, stats, TraceConfig, TraceStats, DIURNAL};
-pub use replay::{
-    replay_scenario, run_trace_experiment, run_trace_experiment_streaming, PlatformTraceResult,
-    SpeedupSink, StreamingTraceResult,
-};
+pub use replay::{replay_scenario, run_trace_experiment, PlatformTraceResult};

@@ -1,11 +1,8 @@
 //! Trace-driven replay against the three platforms (Fig. 11).
 
 use crate::livelab::{generate, TraceConfig};
-use rattrap::{
-    ArrivalModel, PlatformKind, ReportSummary, RequestRecord, RequestSink, ScenarioConfig,
-    SimulationReport,
-};
-use simkit::{Cdf, OnlineStats, SimDuration, SimTime};
+use rattrap::{ArrivalModel, PlatformKind, ScenarioConfig, SimulationReport};
+use simkit::{Cdf, SimDuration, SimTime};
 use workloads::WorkloadKind;
 
 /// Results for one platform under the trace.
@@ -75,83 +72,6 @@ pub fn run_trace_experiment(
         .collect()
 }
 
-/// Streaming per-platform summary of a trace replay: everything Fig. 11
-/// reports, accumulated online. Memory is O(1) in the trace length —
-/// no `Vec<RequestRecord>` ever exists.
-#[derive(Debug)]
-pub struct StreamingTraceResult {
-    /// Which platform.
-    pub platform: PlatformKind,
-    /// Online speedup statistics (mean / min / max / stddev).
-    pub speedup_stats: OnlineStats,
-    /// Fraction of offloading failures (speedup ≤ 1).
-    pub failure_rate: f64,
-    /// Fraction of requests with speedup > 3.0 (the §VI-E statistic).
-    pub speedup3_fraction: f64,
-    /// Number of requests served.
-    pub requests: u64,
-    /// The engine's non-per-request outputs (timelines, counters).
-    pub summary: ReportSummary,
-}
-
-/// A [`RequestSink`] that folds each completed request into online
-/// accumulators and drops the record — the bounded-memory path for
-/// replaying very large traces.
-#[derive(Debug, Default)]
-pub struct SpeedupSink {
-    /// Online speedup statistics.
-    pub speedup_stats: OnlineStats,
-    /// Requests with speedup ≤ 1.
-    pub failures: u64,
-    /// Requests with speedup > 3.
-    pub speedup3: u64,
-    /// Total requests seen.
-    pub total: u64,
-}
-
-impl RequestSink for SpeedupSink {
-    fn accept(&mut self, record: RequestRecord) {
-        let s = record.speedup();
-        self.speedup_stats.push(s);
-        if record.is_offloading_failure() {
-            self.failures += 1;
-        }
-        if s > 3.0 {
-            self.speedup3 += 1;
-        }
-        self.total += 1;
-    }
-}
-
-/// Streaming variant of [`run_trace_experiment`]: replay the identical
-/// trace against every platform through a [`SpeedupSink`]. Use this for
-/// traces far beyond Fig. 11's scale (hundreds of thousands of
-/// requests) where materializing per-request records is off the table.
-pub fn run_trace_experiment_streaming(
-    workload: WorkloadKind,
-    trace_cfg: &TraceConfig,
-    platforms: &[PlatformKind],
-) -> Vec<StreamingTraceResult> {
-    let trace = generate(trace_cfg);
-    platforms
-        .iter()
-        .map(|&platform| {
-            let scenario = replay_scenario(trace_cfg, &trace, platform, workload);
-            let mut sink = SpeedupSink::default();
-            let summary = rattrap::run_scenario_with_sink(scenario, &mut sink);
-            let n = sink.total.max(1);
-            StreamingTraceResult {
-                platform,
-                failure_rate: sink.failures as f64 / n as f64,
-                speedup3_fraction: sink.speedup3 as f64 / n as f64,
-                requests: sink.total,
-                speedup_stats: sink.speedup_stats,
-                summary,
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,26 +86,8 @@ mod tests {
     }
 
     #[test]
-    fn streaming_matches_collecting_exactly() {
-        let cfg = small_trace();
-        let collected =
-            run_trace_experiment(WorkloadKind::ChessGame, &cfg, &[PlatformKind::Rattrap]);
-        let streamed =
-            run_trace_experiment_streaming(WorkloadKind::ChessGame, &cfg, &[PlatformKind::Rattrap]);
-        let c = &collected[0];
-        let s = &streamed[0];
-        assert_eq!(s.requests as usize, c.requests);
-        assert_eq!(s.failure_rate, c.failure_rate);
-        // fraction_ge on the CDF uses > semantics at the boundary like
-        // the sink, over the same sample multiset.
-        assert!((s.speedup3_fraction - c.speedup3_fraction).abs() < 1e-12);
-        let mean_c = c.report.mean_of(|r| r.speedup());
-        assert!((s.speedup_stats.mean() - mean_c).abs() < 1e-9);
-    }
-
-    #[test]
-    fn hundred_thousand_request_replay_streams_in_bounded_memory() {
-        // Far beyond Fig. 11's scale: the point of the streaming sink.
+    fn hundred_thousand_request_replay_completes() {
+        // Far beyond Fig. 11's scale.
         let cfg = TraceConfig {
             users: 70,
             duration: SimDuration::from_secs(24 * 3600),
@@ -197,12 +99,11 @@ mod tests {
         let trace = crate::livelab::generate(&cfg);
         let n: usize = trace.iter().map(|v| v.len()).sum();
         assert!(n >= 100_000, "trace holds {n} requests");
-        let results =
-            run_trace_experiment_streaming(WorkloadKind::ChessGame, &cfg, &[PlatformKind::Rattrap]);
+        let results = run_trace_experiment(WorkloadKind::ChessGame, &cfg, &[PlatformKind::Rattrap]);
         let r = &results[0];
-        assert_eq!(r.requests as usize, n, "every request completed");
-        assert_eq!(r.summary.completed_requests as usize, n);
-        assert!(r.speedup_stats.mean() > 1.0, "offloading pays off on LAN");
+        assert_eq!(r.requests, n, "every request completed");
+        let mean = r.report.mean_of(|x| x.speedup());
+        assert!(mean > 1.0, "offloading pays off on LAN");
         assert!(r.failure_rate < 0.2, "failure rate {}", r.failure_rate);
     }
 
