@@ -3,6 +3,7 @@
 //! The ChessGame benchmark is an Android port of the CuckooChess
 //! engine; this module is the board layer of our from-scratch engine.
 
+use super::eval::TERMS;
 use std::fmt;
 
 /// Piece colour.
@@ -162,9 +163,17 @@ pub struct Castling {
 }
 
 /// Full game position.
+///
+/// [`Board::set_piece`] is the only writer of the squares, and it keeps
+/// two summaries of them in step: each colour's occupancy bits and the
+/// evaluation's running score.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Board {
     squares: [Option<Piece>; 64],
+    /// Bit `i` of `occupied[colour]` is set when that colour holds square `i`.
+    occupied: [u64; 2],
+    /// White's material and piece-square terms minus Black's.
+    score: i32,
     /// Side to move.
     pub side: Color,
     /// Castling rights.
@@ -194,6 +203,8 @@ impl Board {
     pub fn empty() -> Self {
         Board {
             squares: [None; 64],
+            occupied: [0; 2],
+            score: 0,
             side: Color::White,
             castling: Castling::default(),
             en_passant: None,
@@ -217,23 +228,50 @@ impl Board {
     /// Place (or clear) a piece.
     #[inline]
     pub fn set_piece(&mut self, sq: Square, piece: Option<Piece>) {
-        self.squares[sq.0 as usize] = piece;
+        let i = sq.0 as usize;
+        if let Some(old) = self.squares[i] {
+            self.occupied[old.color as usize] &= !(1 << i);
+            self.score -= TERMS[old.color as usize][old.kind as usize][i];
+        }
+        if let Some(new) = piece {
+            self.occupied[new.color as usize] |= 1 << i;
+            self.score += TERMS[new.color as usize][new.kind as usize][i];
+        }
+        self.squares[i] = piece;
+    }
+
+    /// White's material and piece-square score minus Black's.
+    #[inline]
+    pub(crate) fn score(&self) -> i32 {
+        self.score
     }
 
     /// Find the king of `color`.
     pub fn king_square(&self, color: Color) -> Option<Square> {
-        (0..64).map(Square).find(|&sq| {
-            self.squares[sq.0 as usize]
-                == Some(Piece {
-                    color,
-                    kind: PieceKind::King,
-                })
-        })
+        self.pieces_of(color)
+            .find(|(_, p)| p.kind == PieceKind::King)
+            .map(|(sq, _)| sq)
     }
 
     /// Every `(square, piece)` on the board, ascending square.
     pub fn pieces(&self) -> impl Iterator<Item = (Square, Piece)> + '_ {
-        (0u8..64).filter_map(|i| self.squares[i as usize].map(|p| (Square(i), p)))
+        self.pieces_in(self.occupied[0] | self.occupied[1])
+    }
+
+    /// Every `(square, piece)` of `color`, ascending square.
+    pub(crate) fn pieces_of(&self, color: Color) -> impl Iterator<Item = (Square, Piece)> + '_ {
+        self.pieces_in(self.occupied[color as usize])
+    }
+
+    fn pieces_in(&self, mut bits: u64) -> impl Iterator<Item = (Square, Piece)> + '_ {
+        std::iter::from_fn(move || {
+            if bits == 0 {
+                return None;
+            }
+            let i = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            self.squares[i].map(|p| (Square(i as u8), p))
+        })
     }
 
     /// Parse a FEN string.

@@ -10,6 +10,9 @@ pub mod movegen;
 pub mod search;
 pub mod zobrist;
 
+#[cfg(test)]
+mod proptests;
+
 pub use board::{Board, Color, Piece, PieceKind, Square};
 pub use movegen::{apply_move, in_check, legal_moves, perft, Move};
 pub use search::{best_move, SearchResult, Searcher};

@@ -137,7 +137,7 @@ pub fn in_check(board: &Board, color: Color) -> bool {
     }
 }
 
-fn push_pawn_moves(board: &Board, from: Square, moves: &mut Vec<Move>) {
+fn push_pawn_moves(board: &Board, from: Square, captures_only: bool, moves: &mut Vec<Move>) {
     let color = board.side;
     let fwd = color.forward();
     let last_rank = if color == Color::White { 7 } else { 0 };
@@ -163,7 +163,7 @@ fn push_pawn_moves(board: &Board, from: Square, moves: &mut Vec<Move>) {
     };
 
     // Single and double push.
-    if let Some(one) = from.offset(0, fwd) {
+    if let Some(one) = from.offset(0, fwd).filter(|_| !captures_only) {
         if board.piece_at(one).is_none() {
             add(one, moves);
             if from.rank() == start_rank {
@@ -175,37 +175,53 @@ fn push_pawn_moves(board: &Board, from: Square, moves: &mut Vec<Move>) {
             }
         }
     }
-    // Captures (incl. en passant).
+    // Captures (incl. en passant, which lands on an empty square).
     for df in [-1i8, 1] {
         if let Some(to) = from.offset(df, fwd) {
             match board.piece_at(to) {
                 Some(p) if p.color != color => add(to, moves),
-                None if board.en_passant == Some(to) => moves.push(Move::new(from, to)),
+                None if !captures_only && board.en_passant == Some(to) => {
+                    moves.push(Move::new(from, to))
+                }
                 _ => {}
             }
         }
     }
 }
 
-fn push_leaper_moves(board: &Board, from: Square, deltas: &[(i8, i8)], moves: &mut Vec<Move>) {
+fn push_leaper_moves(
+    board: &Board,
+    from: Square,
+    deltas: &[(i8, i8)],
+    captures_only: bool,
+    moves: &mut Vec<Move>,
+) {
     let color = board.side;
     for &(df, dr) in deltas {
         if let Some(to) = from.offset(df, dr) {
             match board.piece_at(to) {
                 Some(p) if p.color == color => {}
+                None if captures_only => {}
                 _ => moves.push(Move::new(from, to)),
             }
         }
     }
 }
 
-fn push_slider_moves(board: &Board, from: Square, dirs: &[(i8, i8)], moves: &mut Vec<Move>) {
+fn push_slider_moves(
+    board: &Board,
+    from: Square,
+    dirs: &[(i8, i8)],
+    captures_only: bool,
+    moves: &mut Vec<Move>,
+) {
     let color = board.side;
     for &(df, dr) in dirs {
         let mut cur = from;
         while let Some(to) = cur.offset(df, dr) {
             cur = to;
             match board.piece_at(to) {
+                None if captures_only => {}
                 None => moves.push(Move::new(from, to)),
                 Some(p) => {
                     if p.color != color {
@@ -218,6 +234,9 @@ fn push_slider_moves(board: &Board, from: Square, dirs: &[(i8, i8)], moves: &mut
     }
 }
 
+/// Castling for the side to move. The cheap tests (rights, the king
+/// and rook on their squares, an empty path) come before any attack
+/// test; the moves pushed are the same either way.
 fn push_castling(board: &Board, moves: &mut Vec<Move>) {
     let color = board.side;
     let rank = if color == Color::White { 0 } else { 7 };
@@ -225,44 +244,27 @@ fn push_castling(board: &Board, moves: &mut Vec<Move>) {
         Color::White => (board.castling.white_king, board.castling.white_queen),
         Color::Black => (board.castling.black_king, board.castling.black_queen),
     };
+    let own = |file, kind| board.piece_at(Square::at(file, rank)) == Some(Piece { color, kind });
+    let empty = |files: &[u8]| {
+        files
+            .iter()
+            .all(|&f| board.piece_at(Square::at(f, rank)).is_none())
+    };
+    let king_side = king_side && empty(&[5, 6]) && own(7, PieceKind::Rook);
+    let queen_side = queen_side && empty(&[3, 2, 1]) && own(0, PieceKind::Rook);
     let king_sq = Square::at(4, rank);
-    if board.piece_at(king_sq)
-        != Some(Piece {
-            color,
-            kind: PieceKind::King,
-        })
-    {
+    if !(king_side || queen_side) || !own(4, PieceKind::King) {
         return;
     }
     let enemy = color.opponent();
-    if is_attacked(board, king_sq, enemy) {
+    let safe = |file| !is_attacked(board, Square::at(file, rank), enemy);
+    if !safe(4) {
         return;
     }
-    if king_side
-        && board.piece_at(Square::at(5, rank)).is_none()
-        && board.piece_at(Square::at(6, rank)).is_none()
-        && board.piece_at(Square::at(7, rank))
-            == Some(Piece {
-                color,
-                kind: PieceKind::Rook,
-            })
-        && !is_attacked(board, Square::at(5, rank), enemy)
-        && !is_attacked(board, Square::at(6, rank), enemy)
-    {
+    if king_side && safe(5) && safe(6) {
         moves.push(Move::new(king_sq, Square::at(6, rank)));
     }
-    if queen_side
-        && board.piece_at(Square::at(3, rank)).is_none()
-        && board.piece_at(Square::at(2, rank)).is_none()
-        && board.piece_at(Square::at(1, rank)).is_none()
-        && board.piece_at(Square::at(0, rank))
-            == Some(Piece {
-                color,
-                kind: PieceKind::Rook,
-            })
-        && !is_attacked(board, Square::at(3, rank), enemy)
-        && !is_attacked(board, Square::at(2, rank), enemy)
-    {
+    if queen_side && safe(3) && safe(2) {
         moves.push(Move::new(king_sq, Square::at(2, rank)));
     }
 }
@@ -271,24 +273,40 @@ fn push_castling(board: &Board, moves: &mut Vec<Move>) {
 /// return the mover's king square, found on the way. A pseudo-legal
 /// move may leave that king attacked; [`legal_moves`] drops those.
 pub fn pseudo_legal_moves(board: &Board, moves: &mut Vec<Move>) -> Option<Square> {
+    generate(board, false, moves)
+}
+
+/// [`pseudo_legal_moves`], or with `captures_only` just the moves that
+/// land on an enemy piece: the same moves the full list holds there, in
+/// the same order (promotion captures included, no en passant, no
+/// castling).
+pub(crate) fn generate(
+    board: &Board,
+    captures_only: bool,
+    moves: &mut Vec<Move>,
+) -> Option<Square> {
     let mut king = None;
-    for (from, piece) in board.pieces().filter(|(_, p)| p.color == board.side) {
+    for (from, piece) in board.pieces_of(board.side) {
         match piece.kind {
-            PieceKind::Pawn => push_pawn_moves(board, from, moves),
-            PieceKind::Knight => push_leaper_moves(board, from, &KNIGHT_DELTAS, moves),
+            PieceKind::Pawn => push_pawn_moves(board, from, captures_only, moves),
+            PieceKind::Knight => {
+                push_leaper_moves(board, from, &KNIGHT_DELTAS, captures_only, moves)
+            }
             PieceKind::King => {
                 king.get_or_insert(from);
-                push_leaper_moves(board, from, &KING_DELTAS, moves);
+                push_leaper_moves(board, from, &KING_DELTAS, captures_only, moves);
             }
-            PieceKind::Bishop => push_slider_moves(board, from, &BISHOP_DIRS, moves),
-            PieceKind::Rook => push_slider_moves(board, from, &ROOK_DIRS, moves),
+            PieceKind::Bishop => push_slider_moves(board, from, &BISHOP_DIRS, captures_only, moves),
+            PieceKind::Rook => push_slider_moves(board, from, &ROOK_DIRS, captures_only, moves),
             PieceKind::Queen => {
-                push_slider_moves(board, from, &BISHOP_DIRS, moves);
-                push_slider_moves(board, from, &ROOK_DIRS, moves);
+                push_slider_moves(board, from, &BISHOP_DIRS, captures_only, moves);
+                push_slider_moves(board, from, &ROOK_DIRS, captures_only, moves);
             }
         }
     }
-    push_castling(board, moves);
+    if !captures_only {
+        push_castling(board, moves);
+    }
     king
 }
 
@@ -372,23 +390,67 @@ pub fn apply_move(board: &Board, mv: Move) -> Board {
     b
 }
 
-/// The position after the pseudo-legal `mv`, or `None` if it leaves the
-/// mover's king attacked. `king` is that king's square before the move,
-/// as [`pseudo_legal_moves`] returned it.
-pub(crate) fn legal_child(board: &Board, king: Option<Square>, mv: Move) -> Option<Board> {
-    let child = apply_move(board, mv);
-    let king = king.map(|k| if k == mv.from { mv.to } else { k });
-    match king {
-        Some(k) if is_attacked(&child, k, board.side.opponent()) => None,
-        _ => Some(child),
+/// What a node knows about its mover's king: the square
+/// [`pseudo_legal_moves`] returned and, once a move has asked, whether
+/// the king stands in check.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct King {
+    pub(crate) square: Option<Square>,
+    in_check: Option<bool>,
+}
+
+impl King {
+    pub(crate) fn new(square: Option<Square>) -> King {
+        King {
+            square,
+            in_check: None,
+        }
     }
+
+    /// Whether the mover's king is attacked in `board`, its position.
+    pub(crate) fn in_check(&mut self, board: &Board) -> bool {
+        let square = self.square;
+        *self.in_check.get_or_insert_with(|| {
+            square.is_some_and(|k| is_attacked(board, k, board.side.opponent()))
+        })
+    }
+}
+
+/// Whether `a` and `b` share a rank, a file or a diagonal.
+fn aligned(a: Square, b: Square) -> bool {
+    let df = a.file().abs_diff(b.file());
+    let dr = a.rank().abs_diff(b.rank());
+    df == 0 || dr == 0 || df == dr
+}
+
+/// The position after the pseudo-legal `mv`, or `None` if it leaves the
+/// mover's king attacked.
+///
+/// A king that is not in check can only be exposed by a king move, by
+/// en passant (which empties a second square) or by a piece leaving a
+/// line through the king. Any other move is legal without scanning the
+/// child for attacks.
+pub(crate) fn legal_child(board: &Board, king: &mut King, mv: Move) -> Option<Board> {
+    let child = apply_move(board, mv);
+    let Some(k) = king.square else {
+        return Some(child);
+    };
+    if k != mv.from
+        && board.en_passant != Some(mv.to)
+        && !aligned(k, mv.from)
+        && !king.in_check(board)
+    {
+        return Some(child);
+    }
+    let k = if k == mv.from { mv.to } else { k };
+    (!is_attacked(&child, k, board.side.opponent())).then_some(child)
 }
 
 /// All strictly legal moves for the side to move, in generation order.
 pub fn legal_moves(board: &Board) -> Vec<Move> {
     let mut moves = Vec::with_capacity(48);
-    let king = pseudo_legal_moves(board, &mut moves);
-    moves.retain(|&mv| legal_child(board, king, mv).is_some());
+    let mut king = King::new(pseudo_legal_moves(board, &mut moves));
+    moves.retain(|&mv| legal_child(board, &mut king, mv).is_some());
     moves
 }
 
