@@ -22,7 +22,7 @@
 
 use crate::workset::{kind_from_label, SizeClass};
 use obsv::json::{self, Value};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -32,6 +32,12 @@ use workloads::WorkloadKind;
 /// Seeds travel as JSON numbers, read back as `f64`: every integer
 /// below 2^53 survives exactly, nothing at or above it is guaranteed to.
 const SEED_LIMIT: f64 = 9_007_199_254_740_992.0;
+
+/// Longest request line the server reads, newline included. Requests
+/// are about 50 bytes; a longer line is answered with one error line
+/// and its connection closed, so no client can grow the server's
+/// memory without bound.
+const MAX_LINE: u64 = 64 * 1024;
 
 /// One offload request as submitted by a client.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -128,13 +134,13 @@ impl OffloadResponse {
             "{{\"ok\": {}, \"error\": \"{}\", \"checksum\": \"{:016x}\", \"host\": {}, \
              \"backend\": \"{}\", \"queue_micros\": {}, \"exec_micros\": {}, \"detail\": \"{}\"}}",
             self.ok,
-            escape(&self.error),
+            json::escape(&self.error),
             self.checksum,
             self.host,
             self.backend,
             self.queue_micros,
             self.exec_micros,
-            escape(&self.detail)
+            json::escape(&self.detail)
         )
     }
 
@@ -167,23 +173,6 @@ impl OffloadResponse {
             detail: s("detail"),
         })
     }
-}
-
-fn escape(s: &str) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Routes, admits, and executes one offload request. The server is
@@ -228,7 +217,8 @@ impl Drop for Server {
 
 /// Start serving `handler` on `addr` (e.g. `"127.0.0.1:0"`).
 /// Connections are handled one thread each; every line received is one
-/// request, answered with one response line.
+/// request, answered with one response line. A line over 64 KiB gets an
+/// error line and ends its connection.
 pub fn serve<H: OffloadHandler>(addr: &str, handler: H) -> std::io::Result<Server> {
     let listener = TcpListener::bind(addr)?;
     let local = listener.local_addr()?;
@@ -261,17 +251,30 @@ fn serve_connection<H: OffloadHandler>(stream: TcpStream, handler: &H) {
         return;
     };
     let mut writer = write_half;
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    loop {
+        line.clear();
+        let Ok(read) = reader.by_ref().take(MAX_LINE).read_line(&mut line) else {
+            break;
+        };
+        if read == 0 {
+            break;
+        }
+        let too_long = read as u64 == MAX_LINE && !line.ends_with('\n');
+        let request = line.trim_end();
+        if request.is_empty() && !too_long {
             continue;
         }
-        let response = match OffloadRequest::from_json(&line) {
-            Ok(req) => handler.handle(&req),
-            Err(e) => OffloadResponse::error(e),
+        let response = if too_long {
+            OffloadResponse::error(format!("request: line longer than {MAX_LINE} bytes"))
+        } else {
+            match OffloadRequest::from_json(request) {
+                Ok(req) => handler.handle(&req),
+                Err(e) => OffloadResponse::error(e),
+            }
         };
-        if writeln!(writer, "{}", response.to_json()).is_err() {
+        if writeln!(writer, "{}", response.to_json()).is_err() || too_long {
             break;
         }
     }
@@ -389,6 +392,30 @@ mod tests {
         assert!(!exchange(&"[".repeat(10_000)).ok);
         let ok = exchange("{\"kind\": \"Linpack\", \"size\": \"S\", \"seed\": 3}");
         assert!(ok.ok, "{}", ok.error);
+        server.shutdown();
+    }
+
+    #[test]
+    fn an_overlong_line_ends_only_its_own_connection() {
+        let mut server = pool_server(1);
+        let stream = TcpStream::connect(server.addr()).unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        // The server may close before taking the whole line: a failed
+        // write is one of the allowed outcomes.
+        let _ = writer.write_all(&vec![b'x'; 1 << 20]);
+        let mut reply = String::new();
+        if BufReader::new(stream).read_line(&mut reply).is_ok() && !reply.is_empty() {
+            let resp = OffloadResponse::from_json(reply.trim_end()).unwrap();
+            assert!(!resp.ok);
+            assert!(resp.error.contains("longer than"), "{}", resp.error);
+        }
+        let req = OffloadRequest {
+            kind: WorkloadKind::Linpack,
+            size: SizeClass::Small,
+            seed: 5,
+        };
+        let resp = submit(server.addr(), &req).unwrap();
+        assert!(resp.ok, "{}", resp.error);
         server.shutdown();
     }
 }

@@ -1,18 +1,15 @@
-//! The fleet Autoscaler: `rattrap::scheduler::Monitor` lifted to host
-//! granularity.
+//! The fleet Autoscaler: an EWMA of each host's load under
+//! credit-damped scale decisions.
 //!
 //! Each scan observes every active host's admitted-request count into
-//! the same EWMA monitor the per-host scheduler uses for containers
-//! (hosts are keyed as pseudo-instances). Sustained saturation earns
-//! scale-up credits, sustained slack earns scale-down credits; an
-//! action fires only when the credit budget is spent, so one bursty
-//! scan can never flap the fleet.
+//! a per-host EWMA. Sustained saturation earns scale-up credits,
+//! sustained slack earns scale-down credits; an action fires only when
+//! the credit budget is spent, so one bursty scan can never flap the
+//! fleet.
 
 use crate::config::AutoscalePolicy;
-use rattrap::Monitor;
 use simkit::SimTime;
-use std::collections::BTreeSet;
-use virt::InstanceId;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// What the autoscaler wants done.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,16 +25,18 @@ pub enum FleetAction {
 #[derive(Debug)]
 pub struct Autoscaler {
     policy: AutoscalePolicy,
-    monitor: Monitor,
+    /// Smoothed admitted-request count per host index.
+    load: BTreeMap<usize, f64>,
     credits: i64,
 }
 
 impl Autoscaler {
     /// An autoscaler under `policy`.
     pub fn new(policy: AutoscalePolicy) -> Self {
+        assert!(policy.alpha > 0.0 && policy.alpha <= 1.0, "alpha in (0,1]");
         Autoscaler {
             policy,
-            monitor: Monitor::new(policy.alpha),
+            load: BTreeMap::new(),
             credits: 0,
         }
     }
@@ -47,19 +46,24 @@ impl Autoscaler {
         self.policy
     }
 
-    /// Feed one host's admitted-request count for this scan.
+    /// Feed one host's admitted-request count for this scan. The first
+    /// observation seeds the entry, which is then blended like every
+    /// later one.
     pub fn observe(&mut self, host: usize, admitted: u32) {
-        self.monitor.observe(InstanceId(host as u32), admitted);
+        let x = admitted as f64;
+        let alpha = self.policy.alpha;
+        let entry = self.load.entry(host).or_insert(x);
+        *entry = alpha * x + (1.0 - alpha) * *entry;
     }
 
     /// Drop a host's signal (crash or release).
     pub fn forget(&mut self, host: usize) {
-        self.monitor.forget(InstanceId(host as u32));
+        self.load.remove(&host);
     }
 
-    /// Smoothed load of `host`.
+    /// Smoothed load of `host` (0 if never observed).
     pub fn load_of(&self, host: usize) -> f64 {
-        self.monitor.load_of(InstanceId(host as u32))
+        self.load.get(&host).copied().unwrap_or(0.0)
     }
 
     /// Hottest and coldest of `hosts` — each paired with the autoscaler
@@ -203,6 +207,36 @@ mod tests {
         for _ in 0..10 {
             assert_eq!(a.plan(SimTime::ZERO, 1.0, &active(2), true), None);
         }
+    }
+
+    #[test]
+    fn monitor_ewma_tracks_load() {
+        let policy = AutoscalePolicy {
+            alpha: 0.3,
+            ..AutoscalePolicy::standard()
+        };
+        let mut a = Autoscaler::new(policy);
+        a.observe(5, 7);
+        // The first observation seeds the entry and is then blended:
+        // equal in value to the seed, and pinned to the same bits.
+        let seeded: f64 = 0.3 * 7.0 + (1.0 - 0.3) * 7.0;
+        assert_eq!(a.load_of(5).to_bits(), seeded.to_bits());
+        a.observe(5, 0);
+        assert_eq!(a.load_of(5).to_bits(), ((1.0 - 0.3) * seeded).to_bits());
+        assert_eq!(a.load_of(4), 0.0, "hosts are keyed apart");
+        a.forget(5);
+        assert_eq!(a.load_of(5), 0.0);
+
+        let mut half = Autoscaler::new(AutoscalePolicy {
+            alpha: 0.5,
+            ..AutoscalePolicy::standard()
+        });
+        half.observe(0, 4);
+        assert!((half.load_of(0) - 4.0).abs() < 1e-9);
+        half.observe(0, 0);
+        assert!((half.load_of(0) - 2.0).abs() < 1e-9);
+        half.observe(0, 0);
+        assert!((half.load_of(0) - 1.0).abs() < 1e-9);
     }
 
     #[test]

@@ -10,10 +10,9 @@ use traces::livelab::TraceConfig;
 use virt::RuntimeClass;
 
 /// Fleet autoscaling policy: when to bring standby hosts up and when
-/// to drain active ones. The signal is the per-host EWMA of active
-/// jobs (the same `rattrap::scheduler::Monitor` that drives per-host
-/// warm pools, lifted to host granularity), compared against
-/// watermarks expressed as a fraction of each host's service slots.
+/// to drain active ones. The signal is the autoscaler's per-host EWMA
+/// of admitted requests, compared against watermarks expressed as a
+/// fraction of each host's service slots.
 ///
 /// Decisions are damped by a credit counter (the EDGELESS idea):
 /// sustained pressure earns credits, one scale action spends them —

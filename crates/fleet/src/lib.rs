@@ -13,10 +13,10 @@
 //! * **Admission control** ([`AdmissionCtl`]) — bounded per-host
 //!   queues with backpressure; a saturated fleet sheds requests to
 //!   PR 2's resilience policy (fallback-local or abandon).
-//! * **Autoscaling** ([`Autoscaler`]) — `rattrap`'s EWMA [`Monitor`]
-//!   lifted to host granularity, with credit-damped scale decisions:
-//!   sustained saturation powers standby hosts on, sustained slack
-//!   drains the coldest host.
+//! * **Autoscaling** ([`Autoscaler`]) — a per-host EWMA of admitted
+//!   requests under credit-damped scale decisions: sustained
+//!   saturation powers standby hosts on, sustained slack drains the
+//!   coldest host.
 //! * **Rebalancing** ([`Rebalancer`]) — when the hot/cold gap exceeds
 //!   the policy threshold, one warm container is checkpoint-migrated
 //!   (`virt::migrate`) hot → cold, its state charged through a shared
@@ -30,8 +30,6 @@
 //! The control plane itself ([`control`]) is layout-driven and shared:
 //! [`run_fleet`] hands it the flat one-cell layout, and the `geo`
 //! crate hands it a multi-region one.
-//!
-//! [`Monitor`]: rattrap::Monitor
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -3,46 +3,50 @@
 //! [`FleetHandler`] implements [`exec::serve::OffloadHandler`] with the
 //! same front-end machinery the simulated fleet runs: requests are
 //! keyed by AID, routed over the consistent-hash [`Router`] with
-//! warm-cache affinity, admission-bounded per host, and then executed
-//! *for real* on each host's bounded [`exec::RealBackend`] worker
-//! pool. The response carries the deterministic kernel output checksum
-//! plus the queue/execute timing breakdown — the paper's
-//! route/admit/execute/copy-back loop, served over TCP:
+//! warm-cache affinity, admitted under an exact per-host bound, and
+//! then executed *for real* on each host's bounded
+//! [`exec::RealBackend`] worker pool. The response carries the
+//! deterministic kernel output checksum plus the queue/execute timing
+//! breakdown — the paper's route/admit/execute/copy-back loop, served
+//! over TCP:
 //!
 //! ```text
 //! exec::serve::serve(addr, FleetHandler::new(hosts, workers, cap))
 //! ```
 
-use crate::router::Router;
+use crate::admission::AdmissionCtl;
+use crate::engine::kind_ix;
+use crate::router::{RouteDecision, Router};
 use exec::serve::{OffloadHandler, OffloadRequest, OffloadResponse};
 use exec::RealBackend;
 use rattrap::warehouse::{aid_of, Aid};
-use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 use workloads::WorkloadKind;
 
-/// One serving host: its worker pool, admission counter, and the set
-/// of workloads it has warm code for.
+/// What a route reads and an admission writes, behind one lock so the
+/// per-host bound holds exactly under concurrent submitters.
 #[derive(Debug)]
-struct HostSlot {
-    backend: RealBackend,
-    in_flight: AtomicUsize,
-    /// Workloads whose code this host has loaded before (the warm-set
-    /// the router's affinity preference keys on).
-    warm: Mutex<BTreeSet<WorkloadKind>>,
+struct Admission {
+    ctl: AdmissionCtl,
+    /// Per workload kind (by `kind_ix`), the ascending ids of the hosts
+    /// that have served it: the warm list the router's affinity
+    /// preference keys on.
+    warm: Vec<Vec<usize>>,
 }
 
 /// Routing + admission + real execution over a small host fleet.
 #[derive(Debug)]
 pub struct FleetHandler {
     router: Router,
-    hosts: Vec<HostSlot>,
+    /// One bounded worker pool per host.
+    backends: Vec<RealBackend>,
+    /// By `kind_ix`.
     aids: Vec<Aid>,
-    /// Per-host concurrent-request bound; beyond it the router spills
-    /// clockwise, and when every host is full the request is shed.
-    max_in_flight: usize,
+    /// The per-host concurrent-request bound and the warm lists: past
+    /// the bound the router spills clockwise, and when every host is
+    /// full the request is shed.
+    admission: Mutex<Admission>,
 }
 
 impl FleetHandler {
@@ -50,65 +54,57 @@ impl FleetHandler {
     /// room for `max_in_flight` concurrent requests.
     pub fn new(hosts: usize, workers: usize, max_in_flight: usize) -> FleetHandler {
         assert!(hosts > 0, "at least one host");
-        assert!(max_in_flight > 0, "admission bound must admit something");
         let mut router = Router::new(64);
         router.rebuild(&(0..hosts).collect());
         FleetHandler {
             router,
-            hosts: (0..hosts)
-                .map(|_| HostSlot {
-                    backend: RealBackend::new(workers),
-                    in_flight: AtomicUsize::new(0),
-                    warm: Mutex::new(BTreeSet::new()),
-                })
-                .collect(),
-            aids: WorkloadKind::ALL
-                .iter()
-                .map(|k| aid_of(k.app_id()))
-                .collect(),
-            max_in_flight,
+            backends: (0..hosts).map(|_| RealBackend::new(workers)).collect(),
+            aids: WorkloadKind::ALL.map(|k| aid_of(k.app_id())).to_vec(),
+            admission: Mutex::new(Admission {
+                ctl: AdmissionCtl::new(hosts, max_in_flight),
+                warm: vec![Vec::new(); WorkloadKind::ALL.len()],
+            }),
         }
     }
 
-    fn aid(&self, kind: WorkloadKind) -> &Aid {
-        let i = WorkloadKind::ALL
-            .iter()
-            .position(|&k| k == kind)
-            .expect("every kind has an aid");
-        &self.aids[i]
+    /// Route a request for `kind` (warm-affinity first, then hash home,
+    /// then spillover — the simulated front end's preference order),
+    /// admit it and mark its host warm, all in one critical section.
+    /// `None`, counted as a shed, when every host is full.
+    fn admit(&self, kind: WorkloadKind) -> Option<RouteDecision> {
+        let mut state = self.admission.lock().expect("admission lock");
+        let Admission { ctl, warm } = &mut *state;
+        let ix = kind_ix(kind);
+        let Some(decision) = self
+            .router
+            .route(&self.aids[ix], &warm[ix], |h| ctl.has_room(h))
+        else {
+            ctl.count_shed();
+            return None;
+        };
+        ctl.admit(decision.host);
+        if let Err(at) = warm[ix].binary_search(&decision.host) {
+            warm[ix].insert(at, decision.host);
+        }
+        Some(decision)
+    }
+
+    /// Give back the admission slot a served request held on `host`.
+    fn release(&self, host: usize) {
+        let mut state = self.admission.lock().expect("admission lock");
+        state.ctl.release(host);
     }
 }
 
 impl OffloadHandler for FleetHandler {
     fn handle(&self, req: &OffloadRequest) -> OffloadResponse {
         let queued = Instant::now();
-
-        // Route: warm-affinity first, then hash home, then spillover —
-        // exactly the simulated front end's preference order.
-        let warm: Vec<usize> = self
-            .hosts
-            .iter()
-            .enumerate()
-            .filter(|(_, slot)| slot.warm.lock().expect("warm set").contains(&req.kind))
-            .map(|(h, _)| h)
-            .collect();
-        let decision = self.router.route(self.aid(req.kind), &warm, |h| {
-            self.hosts[h].in_flight.load(Ordering::SeqCst) < self.max_in_flight
-        });
-        let Some(decision) = decision else {
+        let Some(decision) = self.admit(req.kind) else {
             return OffloadResponse::error("admission: every host is full");
         };
-
-        // Admit (racing submitters may overshoot the bound by the gap
-        // between route and admit; the bound is capacity protection,
-        // not a strict semaphore).
-        let slot = &self.hosts[decision.host];
-        slot.in_flight.fetch_add(1, Ordering::SeqCst);
-        slot.warm.lock().expect("warm set").insert(req.kind);
-
-        // Execute for real on the host's bounded pool.
-        let (out, wall) = slot.backend.execute(req.kind, req.size, req.seed);
-        slot.in_flight.fetch_sub(1, Ordering::SeqCst);
+        // Execute for real on the host's bounded pool, outside the lock.
+        let (out, wall) = self.backends[decision.host].execute(req.kind, req.size, req.seed);
+        self.release(decision.host);
 
         let total = queued.elapsed().as_micros() as u64;
         OffloadResponse {
@@ -127,7 +123,9 @@ impl OffloadHandler for FleetHandler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::router::RouteReason;
     use exec::{execute_kernel, SizeClass};
+    use std::sync::Barrier;
 
     #[test]
     fn routes_and_executes_with_verifiable_checksum() {
@@ -162,5 +160,46 @@ mod tests {
             assert_eq!(resp.host, first.host, "affinity broke: {}", resp.detail);
             assert!(resp.detail.contains("affinity"), "{}", resp.detail);
         }
+    }
+
+    #[test]
+    fn a_full_host_spills_and_a_full_fleet_sheds() {
+        let handler = FleetHandler::new(2, 1, 1);
+        let kind = WorkloadKind::Linpack;
+        let first = handler.admit(kind).expect("empty fleet admits");
+        assert_eq!(first.reason, RouteReason::Hash);
+        let second = handler.admit(kind).expect("the other host has room");
+        assert_eq!(second.reason, RouteReason::Spill);
+        assert_ne!(second.host, first.host);
+        assert_eq!(handler.admit(kind), None, "every host is full");
+        assert_eq!(handler.admission.lock().unwrap().ctl.shed(), 1);
+        handler.release(first.host);
+        let again = handler.admit(kind).expect("a released slot admits");
+        assert_eq!(again.host, first.host);
+        assert_eq!(again.reason, RouteReason::Affinity);
+    }
+
+    #[test]
+    fn concurrent_admission_never_overshoots_the_bound() {
+        let (hosts, cap, threads) = (3, 2, 16);
+        let handler = FleetHandler::new(hosts, 1, cap);
+        let barrier = Barrier::new(threads);
+        let admitted = std::thread::scope(|s| {
+            let runs: Vec<_> = (0..threads)
+                .map(|i| {
+                    let (handler, barrier) = (&handler, &barrier);
+                    s.spawn(move || {
+                        barrier.wait();
+                        handler.admit(WorkloadKind::ALL[i % 4]).is_some()
+                    })
+                })
+                .collect();
+            let admitted = runs.into_iter().map(|r| r.join().unwrap());
+            admitted.filter(|&ok| ok).count()
+        });
+        assert_eq!(admitted, hosts * cap, "every slot fills, none twice");
+        let state = handler.admission.lock().unwrap();
+        assert!((0..hosts).all(|h| state.ctl.depth(h) == cap));
+        assert_eq!(state.ctl.shed(), (threads - hosts * cap) as u64);
     }
 }

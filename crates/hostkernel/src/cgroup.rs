@@ -1,6 +1,7 @@
-//! Control groups — the process-level resource control that lets the
-//! Monitor & Scheduler manage containers "at process-level, rather than
-//! at VM-level" (§IV-A).
+//! Control groups — the process-level resource control that lets
+//! Rattrap manage containers "at process-level, rather than at
+//! VM-level" (§IV-A): one group per runtime, charged for its memory.
+//! `cpu.shares` is kept as a weight no simulated CPU reads yet.
 
 use crate::error::{KernelError, KernelResult};
 use std::collections::{BTreeMap, BTreeSet};
@@ -135,8 +136,7 @@ impl CgroupManager {
         Ok(())
     }
 
-    /// Update a group's `cpu.shares` weight (the scheduler's
-    /// rebalancing knob).
+    /// Update a group's `cpu.shares` weight.
     pub fn set_cpu_shares(&mut self, id: CgroupId, shares: u32) -> KernelResult<()> {
         let g = self
             .groups

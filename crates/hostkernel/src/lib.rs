@@ -16,8 +16,8 @@
 //! * [`binder`], [`alarm`], [`logger`], [`ashmem`] — functional state
 //!   machines for each pseudo driver.
 //! * [`process`] — PID namespaces and Zygote-style forking.
-//! * [`cgroup`] — the process-level resource control used by Rattrap's
-//!   Monitor & Scheduler.
+//! * [`cgroup`] — the process-level resource control a container runs
+//!   under (memory accounting; `cpu.shares` as a weight).
 //! * [`syscall`] — the Android syscall surface containers exercise.
 
 #![warn(missing_docs)]

@@ -8,7 +8,8 @@
 //! and every request-scoped event carries a `req` arg so one request
 //! can be followed across tracks.
 
-use super::{horizon_us, json_escape, json_f64, resolve_spans};
+use super::{horizon_us, json_f64, resolve_spans};
+use crate::json;
 use crate::recorder::TraceSnapshot;
 use crate::span::{AttrValue, Attrs, Subsystem, TraceEvent};
 
@@ -20,8 +21,8 @@ fn attr_json(value: &AttrValue) -> String {
         AttrValue::U64(v) => format!("{v}"),
         AttrValue::I64(v) => format!("{v}"),
         AttrValue::F64(v) => json_f64(*v),
-        AttrValue::Str(v) => format!("\"{}\"", json_escape(v)),
-        AttrValue::Text(v) => format!("\"{}\"", json_escape(v)),
+        AttrValue::Str(v) => format!("\"{}\"", json::escape(v)),
+        AttrValue::Text(v) => format!("\"{}\"", json::escape(v)),
         AttrValue::Bool(v) => format!("{v}"),
     }
 }
@@ -29,12 +30,12 @@ fn attr_json(value: &AttrValue) -> String {
 fn args_json(attrs: &Attrs, extra: &[(&str, String)]) -> String {
     let mut parts: Vec<String> = attrs
         .iter()
-        .map(|(k, v)| format!("\"{}\":{}", json_escape(k), attr_json(v)))
+        .map(|(k, v)| format!("\"{}\":{}", json::escape(k), attr_json(v)))
         .collect();
     parts.extend(
         extra
             .iter()
-            .map(|(k, v)| format!("\"{}\":{}", json_escape(k), v)),
+            .map(|(k, v)| format!("\"{}\":{}", json::escape(k), v)),
     );
     format!("{{{}}}", parts.join(","))
 }
@@ -66,7 +67,7 @@ impl TraceSnapshot {
                  \"ts\":{},\"dur\":{},\"args\":{}}}",
                 span.subsystem.index(),
                 span.subsystem.name(),
-                json_escape(span.name),
+                json::escape(span.name),
                 span.start_us,
                 span.duration_us(horizon),
                 args_json(&span.attrs, &extra)
@@ -85,7 +86,7 @@ impl TraceSnapshot {
                      \"name\":\"{}\",\"ts\":{},\"args\":{}}}",
                     subsystem.index(),
                     subsystem.name(),
-                    json_escape(name),
+                    json::escape(name),
                     at_us,
                     args_json(attrs, &[])
                 ));
@@ -94,19 +95,19 @@ impl TraceSnapshot {
         let mut meta: Vec<String> = self
             .meta
             .iter()
-            .map(|(k, v)| format!("\"{}\":\"{}\"", json_escape(k), json_escape(v)))
+            .map(|(k, v)| format!("\"{}\":\"{}\"", json::escape(k), json::escape(v)))
             .collect();
         meta.push(format!("\"dropped_events\":{}", self.dropped));
         let counters: Vec<String> = self
             .counters
             .iter()
-            .map(|(k, v)| format!("\"{}\":{}", json_escape(k), v))
+            .map(|(k, v)| format!("\"{}\":{}", json::escape(k), v))
             .collect();
         meta.push(format!("\"counters\":{{{}}}", counters.join(",")));
         let gauges: Vec<String> = self
             .gauges
             .iter()
-            .map(|(k, v)| format!("\"{}\":{}", json_escape(k), json_f64(*v)))
+            .map(|(k, v)| format!("\"{}\":{}", json::escape(k), json_f64(*v)))
             .collect();
         meta.push(format!("\"gauges\":{{{}}}", gauges.join(",")));
         format!(

@@ -94,25 +94,6 @@ pub(crate) fn horizon_us(snapshot: &TraceSnapshot) -> u64 {
         .unwrap_or(0)
 }
 
-/// Escape a string for embedding inside a JSON string literal.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Render an f64 as JSON (finite → shortest round-trip-ish `{}`,
 /// non-finite → `null` since JSON has no NaN/Inf).
 pub(crate) fn json_f64(v: f64) -> String {

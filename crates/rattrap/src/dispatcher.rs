@@ -8,27 +8,40 @@
 //! executed before, which saves the time for loading codes" (§IV-D).
 
 use simkit::{IdTable, SimTime};
-use virt::{InstanceId, RuntimeClass};
+use std::collections::VecDeque;
+use virt::{Aid, InstanceId};
 
 /// Lifecycle state of a runtime instance as tracked by the Container DB.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InstanceState {
-    /// Still booting; becomes ready at the given instant.
-    Booting {
-        /// When boot completes.
-        ready_at: SimTime,
-    },
+    /// Still booting.
+    Booting,
     /// Ready to execute offloaded code.
     Ready,
 }
 
-/// One Container DB record.
-#[derive(Debug, Clone)]
+/// What the simulation engine keeps per live instance: the part of a
+/// record it may write through [`ContainerDb::runtime_mut`].
+#[derive(Debug, Default, PartialEq)]
+pub struct Runtime {
+    /// A request is in service (code load, compute or offloading I/O).
+    pub busy: bool,
+    /// Requests (engine slots) waiting for the runtime to come free,
+    /// first come first.
+    pub queue: VecDeque<usize>,
+    /// Requests waiting for the instance to finish booting.
+    pub boot_waiters: Vec<usize>,
+    /// Apps whose code a client already pushed into this runtime — the
+    /// clients' own record, used by the cache-less platforms.
+    pub code_pushed: Vec<Aid>,
+}
+
+/// One Container DB record: the only per-instance row of the paper
+/// engine.
+#[derive(Debug)]
 pub struct ContainerRecord {
     /// The instance.
     pub id: InstanceId,
-    /// Runtime class.
-    pub class: RuntimeClass,
     /// Current state.
     pub state: InstanceState,
     /// Requests currently executing or queued on the instance.
@@ -37,6 +50,8 @@ pub struct ContainerRecord {
     pub last_active: SimTime,
     /// Device that owns this instance (VM-per-device model), if any.
     pub owner_device: Option<u32>,
+    /// The engine's runtime state.
+    pub runtime: Runtime,
 }
 
 /// An ordered set small enough to live in one sorted `Vec`: unlike a
@@ -76,7 +91,8 @@ impl<T: Ord + Copy> SortedSet<T> {
 /// ready and idle, which of the shared pool is least loaded, which one a
 /// device owns — as indexes updated where a record changes, so no
 /// question walks the records. `state`, `active_jobs` and `owner_device`
-/// are therefore written only by the methods below.
+/// are therefore written only by the methods below; the engine writes a
+/// record's [`Runtime`] through [`ContainerDb::runtime_mut`].
 #[derive(Debug, Default)]
 pub struct ContainerDb {
     records: IdTable<ContainerRecord>,
@@ -97,14 +113,9 @@ impl ContainerDb {
         Self::default()
     }
 
-    /// Register a newly provisioned instance.
-    pub fn register(
-        &mut self,
-        id: InstanceId,
-        class: RuntimeClass,
-        ready_at: SimTime,
-        owner_device: Option<u32>,
-    ) {
+    /// Register a newly provisioned instance, booting until `ready_at`
+    /// (its idle clock starts there).
+    pub fn register(&mut self, id: InstanceId, ready_at: SimTime, owner_device: Option<u32>) {
         self.remove(id);
         self.booting += 1;
         match owner_device {
@@ -115,11 +126,11 @@ impl ContainerDb {
             id.0,
             ContainerRecord {
                 id,
-                class,
-                state: InstanceState::Booting { ready_at },
+                state: InstanceState::Booting,
                 active_jobs: 0,
                 last_active: ready_at,
                 owner_device,
+                runtime: Runtime::default(),
             },
         );
     }
@@ -127,7 +138,7 @@ impl ContainerDb {
     /// Mark an instance ready (boot completed).
     pub fn mark_ready(&mut self, id: InstanceId) {
         if let Some(r) = self.records.get_mut(id.0) {
-            if matches!(r.state, InstanceState::Booting { .. }) {
+            if r.state == InstanceState::Booting {
                 self.booting -= 1;
                 if r.active_jobs == 0 {
                     self.ready_idle.insert(id.0);
@@ -140,7 +151,7 @@ impl ContainerDb {
     /// Remove a record (teardown).
     pub fn remove(&mut self, id: InstanceId) -> Option<ContainerRecord> {
         let r = self.records.remove(id.0)?;
-        if matches!(r.state, InstanceState::Booting { .. }) {
+        if r.state == InstanceState::Booting {
             self.booting -= 1;
         }
         self.ready_idle.remove(id.0);
@@ -154,6 +165,11 @@ impl ContainerDb {
     /// Record lookup.
     pub fn get(&self, id: InstanceId) -> Option<&ContainerRecord> {
         self.records.get(id.0)
+    }
+
+    /// The engine's writable part of `id`'s record.
+    pub fn runtime_mut(&mut self, id: InstanceId) -> Option<&mut Runtime> {
+        self.records.get_mut(id.0).map(|r| &mut r.runtime)
     }
 
     /// Move `id`'s job count one up or one down (never below zero),
@@ -355,26 +371,42 @@ impl Dispatcher {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     proptest! {
         /// After any sequence of register / mark_ready / job changes /
-        /// remove, every index answers what a scan of the records does.
+        /// runtime writes / remove, every index answers what a scan of
+        /// the records does, and `remove` hands back the runtime state
+        /// written since the record was registered.
         #[test]
-        fn indexes_equal_a_scan(ops in prop::collection::vec((0u8..6, 0u32..12, 0u32..4), 1..120)) {
+        fn indexes_equal_a_scan(ops in prop::collection::vec((0u8..9, 0u32..12, 0u32..4), 1..120)) {
             let mut db = ContainerDb::new();
+            let mut written: BTreeMap<u32, Runtime> = BTreeMap::new();
             for (step, (op, id, device)) in ops.into_iter().enumerate() {
                 let id = InstanceId(id);
                 match op {
                     0 => {
                         let owner = (device > 0).then_some(device);
-                        db.register(id, RuntimeClass::CacOptimized, t(step as u64), owner);
+                        db.register(id, t(step as u64), owner);
+                        written.insert(id.0, Runtime::default());
                     }
                     1 => db.mark_ready(id),
                     2 => db.add_job(id),
                     3 => db.finish_job(id, t(step as u64)),
                     4 => db.withdraw_job(id),
+                    5 => {
+                        let record = db.remove(id).map(|r| r.runtime);
+                        prop_assert_eq!(record, written.remove(&id.0));
+                    }
                     _ => {
-                        db.remove(id);
+                        let rows = db.runtime_mut(id).zip(written.get_mut(&id.0));
+                        for r in rows.into_iter().flat_map(|(row, model)| [row, model]) {
+                            match op {
+                                6 => r.boot_waiters.push(step),
+                                7 => r.queue.push_back(step),
+                                _ => r.busy = !r.busy,
+                            }
+                        }
                     }
                 }
                 let ready_idle = |r: &&ContainerRecord| {
@@ -419,8 +451,8 @@ mod tests {
         });
         let mut db = ContainerDb::new();
         assert_eq!(d.place(&db, 0, &[]), Placement::Provision);
-        db.register(InstanceId(0), RuntimeClass::AndroidVm, t(29), Some(0));
-        db.register(InstanceId(1), RuntimeClass::AndroidVm, t(29), Some(1));
+        db.register(InstanceId(0), t(29), Some(0));
+        db.register(InstanceId(1), t(29), Some(1));
         assert_eq!(d.place(&db, 0, &[]), Placement::Existing(InstanceId(0)));
         assert_eq!(d.place(&db, 1, &[]), Placement::Existing(InstanceId(1)));
         assert_eq!(
@@ -435,7 +467,7 @@ mod tests {
         let d = pool_dispatcher(8);
         let mut db = ContainerDb::new();
         for i in 0..3 {
-            db.register(InstanceId(i), RuntimeClass::CacOptimized, t(0), None);
+            db.register(InstanceId(i), t(0), None);
             db.mark_ready(InstanceId(i));
         }
         // Instance 2 has the code; instance 0 is idle but cold.
@@ -450,8 +482,8 @@ mod tests {
     fn overloaded_affinity_target_is_skipped() {
         let d = pool_dispatcher(8);
         let mut db = ContainerDb::new();
-        db.register(InstanceId(0), RuntimeClass::CacOptimized, t(0), None);
-        db.register(InstanceId(1), RuntimeClass::CacOptimized, t(0), None);
+        db.register(InstanceId(0), t(0), None);
+        db.register(InstanceId(1), t(0), None);
         db.mark_ready(InstanceId(0));
         db.mark_ready(InstanceId(1));
         db.add_job(InstanceId(1));
@@ -468,14 +500,14 @@ mod tests {
         let d = pool_dispatcher(2);
         let mut db = ContainerDb::new();
         assert_eq!(d.place(&db, 0, &[]), Placement::Provision);
-        db.register(InstanceId(0), RuntimeClass::CacOptimized, t(2), None);
+        db.register(InstanceId(0), t(2), None);
         db.add_job(InstanceId(0));
         assert_eq!(
             d.place(&db, 0, &[]),
             Placement::Provision,
             "busy pool below cap grows"
         );
-        db.register(InstanceId(1), RuntimeClass::CacOptimized, t(2), None);
+        db.register(InstanceId(1), t(2), None);
         for _ in 0..3 {
             db.add_job(InstanceId(1));
         }
@@ -486,9 +518,9 @@ mod tests {
     #[test]
     fn idle_since_respects_state_and_jobs() {
         let mut db = ContainerDb::new();
-        db.register(InstanceId(0), RuntimeClass::CacOptimized, t(0), None);
-        db.register(InstanceId(1), RuntimeClass::CacOptimized, t(0), None);
-        db.register(InstanceId(2), RuntimeClass::CacOptimized, t(0), None);
+        db.register(InstanceId(0), t(0), None);
+        db.register(InstanceId(1), t(0), None);
+        db.register(InstanceId(2), t(0), None);
         db.mark_ready(InstanceId(0));
         db.mark_ready(InstanceId(1));
         // 2 stays booting. 1 is busy.

@@ -9,13 +9,14 @@
 //! * [`warehouse`] — App Warehouse + mobile code cache (AID/CID cache
 //!   table, Fig. 8).
 //! * [`access`] — Request-based Access Controller (§IV-E).
-//! * [`dispatcher`] — Dispatcher + Container DB with CID cache affinity.
+//! * [`dispatcher`] — Dispatcher + Container DB with CID cache affinity;
+//!   the DB's record is the engine's only per-instance row.
 //! * [`decision`] — the client-side MAUI-style offloading decision
 //!   engine (link estimators + latency/energy prediction).
 //! * [`platform`] — the three platform configurations of §VI-A
 //!   (Rattrap, Rattrap(W/O), VM baseline) and the ablation knobs.
-//! * [`scheduler`] — Monitor & Scheduler: warm pools, idle
-//!   reclamation, process-level cpu.shares rebalancing.
+//! * [`scheduler`] — Monitor & Scheduler: warm pools and idle
+//!   reclamation over the Container DB.
 //! * [`request`] — the §III-B phase decomposition per request.
 //! * [`resilience`] — per-phase timeouts, retry budgets with bounded
 //!   backoff, and graceful degradation to on-device execution.
@@ -49,6 +50,6 @@ pub use metrics::{FaultStats, ReportHasher};
 pub use platform::{PlatformConfig, PlatformKind};
 pub use request::{PhaseBreakdown, RequestRecord};
 pub use resilience::ResiliencePolicy;
-pub use scheduler::{Monitor, PoolPolicy, ScaleAction, Scheduler};
+pub use scheduler::{PoolPolicy, ScaleAction, Scheduler};
 pub use simulation::{run_scenario, ArrivalModel, ScenarioConfig, Simulation, SimulationReport};
 pub use warehouse::{aid_of, Aid, AppWarehouse, WarehouseStats};

@@ -2,16 +2,16 @@
 //!
 //! Rattrap "conducts resource scheduling at process-level, rather than
 //! at VM-level in existing platforms": because Cloud Android Containers
-//! are ordinary process groups under cgroups, the platform can watch
-//! per-instance load and act on it cheaply — grow a warm pool before
-//! requests arrive, reclaim idle instances, and rebalance `cpu.shares`
-//! toward busy containers. The [`Monitor`] keeps EWMA load estimates per
-//! instance; the [`Scheduler`] turns a Container-DB snapshot into scale
-//! and share actions the platform applies.
+//! are ordinary process groups under cgroups, the platform can act on
+//! per-instance state cheaply — grow a warm pool before requests
+//! arrive and reclaim idle instances. The [`Scheduler`] turns the
+//! Container DB's indexes into scale actions the platform applies.
+//! `cpu.shares` rebalancing is not modelled: the server CPU splits its
+//! cores equally among running jobs and never reads a cgroup's weight
+//! (DESIGN.md §5).
 
 use crate::dispatcher::ContainerDb;
 use simkit::{SimDuration, SimTime};
-use std::collections::BTreeMap;
 use virt::InstanceId;
 
 /// Pool-management policy.
@@ -46,50 +46,6 @@ pub enum ScaleAction {
     Provision(usize),
     /// Tear these idle instances down.
     Teardown(Vec<InstanceId>),
-}
-
-/// EWMA load monitor over container instances.
-#[derive(Debug)]
-pub struct Monitor {
-    alpha: f64,
-    load: BTreeMap<u32, f64>,
-}
-
-impl Monitor {
-    /// A monitor smoothing with factor `alpha` in `(0, 1]` (higher =
-    /// more reactive).
-    pub fn new(alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha in (0,1]");
-        Monitor {
-            alpha,
-            load: BTreeMap::new(),
-        }
-    }
-
-    /// Feed one observation of an instance's active jobs.
-    pub fn observe(&mut self, id: InstanceId, active_jobs: u32) {
-        let entry = self.load.entry(id.0).or_insert(active_jobs as f64);
-        *entry = self.alpha * active_jobs as f64 + (1.0 - self.alpha) * *entry;
-    }
-
-    /// Smoothed load of an instance (0 if never observed).
-    pub fn load_of(&self, id: InstanceId) -> f64 {
-        self.load.get(&id.0).copied().unwrap_or(0.0)
-    }
-
-    /// Forget a torn-down instance.
-    pub fn forget(&mut self, id: InstanceId) {
-        self.load.remove(&id.0);
-    }
-
-    /// Mean smoothed load across known instances.
-    pub fn mean_load(&self) -> f64 {
-        if self.load.is_empty() {
-            0.0
-        } else {
-            self.load.values().sum::<f64>() / self.load.len() as f64
-        }
-    }
 }
 
 /// The scheduler.
@@ -148,27 +104,11 @@ impl Scheduler {
         }
         actions
     }
-
-    /// Compute `cpu.shares` per instance, in id order, proportional to
-    /// smoothed load (floor 256, busy instances up to 4096) —
-    /// process-level resource control a VM platform cannot do without a
-    /// hypervisor round trip.
-    pub fn rebalance_shares<'a>(
-        &self,
-        db: &'a ContainerDb,
-        monitor: &'a Monitor,
-    ) -> impl Iterator<Item = (InstanceId, u32)> + 'a {
-        db.iter().map(|rec| {
-            let load = monitor.load_of(rec.id);
-            (rec.id, (1024.0 * (0.25 + load)).clamp(256.0, 4096.0) as u32)
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use virt::RuntimeClass;
 
     fn t(s: u64) -> SimTime {
         SimTime::from_secs(s)
@@ -177,7 +117,7 @@ mod tests {
     fn db_with(n: usize, ready: bool) -> ContainerDb {
         let mut db = ContainerDb::new();
         for i in 0..n {
-            db.register(InstanceId(i as u32), RuntimeClass::CacOptimized, t(0), None);
+            db.register(InstanceId(i as u32), t(0), None);
             if ready {
                 db.mark_ready(InstanceId(i as u32));
             }
@@ -203,7 +143,7 @@ mod tests {
         assert_eq!(s.plan(&db, t(0)), vec![ScaleAction::Provision(2)]);
         // One booting instance counts toward the target.
         let mut db = ContainerDb::new();
-        db.register(InstanceId(0), RuntimeClass::CacOptimized, t(2), None);
+        db.register(InstanceId(0), t(2), None);
         assert_eq!(s.plan(&db, t(0)), vec![ScaleAction::Provision(1)]);
     }
 
@@ -249,52 +189,5 @@ mod tests {
             actions,
             vec![ScaleAction::Teardown(vec![InstanceId(0), InstanceId(1)])]
         );
-    }
-
-    #[test]
-    fn monitor_ewma_tracks_load() {
-        let mut m = Monitor::new(0.5);
-        let id = InstanceId(0);
-        m.observe(id, 4);
-        assert!(
-            (m.load_of(id) - 4.0).abs() < 1e-9,
-            "first observation seeds the EWMA"
-        );
-        m.observe(id, 0);
-        assert!((m.load_of(id) - 2.0).abs() < 1e-9);
-        m.observe(id, 0);
-        assert!((m.load_of(id) - 1.0).abs() < 1e-9);
-        m.forget(id);
-        assert_eq!(m.load_of(id), 0.0);
-    }
-
-    #[test]
-    fn share_rebalancing_favours_busy_instances() {
-        let s = Scheduler::new(PoolPolicy::on_demand(8, SimDuration::from_secs(120)));
-        let db = db_with(2, true);
-        let mut m = Monitor::new(1.0);
-        m.observe(InstanceId(0), 3);
-        m.observe(InstanceId(1), 0);
-        let shares: BTreeMap<u32, u32> = s
-            .rebalance_shares(&db, &m)
-            .map(|(id, shares)| (id.0, shares))
-            .collect();
-        assert!(
-            shares[&0] > 3 * shares[&1],
-            "busy gets {} idle gets {}",
-            shares[&0],
-            shares[&1]
-        );
-        assert!(shares[&1] >= 256, "floor respected");
-        assert!(shares[&0] <= 4096, "ceiling respected");
-    }
-
-    #[test]
-    fn mean_load_summary() {
-        let mut m = Monitor::new(1.0);
-        assert_eq!(m.mean_load(), 0.0);
-        m.observe(InstanceId(0), 2);
-        m.observe(InstanceId(1), 4);
-        assert!((m.mean_load() - 3.0).abs() < 1e-9);
     }
 }

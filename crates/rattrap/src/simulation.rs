@@ -32,7 +32,7 @@ use crate::metrics::FaultStats;
 use crate::platform::PlatformConfig;
 use crate::request::{PhaseBreakdown, RequestRecord};
 use crate::resilience::ResiliencePolicy;
-use crate::scheduler::{Monitor, PoolPolicy, ScaleAction, Scheduler};
+use crate::scheduler::{PoolPolicy, ScaleAction, Scheduler};
 use crate::warehouse::{aid_of, Aid, AppWarehouse, WarehouseStats};
 use netsim::{Direction, Link, NetworkScenario};
 use obsv::{attrs, AttrValue, Counter, Recorder, SpanId, Subsystem};
@@ -41,11 +41,10 @@ use simkit::faults::{
     TransferOutcome,
 };
 use simkit::{
-    derive_seed, EventQueue, FairShareExecutor, IdTable, SimDuration, SimRng, SimTime,
-    TimelineSampler,
+    derive_seed, EventQueue, FairShareExecutor, SimDuration, SimRng, SimTime, TimelineSampler,
 };
-use std::collections::{BTreeMap, VecDeque};
-use virt::{CloudHost, HostError, InstanceId, RuntimeClass, TMPFS_BANDWIDTH};
+use std::collections::BTreeMap;
+use virt::{CloudHost, HostError, InstanceId, TMPFS_BANDWIDTH};
 use workloads::WorkloadKind;
 
 /// How requests arrive.
@@ -278,26 +277,13 @@ struct ReqSpans {
     phase: SpanId,
 }
 
-/// What the engine tracks per live runtime instance.
-#[derive(Debug, Default)]
-struct Runtime {
-    /// A request is in service (code load, compute or offloading I/O).
-    busy: bool,
-    /// Requests waiting for the runtime to come free, first come first.
-    queue: VecDeque<usize>,
-    /// Requests waiting for the instance to finish booting.
-    boot_waiters: Vec<usize>,
-    /// Apps whose code a client already pushed into this runtime — the
-    /// clients' own record, used by the cache-less platforms.
-    code_pushed: Vec<Aid>,
-}
-
 /// The simulation state machine. Create with [`Simulation::new`], run
 /// with [`Simulation::run`].
 pub struct Simulation {
     cfg: ScenarioConfig,
     queue: EventQueue<Event>,
     host: CloudHost,
+    /// Every live instance's record, the engine's runtime state included.
     db: ContainerDb,
     dispatcher: Dispatcher,
     warehouse: AppWarehouse,
@@ -318,9 +304,6 @@ pub struct Simulation {
     /// Per-slot generation counters (see [`Event`]), parallel to
     /// `pending`. Bumped on fault, completion, and slot recycling.
     slot_gen: Vec<u64>,
-    /// The engine's own state of every live instance, by instance id:
-    /// rows come and go with the Container DB's records.
-    runtimes: IdTable<Runtime>,
     cpu_sampler: TimelineSampler,
     io_read: TimelineSampler,
     io_write: TimelineSampler,
@@ -339,10 +322,9 @@ pub struct Simulation {
     device_names: Vec<String>,
     /// Scratch for one completion check's finished requests.
     finished: Vec<usize>,
-    /// Monitor & Scheduler (§IV-A): warm-pool management, idle
-    /// reclamation, and cpu.shares rebalancing.
+    /// Monitor & Scheduler (§IV-A): warm-pool management and idle
+    /// reclamation.
     scheduler: Scheduler,
-    monitor: Monitor,
     /// Lifecycle hooks fired on every phase transition.
     observers: Vec<Box<dyn PhaseObserver>>,
     /// Link outage/degradation windows from the fault plan (empty on
@@ -412,7 +394,6 @@ impl Simulation {
             pending: Vec::new(),
             free_slots: Vec::new(),
             slot_gen: Vec::new(),
-            runtimes: IdTable::new(),
             cpu_sampler: TimelineSampler::new(bin, horizon),
             io_read: TimelineSampler::new(bin, horizon),
             io_write: TimelineSampler::new(bin, horizon),
@@ -428,7 +409,6 @@ impl Simulation {
                 max_instances: cfg.platform.max_instances,
                 idle_teardown: IDLE_TEARDOWN,
             }),
-            monitor: Monitor::new(0.3),
             cfg,
             expected_requests,
             device_names: Vec::new(),
@@ -1012,10 +992,10 @@ impl Simulation {
         } else {
             // VM / W-O: the client pushes the code into *this* runtime
             // on its first request there (and remembers having done so).
-            let pushed = &mut self.runtime(instance).code_pushed;
-            let first = !pushed.contains(&aid);
+            let runtime = self.db.runtime_mut(instance).expect("placed");
+            let first = !runtime.code_pushed.contains(&aid);
             if first {
-                pushed.push(aid);
+                runtime.code_pushed.push(aid);
             }
             first
         };
@@ -1027,14 +1007,8 @@ impl Simulation {
         (code_transferred, resident)
     }
 
-    /// The engine's row for live instance `id`.
-    fn runtime(&mut self, id: InstanceId) -> &mut Runtime {
-        let row = self.runtimes.get_mut(id.0);
-        row.expect("every live instance has a runtime row")
-    }
-
     fn provision(&mut self, now: SimTime, device: u32) -> Option<InstanceId> {
-        let class: RuntimeClass = self.cfg.platform.runtime_class;
+        let class = self.cfg.platform.runtime_class;
         match self.host.provision(class) {
             Ok((id, setup)) => {
                 self.instances_provisioned += 1;
@@ -1044,8 +1018,7 @@ impl Simulation {
                 } else {
                     None
                 };
-                self.db.register(id, class, now + setup, owner);
-                self.runtimes.insert(id.0, Runtime::default());
+                self.db.register(id, now + setup, owner);
                 self.queue
                     .schedule(now + setup, Event::BootDone { instance: id });
                 // Boot reads the image from disk (Fig. 2's early read
@@ -1068,11 +1041,9 @@ impl Simulation {
         self.io_write.record_amount(now, payload);
         let instance = self.pending[req].instance.expect("placed at arrival");
         self.transition(now, req, Phase::RuntimePrep);
-        match self.db.get(instance).map(|r| r.state) {
-            Some(InstanceState::Booting { .. }) => {
-                self.runtime(instance).boot_waiters.push(req);
-            }
-            Some(InstanceState::Ready) => self.try_start_service(now, instance, req),
+        let booting = match self.db.get(instance).map(|r| r.state) {
+            Some(InstanceState::Ready) => return self.try_start_service(now, instance, req),
+            Some(InstanceState::Booting) => instance,
             None => {
                 // Instance was torn down while we were uploading (can
                 // only happen in trace mode with long uploads): place
@@ -1083,22 +1054,25 @@ impl Simulation {
                     .expect("re-provision after teardown");
                 self.db.add_job(id);
                 self.pending[req].instance = Some(id);
-                self.runtime(id).boot_waiters.push(req);
+                id
             }
-        }
+        };
+        let runtime = self.db.runtime_mut(booting).expect("a live instance");
+        runtime.boot_waiters.push(req);
     }
 
     fn try_start_service(&mut self, now: SimTime, instance: InstanceId, req: usize) {
-        let runtime = self.runtime(instance);
+        let runtime = self.db.runtime_mut(instance).expect("a ready instance");
         if runtime.busy {
             runtime.queue.push_back(req);
         } else {
+            runtime.busy = true;
             self.start_service(now, instance, req);
         }
     }
 
+    /// Serve `req` on `instance`, whose runtime the caller marked busy.
     fn start_service(&mut self, now: SimTime, instance: InstanceId, req: usize) {
-        self.runtime(instance).busy = true;
         // This can run mid-handler for a *queued* request (finish_io
         // releasing the runtime), so scope the trace attribution to
         // this request and restore the caller's afterwards.
@@ -1141,13 +1115,7 @@ impl Simulation {
         self.transition(now, req, Phase::Compute);
 
         // Start the computation on the shared server CPU.
-        let instance = self.pending[req].instance.expect("serving");
-        let class = self
-            .db
-            .get(instance)
-            .map(|r| r.class)
-            .unwrap_or(self.cfg.platform.runtime_class);
-        let eff = class.spec().cpu_efficiency;
+        let eff = self.cfg.platform.runtime_class.spec().cpu_efficiency;
         let ghz = self.host.host_spec().clock_ghz;
         let mut work_core_seconds = self.compute_prices.price(&self.pending[req].task, ghz, eff);
         // Straggler fault: computations started inside a slowdown
@@ -1213,12 +1181,7 @@ impl Simulation {
             return;
         }
         let instance = self.pending[req].instance.expect("serving");
-        let class = self
-            .db
-            .get(instance)
-            .map(|r| r.class)
-            .unwrap_or(self.cfg.platform.runtime_class);
-        let spec = class.spec();
+        let spec = self.cfg.platform.runtime_class.spec();
         if spec.uses_shared_io_layer {
             // Sharing Offloading I/O: the in-memory layer sidesteps the
             // disk entirely (and burns after reading).
@@ -1284,12 +1247,16 @@ impl Simulation {
     }
 
     /// `instance` finished (or lost) the request it was serving: it goes
-    /// idle, or straight on to the next queued request.
+    /// idle, or straight on to the next queued request. A crashed
+    /// instance is already gone and has nothing to release.
     fn release_runtime(&mut self, now: SimTime, instance: InstanceId) {
         self.db.finish_job(instance, now);
-        let runtime = self.runtime(instance);
-        runtime.busy = false;
-        if let Some(next) = runtime.queue.pop_front() {
+        let Some(runtime) = self.db.runtime_mut(instance) else {
+            return;
+        };
+        let next = runtime.queue.pop_front();
+        runtime.busy = next.is_some();
+        if let Some(next) = next {
             self.start_service(now, instance, next);
         }
     }
@@ -1404,8 +1371,8 @@ impl Simulation {
         }
         self.db.mark_ready(instance);
         // (A crash may have taken the instance before its boot finished.)
-        let row = self.runtimes.get_mut(instance.0);
-        let waiters = row.map(|r| std::mem::take(&mut r.boot_waiters));
+        let runtime = self.db.runtime_mut(instance);
+        let waiters = runtime.map(|r| std::mem::take(&mut r.boot_waiters));
         for req in waiters.unwrap_or_default() {
             self.try_start_service(now, instance, req);
         }
@@ -1455,9 +1422,9 @@ impl Simulation {
             );
         }
         let mut hit: Vec<usize> = Vec::new();
-        if let Some(runtime) = self.runtimes.remove(victim.0) {
-            hit.extend(runtime.boot_waiters);
-            hit.extend(runtime.queue);
+        if let Some(record) = self.db.remove(victim) {
+            hit.extend(record.runtime.boot_waiters);
+            hit.extend(record.runtime.queue);
         }
         for i in 0..self.pending.len() {
             let lc = &self.pending[i];
@@ -1472,9 +1439,7 @@ impl Simulation {
             }
         }
         hit.sort_unstable();
-        self.db.remove(victim);
         self.warehouse.invalidate_container(victim);
-        self.monitor.forget(victim);
         for req in hit {
             let task = &self.pending[req].task;
             let resume = ResumeStage::Upload {
@@ -1550,7 +1515,7 @@ impl Simulation {
             }
             Phase::RuntimePrep => {
                 if let Some(id) = instance {
-                    if let Some(runtime) = self.runtimes.get_mut(id.0) {
+                    if let Some(runtime) = self.db.runtime_mut(id) {
                         runtime.boot_waiters.retain(|&r| r != req);
                         runtime.queue.retain(|&r| r != req);
                     }
@@ -1568,13 +1533,10 @@ impl Simulation {
                     self.disk
                         .reschedule(now, &mut self.queue, |epoch| Event::DiskCheck { epoch });
                 }
-                // Release the runtime like finish_io does — unless the
-                // fault *is* the runtime crashing, in which case it is
-                // already gone.
+                // Release the runtime like finish_io does (a no-op when
+                // the fault *is* the runtime crashing).
                 if let Some(id) = instance {
-                    if self.db.get(id).is_some() {
-                        self.release_runtime(now, id);
-                    }
+                    self.release_runtime(now, id);
                 }
             }
             Phase::DataTransferDown => {
@@ -1725,17 +1687,6 @@ impl Simulation {
     }
 
     fn on_idle_scan(&mut self, now: SimTime) {
-        // Feed the monitor and rebalance cpu.shares toward busy
-        // instances (process-level resource control, §IV-A).
-        for r in self.db.iter() {
-            self.monitor.observe(r.id, r.active_jobs);
-        }
-        for (id, shares) in self.scheduler.rebalance_shares(&self.db, &self.monitor) {
-            if let Ok(inst) = self.host.instance(id) {
-                let cg = inst.cgroup;
-                let _ = self.host.kernel.cgroups.set_cpu_shares(cg, shares);
-            }
-        }
         // Scale actions: warm-pool refills and idle reclamation.
         for action in self.scheduler.plan(&self.db, now) {
             match action {
@@ -1750,19 +1701,18 @@ impl Simulation {
                     for id in victims {
                         // Don't reclaim instances with queued work, boot
                         // waiters, or placed-but-uploading requests.
-                        let waited_for = self
-                            .runtimes
-                            .get(id.0)
-                            .is_some_and(|r| !r.queue.is_empty() || !r.boot_waiters.is_empty());
-                        let placed = self.db.get(id).map(|r| r.active_jobs > 0).unwrap_or(false);
-                        if waited_for || placed {
+                        let in_use = self.db.get(id).is_some_and(|r| {
+                            let runtime = &r.runtime;
+                            r.active_jobs > 0
+                                || !runtime.queue.is_empty()
+                                || !runtime.boot_waiters.is_empty()
+                        });
+                        if in_use {
                             continue;
                         }
                         if self.host.teardown(id).is_ok() {
                             self.db.remove(id);
-                            self.runtimes.remove(id.0);
                             self.warehouse.invalidate_container(id);
-                            self.monitor.forget(id);
                         }
                     }
                 }
