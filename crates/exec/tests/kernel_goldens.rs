@@ -57,20 +57,26 @@ const POOL_SEEDS: [u64; 8] = [
     0x5EED_0026,
 ];
 
-/// The cells `serve_heavy` spends its time in, with the seed order of
-/// [`POOL_SEEDS`].
-const POOL_CELLS: [(WorkloadKind, SizeClass); 4] = [
+/// The cells the serve workloads send (`serve_heavy`'s chess, OCR and
+/// VirusScan L; `serve_connect` and `serve_session`'s Linpack S/M and
+/// VirusScan S), with the seed order of [`POOL_SEEDS`].
+const POOL_CELLS: [(WorkloadKind, SizeClass); 8] = [
     (WorkloadKind::ChessGame, SizeClass::Small),
     (WorkloadKind::ChessGame, SizeClass::Medium),
     (WorkloadKind::Ocr, SizeClass::Medium),
     (WorkloadKind::Ocr, SizeClass::Large),
+    (WorkloadKind::Linpack, SizeClass::Small),
+    (WorkloadKind::Linpack, SizeClass::Medium),
+    (WorkloadKind::VirusScan, SizeClass::Small),
+    (WorkloadKind::VirusScan, SizeClass::Large),
 ];
 
 /// `(checksum, work_units)` per [`POOL_CELLS`] row × [`POOL_SEEDS`]
 /// column — regenerated via `print_golden_table`. A kernel rewrite that
 /// keeps these does the same work: same best move, score and node
-/// count; same text, comparison count and confidence bits.
-const POOL_GOLDEN: [[(u64, u64); 8]; 4] = [
+/// count; same text, comparison count and confidence bits; same
+/// detections and bytes scanned; same residual bits.
+const POOL_GOLDEN: [[(u64, u64); 8]; 8] = [
     // ChessGame/S
     [
         (0xe2cdbeb910e51d16, 1697),
@@ -114,6 +120,50 @@ const POOL_GOLDEN: [[(u64, u64); 8]; 4] = [
         (0x89b6195a605220b2, 6290),
         (0xd641bc5f8cba78b5, 6253),
         (0x1c3afe8a60671800, 6438),
+    ],
+    // Linpack/S
+    [
+        (0xa5366b930dcf47ce, 354133),
+        (0xe0f3e68d7f720cc7, 354133),
+        (0xb4425307ec3433ad, 354133),
+        (0x8f7dc964a7c92ba5, 354133),
+        (0xa6b0b1652a10549c, 354133),
+        (0x2d0a674bd4de5056, 354133),
+        (0x1d93c054051ba126, 354133),
+        (0x2f3685d2500b84dd, 354133),
+    ],
+    // Linpack/M
+    [
+        (0x86a6768715a24bed, 1868533),
+        (0x01d091e05af46276, 1868533),
+        (0x2e575597f67b69ba, 1868533),
+        (0x22f2f68e47fdf209, 1868533),
+        (0xc591bb9f3c2b219b, 1868533),
+        (0x71ecfc6781516db5, 1868533),
+        (0x978559c3159759f6, 1868533),
+        (0x05a72428221a5928, 1868533),
+    ],
+    // VirusScan/S
+    [
+        (0xcac333fdd7d12b62, 15428),
+        (0x22d4377679efdd98, 14563),
+        (0x3029bf35182bfa10, 15204),
+        (0x2cf5e841bfc9e11b, 18169),
+        (0x79b21b993084c0a1, 15125),
+        (0x4fb4bf1a2a6c2d7f, 15336),
+        (0x53f6697a4c7a98fe, 17949),
+        (0x5733cd3924d77529, 16241),
+    ],
+    // VirusScan/L
+    [
+        (0x0e3a6f931966346c, 131895),
+        (0x0694fb98e1e1a66b, 126610),
+        (0x028f3c4098ec6eb3, 134439),
+        (0xf6c0c6fde90eed5f, 132265),
+        (0x61cd8bce9ae0d894, 136116),
+        (0xe3715d231811859d, 120986),
+        (0x1490a18d8bc8b2d9, 133226),
+        (0x0170ae5458c8e8aa, 128619),
     ],
 ];
 

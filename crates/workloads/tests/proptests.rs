@@ -40,6 +40,28 @@ proptest! {
         prop_assert_eq!(got, naive_find_all(&patterns, &hay));
     }
 
+    /// The same over a two- or three-letter alphabet, with an empty and
+    /// a repeated pattern: prefixes are shared and failure chains run
+    /// deep, which any-byte patterns almost never reach.
+    #[test]
+    fn aho_corasick_matches_naive_on_a_small_alphabet(
+        letters in 2u8..=3,
+        words in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..7), 1..10),
+        hay in prop::collection::vec(any::<u8>(), 0..300),
+        repeat in any::<usize>(),
+    ) {
+        let spell = |w: &[u8]| w.iter().map(|&b| b'a' + b % letters).collect::<Vec<u8>>();
+        let mut patterns: Vec<Vec<u8>> = words.iter().map(|w| spell(w)).collect();
+        patterns.push(patterns[repeat % patterns.len()].clone());
+        patterns.push(Vec::new());
+        let hay = spell(&hay);
+        let ac = AhoCorasick::build(&patterns);
+        let mut got: Vec<(usize, usize)> =
+            ac.find_all(&hay).iter().map(|m| (m.pattern, m.end)).collect();
+        got.sort_unstable();
+        prop_assert_eq!(got, naive_find_all(&patterns, &hay));
+    }
+
     /// Random legal game walks preserve chess invariants: exactly one
     /// king per side, pawn counts never grow, FEN round-trips.
     #[test]
