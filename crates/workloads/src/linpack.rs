@@ -94,21 +94,20 @@ pub fn lu_factor(a: &mut Matrix) -> Result<Vec<usize>, Singular> {
             return Err(Singular { column: k });
         }
         pivots.push(p);
+        // Swap rows k and p, then eliminate below over row slices:
+        // each element gets `v - factor * u` as in `dgefa`.
         if p != k {
-            for c in 0..n {
-                let tmp = a.get(k, c);
-                a.set(k, c, a.get(p, c));
-                a.set(p, c, tmp);
-            }
+            let (upper, lower) = a.data.split_at_mut(p * n);
+            upper[k * n..(k + 1) * n].swap_with_slice(&mut lower[..n]);
         }
-        // Eliminate below.
-        let pivot = a.get(k, k);
-        for r in (k + 1)..n {
-            let factor = a.get(r, k) / pivot;
-            a.set(r, k, factor);
-            for c in (k + 1)..n {
-                let v = a.get(r, c) - factor * a.get(k, c);
-                a.set(r, c, v);
+        let (upper, below) = a.data.split_at_mut((k + 1) * n);
+        let pivot_row = &upper[k * n..];
+        let pivot = pivot_row[k];
+        for row in below.chunks_exact_mut(n) {
+            let factor = row[k] / pivot;
+            row[k] = factor;
+            for (v, &u) in row[k + 1..].iter_mut().zip(&pivot_row[k + 1..]) {
+                *v -= factor * u;
             }
         }
     }
