@@ -130,7 +130,7 @@ impl Fnv {
 ///
 /// Sized so that no Medium cell takes much over ten milliseconds on a
 /// modern core and no Large cell much over a tenth of a second (Chess
-/// is the largest: ≈ 11 and ≈ 80 ms in `results/drift.txt`) — CI's exec
+/// is the largest: ≈ 6 and ≈ 46 ms in `results/drift.txt`) — CI's exec
 /// smoke job runs every cell and must finish in bounded wall time.
 #[derive(Debug, Clone, Copy)]
 struct KernelParams {
