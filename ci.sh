@@ -45,6 +45,13 @@ echo "==> cargo test"
 # point where its scorecard can pass (exp_robustness sees no retries).
 env -u RATTRAP_BENCH_SMOKE cargo test -q --offline
 
+echo "==> examples"
+# The test build compiles them; run each, so one that panics or exits
+# non-zero fails the gate (about 0.4 s for all five in release).
+for example in examples/*.rs; do
+    cargo run --release --offline -q -p rattrap-bench --example "$(basename "$example" .rs)" >/dev/null
+done
+
 # Optional bench smoke: set RATTRAP_BENCH_SMOKE=1 to run the exp_*
 # harnesses at reduced size; set RATTRAP_TRACE=<path> to additionally
 # capture one instrumented replication as Chrome trace-event JSON and
@@ -90,5 +97,23 @@ printf '    crates/*/src: %s lines\n' \
     "$(find crates -path '*/src/*' -name '*.rs' | xargs cat | wc -l)"
 printf '    examples/ tests/: %s lines\n' \
     "$(find examples/ tests/ -name '*.rs' | xargs cat | wc -l)"
+
+echo "==> surface"
+# Informational, like the sizes: a `pub fn` under crates/*/src that no
+# other .rs file of the repo names is a candidate to delete, make
+# private or gate behind #[cfg(test)] (ROADMAP item 16).
+pub_fns=$(find crates -path '*/src/*' -name '*.rs' -print0 |
+    xargs -0 grep -oH 'pub fn [A-Za-z0-9_]*' | sed 's/:pub fn /:/')
+find crates examples tests benchmark -name target -prune -o -name '*.rs' -print0 |
+    xargs -0 grep -oHw '[A-Za-z_][A-Za-z0-9_]*' |
+    awk -F: 'NR == FNR { pub[$0] = 1; next }
+        !seen[$0]++ { files[$2]++; last[$2] = $1 }
+        END {
+            for (k in pub) {
+                split(k, a, ":")
+                if (files[a[2]] == 1 && last[a[2]] == a[1]) n++
+            }
+            printf "    pub fns named nowhere outside their own file: %d\n", n
+        }' <(printf '%s\n' "$pub_fns") -
 
 echo "CI OK"

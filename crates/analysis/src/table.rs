@@ -90,35 +90,6 @@ impl Table {
     }
 }
 
-impl Table {
-    /// Render as CSV (RFC-4180 quoting for cells containing commas,
-    /// quotes or newlines).
-    pub fn to_csv(&self) -> String {
-        fn cell(c: &str) -> String {
-            if c.contains(',') || c.contains('"') || c.contains('\n') {
-                format!("\"{}\"", c.replace('"', "\"\""))
-            } else {
-                c.to_string()
-            }
-        }
-        let mut out = String::new();
-        out.push_str(
-            &self
-                .header
-                .iter()
-                .map(|h| cell(h))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.iter().map(|c| cell(c)).collect::<Vec<_>>().join(","));
-            out.push('\n');
-        }
-        out
-    }
-}
-
 /// Format a float with `digits` decimals.
 pub fn fnum(x: f64, digits: usize) -> String {
     format!("{x:.digits$}")
@@ -158,18 +129,6 @@ mod tests {
     #[should_panic(expected = "row width mismatch")]
     fn row_width_checked() {
         Table::new("x", &["a", "b"]).row_str(&["only-one"]);
-    }
-
-    #[test]
-    fn csv_export_quotes_correctly() {
-        let mut t = Table::new("x", &["name", "note"]);
-        t.row_str(&["plain", "a,b"]);
-        t.row_str(&["quoted", "say \"hi\""]);
-        let csv = t.to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "name,note");
-        assert_eq!(lines[1], "plain,\"a,b\"");
-        assert_eq!(lines[2], "quoted,\"say \"\"hi\"\"\"");
     }
 
     #[test]

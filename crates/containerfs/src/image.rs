@@ -50,24 +50,6 @@ impl FsImage {
             .sum()
     }
 
-    /// Bytes per category.
-    pub fn bytes_by_category(&self) -> BTreeMap<FileCategory, u64> {
-        let mut out = BTreeMap::new();
-        for f in self.files.values() {
-            *out.entry(f.category).or_insert(0) += f.size;
-        }
-        out
-    }
-
-    /// File count per category.
-    pub fn count_by_category(&self) -> BTreeMap<FileCategory, usize> {
-        let mut out = BTreeMap::new();
-        for f in self.files.values() {
-            *out.entry(f.category).or_insert(0) += 1;
-        }
-        out
-    }
-
     /// Iterate `(path, entry)` in path order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &FileEntry)> {
         self.files.iter().map(|(p, f)| (p.as_str(), f))
@@ -132,11 +114,6 @@ impl AccessTracker {
         }
     }
 
-    /// Number of distinct paths touched.
-    pub fn touched_count(&self) -> usize {
-        self.touched.len()
-    }
-
     /// Bytes of `image` never touched.
     pub fn untouched_bytes(&self, image: &FsImage) -> u64 {
         image
@@ -187,15 +164,6 @@ mod tests {
         assert_eq!(img.bytes_under("/system"), 3500);
         assert_eq!(img.bytes_under("/data"), 300);
         assert_eq!(img.bytes_under("/vendor"), 0);
-    }
-
-    #[test]
-    fn category_accounting() {
-        let img = sample();
-        let by_cat = img.bytes_by_category();
-        assert_eq!(by_cat[&C::Framework], 1000);
-        assert_eq!(by_cat[&C::BuiltinApp], 2000);
-        assert_eq!(img.count_by_category()[&C::CoreLib], 1);
     }
 
     #[test]

@@ -9,8 +9,10 @@
 //!   private files.
 //! * [`layer`] — AUFS-style union mounts with copy-on-write, whiteouts
 //!   and fleet-level disk accounting (shared layers counted once).
-//! * [`tmpfs`] — the in-memory Sharing Offloading I/O layer with
-//!   burn-after-reading semantics.
+//!
+//! The in-memory Sharing Offloading I/O layer is priced, not stored:
+//! its bandwidth is `virt::spec::TMPFS_BANDWIDTH`, and the engines time
+//! an exchange from it without keeping its bytes.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -19,10 +21,8 @@ pub mod android;
 pub mod entry;
 pub mod image;
 pub mod layer;
-pub mod tmpfs;
 
 pub use android::{android_x86_44_image, customize, instance_private_files, CustomizationReport};
 pub use entry::{FileCategory, FileEntry};
 pub use image::{AccessTracker, FsImage};
 pub use layer::{fleet_disk_usage, CowStats, LayerId, LayerStore, UnionMount};
-pub use tmpfs::{Tmpfs, TmpfsFull};

@@ -1,6 +1,6 @@
-//! Property tests for the union filesystem and tmpfs invariants.
+//! Property tests for the union filesystem invariants.
 
-use containerfs::{FileCategory, FileEntry, FsImage, LayerStore, Tmpfs, UnionMount};
+use containerfs::{FileCategory, FileEntry, FsImage, LayerStore, UnionMount};
 use proptest::prelude::*;
 
 /// An arbitrary operation against a union mount.
@@ -75,32 +75,6 @@ proptest! {
         prop_assert_eq!(mount.logical_bytes(&store), model.values().sum::<u64>());
         // The shared layer is immutable.
         prop_assert_eq!(store.layer_bytes(layer), Some(base_bytes));
-    }
-
-    /// Tmpfs never exceeds capacity; used() always equals the sum of
-    /// live files; peak is monotone.
-    #[test]
-    fn tmpfs_accounting_invariants(
-        ops in prop::collection::vec((any::<u8>(), 0u64..5_000, any::<bool>()), 1..80),
-    ) {
-        let capacity = 50_000;
-        let mut t = Tmpfs::new(capacity);
-        let mut model: std::collections::BTreeMap<u8, u64> = Default::default();
-        let mut peak_seen = 0u64;
-        for (name, size, consume) in ops {
-            let path = format!("/f{name}");
-            if consume {
-                let got = t.consume(&path);
-                prop_assert_eq!(got, model.remove(&name));
-            } else if t.write(&path, size).is_ok() {
-                model.insert(name, size);
-            }
-            let used: u64 = model.values().sum();
-            prop_assert_eq!(t.used(), used);
-            prop_assert!(t.used() <= capacity);
-            peak_seen = peak_seen.max(used);
-            prop_assert_eq!(t.peak(), peak_seen);
-        }
     }
 
     /// Publishing then fleet-mounting keeps disk accounting additive:

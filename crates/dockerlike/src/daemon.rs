@@ -150,11 +150,6 @@ impl Daemon {
     pub fn container(&self, id: u32) -> Option<&JitContainer> {
         self.containers.get(&id)
     }
-
-    /// Number of running containers.
-    pub fn container_count(&self) -> usize {
-        self.containers.len()
-    }
 }
 
 impl Default for Daemon {
@@ -191,7 +186,7 @@ mod tests {
             "cold eager: {}",
             r.latency
         );
-        assert_eq!(d.container_count(), 1);
+        assert_eq!(d.containers.len(), 1);
     }
 
     #[test]

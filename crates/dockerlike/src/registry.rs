@@ -96,11 +96,6 @@ impl Registry {
         Ok((manifest, receipt))
     }
 
-    /// Number of stored manifests.
-    pub fn manifest_count(&self) -> usize {
-        self.manifests.len()
-    }
-
     /// Registry-side blob bytes (dedup across images).
     pub fn stored_bytes(&self) -> u64 {
         self.blobs.total_bytes()
@@ -200,7 +195,7 @@ mod tests {
         all.push(app.clone());
         reg.push(Manifest::new("rattrap/ocr", "1.0", &all), all.clone());
         assert_eq!(reg.stored_bytes(), before + app.size);
-        assert_eq!(reg.manifest_count(), 2);
+        assert_eq!(reg.manifests.len(), 2);
     }
 
     #[test]

@@ -62,7 +62,7 @@ impl Autoscaler {
     }
 
     /// Smoothed load of `host` (0 if never observed).
-    pub fn load_of(&self, host: usize) -> f64 {
+    fn load_of(&self, host: usize) -> f64 {
         self.load.get(&host).copied().unwrap_or(0.0)
     }
 

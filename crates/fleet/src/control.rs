@@ -205,7 +205,7 @@ impl ControlLayout {
 
     /// Home region of `user`. Ids past the population (a scenario's
     /// synthetic extras) fold onto it, so each has a home.
-    pub fn region_of_user(&self, user: u32) -> usize {
+    fn region_of_user(&self, user: u32) -> usize {
         let user = user % self.total_users().max(1);
         self.regions.partition_point(|r| r.first_user <= user) - 1
     }

@@ -304,7 +304,7 @@ impl ScenarioStats {
     }
 
     /// Fold every field into a report digest.
-    pub fn hash_into(&self, h: &mut ReportHasher) {
+    fn hash_into(&self, h: &mut ReportHasher) {
         h.write(self.name.as_bytes());
         h.write_u64(self.injected);
         h.write_u64(self.submitted);

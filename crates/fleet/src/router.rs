@@ -115,11 +115,6 @@ impl Router {
         }
     }
 
-    /// Number of distinct hosts on the ring.
-    pub fn host_count(&self) -> usize {
-        self.hosts
-    }
-
     /// Route one request.
     ///
     /// * `warm` — hosts whose warehouse holds a live container for the
@@ -238,7 +233,7 @@ mod tests {
     #[test]
     fn vnodes_spread_hosts_over_the_ring() {
         let r = ring(&[0, 1, 2, 3, 4, 5, 6, 7]);
-        assert_eq!(r.host_count(), 8);
+        assert_eq!(r.hosts, 8);
         // Many distinct keys must not all land on one host.
         let mut hit = BTreeSet::new();
         for i in 0..64 {
@@ -251,7 +246,7 @@ mod tests {
     #[test]
     fn empty_ring_sheds_without_asking() {
         let r = Router::new(64);
-        assert_eq!(r.host_count(), 0);
+        assert_eq!(r.hosts, 0);
         let d = r.route(&aid_of("com.bench.ocr"), &[], |_| -> bool {
             panic!("no host to ask")
         });
@@ -326,7 +321,7 @@ mod tests {
         ) {
             let mut r = Router::new(vnodes);
             r.rebuild(&hosts);
-            prop_assert_eq!(r.host_count(), hosts.len());
+            prop_assert_eq!(r.hosts, hosts.len());
             let survivor = *hosts.iter().nth(salt as usize % hosts.len()).expect("in range");
             let accepts = |h: usize| match policy {
                 0 => false,

@@ -361,7 +361,7 @@ impl Topology {
     }
 
     /// Ring distance between two regions (shorter way around).
-    pub fn region_hops(&self, a: usize, b: usize) -> usize {
+    fn region_hops(&self, a: usize, b: usize) -> usize {
         let d = a.abs_diff(b);
         d.min(self.n_regions - d)
     }

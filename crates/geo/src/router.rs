@@ -36,7 +36,7 @@ impl GeoRouter {
     /// ascending `device RTT − bonus·warm`, ties broken by clockwise
     /// ring distance from home, edge before core, then cell index —
     /// fully deterministic.
-    pub fn cell_order(
+    fn cell_order(
         &self,
         topo: &Topology,
         region: usize,

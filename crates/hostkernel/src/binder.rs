@@ -6,7 +6,7 @@
 //! run Android userspace inside containers. This model implements the
 //! part of the protocol that matters for offloading: a service registry
 //! (the ServiceManager's context-manager role) and synchronous
-//! transactions with payload accounting, isolated per namespace.
+//! transactions, isolated per namespace.
 
 use crate::error::{KernelError, KernelResult};
 use std::collections::BTreeMap;
@@ -15,48 +15,12 @@ use std::collections::BTreeMap;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BinderHandle(pub u32);
 
-/// Aggregate transaction statistics for one binder context.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BinderStats {
-    /// Completed transactions.
-    pub transactions: u64,
-    /// Total payload bytes moved through `transact`.
-    pub bytes_transferred: u64,
-    /// Transactions that failed (dead handle / no such service).
-    pub failed: u64,
-}
-
 /// One namespace's binder context.
 #[derive(Debug, Default)]
 pub struct BinderContext {
     /// Service name → (handle, owning pid).
     services: BTreeMap<String, (BinderHandle, u32)>,
     next_handle: u32,
-    stats: BinderStats,
-    /// Queued one-way (async) transactions per target pid.
-    oneway_queues: BTreeMap<u32, Vec<OnewayTransaction>>,
-    /// Death links: service name → watcher pids.
-    death_links: BTreeMap<String, Vec<u32>>,
-}
-
-/// A queued asynchronous (one-way) transaction.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OnewayTransaction {
-    /// Target service.
-    pub service: String,
-    /// Sender pid.
-    pub from: u32,
-    /// Payload size.
-    pub payload_bytes: u64,
-}
-
-/// A delivered binder death notification.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DeathNotification {
-    /// The service that died.
-    pub service: String,
-    /// The watcher to notify.
-    pub watcher: u32,
 }
 
 impl BinderContext {
@@ -85,125 +49,15 @@ impl BinderContext {
         self.services.get(service).map(|&(h, _)| h)
     }
 
-    /// Owning pid of a service.
-    pub fn owner_of(&self, service: &str) -> Option<u32> {
-        self.services.get(service).map(|&(_, pid)| pid)
-    }
-
-    /// Perform a synchronous transaction of `payload_bytes` to `service`.
-    /// Returns the pid that serviced the call.
-    pub fn transact(&mut self, service: &str, payload_bytes: u64) -> KernelResult<u32> {
-        match self.services.get(service) {
-            Some(&(_, pid)) => {
-                self.stats.transactions += 1;
-                self.stats.bytes_transferred += payload_bytes;
-                Ok(pid)
-            }
-            None => {
-                self.stats.failed += 1;
-                Err(KernelError::NotFound {
-                    what: format!("binder service {service}"),
-                })
-            }
-        }
-    }
-
-    /// Queue a one-way (asynchronous) transaction: the caller does not
-    /// block; the target drains its queue when it next runs.
-    pub fn transact_oneway(
-        &mut self,
-        from: u32,
-        service: &str,
-        payload_bytes: u64,
-    ) -> KernelResult<()> {
-        match self.services.get(service) {
-            Some(&(_, pid)) => {
-                self.stats.transactions += 1;
-                self.stats.bytes_transferred += payload_bytes;
-                self.oneway_queues
-                    .entry(pid)
-                    .or_default()
-                    .push(OnewayTransaction {
-                        service: service.to_string(),
-                        from,
-                        payload_bytes,
-                    });
-                Ok(())
-            }
-            None => {
-                self.stats.failed += 1;
-                Err(KernelError::NotFound {
-                    what: format!("binder service {service}"),
-                })
-            }
-        }
-    }
-
-    /// Drain the one-way queue of `pid` (the target process's next
-    /// binder loop iteration).
-    pub fn drain_oneway(&mut self, pid: u32) -> Vec<OnewayTransaction> {
-        self.oneway_queues.remove(&pid).unwrap_or_default()
-    }
-
-    /// Pending one-way transactions for `pid`.
-    pub fn oneway_pending(&self, pid: u32) -> usize {
-        self.oneway_queues.get(&pid).map(Vec::len).unwrap_or(0)
-    }
-
-    /// Subscribe `watcher` to the death of `service`
-    /// (`linkToDeath`). Fails if the service does not exist.
-    pub fn link_to_death(&mut self, watcher: u32, service: &str) -> KernelResult<()> {
-        if !self.services.contains_key(service) {
-            return Err(KernelError::NotFound {
+    /// Perform a synchronous transaction to `service`. Returns the pid
+    /// that serviced the call.
+    pub fn transact(&self, service: &str) -> KernelResult<u32> {
+        self.services
+            .get(service)
+            .map(|&(_, pid)| pid)
+            .ok_or_else(|| KernelError::NotFound {
                 what: format!("binder service {service}"),
-            });
-        }
-        let watchers = self.death_links.entry(service.to_string()).or_default();
-        if !watchers.contains(&watcher) {
-            watchers.push(watcher);
-        }
-        Ok(())
-    }
-
-    /// Remove every service owned by `pid` and return the death
-    /// notifications owed to its watchers (binderDied callbacks).
-    pub fn reap_process(&mut self, pid: u32) -> Vec<DeathNotification> {
-        let dead: Vec<String> = self
-            .services
-            .iter()
-            .filter(|(_, &(_, owner))| owner == pid)
-            .map(|(name, _)| name.clone())
-            .collect();
-        let mut notifications = Vec::new();
-        for service in dead {
-            self.services.remove(&service);
-            if let Some(watchers) = self.death_links.remove(&service) {
-                for watcher in watchers {
-                    if watcher != pid {
-                        notifications.push(DeathNotification {
-                            service: service.clone(),
-                            watcher,
-                        });
-                    }
-                }
-            }
-        }
-        // Drop the reaped process's own queues and subscriptions.
-        self.oneway_queues.remove(&pid);
-        for watchers in self.death_links.values_mut() {
-            watchers.retain(|&w| w != pid);
-        }
-        notifications
-    }
-
-    /// Registered service names, in sorted order.
-    pub fn service_names(&self) -> Vec<&str> {
-        self.services.keys().map(String::as_str).collect()
-    }
-
-    /// Transaction statistics.
-    pub fn stats(&self) -> BinderStats {
-        self.stats
+            })
     }
 }
 
@@ -216,11 +70,7 @@ mod tests {
         let mut ctx = BinderContext::new();
         let h = ctx.register_service("activity", 100).unwrap();
         assert_eq!(ctx.lookup("activity"), Some(h));
-        assert_eq!(ctx.owner_of("activity"), Some(100));
-        let served_by = ctx.transact("activity", 256).unwrap();
-        assert_eq!(served_by, 100);
-        assert_eq!(ctx.stats().transactions, 1);
-        assert_eq!(ctx.stats().bytes_transferred, 256);
+        assert_eq!(ctx.transact("activity").unwrap(), 100);
     }
 
     #[test]
@@ -232,90 +82,14 @@ mod tests {
     }
 
     #[test]
-    fn transact_to_missing_service_fails_and_counts() {
-        let mut ctx = BinderContext::new();
-        assert!(ctx.transact("window", 10).is_err());
-        assert_eq!(ctx.stats().failed, 1);
-        assert_eq!(ctx.stats().transactions, 0);
-    }
-
-    #[test]
-    fn reap_removes_only_owners_services() {
-        let mut ctx = BinderContext::new();
-        ctx.register_service("a", 1).unwrap();
-        ctx.register_service("b", 1).unwrap();
-        ctx.register_service("c", 2).unwrap();
-        assert!(
-            ctx.reap_process(1).is_empty(),
-            "no watchers, no notifications"
-        );
-        assert_eq!(ctx.service_names(), vec!["c"]);
-        // Transacting to a dead service now fails.
-        assert!(ctx.transact("a", 1).is_err());
-    }
-
-    #[test]
-    fn oneway_transactions_queue_and_drain() {
-        let mut ctx = BinderContext::new();
-        ctx.register_service("media", 7).unwrap();
-        ctx.transact_oneway(3, "media", 100).unwrap();
-        ctx.transact_oneway(4, "media", 50).unwrap();
-        assert_eq!(ctx.oneway_pending(7), 2);
-        let drained = ctx.drain_oneway(7);
-        assert_eq!(drained.len(), 2);
-        assert_eq!(drained[0].from, 3);
-        assert_eq!(drained[1].payload_bytes, 50);
-        assert_eq!(ctx.oneway_pending(7), 0);
-        assert!(ctx.drain_oneway(7).is_empty(), "drain is destructive");
-        assert!(ctx.transact_oneway(3, "ghost", 1).is_err());
-        assert_eq!(ctx.stats().bytes_transferred, 150);
-    }
-
-    #[test]
-    fn death_notifications_delivered_to_watchers() {
-        let mut ctx = BinderContext::new();
-        ctx.register_service("activity", 10).unwrap();
-        ctx.register_service("package", 10).unwrap();
-        ctx.link_to_death(20, "activity").unwrap();
-        ctx.link_to_death(21, "activity").unwrap();
-        ctx.link_to_death(20, "activity").unwrap(); // dedup
-        ctx.link_to_death(20, "package").unwrap();
-        assert!(ctx.link_to_death(20, "ghost").is_err());
-        let mut notes = ctx.reap_process(10);
-        notes.sort_by_key(|n| (n.service.clone(), n.watcher));
-        assert_eq!(notes.len(), 3);
+    fn transact_to_missing_service_is_enoent() {
+        let ctx = BinderContext::new();
         assert_eq!(
-            notes[0],
-            DeathNotification {
-                service: "activity".into(),
-                watcher: 20
-            }
+            ctx.transact("window"),
+            Err(KernelError::NotFound {
+                what: "binder service window".into()
+            })
         );
-        assert_eq!(
-            notes[1],
-            DeathNotification {
-                service: "activity".into(),
-                watcher: 21
-            }
-        );
-        assert_eq!(
-            notes[2],
-            DeathNotification {
-                service: "package".into(),
-                watcher: 20
-            }
-        );
-    }
-
-    #[test]
-    fn reaped_watcher_gets_no_notifications() {
-        let mut ctx = BinderContext::new();
-        ctx.register_service("svc", 1).unwrap();
-        ctx.link_to_death(2, "svc").unwrap();
-        // Watcher 2 dies first: its subscription disappears…
-        assert!(ctx.reap_process(2).is_empty());
-        // …so the service's death notifies nobody.
-        assert!(ctx.reap_process(1).is_empty());
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! Modelled after the errno values the real Android Container Driver
 //! stack would return: a container that opens `/dev/binder` before
-//! `android_binder.ko` is loaded gets `ENODEV`, an unknown syscall gets
-//! `ENOSYS`, and so on.
+//! `android_binder.ko` is loaded gets `ENODEV`, an `rmmod` of a module
+//! in use gets `EBUSY`, and so on.
 
 use std::fmt;
 
@@ -14,11 +14,6 @@ pub enum KernelError {
     NoSuchDevice {
         /// Device node that was opened.
         device: &'static str,
-    },
-    /// The syscall is not supported by this kernel (`ENOSYS`).
-    NotImplemented {
-        /// Name of the attempted operation.
-        what: String,
     },
     /// Referenced process does not exist (`ESRCH`).
     NoSuchProcess {
@@ -45,20 +40,10 @@ pub enum KernelError {
         /// Why the operation was denied.
         reason: String,
     },
-    /// Kernel memory exhausted (`ENOMEM`).
-    OutOfMemory {
-        /// Bytes the allocation asked for.
-        requested: u64,
-    },
     /// Module cannot be unloaded while in use (`EBUSY`).
     Busy {
         /// What is holding the reference.
         holder: String,
-    },
-    /// A cgroup limit was exceeded.
-    CgroupLimit {
-        /// The limit that was hit.
-        what: String,
     },
 }
 
@@ -66,17 +51,12 @@ impl fmt::Display for KernelError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             KernelError::NoSuchDevice { device } => write!(f, "ENODEV: no such device {device}"),
-            KernelError::NotImplemented { what } => write!(f, "ENOSYS: {what} not implemented"),
             KernelError::NoSuchProcess { pid } => write!(f, "ESRCH: no process {pid}"),
             KernelError::NoSuchNamespace { ns } => write!(f, "EINVAL: no namespace {ns}"),
             KernelError::AlreadyExists { what } => write!(f, "EEXIST: {what} already exists"),
             KernelError::NotFound { what } => write!(f, "ENOENT: {what} not found"),
             KernelError::NotPermitted { reason } => write!(f, "EPERM: {reason}"),
-            KernelError::OutOfMemory { requested } => {
-                write!(f, "ENOMEM: allocation of {requested} bytes failed")
-            }
             KernelError::Busy { holder } => write!(f, "EBUSY: held by {holder}"),
-            KernelError::CgroupLimit { what } => write!(f, "cgroup limit exceeded: {what}"),
         }
     }
 }

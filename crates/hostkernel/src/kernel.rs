@@ -10,11 +10,11 @@
 //!    reboot; unloading reclaims kernel memory but is refused while any
 //!    container still references the module (`EBUSY`).
 //! 2. **Device-namespace multiplexing** — every container namespace gets
-//!    a private instance of each driver's state while sharing the single
-//!    loaded module, the Cells mechanism adapted to the cloud (§IV-B1).
+//!    a private instance of each driver's state (its binder registry and
+//!    logger ring; for the other nodes, only that it opened them) while
+//!    sharing the single loaded module, the Cells mechanism adapted to
+//!    the cloud (§IV-B1). [`Kernel::device`] gates every access.
 
-use crate::alarm::AlarmDriver;
-use crate::ashmem::AshmemDriver;
 use crate::binder::BinderContext;
 use crate::cgroup::CgroupManager;
 use crate::device::{DeviceHandle, DeviceKind};
@@ -62,13 +62,19 @@ struct LoadedModule {
 }
 
 /// Per-namespace driver instances, created lazily on first open.
+/// Only binder and the logger keep state a result reads; the other
+/// nodes are recorded as opened and nothing more.
 #[derive(Debug, Default)]
 struct NamespaceState {
     binder: Option<BinderContext>,
-    alarm: Option<AlarmDriver>,
     logger: Option<LoggerDriver>,
-    ashmem: Option<AshmemDriver>,
+    /// Device nodes opened in this namespace, one bit per [`DeviceKind`].
+    opened: u8,
     next_fd: u32,
+}
+
+const fn node_bit(kind: DeviceKind) -> u8 {
+    1 << kind as u8
 }
 
 /// The simulated host kernel.
@@ -88,10 +94,6 @@ pub struct Kernel {
     /// which the simulation engine advances at every event pop.
     rec: Recorder,
 }
-
-/// Default ashmem budget per namespace: half the container allocation is
-/// a generous ceiling for offloading workloads.
-const ASHMEM_BUDGET: u64 = 64 * 1024 * 1024;
 
 impl Kernel {
     /// Boot a kernel on `host`. The host namespace (id 0) exists from
@@ -288,19 +290,12 @@ impl Kernel {
             DeviceKind::Binder => {
                 state.binder.get_or_insert_with(BinderContext::new);
             }
-            DeviceKind::Alarm => {
-                state.alarm.get_or_insert_with(AlarmDriver::new);
-            }
             DeviceKind::Logger => {
                 state.logger.get_or_insert_with(LoggerDriver::default);
             }
-            DeviceKind::Ashmem => {
-                state
-                    .ashmem
-                    .get_or_insert_with(|| AshmemDriver::new(ASHMEM_BUDGET));
-            }
-            DeviceKind::SwSync => {} // stateless in this model
+            DeviceKind::Alarm | DeviceKind::Ashmem | DeviceKind::SwSync => {}
         }
+        state.opened |= node_bit(kind);
         let fd = state.next_fd;
         state.next_fd += 1;
         Ok(DeviceHandle {
@@ -310,18 +305,11 @@ impl Kernel {
         })
     }
 
-    fn ns_state(&mut self, ns: u32) -> KernelResult<&mut NamespaceState> {
-        self.namespaces
-            .get_mut(&ns)
-            .ok_or(KernelError::NoSuchNamespace { ns })
-    }
-
-    /// `ENODEV` unless the module providing `kind` is resident. Every
-    /// driver-state access goes through this gate: a namespace may hold
-    /// stale driver state from before an `rmmod`, and reading through
-    /// an unloaded module must fail exactly like `open_device` and
-    /// `dump_log` do — the device nodes of an unloaded module are dead,
-    /// full stop. (The model-checking harness audits this as the
+    /// `ENODEV` unless the module providing `kind` is resident. A
+    /// namespace may hold stale driver state from before an `rmmod`,
+    /// and reading through an unloaded module must fail exactly like
+    /// `open_device` does — the device nodes of an unloaded module are
+    /// dead, full stop. (The model-checking harness audits this as the
     /// "ENODEV iff module unloaded" invariant.)
     fn require_module(&self, kind: DeviceKind) -> KernelResult<()> {
         let module = module_providing(kind).expect("every kind has a module");
@@ -333,81 +321,63 @@ impl Kernel {
         Ok(())
     }
 
-    /// The namespace's binder context (must have been opened, and the
-    /// binder module must still be resident).
+    /// The gate every driver access goes through: `Ok` when the module
+    /// providing `kind` is resident and `ns` has opened the node.
+    /// `ENODEV` otherwise, and `NoSuchNamespace` for an unknown `ns`.
+    pub fn device(&self, ns: u32, kind: DeviceKind) -> KernelResult<()> {
+        self.require_module(kind)?;
+        let state = self
+            .namespaces
+            .get(&ns)
+            .ok_or(KernelError::NoSuchNamespace { ns })?;
+        if state.opened & node_bit(kind) == 0 {
+            return Err(KernelError::NoSuchDevice {
+                device: kind.dev_path(),
+            });
+        }
+        Ok(())
+    }
+
+    /// The namespace's binder context (see [`Kernel::device`]).
     pub fn binder_mut(&mut self, ns: u32) -> KernelResult<&mut BinderContext> {
-        self.require_module(DeviceKind::Binder)?;
-        self.ns_state(ns)?
-            .binder
-            .as_mut()
-            .ok_or(KernelError::NoSuchDevice {
-                device: DeviceKind::Binder.dev_path(),
-            })
+        self.device(ns, DeviceKind::Binder)?;
+        Ok(self
+            .namespaces
+            .get_mut(&ns)
+            .and_then(|s| s.binder.as_mut())
+            .expect("an opened binder node has a context"))
     }
 
-    /// The namespace's alarm driver (must have been opened, and the
-    /// alarm module must still be resident).
-    pub fn alarm_mut(&mut self, ns: u32) -> KernelResult<&mut AlarmDriver> {
-        self.require_module(DeviceKind::Alarm)?;
-        self.ns_state(ns)?
-            .alarm
-            .as_mut()
-            .ok_or(KernelError::NoSuchDevice {
-                device: DeviceKind::Alarm.dev_path(),
-            })
-    }
-
-    /// The namespace's logger (must have been opened, and the logger
-    /// module must still be resident).
+    /// The namespace's logger (see [`Kernel::device`]).
     pub fn logger_mut(&mut self, ns: u32) -> KernelResult<&mut LoggerDriver> {
-        self.require_module(DeviceKind::Logger)?;
-        self.ns_state(ns)?
-            .logger
-            .as_mut()
-            .ok_or(KernelError::NoSuchDevice {
-                device: DeviceKind::Logger.dev_path(),
-            })
+        self.device(ns, DeviceKind::Logger)?;
+        Ok(self
+            .namespaces
+            .get_mut(&ns)
+            .and_then(|s| s.logger.as_mut())
+            .expect("an opened logger node has a ring"))
     }
 
     /// `logcat -d` for namespace `ns`: snapshot its log ring (oldest
     /// first), without disturbing the ring.
     ///
-    /// Returns `ENODEV` when the logger *module* is not resident —
-    /// even if the namespace still holds driver state from before an
-    /// `rmmod` — matching real driver semantics where an unloaded
-    /// module's device nodes go dead. (Previously the ring was
-    /// written but never surfaced anywhere, and naive access through
-    /// the stale per-namespace state would have read through an
-    /// unloaded module.) Also `ENODEV` when the namespace never
-    /// opened `/dev/log/main`, and `ESRCH`-style `NoSuchNamespace`
-    /// for an unknown namespace.
+    /// Gated like every driver access ([`Kernel::device`]): `ENODEV`
+    /// when the logger *module* is not resident — even if the
+    /// namespace still holds the ring from before an `rmmod` — or when
+    /// the namespace never opened `/dev/log/main`, and
+    /// `NoSuchNamespace` for an unknown namespace.
     pub fn dump_log(&self, ns: u32) -> KernelResult<Vec<LogRecord>> {
-        self.require_module(DeviceKind::Logger)?;
-        let state = self
-            .namespaces
-            .get(&ns)
-            .ok_or(KernelError::NoSuchNamespace { ns })?;
-        let logger = state.logger.as_ref().ok_or(KernelError::NoSuchDevice {
-            device: DeviceKind::Logger.dev_path(),
-        })?;
-        Ok(logger.dump())
+        self.device(ns, DeviceKind::Logger)?;
+        Ok(self.namespaces[&ns]
+            .logger
+            .as_ref()
+            .expect("an opened logger node has a ring")
+            .dump())
     }
 
     /// Ids of all live namespaces (including the host's), ascending.
     pub fn namespace_ids(&self) -> Vec<u32> {
         self.namespaces.keys().copied().collect()
-    }
-
-    /// The namespace's ashmem driver (must have been opened, and the
-    /// ashmem module must still be resident).
-    pub fn ashmem_mut(&mut self, ns: u32) -> KernelResult<&mut AshmemDriver> {
-        self.require_module(DeviceKind::Ashmem)?;
-        self.ns_state(ns)?
-            .ashmem
-            .as_mut()
-            .ok_or(KernelError::NoSuchDevice {
-                device: DeviceKind::Ashmem.dev_path(),
-            })
     }
 }
 
@@ -560,6 +530,30 @@ mod tests {
             k.dump_log(999),
             Err(KernelError::NoSuchNamespace { ns: 999 })
         ));
+    }
+
+    #[test]
+    fn device_is_enodev_when_never_opened_and_esrch_for_unknown_ns() {
+        let mut k = kernel();
+        k.load_android_container_driver();
+        let ns = k.create_namespace();
+        for kind in [DeviceKind::Alarm, DeviceKind::Ashmem, DeviceKind::SwSync] {
+            assert_eq!(
+                k.device(ns, kind),
+                Err(KernelError::NoSuchDevice {
+                    device: kind.dev_path()
+                })
+            );
+            k.open_device(ns, kind).unwrap();
+            assert_eq!(k.device(ns, kind), Ok(()));
+            assert_eq!(
+                k.device(999, kind),
+                Err(KernelError::NoSuchNamespace { ns: 999 })
+            );
+        }
+        // Opening a node in one namespace opens it nowhere else.
+        let other = k.create_namespace();
+        assert!(k.device(other, DeviceKind::Alarm).is_err());
     }
 
     #[test]

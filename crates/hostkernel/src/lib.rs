@@ -13,18 +13,18 @@
 //! * [`device`] + [`kernel`] — `/dev` nodes appear only while modules
 //!   are loaded (`ENODEV` otherwise) and each container namespace gets a
 //!   private driver instance (device-namespace multiplexing from Cells).
-//! * [`binder`], [`alarm`], [`logger`], [`ashmem`] — functional state
-//!   machines for each pseudo driver.
+//!   [`Kernel::device`] is the one gate every driver access goes through.
+//! * [`binder`] — the service registry and synchronous transactions the
+//!   offload RPC rides on; [`logger`] — the RAM log ring behind
+//!   [`Kernel::dump_log`]. `/dev/alarm`, `/dev/ashmem` and `/dev/sw_sync`
+//!   are nodes a namespace can open, with no driver state behind them.
 //! * [`process`] — PID namespaces and Zygote-style forking.
-//! * [`cgroup`] — the process-level resource control a container runs
-//!   under (memory accounting; `cpu.shares` as a weight).
+//! * [`cgroup`] — one group per container, holding its anchor process.
 //! * [`syscall`] — the Android syscall surface containers exercise.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod alarm;
-pub mod ashmem;
 pub mod binder;
 pub mod cgroup;
 pub mod device;
@@ -36,7 +36,7 @@ pub mod process;
 pub mod procfs;
 pub mod syscall;
 
-pub use binder::{BinderContext, BinderHandle, BinderStats, DeathNotification, OnewayTransaction};
+pub use binder::{BinderContext, BinderHandle};
 pub use cgroup::{Cgroup, CgroupId, CgroupManager};
 pub use device::{DeviceHandle, DeviceKind};
 pub use error::{KernelError, KernelResult};

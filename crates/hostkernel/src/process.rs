@@ -13,8 +13,6 @@ use std::collections::BTreeMap;
 pub enum ProcessState {
     /// Runnable / running.
     Running,
-    /// Blocked on IPC or I/O.
-    Sleeping,
     /// Exited, not yet reaped.
     Zombie,
 }

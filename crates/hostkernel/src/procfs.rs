@@ -24,16 +24,8 @@ pub fn lsmod(kernel: &Kernel) -> String {
 pub fn ps(kernel: &Kernel) -> String {
     let mut out = String::from("  PID    NS NSPID STATE    COMMAND\n");
     let mut rows: Vec<_> = Vec::new();
-    // Collect over all namespaces we can see through the process table.
-    for ns in 0..u32::MAX {
-        let procs = kernel.processes.in_namespace(ns);
-        if procs.is_empty() {
-            if ns > 64 {
-                break; // namespaces are allocated densely from 0
-            }
-            continue;
-        }
-        for p in procs {
+    for ns in kernel.namespace_ids() {
+        for p in kernel.processes.in_namespace(ns) {
             rows.push((p.pid, p.namespace, p.ns_pid, p.state, p.name.clone()));
         }
     }
@@ -41,7 +33,6 @@ pub fn ps(kernel: &Kernel) -> String {
     for (pid, ns, ns_pid, state, name) in rows {
         let st = match state {
             ProcessState::Running => "R",
-            ProcessState::Sleeping => "S",
             ProcessState::Zombie => "Z",
         };
         let _ = writeln!(out, "{pid:>5} {ns:>5} {ns_pid:>5} {st:<8} {name}");
@@ -110,6 +101,26 @@ mod tests {
         let out = ps(&k);
         let line = out.lines().find(|l| l.contains("dying")).unwrap();
         assert!(line.contains(" Z "), "{line}");
+    }
+
+    #[test]
+    fn ps_lists_namespaces_past_a_gap() {
+        // A host that has churned through containers: namespaces 1–69
+        // are gone, and only the 70th still runs a process.
+        let mut k = Kernel::new(HostSpec::paper_server());
+        for _ in 0..70 {
+            k.create_namespace();
+        }
+        for ns in 1..70 {
+            k.destroy_namespace(ns).unwrap();
+        }
+        k.processes.spawn(70, "survivor", 0);
+        let out = ps(&k);
+        let line = out.lines().find(|l| l.contains("survivor"));
+        assert!(
+            line.is_some_and(|l| l.split_whitespace().nth(1) == Some("70")),
+            "{out}"
+        );
     }
 
     #[test]

@@ -6,14 +6,11 @@
 //! the calling process's device namespace. It is what the `virt` and
 //! `rattrap` crates drive when simulated Android processes run.
 
-use crate::alarm::AlarmId;
-use crate::ashmem::AshmemId;
 use crate::binder::BinderHandle;
 use crate::device::DeviceKind;
 use crate::error::KernelResult;
 use crate::kernel::Kernel;
 use obsv::{attrs, AttrValue, Subsystem};
-use simkit::SimTime;
 
 /// The Android syscalls the offloading path exercises. Names are
 /// borrowed from the caller: a syscall on a request's path (the offload
@@ -31,30 +28,9 @@ pub enum Syscall<'a> {
     BinderTransact {
         /// Target service.
         service: &'a str,
-        /// Payload size in bytes.
+        /// Payload size in bytes (a trace attribute; the model moves
+        /// no bytes).
         payload_bytes: u64,
-    },
-    /// Asynchronous (one-way) binder transaction.
-    BinderTransactOneway {
-        /// Target service.
-        service: &'a str,
-        /// Payload size in bytes.
-        payload_bytes: u64,
-    },
-    /// Subscribe to a service's death (`linkToDeath`).
-    BinderLinkToDeath {
-        /// Service to watch.
-        service: &'a str,
-    },
-    /// Arm an RTC alarm.
-    AlarmSet {
-        /// Absolute due time.
-        due: SimTime,
-    },
-    /// Disarm an alarm.
-    AlarmCancel {
-        /// Alarm to cancel.
-        id: AlarmId,
     },
     /// Append to the RAM log.
     LogWrite {
@@ -65,20 +41,11 @@ pub enum Syscall<'a> {
         /// Message body.
         message: &'a str,
     },
-    /// Create an anonymous shared-memory region.
-    AshmemCreate {
-        /// Region name.
-        name: &'a str,
-        /// Region size, bytes.
-        size: u64,
-    },
     /// Fork the calling process (Zygote specialization).
     Fork {
         /// Name for the child.
         child_name: &'a str,
     },
-    /// Exit the calling process.
-    Exit,
 }
 
 /// Successful syscall results.
@@ -92,10 +59,6 @@ pub enum SyscallRet {
     Binder(BinderHandle),
     /// The pid that serviced a transaction.
     ServedBy(u32),
-    /// An armed alarm.
-    Alarm(AlarmId),
-    /// A new ashmem region.
-    Ashmem(AshmemId),
     /// An opened device fd.
     Fd(u32),
 }
@@ -118,7 +81,7 @@ impl Kernel {
                 service,
                 payload_bytes,
             } => {
-                let served = self.binder_mut(ns)?.transact(service, payload_bytes)?;
+                let served = self.binder_mut(ns)?.transact(service)?;
                 if self.recorder().is_enabled() {
                     self.recorder().instant(
                         Subsystem::Hostkernel,
@@ -132,37 +95,6 @@ impl Kernel {
                     );
                 }
                 Ok(SyscallRet::ServedBy(served))
-            }
-            Syscall::BinderTransactOneway {
-                service,
-                payload_bytes,
-            } => {
-                self.binder_mut(ns)?
-                    .transact_oneway(pid, service, payload_bytes)?;
-                if self.recorder().is_enabled() {
-                    self.recorder().instant(
-                        Subsystem::Hostkernel,
-                        "binder.transact_oneway",
-                        attrs![
-                            ("ns", AttrValue::U64(ns as u64)),
-                            ("service", AttrValue::Text(service.to_string())),
-                            ("bytes", AttrValue::U64(payload_bytes)),
-                        ],
-                    );
-                }
-                Ok(SyscallRet::Unit)
-            }
-            Syscall::BinderLinkToDeath { service } => {
-                self.binder_mut(ns)?.link_to_death(pid, service)?;
-                Ok(SyscallRet::Unit)
-            }
-            Syscall::AlarmSet { due } => {
-                let id = self.alarm_mut(ns)?.set(pid, due);
-                Ok(SyscallRet::Alarm(id))
-            }
-            Syscall::AlarmCancel { id } => {
-                self.alarm_mut(ns)?.cancel(id);
-                Ok(SyscallRet::Unit)
             }
             Syscall::LogWrite {
                 priority,
@@ -190,27 +122,9 @@ impl Kernel {
                 });
                 Ok(SyscallRet::Unit)
             }
-            Syscall::AshmemCreate { name, size } => {
-                let id = self.ashmem_mut(ns)?.create(name, size, pid)?;
-                Ok(SyscallRet::Ashmem(id))
-            }
             Syscall::Fork { child_name } => {
                 let child = self.processes.fork(pid, child_name)?;
                 Ok(SyscallRet::Pid(child))
-            }
-            Syscall::Exit => {
-                // Clean up driver state owned by the process, then zombify.
-                if let Ok(b) = self.binder_mut(ns) {
-                    b.reap_process(pid);
-                }
-                if let Ok(a) = self.alarm_mut(ns) {
-                    a.reap_process(pid);
-                }
-                if let Ok(m) = self.ashmem_mut(ns) {
-                    m.reap_process(pid);
-                }
-                self.processes.exit(pid)?;
-                Ok(SyscallRet::Unit)
             }
         }
     }
@@ -224,19 +138,19 @@ mod tests {
 
     /// Boot a kernel with the driver package loaded and a container
     /// namespace holding an init process.
-    fn booted() -> (Kernel, u32, u32) {
+    fn booted() -> (Kernel, u32) {
         let mut k = Kernel::new(HostSpec::paper_server());
         k.load_android_container_driver();
         let ns = k.create_namespace();
         let init = k.processes.spawn(ns, "/init", 0);
-        (k, ns, init)
+        (k, init)
     }
 
     #[test]
     fn android_boot_sequence_via_syscalls() {
         // The user-space boot of §IV-B2 expressed as syscalls: init opens
         // devices, forks zygote, zygote registers core services.
-        let (mut k, _ns, init) = booted();
+        let (mut k, init) = booted();
         k.syscall(init, Syscall::OpenDevice(DeviceKind::Binder))
             .unwrap();
         k.syscall(init, Syscall::OpenDevice(DeviceKind::Logger))
@@ -312,7 +226,7 @@ mod tests {
 
     #[test]
     fn transact_before_open_is_enodev() {
-        let (mut k, _ns, init) = booted();
+        let (mut k, init) = booted();
         let err = k
             .syscall(
                 init,
@@ -323,92 +237,5 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, KernelError::NoSuchDevice { .. }));
-    }
-
-    #[test]
-    fn alarm_set_and_log_write() {
-        let (mut k, ns, init) = booted();
-        k.syscall(init, Syscall::OpenDevice(DeviceKind::Alarm))
-            .unwrap();
-        k.syscall(init, Syscall::OpenDevice(DeviceKind::Logger))
-            .unwrap();
-        k.syscall(
-            init,
-            Syscall::AlarmSet {
-                due: SimTime::from_secs(60),
-            },
-        )
-        .unwrap();
-        k.syscall(
-            init,
-            Syscall::LogWrite {
-                priority: 4,
-                tag: "init",
-                message: "boot done",
-            },
-        )
-        .unwrap();
-        assert_eq!(k.alarm_mut(ns).unwrap().pending_count(), 1);
-        assert_eq!(k.logger_mut(ns).unwrap().len(), 1);
-    }
-
-    #[test]
-    fn exit_reaps_driver_state() {
-        let (mut k, ns, init) = booted();
-        k.syscall(init, Syscall::OpenDevice(DeviceKind::Binder))
-            .unwrap();
-        k.syscall(init, Syscall::OpenDevice(DeviceKind::Alarm))
-            .unwrap();
-        k.syscall(init, Syscall::OpenDevice(DeviceKind::Ashmem))
-            .unwrap();
-        let SyscallRet::Pid(svc) = k
-            .syscall(
-                init,
-                Syscall::Fork {
-                    child_name: "service",
-                },
-            )
-            .unwrap()
-        else {
-            panic!()
-        };
-        k.syscall(svc, Syscall::BinderRegister { service: "media" })
-            .unwrap();
-        k.syscall(
-            svc,
-            Syscall::AlarmSet {
-                due: SimTime::from_secs(5),
-            },
-        )
-        .unwrap();
-        k.syscall(
-            svc,
-            Syscall::AshmemCreate {
-                name: "buf",
-                size: 4096,
-            },
-        )
-        .unwrap();
-        k.syscall(svc, Syscall::Exit).unwrap();
-        assert!(k.binder_mut(ns).unwrap().lookup("media").is_none());
-        assert_eq!(k.alarm_mut(ns).unwrap().pending_count(), 0);
-        assert_eq!(k.ashmem_mut(ns).unwrap().used_bytes(), 0);
-    }
-
-    #[test]
-    fn ashmem_budget_enforced_via_syscall() {
-        let (mut k, _ns, init) = booted();
-        k.syscall(init, Syscall::OpenDevice(DeviceKind::Ashmem))
-            .unwrap();
-        let err = k
-            .syscall(
-                init,
-                Syscall::AshmemCreate {
-                    name: "huge",
-                    size: 1 << 40,
-                },
-            )
-            .unwrap_err();
-        assert!(matches!(err, KernelError::OutOfMemory { .. }));
     }
 }

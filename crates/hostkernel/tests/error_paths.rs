@@ -6,10 +6,8 @@
 //! variants, so a drive-by change from `NoSuchDevice` to `NotFound`
 //! (say) is a behavioural break, not a refactor.
 
-use hostkernel::ashmem::AshmemId;
 use hostkernel::logger::{LogRecord, LoggerDriver};
 use hostkernel::{DeviceKind, HostSpec, Kernel, KernelError, Syscall};
-use simkit::SimTime;
 
 fn kernel() -> Kernel {
     Kernel::new(HostSpec::paper_server())
@@ -21,12 +19,7 @@ fn booted() -> (Kernel, u32) {
     let mut k = kernel();
     k.load_android_container_driver();
     let ns = k.create_namespace();
-    for kind in [
-        DeviceKind::Binder,
-        DeviceKind::Alarm,
-        DeviceKind::Logger,
-        DeviceKind::Ashmem,
-    ] {
+    for kind in DeviceKind::ALL {
         k.open_device(ns, kind).expect("modules are loaded");
     }
     (k, ns)
@@ -42,7 +35,7 @@ struct Case {
 }
 
 /// Driver-surface operations against a kernel whose module was
-/// unloaded out from under live per-namespace driver state. All of
+/// unloaded out from under a namespace that had opened its node. All of
 /// them must be `ENODEV` on the unloaded device — never a success
 /// that silently reads stale state, and never a `NotFound` that
 /// misattributes the failure to the object instead of the device.
@@ -50,26 +43,11 @@ struct Case {
 fn unloaded_module_error_paths() {
     let cases: Vec<Case> = vec![
         Case {
-            name: "alarm set after rmmod android_alarm.ko",
+            name: "alarm access after rmmod android_alarm.ko",
             run: || {
                 let (mut k, ns) = booted();
                 k.unload_module("android_alarm.ko")?;
-                k.alarm_mut(ns).map(|a| {
-                    a.set(1, SimTime::from_secs(5));
-                })
-            },
-            expect: |e| matches!(e, KernelError::NoSuchDevice { device } if *device == "/dev/alarm"),
-            expect_desc: "NoSuchDevice(/dev/alarm)",
-        },
-        Case {
-            name: "alarm cancel after rmmod android_alarm.ko",
-            run: || {
-                let (mut k, ns) = booted();
-                let id = k.alarm_mut(ns).unwrap().set(1, SimTime::from_secs(5));
-                k.unload_module("android_alarm.ko")?;
-                k.alarm_mut(ns).map(|a| {
-                    a.cancel(id);
-                })
+                k.device(ns, DeviceKind::Alarm)
             },
             expect: |e| matches!(e, KernelError::NoSuchDevice { device } if *device == "/dev/alarm"),
             expect_desc: "NoSuchDevice(/dev/alarm)",
@@ -89,10 +67,20 @@ fn unloaded_module_error_paths() {
             run: || {
                 let (mut k, ns) = booted();
                 k.unload_module("ashmem.ko")?;
-                k.ashmem_mut(ns).map(|_| ())
+                k.device(ns, DeviceKind::Ashmem)
             },
             expect: |e| matches!(e, KernelError::NoSuchDevice { device } if *device == "/dev/ashmem"),
             expect_desc: "NoSuchDevice(/dev/ashmem)",
+        },
+        Case {
+            name: "sw_sync access after rmmod sw_sync.ko",
+            run: || {
+                let (mut k, ns) = booted();
+                k.unload_module("sw_sync.ko")?;
+                k.device(ns, DeviceKind::SwSync)
+            },
+            expect: |e| matches!(e, KernelError::NoSuchDevice { device } if *device == "/dev/sw_sync"),
+            expect_desc: "NoSuchDevice(/dev/sw_sync)",
         },
         Case {
             name: "binder access after rmmod android_binder.ko",
@@ -124,27 +112,17 @@ fn unloaded_module_error_paths() {
 }
 
 /// The syscall layer surfaces the same `ENODEV` — a process inside a
-/// container whose alarm module vanished sees the dead device node,
-/// exactly as `open_device` would report it.
+/// container whose alarm module vanished finds the node dead, exactly
+/// as `device` reports it.
 #[test]
 fn alarm_syscall_is_enodev_after_rmmod() {
     let (mut k, ns) = booted();
     let pid = k.processes.spawn(ns, "timerd", 0);
-    k.syscall(
-        pid,
-        Syscall::AlarmSet {
-            due: SimTime::from_secs(1),
-        },
-    )
-    .expect("module resident: alarm arms");
+    k.syscall(pid, Syscall::OpenDevice(DeviceKind::Alarm))
+        .expect("module resident: the node opens");
     k.unload_module("android_alarm.ko").unwrap();
     let err = k
-        .syscall(
-            pid,
-            Syscall::AlarmSet {
-                due: SimTime::from_secs(2),
-            },
-        )
+        .syscall(pid, Syscall::OpenDevice(DeviceKind::Alarm))
         .unwrap_err();
     assert_eq!(
         err,
@@ -153,35 +131,7 @@ fn alarm_syscall_is_enodev_after_rmmod() {
         }
     );
     assert_eq!(format!("{err}"), "ENODEV: no such device /dev/alarm");
-}
-
-/// Ashmem pin/unpin after the region was reclaimed (the "unmap"):
-/// precise `NotFound` naming the region, and the double-destroy also
-/// stays `NotFound` (not a panic, not `OutOfMemory` bookkeeping rot).
-#[test]
-fn ashmem_pin_unpin_after_reclaim() {
-    let (mut k, ns) = booted();
-    let a = k.ashmem_mut(ns).unwrap();
-    let id = a.create("dalvik-heap", 4096, 1).unwrap();
-    a.unpin(id).unwrap();
-    assert_eq!(a.shrink(1), 4096, "unpinned region is reclaimable");
-    let expect = |e: KernelError, op: &str| {
-        assert_eq!(
-            e,
-            KernelError::NotFound {
-                what: format!("ashmem region {}", id.0)
-            },
-            "{op} after reclaim"
-        );
-    };
-    let a = k.ashmem_mut(ns).unwrap();
-    expect(a.pin(id).unwrap_err(), "pin");
-    expect(a.unpin(id).unwrap_err(), "unpin");
-    expect(a.destroy(id).unwrap_err(), "destroy");
-    assert_eq!(a.used_bytes(), 0, "reclaim returned the budget");
-    // A fresh region reuses none of the dead id space.
-    let id2 = a.create("fresh", 64, 1).unwrap();
-    assert_ne!(id2, AshmemId(id.0), "ids are never recycled");
+    assert_eq!(k.device(ns, DeviceKind::Alarm), Err(err));
 }
 
 /// Logger ring wrap-around at the *exact* buffer boundary. Record

@@ -35,7 +35,7 @@ impl Link {
     }
 
     /// One RTT sample with log-normal jitter.
-    pub fn sample_rtt(&self, rng: &mut SimRng) -> SimDuration {
+    fn sample_rtt(&self, rng: &mut SimRng) -> SimDuration {
         let sigma = self.params.rtt_jitter_frac;
         // Log-normal with median = configured RTT.
         let factor = rng.log_normal(0.0, sigma);

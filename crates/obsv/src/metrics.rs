@@ -66,32 +66,6 @@ impl SimHistogram {
         self.max_us
     }
 
-    /// Exact mean (µs), or 0 for an empty histogram.
-    pub fn mean_us(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum_us as f64 / self.count as f64
-        }
-    }
-
-    /// Upper bound (µs) of the bucket containing quantile `q` in
-    /// `[0, 1]` — a bucket-resolution approximation.
-    pub fn quantile_upper_us(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return if i == 0 { 0 } else { (1u64 << i) - 1 };
-            }
-        }
-        self.max_us
-    }
-
     /// Fold another histogram into this one: buckets and counts add,
     /// sums saturate, the max is the max of maxes. Used when merging
     /// per-shard recorders into one trace.
@@ -102,17 +76,6 @@ impl SimHistogram {
         self.count += other.count;
         self.sum_us = self.sum_us.saturating_add(other.sum_us);
         self.max_us = self.max_us.max(other.max_us);
-    }
-
-    /// Non-empty buckets as `(upper_bound_us, count)` pairs, for
-    /// export.
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (if i == 0 { 0 } else { (1u64 << i) - 1 }, c))
-            .collect()
     }
 }
 
@@ -298,21 +261,12 @@ mod tests {
         assert_eq!(h.count(), 5);
         assert_eq!(h.sum_us(), 1030);
         assert_eq!(h.max_us(), 1024);
-        let buckets = h.nonzero_buckets();
-        // 0 → bucket 0; 1 → bit length 1 (upper 1); 2,3 → bit length 2
-        // (upper 3); 1024 → bit length 11 (upper 2047).
-        assert_eq!(buckets, vec![(0, 1), (1, 1), (3, 2), (2047, 1)]);
-    }
-
-    #[test]
-    fn quantiles_are_bucket_upper_bounds() {
-        let mut h = SimHistogram::new();
-        for v in [10, 20, 30, 40, 5000] {
-            h.observe(v);
-        }
-        assert_eq!(h.quantile_upper_us(0.5), 31, "median lands in [16,31]");
-        assert_eq!(h.quantile_upper_us(1.0), 8191);
-        assert_eq!(SimHistogram::new().quantile_upper_us(0.5), 0);
+        let nonzero: Vec<(usize, u64)> = (h.buckets.iter().copied().enumerate())
+            .filter(|&(_, c)| c > 0)
+            .collect();
+        // 0 → bucket 0; 1 → bit length 1; 2,3 → bit length 2; 1024 →
+        // bit length 11.
+        assert_eq!(nonzero, vec![(0, 1), (1, 1), (2, 2), (11, 1)]);
     }
 
     #[test]
@@ -321,7 +275,7 @@ mod tests {
         h.observe(u64::MAX);
         h.observe(u64::MAX);
         assert_eq!(h.count(), 2);
-        assert_eq!(h.nonzero_buckets().len(), 1);
+        assert_eq!(h.buckets[SimHistogram::BUCKETS - 1], 2);
         assert_eq!(h.max_us(), u64::MAX);
     }
 }

@@ -38,12 +38,6 @@ impl RecorderConfig {
             ..Self::default()
         }
     }
-
-    /// Set one subsystem's sampling control (builder style).
-    pub fn sample_one_in(mut self, subsystem: Subsystem, n: u32) -> Self {
-        self.sample[subsystem.index()] = n;
-        self
-    }
 }
 
 /// Mutable recorder state behind the shared handle.
@@ -338,13 +332,6 @@ impl Recorder {
         }
     }
 
-    /// Events currently buffered.
-    pub fn event_count(&self) -> usize {
-        self.inner
-            .as_ref()
-            .map_or(0, |inner| inner.borrow().events.len())
-    }
-
     /// Events evicted by ring wrap-around so far.
     pub fn dropped(&self) -> u64 {
         self.inner
@@ -499,7 +486,6 @@ mod tests {
         for i in 0..10 {
             rec.instant(Subsystem::Simkit, "tick", vec![("i", AttrValue::U64(i))]);
         }
-        assert_eq!(rec.event_count(), 4);
         assert_eq!(rec.dropped(), 6);
         let snap = rec.snapshot();
         assert_eq!(snap.dropped, 6);
@@ -508,9 +494,9 @@ mod tests {
 
     #[test]
     fn subsystem_can_be_disabled_and_instants_sampled() {
-        let cfg = RecorderConfig::default()
-            .sample_one_in(Subsystem::Simkit, 0)
-            .sample_one_in(Subsystem::Netsim, 3);
+        let mut cfg = RecorderConfig::default();
+        cfg.sample[Subsystem::Simkit.index()] = 0;
+        cfg.sample[Subsystem::Netsim.index()] = 3;
         let rec = Recorder::enabled(cfg);
         assert_eq!(
             rec.span_start(Subsystem::Simkit, "off", SpanId::NONE),
@@ -610,7 +596,7 @@ mod tests {
         }
         let dst = Recorder::enabled(RecorderConfig::with_capacity(4));
         dst.import(&src.snapshot());
-        assert_eq!(dst.event_count(), 4);
+        assert_eq!(dst.snapshot().events.len(), 4);
         assert_eq!(dst.dropped(), 6);
     }
 

@@ -57,7 +57,7 @@ impl PermissionTable {
     /// The default analysis result for an offloading workload: it may
     /// use the offloading services and write files up to a generous
     /// multiple of its declared payload, but not roam the platform.
-    pub fn for_profile(expected_payload: u64) -> Self {
+    fn for_profile(expected_payload: u64) -> Self {
         let mut allowed = BTreeSet::new();
         for s in ["activity", "package", "offloadcontroller"] {
             allowed.insert(s.to_string());

@@ -39,14 +39,6 @@ impl DeviceSpec {
         }
     }
 
-    /// The handset table: every named device profile with its label.
-    pub fn handset_table() -> [(&'static str, DeviceSpec); 2] {
-        [
-            ("handset", Self::default_handset()),
-            ("iot", Self::iot_class()),
-        ]
-    }
-
     /// Time to execute `work` locally on the device.
     pub fn local_execution_time(&self, work: Megacycles) -> SimDuration {
         SimDuration::from_secs_f64(work.seconds_at(self.clock_ghz, self.efficiency))
@@ -136,9 +128,6 @@ mod tests {
             / handset.local_execution_time(work).as_secs_f64();
         // 0.48 GHz-equiv handset vs 0.225 GHz-equiv Pi-class device.
         assert!(ratio > 1.5 && ratio < 4.0, "ratio {ratio}");
-        let table = DeviceSpec::handset_table();
-        assert_eq!(table[0].1, handset);
-        assert_eq!(table[1].1, iot);
     }
 
     #[test]

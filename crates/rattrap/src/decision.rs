@@ -98,7 +98,7 @@ impl LinkEstimator {
     }
 
     /// Predicted connect + transfer phases for a task.
-    pub fn predict_phases(
+    fn predict_phases(
         &self,
         task: &TaskRequest,
         code_bytes: u64,

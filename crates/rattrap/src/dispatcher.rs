@@ -247,7 +247,7 @@ impl ContainerDb {
     }
 
     /// The lowest-id ready instance with no active job.
-    pub fn first_ready_idle(&self) -> Option<InstanceId> {
+    fn first_ready_idle(&self) -> Option<InstanceId> {
         let scan = || {
             let idle = |r: &&ContainerRecord| r.state == InstanceState::Ready && r.active_jobs == 0;
             self.iter().find(idle).map(|r| r.id)
@@ -259,7 +259,7 @@ impl ContainerDb {
 
     /// The shared-pool instance (no owner) with the fewest active jobs
     /// (lowest id on a tie), booting ones included.
-    pub fn least_loaded(&self) -> Option<InstanceId> {
+    fn least_loaded(&self) -> Option<InstanceId> {
         let scan = || {
             let pool = self.iter().filter(|r| r.owner_device.is_none());
             pool.min_by_key(|r| (r.active_jobs, r.id.0)).map(|r| r.id)
@@ -270,7 +270,7 @@ impl ContainerDb {
     }
 
     /// The lowest-id instance owned by `device` (VM-per-device model).
-    pub fn owned_by(&self, device: u32) -> Option<InstanceId> {
+    fn owned_by(&self, device: u32) -> Option<InstanceId> {
         let scan = || self.iter().find(|r| r.owner_device == Some(device));
         let from = self.owned.0.partition_point(|&(d, _)| d < device);
         let owned = self.owned.0.get(from).filter(|&&(d, _)| d == device);

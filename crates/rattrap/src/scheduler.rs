@@ -28,17 +28,6 @@ pub struct PoolPolicy {
     pub idle_teardown: SimDuration,
 }
 
-impl PoolPolicy {
-    /// The paper's prototype: on-demand, bounded pool.
-    pub fn on_demand(max_instances: usize, idle_teardown: SimDuration) -> Self {
-        PoolPolicy {
-            warm_spares: 0,
-            max_instances,
-            idle_teardown,
-        }
-    }
-}
-
 /// Actions the scheduler asks the platform to take.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ScaleAction {
@@ -127,7 +116,11 @@ mod tests {
 
     #[test]
     fn on_demand_policy_never_pre_provisions() {
-        let s = Scheduler::new(PoolPolicy::on_demand(8, SimDuration::from_secs(120)));
+        let s = Scheduler::new(PoolPolicy {
+            warm_spares: 0,
+            max_instances: 8,
+            idle_teardown: SimDuration::from_secs(120),
+        });
         let db = ContainerDb::new();
         assert!(s.plan(&db, t(0)).is_empty());
     }

@@ -135,7 +135,7 @@ impl ScenarioConfig {
     }
 
     /// The workload a given device runs.
-    pub fn workload_of(&self, device: u32) -> WorkloadKind {
+    fn workload_of(&self, device: u32) -> WorkloadKind {
         self.device_workloads
             .as_ref()
             .and_then(|v| v.get(device as usize).copied())

@@ -75,7 +75,7 @@ impl ScenarioDriver {
     }
 
     /// The radio windows covering `user` (empty for unaffected users).
-    pub fn windows_for(&self, user: u32) -> Vec<LinkWindow> {
+    fn windows_for(&self, user: u32) -> Vec<LinkWindow> {
         self.compiled
             .windows
             .iter()

@@ -478,7 +478,7 @@ pub fn audit_fleet_report(report: &FleetReport, audit: &mut Audit) {
 
 /// Conservation checks on a fleet run's scenario block: arrival
 /// conservation and per-tenant isolation accounting.
-pub fn audit_scenario_stats(sc: &fleet::ScenarioStats, fleet_submitted: u64, audit: &mut Audit) {
+fn audit_scenario_stats(sc: &fleet::ScenarioStats, fleet_submitted: u64, audit: &mut Audit) {
     audit.ensure(
         SCENARIO_ARRIVAL_CONSERVATION,
         sc.injected == sc.submitted + sc.suppressed,

@@ -11,6 +11,7 @@ use crate::audit::Audit;
 use crate::invariants::{
     ENODEV_GATE, EVENT_MONOTONICITY, LINK_CONSERVATION, WAREHOUSE_CONSISTENCY,
 };
+use hostkernel::module::module_by_name;
 use hostkernel::{DeviceKind, HostSpec, Kernel, KernelError};
 use netsim::SharedLink;
 use rattrap::{aid_of, Aid, AppWarehouse};
@@ -191,17 +192,12 @@ pub struct KernelGate {
 
 impl KernelGate {
     /// A booted kernel with the full Android container driver and one
-    /// namespace holding all four device nodes.
+    /// namespace holding every device node.
     pub fn new() -> Self {
         let mut k = Kernel::new(HostSpec::paper_server());
         k.load_android_container_driver();
         let ns = k.create_namespace();
-        for kind in [
-            DeviceKind::Binder,
-            DeviceKind::Alarm,
-            DeviceKind::Logger,
-            DeviceKind::Ashmem,
-        ] {
+        for kind in DeviceKind::ALL {
             k.open_device(ns, kind).expect("driver loaded");
         }
         KernelGate { k, ns }
@@ -232,13 +228,10 @@ impl DeviceGate for KernelGate {
     }
 
     fn touch(&mut self, module: &'static str) -> DevAccess {
-        let res: Result<(), KernelError> = match module {
-            "android_alarm.ko" => self.k.alarm_mut(self.ns).map(|_| ()),
-            "android_logger.ko" => self.k.logger_mut(self.ns).map(|_| ()),
-            "ashmem.ko" => self.k.ashmem_mut(self.ns).map(|_| ()),
-            _ => self.k.binder_mut(self.ns).map(|_| ()),
-        };
-        match res {
+        let kind = module_by_name(module)
+            .expect("gated modules are known")
+            .provides[0];
+        match self.k.device(self.ns, kind) {
             Ok(()) => DevAccess::Granted,
             Err(KernelError::NoSuchDevice { .. }) => DevAccess::Enodev,
             Err(_) => DevAccess::Other,

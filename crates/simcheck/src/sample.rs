@@ -115,7 +115,7 @@ impl Sample {
     }
 
     /// The resilience policy this sample selects.
-    pub fn resilience_policy(&self) -> ResiliencePolicy {
+    fn resilience_policy(&self) -> ResiliencePolicy {
         match self.resilience {
             0 => ResiliencePolicy::none(),
             1 => ResiliencePolicy::retry_only(),
@@ -124,7 +124,7 @@ impl Sample {
     }
 
     /// The fault plan intensity this sample selects.
-    pub fn fault_config(&self) -> FaultConfig {
+    fn fault_config(&self) -> FaultConfig {
         if self.fault_pct == 0 {
             FaultConfig::none()
         } else {
@@ -164,7 +164,7 @@ impl Sample {
     /// Materialise the scenario spec, sized for this sample's fleet:
     /// phase timing scales with the trace horizon so the adversarial
     /// window always lands inside the run.
-    pub fn scenario_spec(&self) -> scenario::ScenarioSpec {
+    fn scenario_spec(&self) -> scenario::ScenarioSpec {
         let users = self.users.max(1);
         let horizon = self.duration_s.max(60) as u64;
         let start = simkit::SimTime::from_secs(horizon / 4);

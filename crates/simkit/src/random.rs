@@ -93,9 +93,9 @@ impl SimRng {
         self.normal(mu, sigma).exp()
     }
 
-    /// Pareto with scale `x_min > 0` and shape `alpha > 0` — heavy-tailed
-    /// think times in the trace generator.
-    pub fn pareto(&mut self, x_min: f64, alpha: f64) -> f64 {
+    /// Pareto with scale `x_min > 0` and shape `alpha > 0`.
+    #[cfg(test)]
+    fn pareto(&mut self, x_min: f64, alpha: f64) -> f64 {
         assert!(
             x_min > 0.0 && alpha > 0.0,
             "pareto parameters must be positive"

@@ -104,7 +104,7 @@ impl<T> FairShareResource<T> {
     }
 
     /// Rate each active job currently receives (units/second).
-    pub fn per_job_rate(&self) -> f64 {
+    fn per_job_rate(&self) -> f64 {
         if self.jobs.is_empty() {
             0.0
         } else {

@@ -46,11 +46,6 @@ impl TimelineSampler {
         self.weighted.len()
     }
 
-    /// Width of each bin.
-    pub fn bin_width(&self) -> SimDuration {
-        self.bin_width
-    }
-
     /// Record that `level` held from `from` until `to`. Portions outside
     /// the horizon are dropped; `to <= from` records nothing.
     pub fn record_level(&mut self, from: SimTime, to: SimTime, level: f64) {
@@ -105,11 +100,6 @@ impl TimelineSampler {
     pub fn levels(&self) -> Vec<f64> {
         let bw = self.bin_width.as_micros() as f64;
         self.weighted.iter().map(|w| w / bw).collect()
-    }
-
-    /// Summed amounts per bin (amount channel).
-    pub fn amounts(&self) -> &[f64] {
-        &self.amounts
     }
 
     /// Amounts converted to a per-second rate.
@@ -168,11 +158,11 @@ mod tests {
         let mut s = sampler();
         s.record_amount(SimTime::from_millis(1500), 10.0);
         s.record_amount(SimTime::from_millis(1900), 5.0);
-        assert_eq!(s.amounts()[1], 15.0);
+        assert_eq!(s.amounts[1], 15.0);
         assert_eq!(s.rates_per_sec()[1], 15.0);
         // Beyond horizon: silently dropped.
         s.record_amount(SimTime::from_secs(100), 99.0);
-        assert_eq!(s.amounts().iter().sum::<f64>(), 15.0);
+        assert_eq!(s.amounts.iter().sum::<f64>(), 15.0);
     }
 
     #[test]
@@ -180,7 +170,7 @@ mod tests {
         let mut s = sampler();
         // 30 units over 3 seconds → 10 per bin.
         s.record_amount_over(SimTime::from_secs(2), SimTime::from_secs(5), 30.0);
-        let a = s.amounts();
+        let a = s.amounts;
         assert!((a[2] - 10.0).abs() < 1e-9);
         assert!((a[3] - 10.0).abs() < 1e-9);
         assert!((a[4] - 10.0).abs() < 1e-9);
@@ -191,7 +181,7 @@ mod tests {
         let mut s = sampler();
         // 20 units over [9s, 11s): half lands in the horizon.
         s.record_amount_over(SimTime::from_secs(9), SimTime::from_secs(11), 20.0);
-        assert!((s.amounts()[9] - 10.0).abs() < 1e-9);
-        assert!((s.amounts().iter().sum::<f64>() - 10.0).abs() < 1e-9);
+        assert!((s.amounts[9] - 10.0).abs() < 1e-9);
+        assert!((s.amounts.iter().sum::<f64>() - 10.0).abs() < 1e-9);
     }
 }

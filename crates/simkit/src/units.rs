@@ -30,22 +30,10 @@ pub const fn gib(n: u64) -> u64 {
     n * GIB
 }
 
-/// Fractional mebibytes → bytes (rounded).
-#[inline]
-pub fn mib_f64(n: f64) -> u64 {
-    (n * MIB as f64).round() as u64
-}
-
 /// Megabits per second → bytes per second.
 #[inline]
 pub fn mbps(n: f64) -> f64 {
     n * 1_000_000.0 / 8.0
-}
-
-/// Kilobits per second → bytes per second.
-#[inline]
-pub fn kbps(n: f64) -> f64 {
-    n * 1_000.0 / 8.0
 }
 
 /// Render a byte count with a binary-unit suffix, e.g. `"7.1 MiB"`.
@@ -102,13 +90,11 @@ mod tests {
         assert_eq!(kib(1), 1024);
         assert_eq!(mib(2), 2 * 1024 * 1024);
         assert_eq!(gib(1), 1 << 30);
-        assert_eq!(mib_f64(0.5), 524_288);
     }
 
     #[test]
     fn bandwidth_conversions() {
         assert_eq!(mbps(8.0), 1_000_000.0);
-        assert_eq!(kbps(8.0), 1_000.0);
     }
 
     #[test]

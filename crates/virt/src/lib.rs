@@ -14,8 +14,8 @@
 //!   the two ends of a move between hosts (only private state travels).
 //! * [`host`] — [`CloudHost`]: provisions instances against the real
 //!   `hostkernel` (driver modules, namespaces, Zygote bring-up via
-//!   syscalls) and `containerfs` (shared-layer union mounts, tmpfs
-//!   offloading I/O), with fleet-level disk/memory accounting.
+//!   syscalls) and `containerfs` (shared-layer union mounts), with
+//!   fleet-level disk/memory accounting.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -61,7 +61,7 @@ pub struct Piece {
 
 impl Piece {
     /// FEN character for the piece.
-    pub fn to_char(self) -> char {
+    fn to_char(self) -> char {
         let c = match self.kind {
             PieceKind::Pawn => 'p',
             PieceKind::Knight => 'n',
@@ -77,7 +77,7 @@ impl Piece {
     }
 
     /// Parse a FEN piece character.
-    pub fn from_char(c: char) -> Option<Piece> {
+    fn from_char(c: char) -> Option<Piece> {
         let color = if c.is_ascii_uppercase() {
             Color::White
         } else {

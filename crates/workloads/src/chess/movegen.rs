@@ -39,7 +39,8 @@ impl Move {
     }
 
     /// Parse UCI text against no particular position.
-    pub fn parse_uci(s: &str) -> Option<Move> {
+    #[cfg(test)]
+    fn parse_uci(s: &str) -> Option<Move> {
         if s.len() < 4 {
             return None;
         }

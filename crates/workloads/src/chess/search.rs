@@ -88,11 +88,6 @@ impl Searcher {
         self
     }
 
-    /// Transposition-table statistics `(hits, misses, stores)`.
-    pub fn table_stats(&self) -> Option<(u64, u64, u64)> {
-        self.table.as_ref().map(|(_, tt)| tt.stats())
-    }
-
     fn out_of_budget(&self) -> bool {
         self.nodes >= self.node_budget
     }
@@ -410,7 +405,7 @@ mod tests {
             with_tt.nodes,
             plain.nodes
         );
-        let (hits, _, stores) = tt_searcher.table_stats().unwrap();
+        let (hits, _, stores) = tt_searcher.table.as_ref().unwrap().1.stats();
         assert!(hits > 0, "table was consulted");
         assert!(stores > 0, "table was populated");
     }

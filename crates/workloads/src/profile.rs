@@ -150,11 +150,6 @@ impl WorkloadProfile {
             io_bytes: (payload as f64 * self.offload_io_factor).round() as u64,
         }
     }
-
-    /// Mean uploaded bytes per request (payload + control), excluding code.
-    pub fn mean_request_upload(&self) -> u64 {
-        self.payload_bytes_mean + self.control_bytes
-    }
 }
 
 #[cfg(test)]
@@ -179,7 +174,7 @@ mod tests {
         for kind in [WorkloadKind::ChessGame, WorkloadKind::Linpack] {
             let p = kind.profile();
             let code = p.app_code_bytes as f64;
-            let rest = (20 * p.mean_request_upload()) as f64;
+            let rest = (20 * (p.payload_bytes_mean + p.control_bytes)) as f64;
             assert!(
                 code / (code + rest) > 0.5,
                 "{}: {}",
@@ -191,7 +186,7 @@ mod tests {
         for kind in [WorkloadKind::Ocr, WorkloadKind::VirusScan] {
             let p = kind.profile();
             let code = p.app_code_bytes as f64;
-            let rest = (20 * p.mean_request_upload()) as f64;
+            let rest = (20 * (p.payload_bytes_mean + p.control_bytes)) as f64;
             assert!(code / (code + rest) < 0.5, "{}", kind.label());
         }
     }
@@ -239,8 +234,8 @@ mod tests {
         // Rattrap-mode upload should be ≈ 4 app-code copies (Table II).
         for kind in WorkloadKind::ALL {
             let p = kind.profile();
-            let rattrap = 100 * p.mean_request_upload() + p.app_code_bytes;
-            let vm = 100 * p.mean_request_upload() + 5 * p.app_code_bytes;
+            let rattrap = 100 * (p.payload_bytes_mean + p.control_bytes) + p.app_code_bytes;
+            let vm = 100 * (p.payload_bytes_mean + p.control_bytes) + 5 * p.app_code_bytes;
             assert_eq!(vm - rattrap, 4 * p.app_code_bytes);
             assert!(rattrap < vm);
         }
