@@ -68,6 +68,11 @@ if [ "${RATTRAP_BENCH_SMOKE:-0}" != "0" ]; then
     cargo run --release --offline -p rattrap-bench --bin exp_mega >/dev/null
     echo "==> bench smoke (exp_storm: scenario plane)"
     cargo run --release --offline -p rattrap-bench --bin exp_storm >/dev/null
+    echo "==> bench smoke (exp_scheduler at seeds 1-20: the warm floor holds at every seed)"
+    cargo build --release --offline -q -p rattrap-bench --bin exp_scheduler
+    for seed in $(seq 1 20); do
+        "${CARGO_TARGET_DIR:-target}/release/exp_scheduler" "$seed" >/dev/null
+    done
     echo "==> bench smoke (exp_drift: modeled vs real kernel latency)"
     cargo run --release --offline -p rattrap-bench --bin exp_drift >/dev/null
     echo "==> fleet_prof smoke (SIGPROF sampler + counting allocator, 2 repetitions a shape)"

@@ -78,6 +78,7 @@ pub fn run(seed: u64) -> ExperimentOutput {
     ]);
 
     let (od_fail, od_prep, od_mem) = results[0];
+    let w1_prep = results[1].1;
     let (w2_fail, w2_prep, w2_mem) = results[2];
     sc.expect(
         "warm spares do not hurt failures",
@@ -91,6 +92,14 @@ pub fn run(seed: u64) -> ExperimentOutput {
         w2_prep,
         "on-demand",
         od_prep,
+    );
+    // Compared exactly, with no tolerance: a pool that reclaims below
+    // its warm floor pays cold starts here.
+    sc.expect(
+        "a second warm spare never costs preparation",
+        "prep(warm2) ≤ prep(warm1)",
+        &format!("{w2_prep:.3} vs {w1_prep:.3} s"),
+        w2_prep <= w1_prep,
     );
     sc.expect(
         "warm pool costs held memory",

@@ -183,11 +183,7 @@ impl FleetConfig {
             app_skew: 1.2,
             runtime: RuntimeClass::CacOptimized,
             admission_capacity: 16,
-            pool: PoolPolicy {
-                warm_spares: 1,
-                max_instances: 8,
-                idle_teardown: SimDuration::from_secs(120),
-            },
+            pool: PoolPolicy::new(1, 8),
             autoscale: AutoscalePolicy::static_fleet(),
             rebalance: RebalancePolicy::standard(),
             resilience: ResiliencePolicy::standard(),
@@ -205,14 +201,33 @@ impl FleetConfig {
             seed,
         }
     }
+}
 
-    /// Per-user app weights under the configured Zipf skew, in
-    /// [`workloads::WorkloadKind::ALL`] order.
-    pub fn app_weights(&self) -> Vec<f64> {
-        (1..=workloads::WorkloadKind::ALL.len())
-            .map(|rank| 1.0 / (rank as f64).powf(self.app_skew))
-            .collect()
-    }
+/// What one host shard reads of its cell: every host of a cell runs
+/// under the same one, beside its own [`HostSpec`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct HostConfig {
+    /// Runtime class provisioned for every request.
+    pub runtime: RuntimeClass,
+    /// The host's instance pool policy.
+    pub pool: PoolPolicy,
+    /// App Warehouse capacity, bytes.
+    pub warehouse_capacity: u64,
+    /// The cell's own access network: the link a code push from the
+    /// device crosses when the App Warehouse misses.
+    pub access: NetworkScenario,
+    /// The calibration map resolved for the cell's hardware class:
+    /// prices every request's compute phase.
+    pub compute_prices: exec::CalibrationTable,
+}
+
+/// Per-user app weights under Zipf exponent `skew`, in
+/// [`workloads::WorkloadKind::ALL`] order: 0 is uniform, larger skews
+/// toward OCR.
+pub fn app_weights(skew: f64) -> Vec<f64> {
+    (1..=workloads::WorkloadKind::ALL.len())
+        .map(|rank| 1.0 / (rank as f64).powf(skew))
+        .collect()
 }
 
 #[cfg(test)]
@@ -230,12 +245,9 @@ mod tests {
 
     #[test]
     fn app_weights_are_skewed_and_ordered() {
-        let cfg = FleetConfig::paper_default(1, 7);
-        let w = cfg.app_weights();
+        let w = app_weights(FleetConfig::paper_default(1, 7).app_skew);
         assert_eq!(w.len(), 4);
         assert!(w.windows(2).all(|p| p[0] > p[1]), "monotone skew");
-        let mut uniform = FleetConfig::paper_default(1, 7);
-        uniform.app_skew = 0.0;
-        assert!(uniform.app_weights().iter().all(|&x| x == 1.0));
+        assert!(app_weights(0.0).iter().all(|&x| x == 1.0));
     }
 }

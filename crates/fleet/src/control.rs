@@ -26,13 +26,14 @@
 
 use crate::admission::AdmissionCtl;
 use crate::autoscaler::{Autoscaler, FleetAction};
-use crate::config::{AutoscalePolicy, FleetConfig, RebalancePolicy};
+use crate::config::{AutoscalePolicy, HostConfig, RebalancePolicy};
 use crate::engine::{kind_ix, HostLp, HostOut, Wire, CTL};
 use crate::rebalance::Rebalancer;
 use crate::report::{
     ControlStats, FleetReport, FleetRequestRecord, HostReport, MigrationRecord, ScenarioStats,
 };
 use crate::router::{RouteReason, Router};
+use hostkernel::HostSpec;
 use netsim::{Direction, Link, NetworkScenario, SharedLink};
 use obsv::{attrs, AttrValue, Recorder, SpanId, Subsystem, TraceSnapshot};
 use rattrap::warehouse::{aid_of, Aid};
@@ -82,12 +83,10 @@ pub struct CellLayout {
     pub burst_to: Option<usize>,
     /// Whether the cell's hosts take part in hot → cold rebalancing.
     pub rebalances: bool,
-    /// The config the cell's host shards run under (host indices
-    /// there are cell-local).
-    pub host_cfg: Arc<FleetConfig>,
-    /// Hardware class the cell's hosts resolve `host_cfg.calibration`
-    /// for.
-    pub host_class: exec::HostClass,
+    /// Hardware of each host in `hosts`, in order.
+    pub specs: Vec<HostSpec>,
+    /// What the cell's host shards run under.
+    pub host: HostConfig,
 }
 
 /// One region: a device population and how it reaches the platform.
@@ -1271,7 +1270,7 @@ impl ControlLp {
                 let cell = &self.layout.cells[h.cell];
                 HostReport {
                     cell: h.cell,
-                    memory_bytes: cell.host_cfg.host_specs[g - cell.hosts.start].memory_bytes,
+                    memory_bytes: cell.specs[g - cell.hosts.start].memory_bytes,
                     migrations_out: h.migrations_out,
                     migrations_in: h.migrations_in,
                     crashes: h.crashes,
@@ -1336,8 +1335,8 @@ enum LpOut {
 
 impl ControlLayout {
     /// Run the layout to completion: the control plane as LP 0, one
-    /// host shard per host (pricing compute by its cell's config and
-    /// host class), every LP's trace merged into `rec` in LP order.
+    /// host shard per host (running under its cell's host config),
+    /// every LP's trace merged into `rec` in LP order.
     /// Returns the run's report, hosts in global index order. The one
     /// LP build/merge path behind every `run_fleet*` and `run_geo*`.
     pub fn run(self: &Arc<Self>, rec: &Recorder) -> FleetReport {
@@ -1363,12 +1362,7 @@ impl ControlLayout {
                     .iter()
                     .find(|c| c.hosts.contains(&g))
                     .expect("every host belongs to a cell");
-                PlaneLp::Host(Box::new(HostLp::new(
-                    Arc::clone(&cell.host_cfg),
-                    g - cell.hosts.start,
-                    cell.host_class,
-                    lp_rec,
-                )))
+                PlaneLp::Host(Box::new(HostLp::new(cell, g - cell.hosts.start, lp_rec)))
             }
         };
         let finish = |_: usize, lp: PlaneLp| match lp {

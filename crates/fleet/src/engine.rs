@@ -25,7 +25,7 @@
 //! same [`FleetConfig`] reproduces the same [`FleetReport`] bit for
 //! bit.
 
-use crate::config::FleetConfig;
+use crate::config::{app_weights, FleetConfig, HostConfig};
 use crate::control::{
     CellDecision, CellLayout, ControlLayout, FabricLayout, RegionLayout, STREAM_TRAFFIC,
 };
@@ -39,7 +39,7 @@ use simkit::{derive_seed, EventQueue, FairShareExecutor, JobId, SimDuration, Sim
 use std::collections::VecDeque;
 use std::sync::Arc;
 use virt::migrate::{checkpoint, restore, Checkpoint};
-use virt::{CloudHost, InstanceId};
+use virt::{CloudHost, InstanceId, RuntimeClass};
 use workloads::{TaskRequest, WorkloadKind};
 
 /// The LP index of the control plane.
@@ -205,8 +205,9 @@ fn state_of(insts: &mut [(InstanceId, InstState)], inst: InstanceId) -> &mut Ins
 /// multi-region topologies alike; everything else should go through
 /// [`run_fleet`].
 pub(crate) struct HostLp {
-    h: usize,
-    cfg: Arc<FleetConfig>,
+    cfg: HostConfig,
+    /// Pool maintenance cadence: the cell's control-loop interval.
+    scan_interval: SimDuration,
     rec: Recorder,
     queue: EventQueue<HostEvent>,
     host: CloudHost,
@@ -230,18 +231,15 @@ pub(crate) struct HostLp {
     served: u64,
     peak_instances: usize,
     peak_memory: u64,
-    /// `cfg.calibration` resolved for this host's class: prices every
-    /// request's compute phase.
-    compute_prices: exec::CalibrationTable,
 }
 
 impl HostLp {
-    /// Build host `h` of `cfg`, pricing compute as hardware `class`
-    /// and recording into `rec`. Hosts with `h < cfg.initial_active`
-    /// start serving (and filling their warm pool) at `t = 0`; the rest
-    /// wait in standby for an activation.
-    pub fn new(cfg: Arc<FleetConfig>, h: usize, class: exec::HostClass, rec: Recorder) -> Self {
-        let spec = cfg.host_specs[h];
+    /// Build host `h` (cell-local) of `cell`, recording into `rec`.
+    /// Hosts with `h < cell.initial_active` start serving (and filling
+    /// their warm pool) at `t = 0`; the rest wait in standby for an
+    /// activation.
+    pub fn new(cell: &CellLayout, h: usize, rec: Recorder) -> Self {
+        let (cfg, spec) = (cell.host, cell.specs[h]);
         let mut host = CloudHost::new(spec);
         host.kernel.load_android_container_driver();
         host.attach_recorder(rec.clone());
@@ -252,21 +250,20 @@ impl HostLp {
         // job-set mutation — exp_mega reschedules millions of times.
         cpu.eager_check_cancel();
         let warehouse = AppWarehouse::new(cfg.warehouse_capacity);
-        let link = Link::new(cfg.scenario);
+        let link = Link::new(cfg.access);
         let aids: Vec<Aid> = WorkloadKind::ALL
             .iter()
             .map(|k| aid_of(k.app_id()))
             .collect();
-        let serving = h < cfg.initial_active;
+        let serving = h < cell.initial_active;
         let mut queue = EventQueue::new();
         if serving {
             // Initially active hosts fill their warm pools from t = 0.
             queue.schedule(SimTime::ZERO, HostEvent::Maintain { epoch: 0 });
         }
         HostLp {
-            h,
-            compute_prices: cfg.calibration.resolve(class),
             cfg,
+            scan_interval: cell.autoscale.scan_interval,
             rec,
             queue,
             host,
@@ -401,7 +398,7 @@ impl HostLp {
         self.insts.iter().filter_map(idle)
     }
 
-    fn count(&self, state: fn(&InstState) -> bool) -> usize {
+    fn count(&self, state: impl Fn(&InstState) -> bool) -> usize {
         self.insts.iter().filter(|(_, s)| state(s)).count()
     }
 
@@ -472,6 +469,7 @@ impl HostLp {
         let spec = self.cfg.runtime.spec();
         let ghz = self.host.host_spec().clock_ghz;
         let work = self
+            .cfg
             .compute_prices
             .price(&pend.task, ghz, spec.cpu_efficiency);
         let job = Some(self.cpu.submit(now, work, inst));
@@ -483,7 +481,8 @@ impl HostLp {
     }
 
     fn on_cpu_poll(&mut self, now: SimTime, cpu_epoch: u64) {
-        let (cfg, h, epoch) = (&self.cfg, self.h, self.epoch);
+        let (runtime, epoch) = (self.cfg.runtime, self.epoch);
+        let disk = self.host.host_spec().disk_bandwidth;
         let (insts, rec, queue) = (&mut self.insts, &self.rec, &mut self.queue);
         let fresh = self.cpu.poll_with(now, cpu_epoch, |_, inst| {
             let InstState::Busy { pend, job } = state_of(insts, inst) else {
@@ -491,7 +490,7 @@ impl HostLp {
             };
             *job = None;
             rec.set_current_request(Some(pend.req as u64));
-            let t = io_time(cfg, h, pend.task.io_bytes);
+            let t = io_time(runtime, disk, pend.task.io_bytes);
             queue.schedule(now.saturating_add(t), HostEvent::IoDone { inst, epoch });
         });
         if !fresh {
@@ -593,12 +592,7 @@ impl HostLp {
         if !self.serving {
             return;
         }
-        let floor = if self.drain_mode {
-            0
-        } else {
-            self.cfg.pool.warm_spares
-        };
-        self.reclaim_idle(now, floor, out);
+        self.reclaim_idle(now, out);
         if self.drain_mode {
             let working =
                 |s: &InstState| matches!(s, InstState::Busy { .. } | InstState::Restoring);
@@ -609,41 +603,39 @@ impl HostLp {
             self.fill_warm_pool(now);
         }
         let epoch = self.epoch;
-        self.queue.schedule_in(
-            self.cfg.autoscale.scan_interval,
-            HostEvent::Maintain { epoch },
-        );
+        self.queue
+            .schedule_in(self.scan_interval, HostEvent::Maintain { epoch });
     }
 
-    fn reclaim_idle(&mut self, now: SimTime, floor: usize, out: &mut Outbox<Wire>) {
-        let mut idle = self.idle().count();
-        let mut changed = false;
-        let mut i = 0;
-        while i < self.insts.len() && idle > floor {
-            match self.insts[i] {
-                (inst, InstState::Idle(since))
-                    if now.saturating_since(since) >= self.cfg.pool.idle_teardown =>
-                {
-                    let _ = self.host.teardown(inst);
-                    self.insts.remove(i);
-                    self.warehouse.invalidate_container(inst);
-                    idle -= 1;
-                    changed = true;
-                }
-                _ => i += 1,
+    /// Reclaim the oldest instances idle past the keep-alive, down to
+    /// the warm floor (none while draining).
+    fn reclaim_idle(&mut self, now: SimTime, out: &mut Outbox<Wire>) {
+        let pool = self.cfg.pool;
+        let expired =
+            |s: &InstState| matches!(*s, InstState::Idle(since) if pool.expired(since, now));
+        let mut n = pool.to_reclaim(self.count(expired), self.idle().count(), self.drain_mode);
+        if n == 0 {
+            return;
+        }
+        // Oldest first: the table is in id order.
+        let (host, warehouse) = (&mut self.host, &mut self.warehouse);
+        self.insts.retain(|&(inst, state)| {
+            let reclaim = n > 0 && expired(&state);
+            if reclaim {
+                let _ = host.teardown(inst);
+                warehouse.invalidate_container(inst);
+                n -= 1;
             }
-        }
-        if changed {
-            self.publish_warm(now, out);
-        }
+            !reclaim
+        });
+        self.publish_warm(now, out);
     }
 
     /// Keep `warm_spares` instances idle or booting.
     fn fill_warm_pool(&mut self, now: SimTime) {
         let spare = |s: &InstState| matches!(s, InstState::Idle(_) | InstState::Booting);
-        while self.count(spare) < self.cfg.pool.warm_spares
-            && self.host.instance_count() < self.cfg.pool.max_instances
-        {
+        let spares = self.count(spare);
+        for _ in 0..self.cfg.pool.to_start(spares, self.host.instance_count()) {
             match self.host.provision(self.cfg.runtime) {
                 Ok((inst, setup)) => {
                     self.note_provisioned();
@@ -818,18 +810,18 @@ impl HostLp {
     }
 }
 
-/// Offloading-I/O wall time on host `h` of `cfg`: the shared in-memory
-/// layer for the optimized class, the virtualized disk path otherwise.
-fn io_time(cfg: &FleetConfig, h: usize, bytes: u64) -> SimDuration {
+/// Offloading-I/O wall time of `runtime` on a host whose disk moves
+/// `disk_bps` bytes/s: the shared in-memory layer for the optimized
+/// class, the virtualized disk path otherwise.
+fn io_time(runtime: RuntimeClass, disk_bps: f64, bytes: u64) -> SimDuration {
     if bytes == 0 {
         return SimDuration::ZERO;
     }
-    let spec = cfg.runtime.spec();
+    let spec = runtime.spec();
     if spec.uses_shared_io_layer {
         SimDuration::from_secs_f64(bytes as f64 / virt::TMPFS_BANDWIDTH)
     } else {
-        let disk = cfg.host_specs[h].disk_bandwidth;
-        SimDuration::from_secs_f64(bytes as f64 / (disk * spec.io_efficiency))
+        SimDuration::from_secs_f64(bytes as f64 / (disk_bps * spec.io_efficiency))
     }
 }
 
@@ -884,8 +876,14 @@ fn flat_layout(cfg: &FleetConfig) -> ControlLayout {
             autoscale: cfg.autoscale,
             burst_to: None,
             rebalances: true,
-            host_cfg: Arc::new(cfg.clone()),
-            host_class: exec::HostClass::PAPER_SERVER,
+            specs: cfg.host_specs.clone(),
+            host: HostConfig {
+                runtime: cfg.runtime,
+                pool: cfg.pool,
+                warehouse_capacity: cfg.warehouse_capacity,
+                access: cfg.scenario,
+                compute_prices: cfg.calibration.resolve(exec::HostClass::PAPER_SERVER),
+            },
         }],
         regions: vec![RegionLayout {
             first_user: 0,
@@ -912,7 +910,7 @@ fn flat_layout(cfg: &FleetConfig) -> ControlLayout {
                 })
         }),
         traffic: cfg.traffic.clone(),
-        app_weights: cfg.app_weights(),
+        app_weights: app_weights(cfg.app_skew),
         admission_capacity: cfg.admission_capacity,
         rebalance: cfg.rebalance,
         resilience: cfg.resilience.clone(),

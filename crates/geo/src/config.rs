@@ -1,11 +1,10 @@
 //! Multi-region configuration: regions, tiers, the WAN fabric, and
 //! the [`Topology`] index arithmetic every geo component shares.
 
-use fleet::config::{AutoscalePolicy, FleetConfig, RebalancePolicy};
+use fleet::config::{AutoscalePolicy, RebalancePolicy};
 use hostkernel::HostSpec;
 use netsim::NetworkScenario;
 use rattrap::{DeviceSpec, PoolPolicy, ResiliencePolicy};
-use simkit::faults::FaultConfig;
 use simkit::SimDuration;
 use traces::livelab::TraceConfig;
 use virt::RuntimeClass;
@@ -130,7 +129,7 @@ pub struct GeoConfig {
     /// timezone.
     pub traffic: TraceConfig,
     /// Zipf exponent of per-user app popularity (see
-    /// [`FleetConfig::app_skew`]).
+    /// [`fleet::FleetConfig::app_skew`]).
     pub app_skew: f64,
     /// Runtime class provisioned for every request.
     pub runtime: RuntimeClass,
@@ -161,7 +160,7 @@ pub struct GeoConfig {
     /// pre-scenario engine.
     pub scenario_plan: Option<scenario::ScenarioSpec>,
     /// Ratios the cycle model's compute price is scaled by (see
-    /// [`FleetConfig::calibration`]); edge and core tiers each resolve
+    /// [`fleet::FleetConfig::calibration`]); edge and core tiers each resolve
     /// it for their own [`exec::HostClass`].
     pub calibration: exec::CalibrationMap,
     /// Master seed; every stream in the run is derived from it.
@@ -198,11 +197,7 @@ impl GeoConfig {
             app_skew: 1.2,
             runtime: RuntimeClass::CacOptimized,
             admission_capacity: 16,
-            pool: PoolPolicy {
-                warm_spares: 1,
-                max_instances: 8,
-                idle_teardown: SimDuration::from_secs(120),
-            },
+            pool: PoolPolicy::new(1, 8),
             rebalance: RebalancePolicy::standard(),
             resilience: ResiliencePolicy::standard(),
             warehouse_capacity: 64 * 1024 * 1024,
@@ -212,13 +207,6 @@ impl GeoConfig {
             calibration: exec::CalibrationMap::identity(),
             seed,
         }
-    }
-
-    /// Per-user app weights under the configured Zipf skew.
-    pub fn app_weights(&self) -> Vec<f64> {
-        (1..=workloads::WorkloadKind::ALL.len())
-            .map(|rank| 1.0 / (rank as f64).powf(self.app_skew))
-            .collect()
     }
 
     /// The tier backing `cell`.
@@ -244,43 +232,6 @@ impl GeoConfig {
             })
             .min()
             .expect("at least one region")
-    }
-
-    /// Synthesize the fleet config one cell's host shards run under.
-    /// Host indices are cell-local (the first `initial_active` are the
-    /// tier's initially active hosts); the geo control plane maps them
-    /// to global indices.
-    pub fn cell_fleet_config(&self, cell: usize) -> FleetConfig {
-        let tier = self.tier(cell);
-        assert!(
-            tier.initial_active <= tier.hosts && (tier.hosts == 0 || tier.initial_active >= 1),
-            "tier initial_active must name a non-empty prefix of its hosts \
-             (or the tier must be empty — a users-only region)"
-        );
-        FleetConfig {
-            host_specs: vec![tier.spec; tier.hosts],
-            initial_active: tier.initial_active,
-            scenario: tier.scenario,
-            interconnect_bps: self.wan.metro_bps,
-            traffic: self.traffic.clone(),
-            app_skew: self.app_skew,
-            runtime: self.runtime,
-            admission_capacity: self.admission_capacity,
-            pool: self.pool,
-            autoscale: tier.autoscale,
-            rebalance: self.rebalance,
-            resilience: self.resilience.clone(),
-            faults: FaultConfig::none(),
-            crash_reboot: SimDuration::from_secs(90),
-            warehouse_capacity: self.warehouse_capacity,
-            device: self.regions[cell / 2].device,
-            sync_window: self.sync_window,
-            // The control plane owns arrival injection; the cell's
-            // host shards never compile their own scenario.
-            scenario_plan: None,
-            calibration: self.calibration.clone(),
-            seed: self.seed,
-        }
     }
 }
 
@@ -521,24 +472,5 @@ mod tests {
             }
         }
         assert_eq!(seen.len(), topo.n_pairs());
-    }
-
-    #[test]
-    fn cell_fleet_config_carries_tier_knobs() {
-        let mut cfg = GeoConfig::paper_default(2, 7);
-        cfg.regions[0].edge.hosts = 3;
-        cfg.regions[0].edge.initial_active = 2;
-        let edge = cfg.cell_fleet_config(0);
-        assert_eq!(edge.host_specs.len(), 3);
-        assert_eq!(edge.initial_active, 2);
-        assert_eq!(edge.scenario, NetworkScenario::IotRadio);
-        let core = cfg.cell_fleet_config(1);
-        assert_eq!(core.scenario, NetworkScenario::WanWifi);
-        assert_eq!(
-            core.autoscale.host_boot,
-            SimDuration::from_secs(90),
-            "core tier boots on its own clock"
-        );
-        assert!(core.faults.is_inert(), "geo injects no host crashes");
     }
 }

@@ -25,6 +25,7 @@
 use crate::config::{GeoConfig, Topology};
 use crate::report::GeoReport;
 use crate::router::GeoRouter;
+use fleet::config::{app_weights, HostConfig};
 use fleet::control::{
     CellLayout, ControlLayout, FabricLayout, RegionLayout, WanLeg, STREAM_TRAFFIC,
 };
@@ -54,7 +55,19 @@ fn geo_layout(cfg: &GeoConfig, topo: &Topology) -> ControlLayout {
     let cells = (0..n_cells)
         .map(|cell| {
             let tier = cfg.tier(cell);
+            assert!(
+                tier.initial_active <= tier.hosts && (tier.hosts == 0 || tier.initial_active >= 1),
+                "tier initial_active must name a non-empty prefix of its hosts \
+                 (or the tier must be empty — a users-only region)"
+            );
             let edge = topo.is_edge(cell);
+            // Each tier resolves the config's calibration map for its
+            // own class, so one map can price the two apart.
+            let class = if edge {
+                exec::HostClass::EDGE_POP
+            } else {
+                exec::HostClass::REGIONAL_CORE
+            };
             CellLayout {
                 hosts: topo.hosts_in(cell),
                 initial_active: tier.initial_active,
@@ -65,13 +78,13 @@ fn geo_layout(cfg: &GeoConfig, topo: &Topology) -> ControlLayout {
                 // Follow the sun: warm containers move between edge
                 // PoPs as the diurnal peak travels the ring.
                 rebalances: edge,
-                host_cfg: Arc::new(cfg.cell_fleet_config(cell)),
-                // Each tier resolves the config's calibration map for
-                // its own class, so one map can price the two apart.
-                host_class: if edge {
-                    exec::HostClass::EDGE_POP
-                } else {
-                    exec::HostClass::REGIONAL_CORE
+                specs: vec![tier.spec; tier.hosts],
+                host: HostConfig {
+                    runtime: cfg.runtime,
+                    pool: cfg.pool,
+                    warehouse_capacity: cfg.warehouse_capacity,
+                    access: tier.scenario,
+                    compute_prices: cfg.calibration.resolve(class),
                 },
             }
         })
@@ -137,7 +150,7 @@ fn geo_layout(cfg: &GeoConfig, topo: &Topology) -> ControlLayout {
             router.route(&route_topo, region, aid, rings, warm, admissible)
         }),
         traffic: cfg.traffic.clone(),
-        app_weights: cfg.app_weights(),
+        app_weights: app_weights(cfg.app_skew),
         admission_capacity: cfg.admission_capacity,
         rebalance: cfg.rebalance,
         resilience: cfg.resilience.clone(),
@@ -191,6 +204,25 @@ mod tests {
         for cell in 0..topo.n_cells() {
             assert!(topo.hosts_in(cell).all(|g| rep.hosts[g].cell == cell));
         }
+    }
+
+    #[test]
+    fn geo_layout_carries_tier_knobs() {
+        let mut cfg = GeoConfig::paper_default(2, 7);
+        cfg.regions[0].edge.hosts = 3;
+        cfg.regions[0].edge.initial_active = 2;
+        let layout = geo_layout(&cfg, &Topology::new(&cfg));
+        let (edge, core) = (&layout.cells[0], &layout.cells[1]);
+        assert_eq!((edge.hosts.clone(), edge.specs.len()), (0..3, 3));
+        assert_eq!(edge.initial_active, 2);
+        assert_eq!(edge.host.access, netsim::NetworkScenario::IotRadio);
+        assert_eq!(core.host.access, netsim::NetworkScenario::WanWifi);
+        assert_eq!(
+            core.autoscale.host_boot,
+            SimDuration::from_secs(90),
+            "core tier boots on its own clock"
+        );
+        assert!(layout.faults.is_inert(), "geo injects no host crashes");
     }
 
     #[test]

@@ -1,13 +1,12 @@
 //! Exporters over a [`TraceSnapshot`]: Chrome trace-event JSON
-//! ([`chrome`]), collapsed stacks for flamegraphs ([`flame`]), and a
-//! per-request plain-text causal timeline ([`timeline`]).
+//! ([`chrome`]) and a per-request plain-text causal timeline
+//! ([`timeline`]).
 
 use crate::recorder::TraceSnapshot;
 use crate::span::{Attrs, SpanId, Subsystem, TraceEvent};
 use std::collections::BTreeMap;
 
 pub mod chrome;
-pub mod flame;
 pub mod timeline;
 
 /// A span reassembled from its `Begin`/`End` ring entries.

@@ -6,8 +6,8 @@
 //! sampling controls ([`recorder`]), a typed metrics registry
 //! (counters / gauges / sim-time histograms, [`metrics`]), and
 //! exporters — Chrome trace-event JSON for `chrome://tracing` /
-//! Perfetto, collapsed stacks for flamegraphs, and a plain-text
-//! causal timeline for a single request ([`export`]). A minimal JSON
+//! Perfetto and a plain-text causal timeline for a single request
+//! ([`export`]). A minimal JSON
 //! reader ([`json`]) round-trips the Chrome export without external
 //! dependencies.
 //!
@@ -16,7 +16,7 @@
 //! * Timestamps are the simulation clock (`u64` microseconds) — no
 //!   wall clock anywhere in this crate.
 //! * Event order in the ring is emission order; all aggregate state
-//!   (metrics, flamegraph stacks) lives in `BTreeMap`s, so exports
+//!   (metrics) lives in `BTreeMap`s, so exports
 //!   are byte-stable across runs of the same seed.
 //! * Sampling is a deterministic per-subsystem 1-in-N counter, never
 //!   a random draw.

@@ -279,14 +279,11 @@ impl ContainerDb {
         owned
     }
 
-    /// Instances idle (no jobs) since before `cutoff`.
-    pub fn idle_since(&self, cutoff: SimTime) -> Vec<InstanceId> {
-        let idle = |&id: &u32| {
-            self.get(InstanceId(id))
-                .is_some_and(|r| r.last_active <= cutoff)
-        };
-        let ids = self.ready_idle.0.iter().copied().filter(idle);
-        ids.map(InstanceId).collect()
+    /// Ready instances with no jobs and the time each went idle, in id
+    /// order.
+    pub(crate) fn idle(&self) -> impl Iterator<Item = (InstanceId, SimTime)> + '_ {
+        let since = |&id: &u32| self.get(InstanceId(id)).map(|r| (r.id, r.last_active));
+        self.ready_idle.0.iter().filter_map(since)
     }
 }
 
@@ -423,9 +420,8 @@ mod tests {
                     let owned = db.iter().find(|r| r.owner_device == Some(device));
                     prop_assert_eq!(db.owned_by(device), owned.map(|r| r.id));
                 }
-                let cutoff = t(step as u64 / 2);
-                let idle = db.iter().filter(ready_idle).filter(|r| r.last_active <= cutoff);
-                prop_assert_eq!(db.idle_since(cutoff), idle.map(|r| r.id).collect::<Vec<_>>());
+                let idle = db.iter().filter(ready_idle).map(|r| (r.id, r.last_active));
+                prop_assert_eq!(db.idle().collect::<Vec<_>>(), idle.collect::<Vec<_>>());
             }
         }
     }
@@ -527,7 +523,6 @@ mod tests {
         db.add_job(InstanceId(1));
         db.add_job(InstanceId(0));
         db.finish_job(InstanceId(0), t(10));
-        assert_eq!(db.idle_since(t(50)), vec![InstanceId(0)]);
-        assert!(db.idle_since(t(5)).is_empty());
+        assert_eq!(db.idle().collect::<Vec<_>>(), vec![(InstanceId(0), t(10))]);
     }
 }

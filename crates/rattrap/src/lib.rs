@@ -15,8 +15,8 @@
 //!   engine (link estimators + latency/energy prediction).
 //! * [`platform`] — the three platform configurations of §VI-A
 //!   (Rattrap, Rattrap(W/O), VM baseline) and the ablation knobs.
-//! * [`scheduler`] — Monitor & Scheduler: warm pools and idle
-//!   reclamation over the Container DB.
+//! * [`scheduler`] — Monitor & Scheduler: the one warm-pool and idle
+//!   reclamation rule every engine's hosts follow.
 //! * [`request`] — the §III-B phase decomposition per request.
 //! * [`resilience`] — per-phase timeouts, retry budgets with bounded
 //!   backoff, and graceful degradation to on-device execution.
@@ -50,6 +50,6 @@ pub use metrics::{FaultStats, ReportHasher};
 pub use platform::{PlatformConfig, PlatformKind};
 pub use request::{PhaseBreakdown, RequestRecord};
 pub use resilience::ResiliencePolicy;
-pub use scheduler::{PoolPolicy, ScaleAction, Scheduler};
+pub use scheduler::PoolPolicy;
 pub use simulation::{run_scenario, ArrivalModel, ScenarioConfig, Simulation, SimulationReport};
 pub use warehouse::{aid_of, Aid, AppWarehouse, WarehouseStats};

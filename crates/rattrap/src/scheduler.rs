@@ -4,17 +4,17 @@
 //! at VM-level in existing platforms": because Cloud Android Containers
 //! are ordinary process groups under cgroups, the platform can act on
 //! per-instance state cheaply — grow a warm pool before requests
-//! arrive and reclaim idle instances. The [`Scheduler`] turns the
-//! Container DB's indexes into scale actions the platform applies.
+//! arrive and reclaim idle instances. [`PoolPolicy`] is that rule, read
+//! by the paper engine and by every fleet and geo host shard alike.
 //! `cpu.shares` rebalancing is not modelled: the server CPU splits its
 //! cores equally among running jobs and never reads a cgroup's weight
 //! (DESIGN.md §5).
 
-use crate::dispatcher::ContainerDb;
+use crate::config::IDLE_TEARDOWN;
 use simkit::{SimDuration, SimTime};
-use virt::InstanceId;
 
-/// Pool-management policy.
+/// Pool-management policy: pre-start `warm_spares` spares, and reclaim
+/// instances idle past `idle_teardown`, never below the spare floor.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PoolPolicy {
     /// Ready-and-idle instances to keep pre-provisioned. Zero restores
@@ -24,74 +24,43 @@ pub struct PoolPolicy {
     pub warm_spares: usize,
     /// Never exceed this many instances.
     pub max_instances: usize,
-    /// Reclaim instances idle for longer than this.
+    /// Reclaim instances idle for at least this long.
     pub idle_teardown: SimDuration,
 }
 
-/// Actions the scheduler asks the platform to take.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ScaleAction {
-    /// Provision this many new instances.
-    Provision(usize),
-    /// Tear these idle instances down.
-    Teardown(Vec<InstanceId>),
-}
-
-/// The scheduler.
-#[derive(Debug)]
-pub struct Scheduler {
-    policy: PoolPolicy,
-}
-
-impl Scheduler {
-    /// A scheduler applying `policy`.
-    pub fn new(policy: PoolPolicy) -> Self {
-        Scheduler { policy }
+impl PoolPolicy {
+    /// `warm_spares` spares and at most `max_instances` instances, under
+    /// the platform's keep-alive ([`IDLE_TEARDOWN`]).
+    pub fn new(warm_spares: usize, max_instances: usize) -> Self {
+        PoolPolicy {
+            warm_spares,
+            max_instances,
+            idle_teardown: IDLE_TEARDOWN,
+        }
     }
 
-    /// The active policy.
-    pub fn policy(&self) -> PoolPolicy {
-        self.policy
+    /// Instances to start now, given the `spares` (ready-idle plus
+    /// booting — booting ones count, so the pool is not over-provisioned
+    /// while they come up) and the `instances` that exist: the spares
+    /// short of `warm_spares`, capped by `max_instances`.
+    pub fn to_start(&self, spares: usize, instances: usize) -> usize {
+        let short = self.warm_spares.saturating_sub(spares);
+        short.min(self.max_instances.saturating_sub(instances))
     }
 
-    /// Plan scale actions from a Container-DB snapshot at `now`.
-    ///
-    /// Keeps `warm_spares` ready-and-idle instances (booting ones count
-    /// toward the target so we don't over-provision while they come up)
-    /// and reclaims instances idle past the policy window — but never
-    /// below the warm-spare floor.
-    pub fn plan(&self, db: &ContainerDb, now: SimTime) -> Vec<ScaleAction> {
-        let mut actions = Vec::new();
-        let ready_idle = db.ready_idle();
-        let spare_supply = ready_idle + db.booting();
-        if spare_supply < self.policy.warm_spares && db.len() < self.policy.max_instances {
-            let want =
-                (self.policy.warm_spares - spare_supply).min(self.policy.max_instances - db.len());
-            if want > 0 {
-                actions.push(ScaleAction::Provision(want));
-            }
-        }
-        // Idle reclamation, preserving the warm floor. Nothing can have
-        // been idle long enough before one full window has elapsed.
-        if now.as_micros() < self.policy.idle_teardown.as_micros() {
-            return actions;
-        }
-        let cutoff = SimTime::from_micros(
-            now.as_micros()
-                .saturating_sub(self.policy.idle_teardown.as_micros()),
-        );
-        let mut reclaimable = db.idle_since(cutoff);
-        let keep = self.policy.warm_spares.min(reclaimable.len());
-        // Keep the *newest* spares warm; reclaim the oldest first.
-        reclaimable.sort_by_key(|id| id.0);
-        let victims: Vec<InstanceId> = reclaimable
-            .into_iter()
-            .take(ready_idle.saturating_sub(keep))
-            .collect();
-        if !victims.is_empty() {
-            actions.push(ScaleAction::Teardown(victims));
-        }
-        actions
+    /// Whether an instance idle since `since` has outlived the
+    /// keep-alive at `now`.
+    pub fn expired(&self, since: SimTime, now: SimTime) -> bool {
+        now.saturating_since(since) >= self.idle_teardown
+    }
+
+    /// How many of the `expired` idle instances to reclaim when `idle`
+    /// are idle in all: never below the floor, which is `warm_spares`,
+    /// or zero on a draining host. Callers reclaim the oldest ids first,
+    /// so the newest spares stay warm.
+    pub fn to_reclaim(&self, expired: usize, idle: usize, draining: bool) -> usize {
+        let floor = if draining { 0 } else { self.warm_spares };
+        expired.min(idle.saturating_sub(floor))
     }
 }
 
@@ -99,88 +68,69 @@ impl Scheduler {
 mod tests {
     use super::*;
 
-    fn t(s: u64) -> SimTime {
-        SimTime::from_secs(s)
-    }
-
-    fn db_with(n: usize, ready: bool) -> ContainerDb {
-        let mut db = ContainerDb::new();
-        for i in 0..n {
-            db.register(InstanceId(i as u32), t(0), None);
-            if ready {
-                db.mark_ready(InstanceId(i as u32));
-            }
-        }
-        db
-    }
-
     #[test]
     fn on_demand_policy_never_pre_provisions() {
-        let s = Scheduler::new(PoolPolicy {
-            warm_spares: 0,
-            max_instances: 8,
-            idle_teardown: SimDuration::from_secs(120),
-        });
-        let db = ContainerDb::new();
-        assert!(s.plan(&db, t(0)).is_empty());
+        assert_eq!(PoolPolicy::new(0, 8).to_start(0, 0), 0);
     }
 
     #[test]
     fn warm_pool_fills_to_target() {
-        let s = Scheduler::new(PoolPolicy {
-            warm_spares: 2,
-            max_instances: 8,
-            idle_teardown: SimDuration::from_secs(120),
-        });
-        let db = ContainerDb::new();
-        assert_eq!(s.plan(&db, t(0)), vec![ScaleAction::Provision(2)]);
+        let pool = PoolPolicy::new(2, 8);
+        assert_eq!(pool.to_start(0, 0), 2);
         // One booting instance counts toward the target.
-        let mut db = ContainerDb::new();
-        db.register(InstanceId(0), t(2), None);
-        assert_eq!(s.plan(&db, t(0)), vec![ScaleAction::Provision(1)]);
+        assert_eq!(pool.to_start(1, 1), 1);
     }
 
     #[test]
     fn warm_pool_respects_max_instances() {
-        let s = Scheduler::new(PoolPolicy {
-            warm_spares: 4,
-            max_instances: 2,
-            idle_teardown: SimDuration::from_secs(120),
-        });
-        let mut db = db_with(2, true);
-        for i in 0..2 {
-            db.add_job(InstanceId(i));
-        }
-        assert!(s.plan(&db, t(0)).is_empty(), "at cap: no provisioning");
+        // Two busy instances at a cap of two: no provisioning.
+        assert_eq!(PoolPolicy::new(4, 2).to_start(0, 2), 0);
     }
 
     #[test]
     fn busy_pool_with_spares_needs_nothing() {
-        let s = Scheduler::new(PoolPolicy {
-            warm_spares: 1,
-            max_instances: 8,
-            idle_teardown: SimDuration::from_secs(120),
-        });
-        let mut db = db_with(3, true);
-        db.add_job(InstanceId(0));
-        db.add_job(InstanceId(0));
-        // 1 and 2 are ready-idle: spare supply 2 ≥ 1.
-        assert!(s.plan(&db, t(10)).is_empty());
+        // One busy and two ready-idle instances: spare supply 2 ≥ 1.
+        assert_eq!(PoolPolicy::new(1, 8).to_start(2, 3), 0);
     }
 
     #[test]
     fn idle_reclamation_preserves_warm_floor() {
-        let s = Scheduler::new(PoolPolicy {
-            warm_spares: 1,
-            max_instances: 8,
-            idle_teardown: SimDuration::from_secs(100),
-        });
-        let db = db_with(3, true);
-        let actions = s.plan(&db, t(1000));
-        // 3 idle, keep 1 warm → tear down 2 (oldest ids first).
-        assert_eq!(
-            actions,
-            vec![ScaleAction::Teardown(vec![InstanceId(0), InstanceId(1)])]
-        );
+        let mut pool = PoolPolicy::new(1, 8);
+        pool.idle_teardown = SimDuration::from_secs(100);
+        let expired = |since| pool.expired(SimTime::from_secs(since), SimTime::from_secs(1000));
+        assert!(expired(0) && expired(900), "the keep-alive is inclusive");
+        assert!(!expired(901));
+        // 3 idle, all expired, keep 1 warm → tear down 2.
+        assert_eq!(pool.to_reclaim(3, 3, false), 2);
+    }
+
+    #[test]
+    fn pool_rule_table() {
+        // (warm_spares, max_instances, spares, instances, to_start)
+        let starts = [
+            (2, 8, 0, 0, 2),
+            (2, 8, 1, 3, 1),
+            (2, 8, 3, 3, 0),
+            (4, 5, 0, 3, 2), // capped by max_instances
+            (4, 3, 0, 5, 0), // already over the cap
+        ];
+        for (w, max, spares, n, want) in starts {
+            let got = PoolPolicy::new(w, max).to_start(spares, n);
+            assert_eq!(got, want, "to_start w={w} max={max} spares={spares} n={n}");
+        }
+        // (warm_spares, expired, idle, draining, to_reclaim)
+        let reclaims = [
+            (2, 1, 2, false, 0), // the floor holds with one expired
+            (2, 1, 3, false, 1),
+            (2, 3, 3, false, 1),
+            (2, 2, 2, true, 2), // a draining host keeps no floor
+            (1, 2, 3, false, 2),
+            (0, 2, 5, false, 2),
+            (0, 0, 5, true, 0),
+        ];
+        for (w, expired, idle, draining, want) in reclaims {
+            let got = PoolPolicy::new(w, 8).to_reclaim(expired, idle, draining);
+            assert_eq!(got, want, "to_reclaim w={w} {expired}/{idle} {draining}");
+        }
     }
 }

@@ -24,7 +24,7 @@
 //!   in-flight request count.
 
 use crate::access::{AccessController, Action};
-use crate::config::{DeviceSpec, IDLE_TEARDOWN, RANDOM_IO_FACTOR};
+use crate::config::{DeviceSpec, RANDOM_IO_FACTOR};
 use crate::decision::{LinkEstimator, Objective, OffloadDecider};
 use crate::dispatcher::{ContainerDb, Dispatcher, InstanceState, Placement};
 use crate::lifecycle::{Phase, PhaseObserver, RequestLifecycle, ResumeStage};
@@ -32,7 +32,7 @@ use crate::metrics::FaultStats;
 use crate::platform::PlatformConfig;
 use crate::request::{PhaseBreakdown, RequestRecord};
 use crate::resilience::ResiliencePolicy;
-use crate::scheduler::{PoolPolicy, ScaleAction, Scheduler};
+use crate::scheduler::PoolPolicy;
 use crate::warehouse::{aid_of, Aid, AppWarehouse, WarehouseStats};
 use netsim::{Direction, Link, NetworkScenario};
 use obsv::{attrs, AttrValue, Counter, Recorder, SpanId, Subsystem};
@@ -324,7 +324,7 @@ pub struct Simulation {
     finished: Vec<usize>,
     /// Monitor & Scheduler (§IV-A): warm-pool management and idle
     /// reclamation.
-    scheduler: Scheduler,
+    pool: PoolPolicy,
     /// Lifecycle hooks fired on every phase transition.
     observers: Vec<Box<dyn PhaseObserver>>,
     /// Link outage/degradation windows from the fault plan (empty on
@@ -404,11 +404,7 @@ impl Simulation {
             finished_at: SimTime::ZERO,
             instances_provisioned: 0,
             peak_disk: 0,
-            scheduler: Scheduler::new(PoolPolicy {
-                warm_spares: cfg.platform.warm_spares,
-                max_instances: cfg.platform.max_instances,
-                idle_teardown: IDLE_TEARDOWN,
-            }),
+            pool: PoolPolicy::new(cfg.platform.warm_spares, cfg.platform.max_instances),
             cfg,
             expected_requests,
             device_names: Vec::new(),
@@ -490,13 +486,7 @@ impl Simulation {
         }
         // Warm-pool pre-provisioning (Monitor & Scheduler).
         if !self.cfg.platform.per_device_instances {
-            for action in self.scheduler.plan(&self.db, SimTime::ZERO) {
-                if let ScaleAction::Provision(n) = action {
-                    for _ in 0..n {
-                        self.provision(SimTime::ZERO, 0);
-                    }
-                }
-            }
+            self.fill_warm_pool(SimTime::ZERO);
         }
         self.queue.schedule(SimTime::from_secs(10), Event::IdleScan);
         // Schedule the fault plan's instance crashes (none on
@@ -1686,36 +1676,34 @@ impl Simulation {
         }
     }
 
+    /// Start the spares the warm pool is short of.
+    fn fill_warm_pool(&mut self, now: SimTime) {
+        let spares = self.db.ready_idle() + self.db.booting();
+        for _ in 0..self.pool.to_start(spares, self.db.len()) {
+            self.provision(now, 0);
+        }
+    }
+
     fn on_idle_scan(&mut self, now: SimTime) {
-        // Scale actions: warm-pool refills and idle reclamation.
-        for action in self.scheduler.plan(&self.db, now) {
-            match action {
-                ScaleAction::Provision(n) => {
-                    if !self.cfg.platform.per_device_instances && !self.all_work_finished() {
-                        for _ in 0..n {
-                            self.provision(now, 0);
-                        }
-                    }
-                }
-                ScaleAction::Teardown(victims) => {
-                    for id in victims {
-                        // Don't reclaim instances with queued work, boot
-                        // waiters, or placed-but-uploading requests.
-                        let in_use = self.db.get(id).is_some_and(|r| {
-                            let runtime = &r.runtime;
-                            r.active_jobs > 0
-                                || !runtime.queue.is_empty()
-                                || !runtime.boot_waiters.is_empty()
-                        });
-                        if in_use {
-                            continue;
-                        }
-                        if self.host.teardown(id).is_ok() {
-                            self.db.remove(id);
-                            self.warehouse.invalidate_container(id);
-                        }
-                    }
-                }
+        // Warm-pool refills, then idle reclamation: the oldest expired
+        // instances above the warm floor.
+        if !self.cfg.platform.per_device_instances && !self.all_work_finished() {
+            self.fill_warm_pool(now);
+        }
+        let pool = self.pool;
+        let expired = self.db.idle().filter(|&(_, t)| pool.expired(t, now));
+        let expired: Vec<InstanceId> = expired.map(|(id, _)| id).collect();
+        let n = pool.to_reclaim(expired.len(), self.db.ready_idle(), false);
+        for id in expired.into_iter().take(n) {
+            // Don't reclaim instances with queued work, boot waiters, or
+            // placed-but-uploading requests.
+            let in_use = self.db.get(id).is_some_and(|r| {
+                let runtime = &r.runtime;
+                r.active_jobs > 0 || !runtime.queue.is_empty() || !runtime.boot_waiters.is_empty()
+            });
+            if !in_use && self.host.teardown(id).is_ok() {
+                self.db.remove(id);
+                self.warehouse.invalidate_container(id);
             }
         }
         if !self.all_work_finished() {

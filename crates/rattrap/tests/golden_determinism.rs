@@ -107,7 +107,6 @@ fn instrumented_runs_reproduce_all_golden_digests() {
         assert!(!snap.events.is_empty(), "instrumented run recorded events");
         let chrome = snap.chrome_trace();
         assert!(obsv::json::parse(&chrome).is_ok(), "chrome trace parses");
-        assert!(!snap.collapsed_stacks().is_empty(), "flamegraph stacks");
         let some_req = snap.events.iter().find_map(|e| e.request());
         let timeline = snap.request_timeline(some_req.expect("a request-attributed event"));
         assert!(timeline.contains("causal timeline"));
