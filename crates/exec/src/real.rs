@@ -7,6 +7,7 @@
 //! *outputs* are deterministic and pinned by `tests/kernel_goldens.rs`.
 
 use crate::workset::{execute_kernel, KernelOutput, SizeClass};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::thread;
@@ -19,7 +20,9 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 ///
 /// `std::sync::mpsc` receivers are single-consumer, so the receiving
 /// end sits behind a mutex and idle workers race to pull the next job
-/// — a classic shared-queue pool with no extra dependencies.
+/// — a classic shared-queue pool with no extra dependencies. A job
+/// that panics unwinds only itself: its worker lives on to take the
+/// next one.
 #[derive(Debug)]
 struct Pool {
     tx: Option<mpsc::Sender<Job>>,
@@ -42,7 +45,9 @@ impl Pool {
                             Err(_) => break,
                         };
                         match job {
-                            Ok(job) => job(),
+                            // The job's state dies with it; the worker
+                            // holds none across jobs.
+                            Ok(job) => drop(catch_unwind(AssertUnwindSafe(job))),
                             Err(_) => break, // sender dropped: shut down
                         }
                     })
@@ -88,7 +93,8 @@ impl RealBackend {
     }
 
     /// Execute one kernel cell on the pool and wait for its output and
-    /// wall time (microseconds).
+    /// wall time (microseconds). Panics if the kernel panicked; the
+    /// worker that ran it keeps serving.
     pub fn execute(&self, kind: WorkloadKind, size: SizeClass, seed: u64) -> (KernelOutput, u64) {
         let (tx, rx) = mpsc::channel();
         self.pool.submit(Box::new(move || {
@@ -97,7 +103,7 @@ impl RealBackend {
             let wall = start.elapsed().as_micros() as u64;
             let _ = tx.send((out, wall));
         }));
-        rx.recv().expect("worker completes the job")
+        rx.recv().expect("the kernel panicked")
     }
 }
 
@@ -112,6 +118,19 @@ mod tests {
         assert_eq!(
             out,
             execute_kernel(WorkloadKind::Linpack, SizeClass::Small, 5)
+        );
+    }
+
+    #[test]
+    fn a_panicking_job_leaves_its_worker_serving() {
+        let backend = RealBackend::new(1);
+        backend
+            .pool
+            .submit(Box::new(|| panic!("planted kernel panic")));
+        let (out, _wall) = backend.execute(WorkloadKind::VirusScan, SizeClass::Small, 8);
+        assert_eq!(
+            out,
+            execute_kernel(WorkloadKind::VirusScan, SizeClass::Small, 8)
         );
     }
 }

@@ -24,6 +24,7 @@ use crate::workset::{kind_from_label, SizeClass};
 use obsv::json::{self, Value};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -218,7 +219,8 @@ impl Drop for Server {
 /// Start serving `handler` on `addr` (e.g. `"127.0.0.1:0"`).
 /// Connections are handled one thread each; every line received is one
 /// request, answered with one response line. A line over 64 KiB gets an
-/// error line and ends its connection.
+/// error line and ends its connection. A request whose handler panics
+/// gets an error line, and its connection keeps serving.
 pub fn serve<H: OffloadHandler>(addr: &str, handler: H) -> std::io::Result<Server> {
     let listener = TcpListener::bind(addr)?;
     let local = listener.local_addr()?;
@@ -270,7 +272,10 @@ fn serve_connection<H: OffloadHandler>(stream: TcpStream, handler: &H) {
             OffloadResponse::error(format!("request: line longer than {MAX_LINE} bytes"))
         } else {
             match OffloadRequest::from_json(request) {
-                Ok(req) => handler.handle(&req),
+                // A handler must leave its own state whole when it
+                // unwinds (`FleetHandler` gives back its slot on drop).
+                Ok(req) => catch_unwind(AssertUnwindSafe(|| handler.handle(&req)))
+                    .unwrap_or_else(|_| OffloadResponse::error("handler: the request panicked")),
                 Err(e) => OffloadResponse::error(e),
             }
         };
@@ -317,6 +322,16 @@ mod tests {
                 detail: out.detail,
                 ..OffloadResponse::error("")
             }
+        }
+    }
+
+    /// [`PoolHandler`], except that seed 13 panics.
+    struct PanicsOn13(PoolHandler);
+
+    impl OffloadHandler for PanicsOn13 {
+        fn handle(&self, req: &OffloadRequest) -> OffloadResponse {
+            assert_ne!(req.seed, 13, "planted handler panic");
+            self.0.handle(req)
         }
     }
 
@@ -392,6 +407,36 @@ mod tests {
         assert!(!exchange(&"[".repeat(10_000)).ok);
         let ok = exchange("{\"kind\": \"Linpack\", \"size\": \"S\", \"seed\": 3}");
         assert!(ok.ok, "{}", ok.error);
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_panicking_handler_gets_an_error_line_and_the_connection_serves_on() {
+        let mut server =
+            serve("127.0.0.1:0", PanicsOn13(PoolHandler(RealBackend::new(1)))).unwrap();
+        let stream = TcpStream::connect(server.addr()).unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = BufReader::new(stream);
+        let mut exchange = |seed: u64| {
+            let req = OffloadRequest {
+                kind: WorkloadKind::Linpack,
+                size: SizeClass::Small,
+                seed,
+            };
+            writeln!(writer, "{}", req.to_json()).unwrap();
+            let mut reply = String::new();
+            reader.read_line(&mut reply).unwrap();
+            OffloadResponse::from_json(reply.trim_end()).unwrap()
+        };
+        let panicked = exchange(13);
+        assert!(!panicked.ok);
+        assert!(panicked.error.contains("panicked"), "{}", panicked.error);
+        let next = exchange(14);
+        assert!(next.ok, "{}", next.error);
+        assert_eq!(
+            next.checksum,
+            execute_kernel(WorkloadKind::Linpack, SizeClass::Small, 14).checksum
+        );
         server.shutdown();
     }
 

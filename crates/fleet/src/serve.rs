@@ -5,7 +5,12 @@
 //! keyed by AID, routed over the consistent-hash [`Router`] with
 //! warm-cache affinity, admitted under an exact per-host bound, and
 //! then executed *for real* on each host's bounded
-//! [`exec::RealBackend`] worker pool. The response carries the
+//! [`exec::RealBackend`] worker pool. Placement is idle-first: a
+//! request goes to a host with a free worker (warm, then hash home,
+//! then clockwise spill) before it queues behind a busy one, because a
+//! warm real host costs nothing to use. Only when every worker is busy
+//! does it queue on a host with room, in the same order; when no host
+//! has room it is shed. The response carries the
 //! deterministic kernel output checksum plus the queue/execute timing
 //! breakdown — the paper's route/admit/execute/copy-back loop, served
 //! over TCP:
@@ -20,7 +25,7 @@ use crate::router::{RouteDecision, Router};
 use exec::serve::{OffloadHandler, OffloadRequest, OffloadResponse};
 use exec::RealBackend;
 use rattrap::warehouse::{aid_of, Aid};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 use workloads::WorkloadKind;
 
@@ -41,6 +46,9 @@ pub struct FleetHandler {
     router: Router,
     /// One bounded worker pool per host.
     backends: Vec<RealBackend>,
+    /// Workers per host: a host with fewer admitted requests has one
+    /// idle.
+    workers: usize,
     /// By `kind_ix`.
     aids: Vec<Aid>,
     /// The per-host concurrent-request bound and the warm lists: past
@@ -59,6 +67,7 @@ impl FleetHandler {
         FleetHandler {
             router,
             backends: (0..hosts).map(|_| RealBackend::new(workers)).collect(),
+            workers: workers.max(1),
             aids: WorkloadKind::ALL.map(|k| aid_of(k.app_id())).to_vec(),
             admission: Mutex::new(Admission {
                 ctl: AdmissionCtl::new(hosts, max_in_flight),
@@ -67,17 +76,31 @@ impl FleetHandler {
         }
     }
 
-    /// Route a request for `kind` (warm-affinity first, then hash home,
-    /// then spillover — the simulated front end's preference order),
-    /// admit it and mark its host warm, all in one critical section.
-    /// `None`, counted as a shed, when every host is full.
+    /// The admission state. A panic never happens while it is held,
+    /// but a poisoned lock is still read through rather than turned
+    /// into a second panic inside [`Slot`]'s drop.
+    fn state(&self) -> MutexGuard<'_, Admission> {
+        self.admission
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Route a request for `kind`, admit it and mark its host warm,
+    /// all in one critical section. Routing runs twice, each time in
+    /// the simulated front end's order (warm affinity, hash home,
+    /// clockwise spill): first over hosts with an idle worker, then,
+    /// only if none is idle, over hosts with room, where the request
+    /// queues. `None`, counted as a shed, when every host is full.
     fn admit(&self, kind: WorkloadKind) -> Option<RouteDecision> {
-        let mut state = self.admission.lock().expect("admission lock");
+        let mut state = self.state();
         let Admission { ctl, warm } = &mut *state;
         let ix = kind_ix(kind);
+        let (aid, warm_hosts) = (&self.aids[ix], &warm[ix]);
+        let idle = |h| ctl.depth(h) < self.workers && ctl.has_room(h);
         let Some(decision) = self
             .router
-            .route(&self.aids[ix], &warm[ix], |h| ctl.has_room(h))
+            .route(aid, warm_hosts, idle)
+            .or_else(|| self.router.route(aid, warm_hosts, |h| ctl.has_room(h)))
         else {
             ctl.count_shed();
             return None;
@@ -91,8 +114,21 @@ impl FleetHandler {
 
     /// Give back the admission slot a served request held on `host`.
     fn release(&self, host: usize) {
-        let mut state = self.admission.lock().expect("admission lock");
-        state.ctl.release(host);
+        self.state().ctl.release(host);
+    }
+}
+
+/// An admitted request's slot on `host`, given back when dropped: also
+/// when the kernel panics and the handler unwinds, so a failed request
+/// never leaves its host looking busy.
+struct Slot<'a> {
+    handler: &'a FleetHandler,
+    host: usize,
+}
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        self.handler.release(self.host);
     }
 }
 
@@ -102,9 +138,12 @@ impl OffloadHandler for FleetHandler {
         let Some(decision) = self.admit(req.kind) else {
             return OffloadResponse::error("admission: every host is full");
         };
+        let _slot = Slot {
+            handler: self,
+            host: decision.host,
+        };
         // Execute for real on the host's bounded pool, outside the lock.
         let (out, wall) = self.backends[decision.host].execute(req.kind, req.size, req.seed);
-        self.release(decision.host);
 
         let total = queued.elapsed().as_micros() as u64;
         OffloadResponse {
@@ -177,6 +216,42 @@ mod tests {
         let again = handler.admit(kind).expect("a released slot admits");
         assert_eq!(again.host, first.host);
         assert_eq!(again.reason, RouteReason::Affinity);
+    }
+
+    #[test]
+    fn an_idle_host_is_chosen_before_queueing_behind_a_busy_one() {
+        let handler = FleetHandler::new(2, 1, 16);
+        let kind = WorkloadKind::Ocr;
+        let first = handler.admit(kind).expect("empty fleet admits");
+        let second = handler.admit(kind).expect("the other worker is idle");
+        assert_ne!(second.host, first.host, "queued behind a busy worker");
+        assert_eq!(second.reason, RouteReason::Spill);
+        // Both workers busy: the request queues on a warm host.
+        let third = handler.admit(kind).expect("a queue has room");
+        assert_eq!(third.reason, RouteReason::Affinity);
+        assert_eq!(third.host, 0, "the lowest-id warm host");
+        assert_eq!(handler.state().ctl.shed(), 0);
+        for d in [first, second, third] {
+            handler.release(d.host);
+        }
+        let lone = handler.admit(kind).expect("an idle fleet admits");
+        assert_eq!((lone.host, lone.reason), (0, RouteReason::Affinity));
+    }
+
+    #[test]
+    fn an_unwinding_request_gives_its_slot_back() {
+        let handler = FleetHandler::new(1, 1, 4);
+        let decision = handler.admit(WorkloadKind::Linpack).expect("admits");
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _slot = Slot {
+                handler: &handler,
+                host: decision.host,
+            };
+            assert_eq!(handler.state().ctl.depth(decision.host), 1);
+            panic!("planted kernel panic");
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(handler.state().ctl.depth(decision.host), 0);
     }
 
     #[test]
