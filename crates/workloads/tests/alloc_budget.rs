@@ -1,5 +1,5 @@
-//! Allocation budget of the two heavy kernels and of the scanner's
-//! automaton.
+//! Allocation budget of the two heavy kernels, of the page noise and
+//! of the scanner's automaton.
 //!
 //! A search node allocates nothing: moves go on the searcher's one
 //! move stack, legality is decided on the child board that is then
@@ -9,10 +9,13 @@
 //! either kernel allocates is therefore a constant per call, whatever
 //! the node or cell count — pinned here as a complexity test, so a
 //! `Vec` per node (there were about ten allocations a node)
-//! cannot come back unnoticed. The scanner's automaton keeps a dense
-//! goto row at its root only, so the bytes it requests follow the
-//! pattern bytes; a 1 KiB row per state (about a megabyte a
-//! database) cannot come back unnoticed either.
+//! cannot come back unnoticed. Noising a page allocates nothing: it
+//! rewrites the pixels in place, so a scratch buffer the size of the
+//! page (24 bytes a pixel, 2.6 MB for an OCR L page) cannot come in
+//! unnoticed. The scanner's automaton keeps a dense goto row at its
+//! root only, so the bytes it requests follow the pattern bytes; a
+//! 1 KiB row per state (about a megabyte a database) cannot come back
+//! unnoticed either.
 
 use simkit::SimRng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -126,6 +129,23 @@ fn a_longer_page_allocates_no_more() {
         long.comparisons, short.comparisons
     );
     assert!(short_allocs <= 2, "{short_allocs} allocations a page");
+}
+
+#[test]
+fn noising_a_page_allocates_nothing() {
+    for words in [2, 24] {
+        let text = vec!["CONTAINER"; words].join(" ");
+        let mut page = ocr::render_text(&text);
+        let (allocs, ()) = allocations(|| {
+            ocr::add_noise(&mut page, 25.0, 0.01, &mut SimRng::new(7));
+        });
+        assert_eq!(
+            allocs,
+            0,
+            "{words}-word page of {} pixels",
+            page.pixels.len()
+        );
+    }
 }
 
 #[test]
