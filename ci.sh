@@ -45,6 +45,11 @@ echo "==> cargo test"
 # point where its scorecard can pass (exp_robustness sees no retries).
 env -u RATTRAP_BENCH_SMOKE cargo test -q --offline
 
+echo "==> vendored stand-ins (rand, proptest, rayon)"
+# Not workspace members, so the run above skips them; they carry the
+# determinism contract every golden rests on.
+cargo test -q --offline -p rand -p proptest -p rayon
+
 echo "==> examples"
 # The test build compiles them; run each, so one that panics or exits
 # non-zero fails the gate (about 0.4 s for all five in release).

@@ -72,11 +72,27 @@ impl SimRng {
         -mean * (1.0 - self.uniform01()).ln()
     }
 
-    /// Normal via Box–Muller.
+    /// Normal via Box–Muller: [`SimRng::normal_draw`], then
+    /// [`SimRng::normal_finish`].
     pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
         assert!(std_dev >= 0.0, "std dev must be non-negative");
+        let (u1, u2) = self.normal_draw();
+        Self::normal_finish(u1, u2, mean, std_dev)
+    }
+
+    /// The two uniforms one Box–Muller normal consumes: `u1` in
+    /// `(0, 1]`, then `u2` in `[0, 1)`. The normal's sign is the sign of
+    /// `cos(τ·u2)`, so a caller can read it before paying for the rest.
+    #[inline]
+    pub fn normal_draw(&mut self) -> (f64, f64) {
         let u1: f64 = (1.0 - self.uniform01()).max(f64::MIN_POSITIVE);
-        let u2 = self.uniform01();
+        (u1, self.uniform01())
+    }
+
+    /// The normal with `mean` and `std_dev` that the uniforms of
+    /// [`SimRng::normal_draw`] give.
+    #[inline]
+    pub fn normal_finish(u1: f64, u2: f64, mean: f64, std_dev: f64) -> f64 {
         let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
         mean + std_dev * z
     }

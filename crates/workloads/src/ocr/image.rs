@@ -77,14 +77,48 @@ pub fn render_text(text: &str) -> GrayImage {
     img
 }
 
+/// Pixels noised per pass: the undecided ones of a chunk wait on the
+/// stack (18 bytes each) between drawing and finishing.
+const NOISE_CHUNK: usize = 256;
+
 /// Add zero-mean Gaussian noise with `sigma` gray levels and flip a
 /// `salt_pepper` fraction of pixels to pure black/white.
+///
+/// Per pixel the draws are the salt-and-pepper trial (and its coin),
+/// else one Box–Muller normal, and the pixel becomes
+/// `clamp(pixel + normal)`. The clamp throws most of that arithmetic
+/// away: white paper plus a non-negative normal is white, black ink
+/// plus a non-positive one is black, and the normal's sign is the sign
+/// of `cos(τ·u2)`. So a pass over a chunk makes every draw in order
+/// and keeps only the pixels that `u2` alone, well clear of ¼ and ¾,
+/// does not decide; a second pass finishes those with the exact
+/// expression. The bytes are the same as finishing every pixel.
 pub fn add_noise(img: &mut GrayImage, sigma: f64, salt_pepper: f64, rng: &mut SimRng) {
-    for p in img.pixels.iter_mut() {
-        if rng.bernoulli(salt_pepper) {
-            *p = if rng.bernoulli(0.5) { 0 } else { 255 };
-        } else if sigma > 0.0 {
-            let noisy = *p as f64 + rng.normal(0.0, sigma);
+    // An infinite sigma turns a zero normal into NaN, which the clamp
+    // does not send to the paper's colour: decide nothing then.
+    let shortcut = sigma.is_finite();
+    let mut at = [0u16; NOISE_CHUNK];
+    let mut u1s = [0f64; NOISE_CHUNK];
+    let mut u2s = [0f64; NOISE_CHUNK];
+    for chunk in img.pixels.chunks_mut(NOISE_CHUNK) {
+        let mut undecided = 0;
+        for (i, p) in chunk.iter_mut().enumerate() {
+            if rng.bernoulli(salt_pepper) {
+                *p = if rng.bernoulli(0.5) { 0 } else { 255 };
+            } else if sigma > 0.0 {
+                let (u1, u2) = rng.normal_draw();
+                let up = !(0.2499..=0.7501).contains(&u2);
+                let down = (0.2501..0.7499).contains(&u2);
+                let decided = shortcut & (((*p == 255) & up) | ((*p == 0) & down));
+                at[undecided] = i as u16;
+                u1s[undecided] = u1;
+                u2s[undecided] = u2;
+                undecided += usize::from(!decided);
+            }
+        }
+        for k in 0..undecided {
+            let p = &mut chunk[usize::from(at[k])];
+            let noisy = *p as f64 + SimRng::normal_finish(u1s[k], u2s[k], 0.0, sigma);
             *p = noisy.clamp(0.0, 255.0) as u8;
         }
     }
@@ -127,6 +161,43 @@ mod tests {
         add_noise(&mut b, 20.0, 0.01, &mut SimRng::new(7));
         assert_eq!(a.pixels, b.pixels, "same seed, same noise");
         assert_ne!(a.pixels, clean.pixels, "noise changed something");
+    }
+
+    #[test]
+    fn noise_matches_finishing_every_pixel() {
+        // Every gray level, then runs of ink and paper as on a page.
+        let page: Vec<u8> = (0..=255u8)
+            .chain([0; 300])
+            .chain([255; 300])
+            .cycle()
+            .take(8192)
+            .collect();
+        for sigma in [-1.0, 0.0, 1e-3, 25.0, 120.0, 1e300, f64::INFINITY] {
+            for salt in [0.0, 0.05, 1.0] {
+                let mut fast = GrayImage {
+                    width: page.len(),
+                    height: 1,
+                    pixels: page.clone(),
+                };
+                let mut fast_rng = SimRng::new(3);
+                add_noise(&mut fast, sigma, salt, &mut fast_rng);
+                let mut exact = page.clone();
+                let mut rng = SimRng::new(3);
+                for p in exact.iter_mut() {
+                    if rng.bernoulli(salt) {
+                        *p = if rng.bernoulli(0.5) { 0 } else { 255 };
+                    } else if sigma > 0.0 {
+                        *p = (*p as f64 + rng.normal(0.0, sigma)).clamp(0.0, 255.0) as u8;
+                    }
+                }
+                assert_eq!(fast.pixels, exact, "sigma {sigma}, salt {salt}");
+                assert_eq!(
+                    fast_rng.uniform01().to_bits(),
+                    rng.uniform01().to_bits(),
+                    "sigma {sigma}, salt {salt}: the same draws"
+                );
+            }
+        }
     }
 
     #[test]
