@@ -50,6 +50,11 @@ echo "==> vendored stand-ins (rand, proptest, rayon)"
 # determinism contract every golden rests on.
 cargo test -q --offline -p rand -p proptest -p rayon
 
+echo "==> normal_near's bound (release, 10^8 draws)"
+# The ignored simkit test checks |normal_near - libm| <= NORMAL_NEAR_DELTA,
+# which the OCR page noise's byte-for-byte equality rests on (~5 s).
+cargo test -q --release --offline -p simkit -- --ignored
+
 echo "==> examples"
 # The test build compiles them; run each, so one that panics or exits
 # non-zero fails the gate (about 0.4 s for all five in release).

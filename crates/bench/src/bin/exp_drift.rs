@@ -6,7 +6,8 @@
 //! committed calibration map (`crates/exec/data/calibration.json`, or
 //! the `EXEC_CALIBRATION_OUT` override) from the measured rows, so a
 //! config's `calibration` field can deterministically re-price
-//! simulated compute with this host's drift ratios.
+//! simulated compute with this host's drift ratios. Its summary line
+//! goes to stderr, so redirecting stdout records the table alone.
 fn main() -> std::process::ExitCode {
     let seed = rattrap_bench::experiments::seed_from_args();
     rattrap_bench::meta::print_header(seed);
@@ -22,7 +23,7 @@ fn main() -> std::process::ExitCode {
             "crates/exec/data/calibration.json",
         );
         std::fs::write(&path, map.to_json()).expect("write calibration map");
-        println!(
+        eprintln!(
             "# calibration: wrote {} entries to {}",
             map.len(),
             path.display()

@@ -10,7 +10,8 @@
 //! then clockwise spill) before it queues behind a busy one, because a
 //! warm real host costs nothing to use. Only when every worker is busy
 //! does it queue on a host with room, in the same order; when no host
-//! has room it is shed. The response carries the
+//! has room it is shed; [`FleetHandler::placed`] counts the idle and
+//! the queued placements. The response carries the
 //! deterministic kernel output checksum plus the queue/execute timing
 //! breakdown — the paper's route/admit/execute/copy-back loop, served
 //! over TCP:
@@ -38,6 +39,10 @@ struct Admission {
     /// that have served it: the warm list the router's affinity
     /// preference keys on.
     warm: Vec<Vec<usize>>,
+    /// Requests the first routing pass placed on an idle worker.
+    placed_idle: u64,
+    /// Requests the second pass queued behind a busy worker.
+    placed_queued: u64,
 }
 
 /// Routing + admission + real execution over a small host fleet.
@@ -72,6 +77,8 @@ impl FleetHandler {
             admission: Mutex::new(Admission {
                 ctl: AdmissionCtl::new(hosts, max_in_flight),
                 warm: vec![Vec::new(); WorkloadKind::ALL.len()],
+                placed_idle: 0,
+                placed_queued: 0,
             }),
         }
     }
@@ -90,18 +97,26 @@ impl FleetHandler {
     /// the simulated front end's order (warm affinity, hash home,
     /// clockwise spill): first over hosts with an idle worker, then,
     /// only if none is idle, over hosts with room, where the request
-    /// queues. `None`, counted as a shed, when every host is full.
+    /// queues; each pass counts what it places. `None`, counted as a
+    /// shed, when every host is full.
     fn admit(&self, kind: WorkloadKind) -> Option<RouteDecision> {
         let mut state = self.state();
-        let Admission { ctl, warm } = &mut *state;
+        let Admission {
+            ctl,
+            warm,
+            placed_idle,
+            placed_queued,
+        } = &mut *state;
         let ix = kind_ix(kind);
         let (aid, warm_hosts) = (&self.aids[ix], &warm[ix]);
         let idle = |h| ctl.depth(h) < self.workers && ctl.has_room(h);
-        let Some(decision) = self
-            .router
-            .route(aid, warm_hosts, idle)
-            .or_else(|| self.router.route(aid, warm_hosts, |h| ctl.has_room(h)))
-        else {
+        let decision = if let Some(d) = self.router.route(aid, warm_hosts, idle) {
+            *placed_idle += 1;
+            d
+        } else if let Some(d) = self.router.route(aid, warm_hosts, |h| ctl.has_room(h)) {
+            *placed_queued += 1;
+            d
+        } else {
             ctl.count_shed();
             return None;
         };
@@ -110,6 +125,14 @@ impl FleetHandler {
             warm[ix].insert(at, decision.host);
         }
         Some(decision)
+    }
+
+    /// Requests placed so far `(idle, queued)`: on a host with an idle
+    /// worker, or queued behind busy ones because none was idle. Sheds
+    /// are neither.
+    pub fn placed(&self) -> (u64, u64) {
+        let state = self.state();
+        (state.placed_idle, state.placed_queued)
     }
 
     /// Give back the admission slot a served request held on `host`.
@@ -236,6 +259,25 @@ mod tests {
         }
         let lone = handler.admit(kind).expect("an idle fleet admits");
         assert_eq!((lone.host, lone.reason), (0, RouteReason::Affinity));
+    }
+
+    #[test]
+    fn placement_counts_idle_and_queued_admissions() {
+        let handler = FleetHandler::new(2, 1, 16);
+        let kind = WorkloadKind::Ocr;
+        let busy = handler.admit(kind).expect("empty fleet admits");
+        assert_eq!(handler.placed(), (1, 0));
+        // One host busy: the other one's worker is idle.
+        let idle = handler.admit(kind).expect("one host is busy");
+        assert_ne!(idle.host, busy.host);
+        assert_eq!(handler.placed(), (2, 0));
+        // Both busy: the request queues.
+        handler.admit(kind).expect("a queue has room");
+        assert_eq!(handler.placed(), (2, 1));
+        let shed = FleetHandler::new(1, 1, 1);
+        shed.admit(kind).expect("admits");
+        assert_eq!(shed.admit(kind), None);
+        assert_eq!(shed.placed(), (1, 0), "a shed is not a placement");
     }
 
     #[test]

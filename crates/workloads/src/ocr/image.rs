@@ -78,50 +78,95 @@ pub fn render_text(text: &str) -> GrayImage {
 }
 
 /// Pixels noised per pass: the undecided ones of a chunk wait on the
-/// stack (18 bytes each) between drawing and finishing.
+/// stack (26 bytes each) between drawing and finishing.
 const NOISE_CHUNK: usize = 256;
+
+/// A quarter turn of `u2`, as [`SimRng::bits53`] draws it.
+const QUARTER: u64 = 1 << 51;
+/// How far from a quarter turn `u2` must be for the sign of `cos(τ·u2)`
+/// to be decided by `u2` alone: 2⁻¹³ of a turn, ≈ 7.7·10⁻⁴ rad, far
+/// beyond where libm's rounded `τ·u2` and its `cos` could be.
+const SIGN_MARGIN: u64 = 1 << 40;
 
 /// Add zero-mean Gaussian noise with `sigma` gray levels and flip a
 /// `salt_pepper` fraction of pixels to pure black/white.
 ///
 /// Per pixel the draws are the salt-and-pepper trial (and its coin),
 /// else one Box–Muller normal, and the pixel becomes
-/// `clamp(pixel + normal)`. The clamp throws most of that arithmetic
-/// away: white paper plus a non-negative normal is white, black ink
-/// plus a non-positive one is black, and the normal's sign is the sign
-/// of `cos(τ·u2)`. So a pass over a chunk makes every draw in order
-/// and keeps only the pixels that `u2` alone, well clear of ¼ and ¾,
-/// does not decide; a second pass finishes those with the exact
-/// expression. The bytes are the same as finishing every pixel.
+/// `clamp(pixel + normal)`, truncated to a byte. The bytes are the same
+/// as finishing every pixel with [`SimRng::normal_finish`], and so is
+/// the stream's position after the image; only the arithmetic between
+/// draw and byte is cheaper, in three tiers:
+///
+/// - The draws are [`SimRng::bits53`] compared with integer cuts
+///   ([`SimRng::bernoulli_cut`]), not uniforms.
+/// - The clamp decides most pixels: white paper plus a non-negative
+///   normal is white, black ink plus a non-positive one is black, and
+///   the normal has the sign of `cos(τ·u2)`, which `u2`'s bits decide
+///   away from a quarter turn. A chunk's first pass makes every draw in
+///   order and keeps the others (about half of a page) on the stack.
+/// - The second pass works out [`SimRng::normal_near`] for every kept
+///   pixel, a loop of plain arithmetic, then puts each on its byte with
+///   [`SimRng::normal_grid_point`]: `normal_near ± δ` brackets libm's
+///   normal, and `clamp(p + σ·z)` truncated is monotone in `z`, so when
+///   both ends give one byte the exact normal gives it too. Only where a
+///   byte boundary lies within `σ·δ` of the pixel's value (about `2σδ`
+///   of kept pixels: 5·10⁻⁵ at σ = 25) does libm finish it exactly.
+///
+/// DESIGN.md §10 derives δ and why no byte can move.
 pub fn add_noise(img: &mut GrayImage, sigma: f64, salt_pepper: f64, rng: &mut SimRng) {
+    noise(img, sigma, salt_pepper, rng);
+}
+
+/// [`add_noise`], returning how many pixels the second pass took and how
+/// many of those libm finished.
+fn noise(img: &mut GrayImage, sigma: f64, salt_pepper: f64, rng: &mut SimRng) -> (usize, usize) {
     // An infinite sigma turns a zero normal into NaN, which the clamp
     // does not send to the paper's colour: decide nothing then.
     let shortcut = sigma.is_finite();
+    let salt = SimRng::bernoulli_cut(salt_pepper);
+    let coin = SimRng::bernoulli_cut(0.5);
+    let byte = |v: f64| v.clamp(0.0, 255.0) as u8;
+    let (mut kept, mut exact) = (0, 0);
     let mut at = [0u16; NOISE_CHUNK];
-    let mut u1s = [0f64; NOISE_CHUNK];
-    let mut u2s = [0f64; NOISE_CHUNK];
+    let mut bits1 = [0u64; NOISE_CHUNK];
+    let mut bits2 = [0u64; NOISE_CHUNK];
+    let mut near = [0f64; NOISE_CHUNK];
     for chunk in img.pixels.chunks_mut(NOISE_CHUNK) {
         let mut undecided = 0;
         for (i, p) in chunk.iter_mut().enumerate() {
-            if rng.bernoulli(salt_pepper) {
-                *p = if rng.bernoulli(0.5) { 0 } else { 255 };
+            if rng.bits53() < salt {
+                *p = if rng.bits53() < coin { 0 } else { 255 };
             } else if sigma > 0.0 {
-                let (u1, u2) = rng.normal_draw();
-                let up = !(0.2499..=0.7501).contains(&u2);
-                let down = (0.2501..0.7499).contains(&u2);
+                let b1 = rng.bits53();
+                let b2 = rng.bits53();
+                let up = !(QUARTER - SIGN_MARGIN..=3 * QUARTER + SIGN_MARGIN).contains(&b2);
+                let down = (QUARTER + SIGN_MARGIN..3 * QUARTER - SIGN_MARGIN).contains(&b2);
                 let decided = shortcut & (((*p == 255) & up) | ((*p == 0) & down));
                 at[undecided] = i as u16;
-                u1s[undecided] = u1;
-                u2s[undecided] = u2;
+                bits1[undecided] = b1;
+                bits2[undecided] = b2;
                 undecided += usize::from(!decided);
             }
         }
+        let kept_bits = bits1[..undecided].iter().zip(&bits2[..undecided]);
+        for (z, (&b1, &b2)) in near.iter_mut().zip(kept_bits) {
+            let (u1, u2) = SimRng::normal_uniforms(b1, b2);
+            *z = SimRng::normal_near(u1, u2);
+        }
         for k in 0..undecided {
             let p = &mut chunk[usize::from(at[k])];
-            let noisy = *p as f64 + SimRng::normal_finish(u1s[k], u2s[k], 0.0, sigma);
-            *p = noisy.clamp(0.0, 255.0) as u8;
+            let gray = f64::from(*p);
+            let point = SimRng::normal_grid_point(near[k], |z| byte(gray + sigma * z));
+            *p = point.unwrap_or_else(|| {
+                exact += 1;
+                let (u1, u2) = SimRng::normal_uniforms(bits1[k], bits2[k]);
+                byte(gray + SimRng::normal_finish(u1, u2, 0.0, sigma))
+            });
         }
+        kept += undecided;
     }
+    (kept, exact)
 }
 
 #[cfg(test)]
@@ -197,6 +242,24 @@ mod tests {
                     "sigma {sigma}, salt {salt}: the same draws"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn libm_finishes_about_2_sigma_delta_of_the_kept_pixels() {
+        let text = "CONTAINER CLOUD OFFLOAD ANDROID BINDER KERNEL ".repeat(4);
+        for sigma in [25.0, 120.0] {
+            let (mut kept, mut exact) = (0, 0);
+            for seed in 0..8 {
+                let mut page = render_text(&text);
+                let (k, e) = noise(&mut page, sigma, 0.01, &mut SimRng::new(seed));
+                (kept, exact) = (kept + k, exact + e);
+            }
+            let rate = exact as f64 / kept as f64;
+            let expected = 2.0 * sigma * SimRng::NORMAL_NEAR_DELTA;
+            println!("sigma {sigma}: libm finished {exact} of {kept} kept pixels ({rate:.1e}; 2σδ = {expected:.1e})");
+            assert!(kept > 300_000, "{kept}");
+            assert!(exact > 0 && rate < 2.0 * expected, "{exact} of {kept}");
         }
     }
 
