@@ -55,6 +55,14 @@ echo "==> normal_near's bound (release, 10^8 draws)"
 # which the OCR page noise's byte-for-byte equality rests on (~5 s).
 cargo test -q --release --offline -p simkit -- --ignored
 
+echo "==> kernel goldens (release: every seed the debug run above skips)"
+# The debug suite folds only the first few chess seeds; these fold 200
+# seeds at Small and Medium and 20 at Large, and the scanner, Linpack
+# and OCR outputs over theirs (~10 s). Two commands, not one `&&` list:
+# `set -e` ignores a failure anywhere but the last command of a list.
+cargo test -q --release --offline -p exec --test chess_golden --test kernel_goldens --test scan_linpack_golden
+cargo test -q --release --offline -p workloads --test goldens
+
 echo "==> examples"
 # The test build compiles them; run each, so one that panics or exits
 # non-zero fails the gate (about 0.4 s for all five in release).

@@ -130,8 +130,9 @@ impl Fnv {
 ///
 /// Sized so that no Medium cell takes much over ten milliseconds on a
 /// modern core and no Large cell much over a tenth of a second (Chess
-/// is the largest: ≈ 6 and ≈ 46 ms in `results/drift.txt`) — CI's exec
-/// smoke job runs every cell and must finish in bounded wall time.
+/// is the largest: ≈ 4 and ≈ 32 ms at Medium and Large in
+/// `results/drift.txt`) — CI's exec smoke job runs every cell and must
+/// finish in bounded wall time.
 #[derive(Debug, Clone, Copy)]
 struct KernelParams {
     /// OCR: pseudo-words rendered into the page image.

@@ -91,7 +91,9 @@ impl SimRng {
         lo + (hi - lo) * self.uniform01()
     }
 
-    /// Uniform integer in `[lo, hi]` (inclusive).
+    /// Uniform integer in `[lo, hi]` (inclusive). Inline, so that a
+    /// caller's constant bounds make the rejection zone's `%` a constant.
+    #[inline]
     pub fn uniform_u64(&mut self, lo: u64, hi: u64) -> u64 {
         assert!(lo <= hi, "uniform bounds inverted");
         self.rng.gen_range(lo..=hi)

@@ -165,13 +165,16 @@ pub struct Castling {
 /// Full game position.
 ///
 /// [`Board::set_piece`] is the only writer of the squares, and it keeps
-/// two summaries of them in step: each colour's occupancy bits and the
-/// evaluation's running score.
+/// three summaries of them in step: each colour's occupancy bits, each
+/// kind's occupancy bits and the evaluation's running score.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Board {
     squares: [Option<Piece>; 64],
     /// Bit `i` of `occupied[colour]` is set when that colour holds square `i`.
     occupied: [u64; 2],
+    /// Bit `i` of `kinds[kind]` is set when a piece of that kind, of
+    /// either colour, stands on square `i`.
+    kinds: [u64; 6],
     /// White's material and piece-square terms minus Black's.
     score: i32,
     /// Side to move.
@@ -204,6 +207,7 @@ impl Board {
         Board {
             squares: [None; 64],
             occupied: [0; 2],
+            kinds: [0; 6],
             score: 0,
             side: Color::White,
             castling: Castling::default(),
@@ -231,10 +235,12 @@ impl Board {
         let i = sq.0 as usize;
         if let Some(old) = self.squares[i] {
             self.occupied[old.color as usize] &= !(1 << i);
+            self.kinds[old.kind as usize] &= !(1 << i);
             self.score -= TERMS[old.color as usize][old.kind as usize][i];
         }
         if let Some(new) = piece {
             self.occupied[new.color as usize] |= 1 << i;
+            self.kinds[new.kind as usize] |= 1 << i;
             self.score += TERMS[new.color as usize][new.kind as usize][i];
         }
         self.squares[i] = piece;
@@ -246,24 +252,33 @@ impl Board {
         self.score
     }
 
-    /// Find the king of `color`.
+    /// The squares `color` holds, as bits.
+    #[inline]
+    pub(crate) fn occupied(&self, color: Color) -> u64 {
+        self.occupied[color as usize]
+    }
+
+    /// The squares any piece holds, as bits.
+    #[inline]
+    pub(crate) fn occupancy(&self) -> u64 {
+        self.occupied[0] | self.occupied[1]
+    }
+
+    /// The squares `color`'s pieces of `kind` hold, as bits.
+    #[inline]
+    pub(crate) fn bits(&self, color: Color, kind: PieceKind) -> u64 {
+        self.occupied[color as usize] & self.kinds[kind as usize]
+    }
+
+    /// Find the king of `color` (the lowest square, should there be two).
     pub fn king_square(&self, color: Color) -> Option<Square> {
-        self.pieces_of(color)
-            .find(|(_, p)| p.kind == PieceKind::King)
-            .map(|(sq, _)| sq)
+        let kings = self.bits(color, PieceKind::King);
+        (kings != 0).then(|| Square(kings.trailing_zeros() as u8))
     }
 
     /// Every `(square, piece)` on the board, ascending square.
     pub fn pieces(&self) -> impl Iterator<Item = (Square, Piece)> + '_ {
-        self.pieces_in(self.occupied[0] | self.occupied[1])
-    }
-
-    /// Every `(square, piece)` of `color`, ascending square.
-    pub(crate) fn pieces_of(&self, color: Color) -> impl Iterator<Item = (Square, Piece)> + '_ {
-        self.pieces_in(self.occupied[color as usize])
-    }
-
-    fn pieces_in(&self, mut bits: u64) -> impl Iterator<Item = (Square, Piece)> + '_ {
+        let mut bits = self.occupancy();
         std::iter::from_fn(move || {
             if bits == 0 {
                 return None;

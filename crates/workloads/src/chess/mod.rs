@@ -8,10 +8,13 @@ pub mod board;
 pub mod eval;
 pub mod movegen;
 pub mod search;
+mod tables;
 pub mod zobrist;
 
 #[cfg(test)]
 mod proptests;
+#[cfg(test)]
+mod reference;
 
 pub use board::{Board, Color, Piece, PieceKind, Square};
 pub use movegen::{apply_move, in_check, legal_moves, perft, Move};

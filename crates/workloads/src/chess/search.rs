@@ -3,8 +3,8 @@
 
 use super::board::Board;
 use super::eval::{evaluate, piece_value};
-use super::movegen::{apply_move, generate, in_check, legal_child, legal_moves};
-use super::movegen::{pseudo_legal_moves, King, Move};
+use super::movegen::{any_legal, apply_move, generate, in_check, is_legal, legal_child};
+use super::movegen::{legal_moves, pseudo_legal_moves, King, Move};
 use super::zobrist::{Bound, TranspositionTable, TtEntry, Zobrist};
 
 /// Score representing a forced mate (offset by ply so nearer mates win).
@@ -58,13 +58,15 @@ fn order(board: &Board, moves: &mut [Move], first: Option<Move>, keys: &mut Vec<
         let mv = moves[i];
         let bonus = if Some(mv) == first { 100_000 } else { 0 };
         let key = bonus + victim(board, &mv).unwrap_or(-1);
+        keys.push(key);
         let mut j = i;
         while j > 0 && keys[j - 1] < key {
             moves[j] = moves[j - 1];
+            keys[j] = keys[j - 1];
             j -= 1;
         }
         moves[j] = mv;
-        keys.insert(j, key);
+        keys[j] = key;
     }
 }
 
@@ -94,9 +96,9 @@ impl Searcher {
 
     /// Quiescence: resolve captures so the horizon effect doesn't
     /// dominate the static eval. `listed` is `(base, king)` when the
-    /// caller has already appended this position's pseudo-legal moves
-    /// from `self.moves[base]`; otherwise only the captures are
-    /// generated here, once stand-pat has had its chance to cut.
+    /// caller has already appended this position's captures from
+    /// `self.moves[base]`; otherwise they are generated here, once
+    /// stand-pat has had its chance to cut.
     fn quiesce(
         &mut self,
         board: &Board,
@@ -113,24 +115,10 @@ impl Searcher {
         if self.out_of_budget() {
             return alpha;
         }
-        let (base, mut king) = match listed {
-            Some((base, king)) => {
-                // Captures only, kept in generation order.
-                let mut end = base;
-                for i in base..self.moves.len() {
-                    if victim(board, &self.moves[i]).is_some() {
-                        self.moves.swap(end, i);
-                        end += 1;
-                    }
-                }
-                self.moves.truncate(end);
-                (base, king)
-            }
-            None => {
-                let base = self.moves.len();
-                (base, King::new(generate(board, true, &mut self.moves)))
-            }
-        };
+        let (base, mut king) = listed.unwrap_or_else(|| {
+            let base = self.moves.len();
+            (base, King::new(generate(board, true, &mut self.moves)))
+        });
         let end = self.moves.len();
         // Biggest victim first.
         order(board, &mut self.moves[base..], None, &mut self.keys);
@@ -152,23 +140,51 @@ impl Searcher {
         alpha
     }
 
+    /// The score of a position with no legal move.
+    fn terminal(&mut self, board: &Board, king: &mut King, ply: i32) -> i32 {
+        self.nodes += 1;
+        if king.in_check(board) {
+            -(MATE_SCORE - ply) // mated: worse when nearer
+        } else {
+            0 // stalemate
+        }
+    }
+
+    /// A depth-0 node: [`Self::terminal`] if no move is legal, else its
+    /// quiescence score. Quiescence searches only captures, and none
+    /// when standing pat reaches `beta`. So a leaf lists its captures
+    /// only when standing pat is below `beta`, and a legal one shows it
+    /// is not terminal; failing that, [`any_legal`] decides, one piece
+    /// at a time.
+    fn leaf(&mut self, board: &Board, alpha: i32, beta: i32, ply: i32) -> i32 {
+        let base = self.moves.len();
+        let mut king = King::new(board.king_square(board.side));
+        let listed = evaluate(board) < beta;
+        if listed {
+            generate(board, true, &mut self.moves);
+        }
+        if !(self.moves[base..]
+            .iter()
+            .any(|&mv| is_legal(board, &mut king, mv))
+            || any_legal(board, &mut king, &mut self.moves))
+        {
+            return self.terminal(board, &mut king, ply);
+        }
+        self.quiesce(board, alpha, beta, listed.then_some((base, king)))
+    }
+
     fn negamax(&mut self, board: &Board, depth: u32, mut alpha: i32, beta: i32, ply: i32) -> i32 {
+        if depth == 0 {
+            return self.leaf(board, alpha, beta, ply);
+        }
         let base = self.moves.len();
         let mut king = King::new(pseudo_legal_moves(board, &mut self.moves));
         // Whether the position is terminal needs only its first legal move.
         if !self.moves[base..]
             .iter()
-            .any(|&mv| legal_child(board, &mut king, mv).is_some())
+            .any(|&mv| is_legal(board, &mut king, mv))
         {
-            self.nodes += 1;
-            return if king.in_check(board) {
-                -(MATE_SCORE - ply) // mated: worse when nearer
-            } else {
-                0 // stalemate
-            };
-        }
-        if depth == 0 {
-            return self.quiesce(board, alpha, beta, Some((base, king)));
+            return self.terminal(board, &mut king, ply);
         }
         self.nodes += 1;
         let alpha_orig = alpha;
