@@ -4,11 +4,12 @@
 //! offloading frameworks" (§V) — MAUI-style systems decide *whether* to
 //! offload from predicted remote latency/energy vs. local execution.
 //! This module supplies that missing client half so the repository is a
-//! complete offloading system: EWMA estimators of the link learned from
-//! observed transfers, a latency/energy predictor, and a decision
-//! policy. The engine is what turns the 3G results of Fig. 10 (where
-//! offloading *wastes* energy for payload-heavy workloads) into correct
-//! stay-local decisions.
+//! complete offloading system: a latency/energy predictor that prices
+//! the link from the scenario's nominal RTT and bandwidths (what a
+//! client knows from the OS network type before any transfer), and a
+//! decision policy. The engine is what turns the 3G results of Fig. 10
+//! (where offloading *wastes* energy for payload-heavy workloads) into
+//! correct stay-local decisions.
 
 use crate::config::DeviceSpec;
 use netsim::NetworkScenario;
@@ -16,110 +17,25 @@ use powersim::{DevicePowerModel, EnergyEstimator, OffloadPhases};
 use simkit::SimDuration;
 use workloads::{TaskRequest, WorkloadProfile};
 
-/// Exponentially weighted moving average with a cold-start default.
-#[derive(Debug, Clone, Copy)]
-pub struct Ewma {
-    alpha: f64,
-    value: Option<f64>,
-}
-
-impl Ewma {
-    /// An estimator with smoothing factor `alpha` in `(0, 1]`.
-    pub fn new(alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha in (0,1]");
-        Ewma { alpha, value: None }
-    }
-
-    /// Feed an observation.
-    pub fn observe(&mut self, x: f64) {
-        self.value = Some(match self.value {
-            Some(v) => self.alpha * x + (1.0 - self.alpha) * v,
-            None => x,
-        });
-    }
-
-    /// Current estimate, or `default` before any observation.
-    pub fn get_or(&self, default: f64) -> f64 {
-        self.value.unwrap_or(default)
-    }
-
-    /// Has the estimator seen any sample?
-    pub fn warmed_up(&self) -> bool {
-        self.value.is_some()
-    }
-}
-
-/// Online link-quality estimator fed by the client's own transfers.
-#[derive(Debug, Clone)]
-pub struct LinkEstimator {
-    rtt_s: Ewma,
-    up_bps: Ewma,
-    down_bps: Ewma,
-}
-
-impl LinkEstimator {
-    /// Fresh estimator (α = 0.3, reactive but stable).
-    pub fn new() -> Self {
-        LinkEstimator {
-            rtt_s: Ewma::new(0.3),
-            up_bps: Ewma::new(0.3),
-            down_bps: Ewma::new(0.3),
-        }
-    }
-
-    /// Record a measured connection setup (≈1.5 RTT).
-    pub fn observe_connect(&mut self, d: SimDuration) {
-        self.rtt_s.observe(d.as_secs_f64() / 1.5);
-    }
-
-    /// Record a measured upload.
-    pub fn observe_upload(&mut self, bytes: u64, d: SimDuration) {
-        if bytes > 0 && !d.is_zero() {
-            self.up_bps.observe(bytes as f64 / d.as_secs_f64());
-        }
-    }
-
-    /// Record a measured download.
-    pub fn observe_download(&mut self, bytes: u64, d: SimDuration) {
-        if bytes > 0 && !d.is_zero() {
-            self.down_bps.observe(bytes as f64 / d.as_secs_f64());
-        }
-    }
-
-    /// Seed the estimator from a scenario's nominal parameters (what a
-    /// client knows from the OS network type before any transfer).
-    pub fn seeded_from(scenario: NetworkScenario) -> Self {
-        let p = scenario.params();
-        let mut e = LinkEstimator::new();
-        e.rtt_s.observe(p.rtt.as_secs_f64());
-        e.up_bps.observe(p.upstream_bps);
-        e.down_bps.observe(p.downstream_bps);
-        e
-    }
-
-    /// Predicted connect + transfer phases for a task.
-    fn predict_phases(
-        &self,
-        task: &TaskRequest,
-        code_bytes: u64,
-        cloud_wait: SimDuration,
-    ) -> OffloadPhases {
-        let rtt = self.rtt_s.get_or(0.05);
-        let up = self.up_bps.get_or(1e6);
-        let down = self.down_bps.get_or(1e6);
-        let upload_bytes = task.payload_bytes + task.control_bytes + code_bytes;
-        OffloadPhases {
-            connect: SimDuration::from_secs_f64(1.5 * rtt),
-            upload: SimDuration::from_secs_f64(upload_bytes as f64 / up + rtt / 2.0),
-            cloud_wait,
-            download: SimDuration::from_secs_f64(task.result_bytes as f64 / down + rtt / 2.0),
-        }
-    }
-}
-
-impl Default for LinkEstimator {
-    fn default() -> Self {
-        LinkEstimator::new()
+/// Predicted connect + transfer phases for a task over `scenario`'s
+/// nominal link: connect is 1.5 RTT, each transfer its bytes over the
+/// direction's bandwidth plus half an RTT.
+fn predict_phases(
+    scenario: NetworkScenario,
+    task: &TaskRequest,
+    code_bytes: u64,
+    cloud_wait: SimDuration,
+) -> OffloadPhases {
+    let p = scenario.params();
+    let rtt = p.rtt.as_secs_f64();
+    let upload_bytes = task.payload_bytes + task.control_bytes + code_bytes;
+    OffloadPhases {
+        connect: SimDuration::from_secs_f64(1.5 * rtt),
+        upload: SimDuration::from_secs_f64(upload_bytes as f64 / p.upstream_bps + rtt / 2.0),
+        cloud_wait,
+        download: SimDuration::from_secs_f64(
+            task.result_bytes as f64 / p.downstream_bps + rtt / 2.0,
+        ),
     }
 }
 
@@ -148,7 +64,7 @@ pub struct DecisionReport {
 }
 
 /// Safety margin: offload only when the remote prediction beats local
-/// by this factor (hedges estimator error).
+/// by this factor (hedges prediction error).
 const MARGIN: f64 = 0.9;
 
 /// The offloading decision engine.
@@ -178,14 +94,13 @@ impl OffloadDecider {
     pub fn decide(
         &self,
         scenario: NetworkScenario,
-        link: &LinkEstimator,
         task: &TaskRequest,
         code_bytes: u64,
         expected_prep: SimDuration,
     ) -> DecisionReport {
         let server_exec =
             SimDuration::from_secs_f64(task.compute.0 / (self.server_eff_ghz * 1000.0));
-        let phases = link.predict_phases(task, code_bytes, expected_prep + server_exec);
+        let phases = predict_phases(scenario, task, code_bytes, expected_prep + server_exec);
         let predicted_remote = phases.total();
         let predicted_local = self.device.local_execution_time(task.compute);
         let remote_energy_mj = self.energy.offloaded_request(scenario, phases);
@@ -209,7 +124,6 @@ impl OffloadDecider {
     pub fn decide_mean(
         &self,
         scenario: NetworkScenario,
-        link: &LinkEstimator,
         profile: &WorkloadProfile,
         code_cached: bool,
         expected_prep: SimDuration,
@@ -227,7 +141,7 @@ impl OffloadDecider {
         } else {
             profile.app_code_bytes
         };
-        self.decide(scenario, link, &task, code, expected_prep)
+        self.decide(scenario, &task, code, expected_prep)
     }
 }
 
@@ -241,22 +155,10 @@ mod tests {
     }
 
     #[test]
-    fn ewma_smooths_and_cold_starts() {
-        let mut e = Ewma::new(0.5);
-        assert!(!e.warmed_up());
-        assert_eq!(e.get_or(7.0), 7.0);
-        e.observe(10.0);
-        assert_eq!(e.get_or(0.0), 10.0);
-        e.observe(0.0);
-        assert_eq!(e.get_or(0.0), 5.0);
-    }
-
-    #[test]
-    fn estimator_learns_from_observations() {
-        let mut l = LinkEstimator::new();
-        l.observe_connect(SimDuration::from_millis(90)); // → RTT 60 ms
-        l.observe_upload(1_000_000, SimDuration::from_secs(1));
-        l.observe_download(500_000, SimDuration::from_secs(1));
+    fn phases_price_connect_and_transfers_from_nominal_params() {
+        // WAN WiFi: 60 ms RTT, 20 Mbps each way.
+        let p = NetworkScenario::WanWifi.params();
+        let rtt = p.rtt.as_secs_f64();
         let task = TaskRequest {
             kind: WorkloadKind::Ocr,
             payload_bytes: 1_000_000,
@@ -265,20 +167,21 @@ mod tests {
             compute: simkit::units::Megacycles(0.0),
             io_bytes: 0,
         };
-        let p = l.predict_phases(&task, 0, SimDuration::ZERO);
-        assert!((p.connect.as_secs_f64() - 0.09).abs() < 1e-6);
-        assert!((p.upload.as_secs_f64() - 1.03).abs() < 0.01);
-        assert!((p.download.as_secs_f64() - 1.03).abs() < 0.01);
+        let ph = predict_phases(NetworkScenario::WanWifi, &task, 0, SimDuration::ZERO);
+        assert!((ph.connect.as_secs_f64() - 0.09).abs() < 1e-6, "1.5 RTT");
+        let up = 1_000_000.0 / p.upstream_bps + rtt / 2.0;
+        let down = 500_000.0 / p.downstream_bps + rtt / 2.0;
+        assert!((ph.upload.as_secs_f64() - up).abs() < 1e-6);
+        assert!((ph.download.as_secs_f64() - down).abs() < 1e-6);
+        assert!((ph.upload.as_secs_f64() - 0.43).abs() < 0.01);
     }
 
     #[test]
     fn lan_offloads_all_workloads() {
         let d = decider(Objective::Latency);
-        let link = LinkEstimator::seeded_from(NetworkScenario::LanWifi);
         for kind in WorkloadKind::ALL {
             let r = d.decide_mean(
                 NetworkScenario::LanWifi,
-                &link,
                 &kind.profile(),
                 true,
                 SimDuration::ZERO,
@@ -298,10 +201,8 @@ mod tests {
         // On the paper's 3G (0.38 Mbps up), VirusScan's ~900 KB upload
         // takes ~19 s — twice its local execution. The decider says no.
         let d = decider(Objective::Latency);
-        let link = LinkEstimator::seeded_from(NetworkScenario::ThreeG);
         let scan = d.decide_mean(
             NetworkScenario::ThreeG,
-            &link,
             &WorkloadKind::VirusScan.profile(),
             true,
             SimDuration::ZERO,
@@ -316,7 +217,6 @@ mod tests {
         // on *energy* but the paper still offloads it.
         let ocr = d.decide_mean(
             NetworkScenario::ThreeG,
-            &link,
             &WorkloadKind::Ocr.profile(),
             true,
             SimDuration::ZERO,
@@ -329,7 +229,6 @@ mod tests {
         // Linpack's few hundred bytes win remotely, trivially.
         let lp = d.decide_mean(
             NetworkScenario::ThreeG,
-            &link,
             &WorkloadKind::Linpack.profile(),
             true,
             SimDuration::ZERO,
@@ -340,20 +239,12 @@ mod tests {
     #[test]
     fn cold_vm_prep_flips_the_decision() {
         let d = decider(Objective::Latency);
-        let link = LinkEstimator::seeded_from(NetworkScenario::LanWifi);
         let profile = WorkloadKind::ChessGame.profile();
-        let warm = d.decide_mean(
-            NetworkScenario::LanWifi,
-            &link,
-            &profile,
-            true,
-            SimDuration::ZERO,
-        );
+        let warm = d.decide_mean(NetworkScenario::LanWifi, &profile, true, SimDuration::ZERO);
         assert!(warm.offload);
         // A 28.7 s VM boot in the prep estimate makes offloading lose.
         let cold = d.decide_mean(
             NetworkScenario::LanWifi,
-            &link,
             &profile,
             true,
             SimDuration::from_millis(28_720),
@@ -362,7 +253,6 @@ mod tests {
         // Rattrap's 1.75 s start does not flip it.
         let rattrap_cold = d.decide_mean(
             NetworkScenario::LanWifi,
-            &link,
             &profile,
             true,
             SimDuration::from_millis(1_750),
@@ -378,22 +268,9 @@ mod tests {
         // ChessGame's 2.1 MB APK over WAN WiFi: with the code riding
         // along the upload is ~0.9 s; cached, ~11 ms.
         let d = decider(Objective::Latency);
-        let link = LinkEstimator::seeded_from(NetworkScenario::WanWifi);
         let profile = WorkloadKind::ChessGame.profile();
-        let cached = d.decide_mean(
-            NetworkScenario::WanWifi,
-            &link,
-            &profile,
-            true,
-            SimDuration::ZERO,
-        );
-        let uncached = d.decide_mean(
-            NetworkScenario::WanWifi,
-            &link,
-            &profile,
-            false,
-            SimDuration::ZERO,
-        );
+        let cached = d.decide_mean(NetworkScenario::WanWifi, &profile, true, SimDuration::ZERO);
+        let uncached = d.decide_mean(NetworkScenario::WanWifi, &profile, false, SimDuration::ZERO);
         assert!(
             uncached.predicted_remote > cached.predicted_remote + SimDuration::from_millis(500),
             "code transfer costs ~0.9 s on WAN"
@@ -406,22 +283,10 @@ mod tests {
         // when latency would tolerate them.
         let lat = decider(Objective::Latency);
         let en = decider(Objective::Energy);
-        let link = LinkEstimator::seeded_from(NetworkScenario::ThreeG);
         let profile = WorkloadKind::ChessGame.profile();
-        let by_latency = lat.decide_mean(
-            NetworkScenario::ThreeG,
-            &link,
-            &profile,
-            true,
-            SimDuration::ZERO,
-        );
-        let by_energy = en.decide_mean(
-            NetworkScenario::ThreeG,
-            &link,
-            &profile,
-            true,
-            SimDuration::ZERO,
-        );
+        let by_latency =
+            lat.decide_mean(NetworkScenario::ThreeG, &profile, true, SimDuration::ZERO);
+        let by_energy = en.decide_mean(NetworkScenario::ThreeG, &profile, true, SimDuration::ZERO);
         // Energy says no (3G radio cost); latency may still say yes.
         assert!(
             !by_energy.offload,
@@ -434,10 +299,8 @@ mod tests {
     #[test]
     fn decision_report_is_consistent() {
         let d = decider(Objective::Latency);
-        let link = LinkEstimator::seeded_from(NetworkScenario::LanWifi);
         let r = d.decide_mean(
             NetworkScenario::LanWifi,
-            &link,
             &WorkloadKind::Linpack.profile(),
             true,
             SimDuration::ZERO,

@@ -12,7 +12,7 @@
 //! * [`dispatcher`] — Dispatcher + Container DB with CID cache affinity;
 //!   the DB's record is the engine's only per-instance row.
 //! * [`decision`] — the client-side MAUI-style offloading decision
-//!   engine (link estimators + latency/energy prediction).
+//!   engine (latency/energy prediction over the scenario's nominal link).
 //! * [`platform`] — the three platform configurations of §VI-A
 //!   (Rattrap, Rattrap(W/O), VM baseline) and the ablation knobs.
 //! * [`scheduler`] — Monitor & Scheduler: the one warm-pool and idle
@@ -43,9 +43,9 @@ pub mod warehouse;
 
 pub use access::{AccessController, Action, Denial, PermissionTable};
 pub use config::DeviceSpec;
-pub use decision::{DecisionReport, Ewma, LinkEstimator, Objective, OffloadDecider};
+pub use decision::{DecisionReport, Objective, OffloadDecider};
 pub use dispatcher::{ContainerDb, DispatchPolicy, Dispatcher, Placement};
-pub use lifecycle::{Phase, PhaseLog, PhaseObserver, PhaseTransition, RequestLifecycle};
+pub use lifecycle::{Phase, PhaseObserver, RequestLifecycle};
 pub use metrics::{FaultStats, ReportHasher};
 pub use platform::{PlatformConfig, PlatformKind};
 pub use request::{PhaseBreakdown, RequestRecord};

@@ -142,48 +142,6 @@ pub trait PhaseObserver {
     );
 }
 
-/// One recorded lifecycle edge (see [`PhaseLog`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PhaseTransition {
-    /// Request id.
-    pub request: u64,
-    /// Phase departed.
-    pub from: Phase,
-    /// Phase entered.
-    pub to: Phase,
-    /// Time spent in `from`.
-    pub dwell: SimDuration,
-    /// Transition instant.
-    pub at: SimTime,
-}
-
-/// A ready-made observer collecting every transition — the raw
-/// material for Fig. 2-style phase timelines.
-#[derive(Debug, Default)]
-pub struct PhaseLog {
-    /// Transitions in occurrence order.
-    pub transitions: Vec<PhaseTransition>,
-}
-
-impl PhaseObserver for PhaseLog {
-    fn on_transition(
-        &mut self,
-        record: &RequestRecord,
-        from: Phase,
-        to: Phase,
-        dwell: SimDuration,
-        now: SimTime,
-    ) {
-        self.transitions.push(PhaseTransition {
-            request: record.id,
-            from,
-            to,
-            dwell,
-            at: now,
-        });
-    }
-}
-
 /// Where a retry resumes after a fault killed the previous attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ResumeStage {
@@ -417,7 +375,7 @@ mod tests {
     #[test]
     fn observers_see_every_edge_with_dwell() {
         let mut rl = lifecycle();
-        let mut log = PhaseLog::default();
+        let mut edges = Vec::new();
         for (at, next) in [
             (0.0, Phase::DataTransferUp),
             (2.0, Phase::RuntimePrep),
@@ -428,12 +386,12 @@ mod tests {
             (9.5, Phase::Done),
         ] {
             let (from, dwell) = rl.advance(t(at), next);
-            log.on_transition(&rl.record, from, next, dwell, t(at));
+            edges.push((rl.record.id, from, next, dwell));
         }
-        assert_eq!(log.transitions.len(), 7);
-        assert_eq!(log.transitions[1].from, Phase::DataTransferUp);
-        assert_eq!(log.transitions[1].dwell, SimDuration::from_secs(2));
-        assert_eq!(log.transitions.last().unwrap().to, Phase::Done);
-        assert!(log.transitions.iter().all(|tr| tr.request == 1));
+        assert_eq!(edges.len(), 7);
+        assert_eq!(edges[1].1, Phase::DataTransferUp);
+        assert_eq!(edges[1].3, SimDuration::from_secs(2));
+        assert_eq!(edges.last().unwrap().2, Phase::Done);
+        assert!(edges.iter().all(|e| e.0 == 1));
     }
 }

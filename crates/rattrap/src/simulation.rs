@@ -25,7 +25,7 @@
 
 use crate::access::{AccessController, Action};
 use crate::config::{DeviceSpec, RANDOM_IO_FACTOR};
-use crate::decision::{LinkEstimator, Objective, OffloadDecider};
+use crate::decision::{Objective, OffloadDecider};
 use crate::dispatcher::{ContainerDb, Dispatcher, InstanceState, Placement};
 use crate::lifecycle::{Phase, PhaseObserver, RequestLifecycle, ResumeStage};
 use crate::metrics::FaultStats;
@@ -327,6 +327,9 @@ pub struct Simulation {
     pool: PoolPolicy,
     /// Lifecycle hooks fired on every phase transition.
     observers: Vec<Box<dyn PhaseObserver>>,
+    /// The device's offload decider, present when
+    /// `cfg.adaptive_offloading` is on.
+    decider: Option<OffloadDecider>,
     /// Link outage/degradation windows from the fault plan (empty on
     /// fault-free runs, which keeps transfer pricing integer-exact).
     link_windows: Vec<LinkWindow>,
@@ -380,6 +383,9 @@ impl Simulation {
             ArrivalModel::ClosedLoop { .. } => (cfg.devices * cfg.requests_per_device) as u64,
             ArrivalModel::Trace(t) => t.iter().map(|v| v.len() as u64).sum(),
         };
+        let decider = cfg
+            .adaptive_offloading
+            .then(|| OffloadDecider::new(cfg.device_spec, Objective::Latency));
         Simulation {
             queue: EventQueue::new(),
             host,
@@ -410,6 +416,7 @@ impl Simulation {
             device_names: Vec::new(),
             finished: Vec::new(),
             observers: Vec::new(),
+            decider,
             link_windows: fault_plan.link_windows(),
             straggler_windows: fault_plan.straggler_windows(),
             crash_events: fault_plan.crashes(),
@@ -743,10 +750,8 @@ impl Simulation {
         // justifies the near-zero expected prep; cache-less platforms
         // would also predict a code upload, but the paper's framework
         // decides per *task*, so we use the steady-state estimate.
-        if self.cfg.adaptive_offloading {
-            let decider = OffloadDecider::new(self.cfg.device_spec, Objective::Latency);
-            let link = LinkEstimator::seeded_from(self.cfg.scenario);
-            let report = decider.decide(self.cfg.scenario, &link, &task, 0, SimDuration::ZERO);
+        if let Some(decider) = &self.decider {
+            let report = decider.decide(self.cfg.scenario, &task, 0, SimDuration::ZERO);
             if !report.offload {
                 let local = self.cfg.device_spec.local_execution_time(task.compute);
                 let record = RequestRecord {
@@ -1807,13 +1812,11 @@ mod tests {
 
     #[test]
     fn phase_observers_see_full_lifecycles() {
-        use crate::lifecycle::PhaseLog;
         let cfg =
             ScenarioConfig::paper_default(PlatformKind::Rattrap.config(), WorkloadKind::Ocr, 5);
         let mut sim = Simulation::new(cfg);
-        sim.add_observer(Box::new(PhaseLog::default()));
-        // PhaseLog is consumed by the simulation; hook a counting probe
-        // through a shared cell instead to assert on the stream.
+        // The simulation owns its observers: a counting probe reports
+        // through shared cells so the test can assert on the stream.
         use std::cell::RefCell;
         use std::rc::Rc;
         #[derive(Default)]
