@@ -10,7 +10,7 @@
 //! `(kind, size, seed)` — pinned by `tests/kernel_goldens.rs` — even
 //! though real wall times are not.
 
-use simkit::SimRng;
+use simkit::{Fnv1a, SimRng};
 use workloads::{chess, linpack, ocr, virusscan, TaskRequest, WorkloadKind};
 
 /// Quantized kernel input size.
@@ -94,38 +94,6 @@ pub struct KernelOutput {
     pub detail: String,
 }
 
-/// FNV-1a 64-bit over a byte stream.
-#[derive(Debug, Clone, Copy)]
-struct Fnv(u64);
-
-impl Fnv {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-
-    fn new() -> Fnv {
-        Fnv(Self::OFFSET)
-    }
-
-    fn bytes(&mut self, data: &[u8]) {
-        for &b in data {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(Self::PRIME);
-        }
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    fn finish(self) -> u64 {
-        self.0
-    }
-}
-
 /// Kernel input parameters for one `(kind, size)` cell.
 ///
 /// Sized so that no Medium cell takes much over ten milliseconds on a
@@ -188,13 +156,13 @@ const SCAN_INFECTION_RATE: f64 = 0.25;
 pub fn execute_kernel(kind: WorkloadKind, size: SizeClass, seed: u64) -> KernelOutput {
     let p = params(size);
     let mut rng = SimRng::new(seed);
-    let mut h = Fnv::new();
+    let mut h = Fnv1a::new();
     match kind {
         WorkloadKind::Ocr => {
             let req = ocr::generate_request(p.ocr_words, &mut rng);
             let r = ocr::execute(&req);
-            h.bytes(r.text.as_bytes());
-            h.u64(r.comparisons);
+            h.write(r.text.as_bytes());
+            h.write_u64(r.comparisons);
             KernelOutput {
                 checksum: h.finish(),
                 work_units: r.comparisons,
@@ -219,9 +187,9 @@ pub fn execute_kernel(kind: WorkloadKind, size: SizeClass, seed: u64) -> KernelO
             };
             let r = chess::execute(&req).expect("start position FEN is valid");
             let mv = r.best_move.map(|m| m.uci()).unwrap_or_default();
-            h.bytes(mv.as_bytes());
-            h.u64(r.score as i64 as u64);
-            h.u64(r.nodes);
+            h.write(mv.as_bytes());
+            h.write_u64(r.score as i64 as u64);
+            h.write_u64(r.nodes);
             KernelOutput {
                 checksum: h.finish(),
                 work_units: r.nodes,
@@ -238,11 +206,11 @@ pub fn execute_kernel(kind: WorkloadKind, size: SizeClass, seed: u64) -> KernelO
                 &mut rng,
             );
             let r = virusscan::scan(&db, &corpus);
-            h.u64(r.files_scanned as u64);
-            h.u64(r.bytes_scanned);
+            h.write_u64(r.files_scanned as u64);
+            h.write_u64(r.bytes_scanned);
             for &(f, s) in &r.detections {
-                h.u64(f as u64);
-                h.u64(s as u64);
+                h.write_u64(f as u64);
+                h.write_u64(s as u64);
             }
             KernelOutput {
                 checksum: h.finish(),
@@ -256,10 +224,10 @@ pub fn execute_kernel(kind: WorkloadKind, size: SizeClass, seed: u64) -> KernelO
         }
         WorkloadKind::Linpack => {
             let r = linpack::run(p.linpack_n, &mut rng).expect("random matrix is non-singular");
-            h.u64(r.n as u64);
-            h.f64(r.residual);
-            h.f64(r.normalized_residual);
-            h.f64(r.flops);
+            h.write_u64(r.n as u64);
+            h.write_f64(r.residual);
+            h.write_f64(r.normalized_residual);
+            h.write_f64(r.flops);
             KernelOutput {
                 checksum: h.finish(),
                 work_units: r.flops as u64,

@@ -42,52 +42,9 @@ impl FaultStats {
     }
 }
 
-/// Streaming FNV-1a (64-bit) over a canonical byte serialization.
-///
-/// Not cryptographic — it only needs to make accidental report drift
-/// loud, and FNV keeps the golden test free of dependencies.
-#[derive(Debug, Clone)]
-pub struct ReportHasher {
-    state: u64,
-}
-
-impl Default for ReportHasher {
-    fn default() -> Self {
-        ReportHasher {
-            state: 0xcbf2_9ce4_8422_2325,
-        }
-    }
-}
-
-impl ReportHasher {
-    /// Fresh hasher at the FNV offset basis.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Absorb raw bytes.
-    pub fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.state ^= b as u64;
-            self.state = self.state.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-
-    /// Absorb a `u64` in little-endian byte order.
-    pub fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
-    }
-
-    /// Absorb an `f64` bit-exactly.
-    pub fn write_f64(&mut self, v: f64) {
-        self.write(&v.to_bits().to_le_bytes());
-    }
-
-    /// Final digest.
-    pub fn finish(&self) -> u64 {
-        self.state
-    }
-}
+/// The hasher every report digest folds into: [`simkit::Fnv1a`], under
+/// the name the goldens and the benchmark's folds use.
+pub use simkit::Fnv1a as ReportHasher;
 
 // The canonical digest hashes exactly this field list. The resilience
 // fields (`phases.fault_recovery`, `retries`, `fell_back_local`,
@@ -149,22 +106,5 @@ impl SimulationReport {
         h.write_u64(self.peak_disk_bytes);
         h.write_u64(self.finished_at.as_micros());
         h.finish()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fnv_matches_reference_vectors() {
-        // Standard FNV-1a 64 test vectors.
-        let mut h = ReportHasher::new();
-        assert_eq!(h.finish(), 0xcbf29ce484222325, "offset basis");
-        h.write(b"a");
-        assert_eq!(h.finish(), 0xaf63dc4c8601ec8c);
-        let mut h2 = ReportHasher::new();
-        h2.write(b"foobar");
-        assert_eq!(h2.finish(), 0x85944171f73967e8);
     }
 }

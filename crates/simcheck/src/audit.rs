@@ -1,5 +1,6 @@
 //! The audit ledger: what was checked and what was violated.
 
+use simkit::Fnv1a;
 use std::collections::BTreeSet;
 
 /// One invariant breach, attributed to the invariant's stable name and
@@ -98,26 +99,18 @@ impl Audit {
     /// of the same run must produce the same digest, which is what the
     /// explorer's own determinism contract pins.
     pub fn digest(&self) -> u64 {
-        let mut h = fnv1a(0xcbf2_9ce4_8422_2325, &[self.violations.len() as u8]);
+        let mut h = Fnv1a::new();
+        h.write(&[self.violations.len() as u8]);
         for v in &self.violations {
-            h = fnv1a(h, v.invariant.as_bytes());
-            h = fnv1a(h, v.subject.as_bytes());
-            h = fnv1a(h, v.detail.as_bytes());
+            h.write(v.invariant.as_bytes());
+            h.write(v.subject.as_bytes());
+            h.write(v.detail.as_bytes());
         }
         for name in &self.checked {
-            h = fnv1a(h, name.as_bytes());
+            h.write(name.as_bytes());
         }
-        h
+        h.finish()
     }
-}
-
-/// FNV-1a continuation over `bytes` from state `h`.
-pub fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 #[cfg(test)]

@@ -16,12 +16,13 @@
 //! 4. **Parallel ≡ serial** — a replication stripe computed with the
 //!    data-parallel runtime must be bit-identical to the serial loop.
 
-use crate::audit::{fnv1a, Audit};
+use crate::audit::Audit;
 use crate::harness::{run_model_audits, run_sample};
 use crate::invariants::DIGEST_STABILITY;
 use crate::sample::Sample;
 use rattrap::{run_scenario, PlatformKind, ScenarioConfig};
 use rayon::prelude::*;
+use simkit::Fnv1a;
 use workloads::WorkloadKind;
 
 /// The seed the golden tables pin (shared with the repo's golden
@@ -162,17 +163,18 @@ impl ExplorerReport {
 pub fn explore(cfg: &ExplorerConfig) -> ExplorerReport {
     let mut failures = Vec::new();
     let mut checked = std::collections::BTreeSet::new();
-    let mut digest = fnv1a(0xcbf2_9ce4_8422_2325, &cfg.seed.to_le_bytes());
+    let mut digest = Fnv1a::new();
+    digest.write_u64(cfg.seed);
 
     let model_audit = run_model_audits(cfg.seed);
     checked.extend(model_audit.invariants_checked());
-    digest = fnv1a(digest, &model_audit.digest().to_le_bytes());
+    digest.write_u64(model_audit.digest());
 
     let mut golden_audit = Audit::new();
     if cfg.golden_gate {
         audit_golden_gate(&mut golden_audit);
         checked.extend(golden_audit.invariants_checked());
-        digest = fnv1a(digest, &golden_audit.digest().to_le_bytes());
+        digest.write_u64(golden_audit.digest());
         if !golden_audit.is_clean() {
             failures.push(FailedSample {
                 // Attribute the gate to a synthetic fault-free sample
@@ -187,8 +189,8 @@ pub fn explore(cfg: &ExplorerConfig) -> ExplorerReport {
         let sample = Sample::draw(cfg.seed, index);
         let outcome = run_sample(&sample);
         checked.extend(outcome.audit.invariants_checked());
-        digest = fnv1a(digest, &outcome.digest.to_le_bytes());
-        digest = fnv1a(digest, &outcome.audit.digest().to_le_bytes());
+        digest.write_u64(outcome.digest);
+        digest.write_u64(outcome.audit.digest());
 
         let mut audit = outcome.audit;
         if cfg.parallel_stride != 0 && index % cfg.parallel_stride == 0 {
@@ -201,7 +203,7 @@ pub fn explore(cfg: &ExplorerConfig) -> ExplorerReport {
     }
 
     for f in &failures {
-        digest = fnv1a(digest, &f.audit.digest().to_le_bytes());
+        digest.write_u64(f.audit.digest());
     }
 
     ExplorerReport {
@@ -209,7 +211,7 @@ pub fn explore(cfg: &ExplorerConfig) -> ExplorerReport {
         failures,
         model_audit,
         invariants_checked: checked.into_iter().collect(),
-        digest,
+        digest: digest.finish(),
     }
 }
 

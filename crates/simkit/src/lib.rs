@@ -7,6 +7,7 @@
 //! from an event loop ([`executor`]),
 //! seeded randomness with the distributions the experiments need
 //! ([`random`]), a deterministic fault-injection plan ([`faults`]),
+//! the FNV-1a hasher behind every pinned digest ([`hash`]),
 //! a windowed runner for simulations split into message-passing
 //! logical processes, one event queue each ([`shard`]),
 //! online statistics and empirical CDFs ([`stats`]),
@@ -26,6 +27,7 @@
 pub mod event;
 pub mod executor;
 pub mod faults;
+pub mod hash;
 pub mod random;
 pub mod resource;
 pub mod sampler;
@@ -41,6 +43,7 @@ pub use faults::{
     link_available_at, transfer_outcome, FaultConfig, FaultEvent, FaultKind, FaultPlan, LinkWindow,
     StragglerWindow, TransferOutcome,
 };
+pub use hash::Fnv1a;
 pub use random::{derive_seed, SimRng};
 pub use resource::{FairShareResource, JobId, MemoryPool};
 pub use sampler::TimelineSampler;
