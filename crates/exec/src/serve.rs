@@ -249,11 +249,9 @@ pub fn serve<H: OffloadHandler>(addr: &str, handler: H) -> std::io::Result<Serve
 }
 
 fn serve_connection<H: OffloadHandler>(stream: TcpStream, handler: &H) {
-    let Ok(write_half) = stream.try_clone() else {
-        return;
-    };
-    let mut writer = write_half;
-    let mut reader = BufReader::new(stream);
+    // Reads and writes go through `&TcpStream`: one socket, no `dup`.
+    let mut writer = &stream;
+    let mut reader = BufReader::new(&stream);
     let mut line = String::new();
     loop {
         line.clear();
@@ -289,9 +287,8 @@ fn serve_connection<H: OffloadHandler>(stream: TcpStream, handler: &H) {
 /// the response.
 pub fn submit(addr: impl ToSocketAddrs, req: &OffloadRequest) -> Result<OffloadResponse, String> {
     let stream = TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
-    let mut writer = stream.try_clone().map_err(|e| format!("clone: {e}"))?;
-    writeln!(writer, "{}", req.to_json()).map_err(|e| format!("send: {e}"))?;
-    let mut reader = BufReader::new(stream);
+    writeln!(&stream, "{}", req.to_json()).map_err(|e| format!("send: {e}"))?;
+    let mut reader = BufReader::new(&stream);
     let mut line = String::new();
     reader
         .read_line(&mut line)
@@ -383,8 +380,8 @@ mod tests {
     fn malformed_requests_get_an_error_line() {
         let mut server = pool_server(1);
         let stream = TcpStream::connect(server.addr()).unwrap();
-        let mut writer = stream.try_clone().unwrap();
-        let mut reader = BufReader::new(stream);
+        let mut writer = &stream;
+        let mut reader = BufReader::new(&stream);
         let mut exchange = |line: &str| {
             writeln!(writer, "{line}").unwrap();
             let mut reply = String::new();
@@ -415,8 +412,8 @@ mod tests {
         let mut server =
             serve("127.0.0.1:0", PanicsOn13(PoolHandler(RealBackend::new(1)))).unwrap();
         let stream = TcpStream::connect(server.addr()).unwrap();
-        let mut writer = stream.try_clone().unwrap();
-        let mut reader = BufReader::new(stream);
+        let mut writer = &stream;
+        let mut reader = BufReader::new(&stream);
         let mut exchange = |seed: u64| {
             let req = OffloadRequest {
                 kind: WorkloadKind::Linpack,
@@ -444,12 +441,12 @@ mod tests {
     fn an_overlong_line_ends_only_its_own_connection() {
         let mut server = pool_server(1);
         let stream = TcpStream::connect(server.addr()).unwrap();
-        let mut writer = stream.try_clone().unwrap();
+        let mut writer = &stream;
         // The server may close before taking the whole line: a failed
         // write is one of the allowed outcomes.
         let _ = writer.write_all(&vec![b'x'; 1 << 20]);
         let mut reply = String::new();
-        if BufReader::new(stream).read_line(&mut reply).is_ok() && !reply.is_empty() {
+        if BufReader::new(&stream).read_line(&mut reply).is_ok() && !reply.is_empty() {
             let resp = OffloadResponse::from_json(reply.trim_end()).unwrap();
             assert!(!resp.ok);
             assert!(resp.error.contains("longer than"), "{}", resp.error);
