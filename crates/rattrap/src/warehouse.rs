@@ -186,6 +186,8 @@ mod tests {
     }
 
     /// The AID as it was derived and rendered when it was a `String`.
+    /// Its multiplier is not FNV's prime `0x100_0000_01b3`, but both are
+    /// `0x1b3` modulo 2^28, so the 28 bits kept match `aid_of`'s FNV-1a.
     fn rendered(app_id: &str) -> String {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for b in app_id.bytes() {
