@@ -122,21 +122,26 @@ printf '    examples/ tests/: %s lines\n' \
     "$(find examples/ tests/ -name '*.rs' | xargs cat | wc -l)"
 
 echo "==> surface"
-# Informational, like the sizes: a `pub fn` under crates/*/src that no
-# other .rs file of the repo names is a candidate to delete, make
-# private or gate behind #[cfg(test)] (ROADMAP item 16).
+# A `pub fn` under crates/*/src that no other .rs file of the repo names
+# is a candidate to delete, make private or gate behind #[cfg(test)]
+# (ROADMAP item 16). Each one is listed, and any fails the gate.
 pub_fns=$(find crates -path '*/src/*' -name '*.rs' -print0 |
     xargs -0 grep -oH 'pub fn [A-Za-z0-9_]*' | sed 's/:pub fn /:/')
-find crates examples tests benchmark -name target -prune -o -name '*.rs' -print0 |
+unnamed=$(find crates examples tests benchmark -name target -prune -o -name '*.rs' -print0 |
     xargs -0 grep -oHw '[A-Za-z_][A-Za-z0-9_]*' |
     awk -F: 'NR == FNR { pub[$0] = 1; next }
         !seen[$0]++ { files[$2]++; last[$2] = $1 }
         END {
             for (k in pub) {
                 split(k, a, ":")
-                if (files[a[2]] == 1 && last[a[2]] == a[1]) n++
+                if (files[a[2]] == 1 && last[a[2]] == a[1]) print k
             }
-            printf "    pub fns named nowhere outside their own file: %d\n", n
-        }' <(printf '%s\n' "$pub_fns") -
+        }' <(printf '%s\n' "$pub_fns") - | sort)
+printf '    pub fns named nowhere outside their own file: %s\n' \
+    "$(printf '%s' "$unnamed" | grep -c .)"
+if [ -n "$unnamed" ]; then
+    printf '      %s\n' $unnamed
+    exit 1
+fi
 
 echo "CI OK"
